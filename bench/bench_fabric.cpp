@@ -9,9 +9,10 @@
 //     state loss (a sibling has capacity), and is serving cache hits
 //     again after the recovery mark.
 //
-//  B. Determinism: the fault-free scenario and the chaos scenario must
-//     both produce byte-identical reply digests, per-leaf register
-//     digests, placements and completion times at shards 1/2/4.
+//  B. Determinism: the fault-free scenario and the chaos scenario, each
+//     run twice with the same seed, must produce byte-identical reply
+//     digests, per-leaf register digests, placements and completion
+//     times.
 //
 // CI smoke mode: ARTMT_BENCH_QUICK=1 shrinks the schedule and skips the
 // JSON rewrite so a smoke run never clobbers committed full-run numbers.
@@ -33,7 +34,6 @@
 #include "fabric/topology.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "workload/zipf.hpp"
 
 namespace artmt {
@@ -70,7 +70,6 @@ u64 register_digest(rmt::Pipeline& pipeline) {
 }
 
 struct ScenarioKnobs {
-  u32 shards = 1;
   const faults::FaultPlan* plan = nullptr;
   SimTime mark = 0;  // results after this instant count as "late"
   SimTime stop = 1'500 * kMillisecond;
@@ -99,12 +98,11 @@ struct ScenarioOut {
 // leaf2. Round-robin admission places service i on leaf i, so tenant 0's
 // service rides leaf0 and is the chaos schedule's victim.
 ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
-  netsim::ShardedSimulator ssim(knobs.shards);
-  netsim::Network net(ssim);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
   std::unique_ptr<faults::FaultInjector> injector;
   if (knobs.plan != nullptr) {
-    injector =
-        std::make_unique<faults::FaultInjector>(*knobs.plan, knobs.shards);
+    injector = std::make_unique<faults::FaultInjector>(*knobs.plan);
     net.set_transmit_hook(injector.get());
   }
 
@@ -115,16 +113,13 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.switch_config.compute_model = alloc::ComputeModel::deterministic();
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   topo.attach_host(*server, 0, 2, kServerMac);
-  ssim.pin(*server, 2 % knobs.shards);
 
   const std::vector<u32> client_leaf = {1, 2, 3, 1};
   const u32 n = static_cast<u32>(client_leaf.size());
@@ -149,7 +144,6 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
         topo.controller_mac());
     net.attach(t->client);
     topo.attach_host(*t->client, 0, client_leaf[i], kClientMacBase + i);
-    ssim.pin(*t->client, client_leaf[i] % knobs.shards);
     t->cache = std::make_shared<apps::CacheService>(
         "cache" + std::to_string(i), kServerMac);
     t->client->register_service(t->cache);
@@ -208,12 +202,12 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
       t.stop_time = drive_stop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    sim.schedule_at((i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
 
-  topo.start(ssim, 1 * kMillisecond, knobs.stop);
-  ssim.run_until(knobs.stop + 500 * kMillisecond);
+  topo.start(sim, 1 * kMillisecond, knobs.stop);
+  sim.run_until(knobs.stop + 500 * kMillisecond);
 
   ScenarioOut out;
   out.report = topo.controller().report();
@@ -233,7 +227,7 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
     out.bad_values += t.bad_values;
   }
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
+  out.completed_at = sim.now();
   return out;
 }
 
@@ -303,26 +297,15 @@ int main() {
       p99_ms > 0.0 && p99_ms <= kDowntimeP99BoundMs && victim_serving &&
       bystander_late > 0 && out.bad_values == 0;
 
-  // Determinism: fault-free and chaos runs, shards 1/2/4.
+  // Determinism: the fault-free and the chaos run, each repeated.
   ScenarioKnobs clean_knobs;
   if (quick) clean_knobs.stop = 1'200 * kMillisecond;
-  const ScenarioOut clean_base = run_scenario(clean_knobs);
-  bool clean_match = true;
-  bool chaos_match = true;
-  for (const u32 shards :
-       quick ? std::vector<u32>{2} : std::vector<u32>{2, 4}) {
-    ScenarioKnobs k = clean_knobs;
-    k.shards = shards;
-    const bool clean_ok = run_scenario(k).matches(clean_base);
-    ScenarioKnobs c = chaos_knobs;
-    c.shards = shards;
-    const bool chaos_ok = run_scenario(c).matches(out);
-    std::printf("shards=%u: fault-free %s, chaos %s\n", shards,
-                clean_ok ? "byte-identical" : "DIVERGED",
-                chaos_ok ? "byte-identical" : "DIVERGED");
-    clean_match &= clean_ok;
-    chaos_match &= chaos_ok;
-  }
+  const bool clean_match =
+      run_scenario(clean_knobs).matches(run_scenario(clean_knobs));
+  const bool chaos_match = run_scenario(chaos_knobs).matches(out);
+  std::printf("repeated runs: fault-free %s, chaos %s\n",
+              clean_match ? "byte-identical" : "DIVERGED",
+              chaos_match ? "byte-identical" : "DIVERGED");
 
   if (!quick) {
     char json[2048];
@@ -343,8 +326,8 @@ int main() {
         "    \"gate_pass\": %s\n"
         "  },\n"
         "  \"determinism\": {\n"
-        "    \"fault_free_shards_match\": %s,\n"
-        "    \"chaos_shards_match\": %s\n"
+        "    \"fault_free_runs_match\": %s,\n"
+        "    \"chaos_runs_match\": %s\n"
         "  }\n"
         "}\n",
         static_cast<unsigned long long>(out.report.switch_deaths),
@@ -363,11 +346,11 @@ int main() {
   }
 
   if (!clean_match) {
-    std::fprintf(stderr, "FAIL: fault-free fabric run diverges across shards\n");
+    std::fprintf(stderr, "FAIL: repeated fault-free fabric runs diverge\n");
     return 1;
   }
   if (!chaos_match) {
-    std::fprintf(stderr, "FAIL: chaos fabric run diverges across shards\n");
+    std::fprintf(stderr, "FAIL: repeated chaos fabric runs diverge\n");
     return 1;
   }
   if (!gate_pass) {

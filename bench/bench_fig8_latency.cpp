@@ -36,6 +36,9 @@ ProvisioningBreakdown provisioning_time(bool batched_updates) {
   costs.batched_updates = batched_updates;
   controller::Controller ctrl(pipeline, runtime, alloc::Scheme::kWorstFit,
                               alloc::MutantPolicy::most_constrained(), costs);
+  // Fig. 8a composes the allocator's measured host compute time with the
+  // modeled table-update and snapshot costs.
+  ctrl.set_compute_model(alloc::ComputeModel::wall_clock());
 
   workload::ArrivalProcess process(2.0, 1.0, 7);
   Rng departure_rng(99);

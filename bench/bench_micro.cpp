@@ -33,7 +33,6 @@
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
 #include "netsim/network.hpp"
-#include "netsim/sharded.hpp"
 #include "packet/active_packet.hpp"
 #include "proto/wire.hpp"
 #include "rmt/hash.hpp"
@@ -384,211 +383,6 @@ void measure_e2e(E2eRig& rig, u64 rounds, u64 per_round, E2eMeasurement* out) {
                  static_cast<double>(per_round) / seconds_since(start));
     out->allocs += g_alloc_count - allocs_before;
   }
-}
-
-// --- sharded engine e2e ---------------------------------------------------
-// Scaling harness for the sharded multi-worker engine: K independent
-// client -> switch -> sink rings, ring i pinned to shard i, open-loop
-// injection (one capsule per ring every kInjectPeriod of virtual time).
-// All traffic stays on its ring's shard, so the workload is embarrassingly
-// parallel -- the measured speedup isolates the engine's epoch/barrier
-// overhead from cross-shard cloning. Three engines run the identical
-// scenario: the serial Simulator (reference), ShardedSimulator(1) (the
-// epoch loop inline, no threads -- must stay within 5% of serial), and
-// ShardedSimulator(kRingCount) (one worker per ring -- must reach 2x on
-// hosts with >= 4 cores). Results land in BENCH_datapath.json under
-// "sharding"; the gates are enforced (exit 1) only when the host has at
-// least 4 cores, since wall-clock scaling is meaningless below that.
-
-constexpr u32 kRingCount = 4;
-constexpr u64 kFramesPerRing = 10'000;
-constexpr u64 kWarmupFramesPerRing = 1'000;
-constexpr SimTime kInjectPeriod = 250;  // ns of virtual time between frames
-constexpr u32 kShardedRounds = 5;       // interleaved, best-of
-
-struct RingInjector {
-  netsim::Network* net;
-  netsim::Node* client;
-  const std::vector<u8>* wire;
-  u64 remaining;
-  void operator()() {
-    net->transmit(*client, 0, net->pool().copy(*wire));
-    if (--remaining > 0) {
-      net->simulator().schedule_after(kInjectPeriod, *this);
-    }
-  }
-};
-
-struct ShardedRings {
-  std::unique_ptr<netsim::Simulator> serial_sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<netsim::Network> net;
-  std::vector<std::shared_ptr<controller::SwitchNode>> switches;
-  std::vector<std::shared_ptr<SinkNode>> clients;
-  std::vector<std::shared_ptr<SinkNode>> sinks;
-  std::vector<u8> wire;
-
-  // shards == 0 builds the serial-Simulator reference rig.
-  explicit ShardedRings(u32 shards) {
-    if (shards == 0) {
-      serial_sim = std::make_unique<netsim::Simulator>();
-      net = std::make_unique<netsim::Network>(*serial_sim);
-    } else {
-      ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-      net = std::make_unique<netsim::Network>(*ssim);
-    }
-    auto pkt = packet::ActivePacket::make_program(
-        1, packet::ArgumentHeader{{10, 2, 3, 0}},
-        apps::cache_query_program());
-    pkt.ethernet.src = kBenchClientMac;
-    pkt.ethernet.dst = kBenchServerMac;
-    pkt.payload.assign(kBenchPayloadBytes, 0x5a);
-    wire = pkt.serialize();
-
-    // 100us links against a 250ns injection period keep epochs coarse:
-    // each barrier round covers ~400 frames per shard.
-    netsim::LinkSpec link;
-    link.latency = 100 * kMicrosecond;
-    for (u32 i = 0; i < kRingCount; ++i) {
-      const std::string tag = std::to_string(i);
-      auto sw = std::make_shared<controller::SwitchNode>(
-          "sw" + tag, controller::SwitchNode::Config{});
-      auto client = std::make_shared<SinkNode>("client" + tag);
-      auto sink = std::make_shared<SinkNode>("sink" + tag);
-      net->attach(sw);
-      net->attach(client);
-      net->attach(sink);
-      net->connect(*sw, 0, *client, 0, link);
-      net->connect(*sw, 1, *sink, 0, link);
-      sw->bind(kBenchClientMac, 0);
-      sw->bind(kBenchServerMac, 1);
-      for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
-        sw->pipeline().stage(s).install(1, 0, 4096, 0);
-      }
-      if (ssim) {
-        const u32 shard = i % shards;
-        ssim->pin(*sw, shard);
-        ssim->pin(*client, shard);
-        ssim->pin(*sink, shard);
-      }
-      switches.push_back(std::move(sw));
-      clients.push_back(std::move(client));
-      sinks.push_back(std::move(sink));
-    }
-  }
-
-  // Injects `frames` per ring and runs to quiescence; returns wall seconds.
-  double drive(u64 frames) {
-    for (u32 i = 0; i < kRingCount; ++i) {
-      RingInjector inj{net.get(), clients[i].get(), &wire, frames};
-      if (ssim) {
-        ssim->schedule_on(*clients[i], ssim->now(), inj);
-      } else {
-        serial_sim->schedule_at(serial_sim->now(), inj);
-      }
-    }
-    const auto start = std::chrono::steady_clock::now();
-    if (ssim) {
-      ssim->run();
-    } else {
-      serial_sim->run();
-    }
-    return seconds_since(start);
-  }
-
-  [[nodiscard]] u64 received() const {
-    u64 total = 0;
-    for (const auto& s : sinks) total += s->received;
-    return total;
-  }
-};
-
-// Fills `json` with the "sharding" member of BENCH_datapath.json.
-// Returns 0 on success, 1 when a scaling gate fails on a capable host.
-int run_sharded_e2e(char* json, std::size_t cap) {
-  const unsigned cores = std::thread::hardware_concurrency();
-  const u64 frames_per_ring = quick_mode() ? 1'000 : kFramesPerRing;
-  const u64 warmup_per_ring = quick_mode() ? 200 : kWarmupFramesPerRing;
-  const u32 rounds = quick_mode() ? 2 : kShardedRounds;
-  ShardedRings serial(0);
-  ShardedRings one(1);
-  ShardedRings wide(kRingCount);
-  telemetry::set_enabled(false);
-  serial.drive(warmup_per_ring);
-  one.drive(warmup_per_ring);
-  wide.drive(warmup_per_ring);
-
-  double serial_pps = 0.0;
-  double one_pps = 0.0;
-  double wide_pps = 0.0;
-  const double kFrames =
-      static_cast<double>(frames_per_ring) * kRingCount;
-  for (u32 r = 0; r < rounds; ++r) {
-    serial_pps = std::max(serial_pps, kFrames / serial.drive(frames_per_ring));
-    one_pps = std::max(one_pps, kFrames / one.drive(frames_per_ring));
-    wide_pps = std::max(wide_pps, kFrames / wide.drive(frames_per_ring));
-  }
-  telemetry::set_enabled(true);
-
-  const u64 expected =
-      kRingCount * (warmup_per_ring + rounds * frames_per_ring);
-  for (const ShardedRings* rig : {&serial, &one, &wide}) {
-    if (rig->received() != expected) {
-      std::fprintf(stderr,
-                   "FAIL: sharded e2e rig delivered %llu frames, expected "
-                   "%llu\n",
-                   static_cast<unsigned long long>(rig->received()),
-                   static_cast<unsigned long long>(expected));
-      return 1;
-    }
-  }
-
-  const double speedup = wide_pps / serial_pps;
-  const bool one_within_5pct = one_pps >= 0.95 * serial_pps;
-  const bool enforce = cores >= 4 && !quick_mode();
-  u64 events = 0;
-  u64 cross = 0;
-  u64 barrier_ns = 0;
-  for (u32 i = 0; i < kRingCount; ++i) {
-    const auto& st = wide.ssim->shard_stats(i);
-    events += st.events_dispatched;
-    cross += st.frames_in;
-    barrier_ns += st.barrier_wait_ns;
-  }
-  std::snprintf(
-      json, cap,
-      "  \"sharding\": {\n"
-      "    \"rings\": %u, \"frames_per_ring\": %llu, \"cores\": %u,\n"
-      "    \"serial\": {\"packets_per_sec\": %.0f},\n"
-      "    \"shards1\": {\"packets_per_sec\": %.0f, \"within_5pct\": %s},\n"
-      "    \"shards%u\": {\"packets_per_sec\": %.0f, \"speedup\": %.2f},\n"
-      "    \"epochs\": %llu, \"events_dispatched\": %llu,\n"
-      "    \"cross_shard_frames\": %llu, \"barrier_wait_ns\": %llu,\n"
-      "    \"gates_enforced\": %s\n"
-      "  }\n",
-      kRingCount, static_cast<unsigned long long>(frames_per_ring), cores,
-      serial_pps, one_pps, one_within_5pct ? "true" : "false", kRingCount,
-      wide_pps, speedup, static_cast<unsigned long long>(wide.ssim->epochs()),
-      static_cast<unsigned long long>(events),
-      static_cast<unsigned long long>(cross),
-      static_cast<unsigned long long>(barrier_ns),
-      enforce ? "true" : "false");
-
-  if (enforce && !one_within_5pct) {
-    std::fprintf(stderr,
-                 "FAIL: shards=1 ran at %.0f pps vs %.0f pps serial "
-                 "(budget: within 5%%)\n",
-                 one_pps, serial_pps);
-    return 1;
-  }
-  if (enforce && speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: %u shards reached %.2fx over serial on %u cores "
-                 "(gate: >= 2x)\n",
-                 kRingCount, speedup, cores);
-    return 1;
-  }
-  return 0;
 }
 
 // --- batched ingress burst harness ----------------------------------------
@@ -986,7 +780,7 @@ int run_chaos_block(char* json, std::size_t cap) {
       "                   \"recovered\": %llu, \"give_ups\": %llu, "
       "\"cache_hits\": %llu,\n"
       "                   \"cache_misses\": %llu, \"converged\": %s}\n"
-      "  },\n",
+      "  }\n",
       hook.packets_per_sec, base.packets_per_sec, overhead_pct,
       within_5pct ? "true" : "false",
       static_cast<unsigned long long>(soak.injected_drops),
@@ -1031,8 +825,7 @@ int run_e2e_datapath() {
   // sink -- so it stays detached here; counters/heatmap stay gated off
   // too (the third rig already prices those). The "spans" block thus
   // prices exactly what a deployment pays to keep the recorder armed.
-  telemetry::FlightRecorder flight(telemetry::FlightRecorder::kDefaultCapacity,
-                                   1);
+  telemetry::FlightRecorder flight;
   auto arm_spans = [&] { telemetry::set_flight_recorder(&flight); };
   auto disarm_spans = [&] { telemetry::set_flight_recorder(nullptr); };
   // Warm-up: populates the program caches, the frame pools, the event
@@ -1181,8 +974,6 @@ int run_e2e_datapath() {
       lookups ? static_cast<double>(cs.hits) / static_cast<double>(lookups)
               : 0.0;
 
-  char sharding_json[1024];
-  const int sharded_rc = run_sharded_e2e(sharding_json, sizeof(sharding_json));
   char batched_json[1024];
   const int batched_rc =
       run_batched_block(batched_json, sizeof(batched_json),
@@ -1227,7 +1018,6 @@ int run_e2e_datapath() {
       "  \"simulator\": {\"actions_spilled\": %llu},\n"
       "%s"
       "%s"
-      "%s"
       "}\n",
       std::thread::hardware_concurrency(),
       quick_mode() ? "true" : "false", kBenchPayloadBytes, zc_rig.wire.size(),
@@ -1254,7 +1044,7 @@ int run_e2e_datapath() {
       static_cast<unsigned long long>(zc_rig.net.frames_delivered()),
       static_cast<unsigned long long>(zc_rig.net.frames_dropped()),
       static_cast<unsigned long long>(zc_rig.sim.actions_spilled()),
-      batched_json, chaos_json, sharding_json);
+      batched_json, chaos_json);
   std::fputs(json, stdout);
   std::fflush(stdout);
   if (!quick_mode()) {
@@ -1305,7 +1095,6 @@ int run_e2e_datapath() {
                  spans_overhead_pct);
     return 1;
   }
-  if (sharded_rc != 0) return sharded_rc;
   return batched_rc != 0 ? batched_rc : chaos_rc;
 }
 

@@ -12,9 +12,9 @@
 //     demoted) and resume (hot -> promoted), every share move disturbing
 //     the others. Per-tenant windowed hit rates plus move events feed
 //     analyze_disruption: p99 dip depth and recovery time are reported
-//     and gated. The same scenario must produce byte-identical merged
-//     telemetry and reply digests at shards 1/2/4, and must survive a
-//     2% uniform-loss FaultPlan.
+//     and gated. Run twice, the scenario must produce byte-identical
+//     telemetry and reply digests, and it must survive a 2% uniform-loss
+//     FaultPlan.
 //
 // CI smoke mode: ARTMT_BENCH_QUICK=1 shrinks both sections and skips the
 // perf gates; BENCH_migration.json is NOT rewritten so a smoke run never
@@ -38,7 +38,6 @@
 #include "controller/migration.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "rmt/pipeline.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/heatmap.hpp"
@@ -234,7 +233,6 @@ struct Digest {
 };
 
 struct ScenarioKnobs {
-  u32 shards = 1;
   u32 universe = 20'000;
   double rps = 2'000.0;
   SimTime stop = 12 * kSecond;
@@ -270,10 +268,7 @@ struct Tenant {
           packet::EthernetHeader::kWireSize));
       if (msg) cache->handle_server_reply(*msg);
     };
-    // The reply digest is PER TENANT: tenants live on different shards,
-    // so a digest shared across them would mix in cross-shard completion
-    // order (racy, and different between shard counts). Each tenant's
-    // stream is shard-local and ordered; the scenario combines the four
+    // The reply digest is per tenant; the scenario combines the four
     // digests in tenant order after the run.
     cache->on_result = [this](u32 seq, u64 key, u32 value, bool hit) {
       record(hit);
@@ -317,9 +312,6 @@ struct Tenant {
     tick();
   }
 
-  // Always through net->simulator(): it resolves to the owning shard's
-  // clock and queue from worker context (ShardedSimulator's quiescent
-  // now()/schedule_after are stale mid-run).
   void tick() {
     if (net->simulator().now() >= stop_time) return;
     cache->get(key_for_rank(zipf.next_rank(rng)));
@@ -365,31 +357,31 @@ struct ScenarioOut {
   u64 move_events = 0;
   controller::SwitchNode::MigrationEngineStats engine;
   controller::ControllerStats ctrl;
-  std::string snapshot;  // merged telemetry (shard-determinism key)
+  std::string snapshot;  // telemetry (run-to-run determinism key)
   u64 reply_digest = 0;
   SimTime completed_at = 0;
 };
 
 ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
-  netsim::ShardedSimulator ssim(knobs.shards);
-  netsim::Network net(ssim);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  telemetry::MetricsRegistry registry;
+  sim.set_metrics(&registry);
+  net.set_metrics(&registry);
   std::unique_ptr<faults::FaultInjector> injector;
   if (knobs.plan != nullptr) {
-    injector =
-        std::make_unique<faults::FaultInjector>(*knobs.plan, knobs.shards);
+    injector = std::make_unique<faults::FaultInjector>(*knobs.plan);
     net.set_transmit_hook(injector.get());
   }
 
   controller::SwitchNode::Config cfg;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
   cfg.costs.extraction_timeout = 300 * kMillisecond;
   cfg.batched_table_updates = true;  // deployment config (EXPERIMENTS.md)
-  cfg.metrics = &ssim.shard_metrics(0);
+  cfg.metrics = &registry;
   cfg.migration.enabled = true;
   cfg.migration.interval = 100 * kMillisecond;
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   net.attach(sw);
-  ssim.pin(*sw, 0);
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   net.connect(*sw, 0, *server, 0);
@@ -415,27 +407,25 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
       t.cache->populate(t.hot_set_for_allocation());
       t.start_traffic(first_stop);
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    sim.schedule_at((i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
   Tenant& t1 = *tenants[1];
-  ssim.schedule_on(*t1.client, knobs.pause1,
-                   [&t1] { t1.repopulate_on_move = false; });
-  ssim.schedule_on(*t1.client, knobs.resume1, [&t1, stop = knobs.stop] {
+  sim.schedule_at(knobs.pause1, [&t1] { t1.repopulate_on_move = false; });
+  sim.schedule_at(knobs.resume1, [&t1, stop = knobs.stop] {
     t1.repopulate_on_move = true;
     t1.start_traffic(stop);
   });
   if (knobs.resume2 > 0) {
     Tenant& t2 = *tenants[2];
-    ssim.schedule_on(*t2.client, knobs.pause2,
-                     [&t2] { t2.repopulate_on_move = false; });
-    ssim.schedule_on(*t2.client, knobs.resume2, [&t2, stop = knobs.stop] {
+    sim.schedule_at(knobs.pause2, [&t2] { t2.repopulate_on_move = false; });
+    sim.schedule_at(knobs.resume2, [&t2, stop = knobs.stop] {
       t2.repopulate_on_move = true;
       t2.start_traffic(stop);
     });
   }
 
-  ssim.run_until(knobs.stop + 2 * kSecond);
+  sim.run_until(knobs.stop + 2 * kSecond);
 
   ScenarioOut out;
   // Pool every tenant's (series, events) pair through one analysis: the
@@ -457,11 +447,9 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   Digest combined;
   for (const auto& t : tenants) combined.mix(t->replies.h);
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
-  telemetry::MetricsRegistry merged;
-  ssim.merge_metrics_into(merged);
+  out.completed_at = sim.now();
   std::ostringstream os;
-  merged.snapshot_json(os);
+  registry.snapshot_json(os);
   out.snapshot = os.str();
   return out;
 }
@@ -584,19 +572,14 @@ int main() {
       static_cast<unsigned long long>(base.engine.planner.cooldown_skips),
       static_cast<unsigned long long>(base.engine.queue.enqueued));
 
-  bool shards_match = true;
-  for (const u32 shards : quick ? std::vector<u32>{2} : std::vector<u32>{2, 4}) {
-    ScenarioKnobs k = knobs;
-    k.shards = shards;
-    const ScenarioOut r = run_scenario(k);
-    const bool ok = r.snapshot == base.snapshot &&
-                    r.reply_digest == base.reply_digest &&
-                    r.completed_at == base.completed_at;
-    std::printf("shards=%u: %s\n", shards, ok ? "byte-identical" : "DIVERGED");
-    shards_match &= ok;
-  }
-  if (!shards_match) {
-    std::fprintf(stderr, "FAIL: migration scenario diverges across shards\n");
+  const ScenarioOut repeat = run_scenario(knobs);
+  const bool runs_match = repeat.snapshot == base.snapshot &&
+                          repeat.reply_digest == base.reply_digest &&
+                          repeat.completed_at == base.completed_at;
+  std::printf("repeated run: %s\n",
+              runs_match ? "byte-identical" : "DIVERGED");
+  if (!runs_match) {
+    std::fprintf(stderr, "FAIL: repeated migration scenario runs diverge\n");
     return 1;
   }
 
@@ -620,7 +603,7 @@ int main() {
     json += disruption_json("baseline", base);
     json += ",\n";
     json += disruption_json("faulted", faulted);
-    json += ",\n    \"shard_digests_match\": true\n  }\n}\n";
+    json += ",\n    \"runs_match\": true\n  }\n}\n";
     std::fputs(json.c_str(), stdout);
     if (std::FILE* f = std::fopen("BENCH_migration.json", "w")) {
       std::fputs(json.c_str(), f);

@@ -67,7 +67,7 @@ def load_baseline(ref, path):
         return None
 
 
-def compare(name, current, baseline, threshold, skip_section=None,
+def compare(name, current, baseline, threshold,
             lower_is_better=frozenset()):
     """Prints the per-section report; returns the regression list.
 
@@ -75,11 +75,7 @@ def compare(name, current, baseline, threshold, skip_section=None,
     grow (latency-style metrics) instead of when they shrink.
     """
     regressions = []
-    skipped = []
     for section in sorted(current.keys() | baseline.keys()):
-        if skip_section is not None and skip_section(section):
-            skipped.append(section)
-            continue
         cur = current.get(section)
         base = baseline.get(section)
         if cur is None:
@@ -98,8 +94,6 @@ def compare(name, current, baseline, threshold, skip_section=None,
             regressions.append((section, base, cur, delta))
             mark = "  << REGRESSION"
         print(f"  {section}: {base:.0f} -> {cur:.0f} ({delta:+.1%}){mark}")
-    for section in skipped:
-        print(f"  {section}: SKIPPED (single-core/unenforced run)")
     if regressions:
         print(f"bench_compare: {name}: {len(regressions)} section(s) "
               f"regressed more than {threshold:.0%}", file=sys.stderr)
@@ -127,22 +121,6 @@ def main():
         return 2
     current = dict(metric_leaves(datapath, {"packets_per_sec"}))
 
-    # Sharded speedup numbers are contention-distorted on hosts without
-    # enough cores to actually run the workers in parallel; bench_micro
-    # records the host core count and whether it enforced the speedup
-    # gates. Skip those sections here with an unmissable notice instead
-    # of letting a cramped runner quietly pass (or fail) the comparison.
-    cores = datapath.get("cores")
-    enforced = datapath.get("sharding", {}).get("gates_enforced", True)
-    skip_sharding = (cores is not None and cores < 4) or not enforced
-    if skip_sharding:
-        print("=" * 68, file=sys.stderr)
-        print(f"bench_compare: NOTICE: host has {cores} core(s) and "
-              f"gates_enforced={str(enforced).lower()} -- sharded speedup "
-              "sections SKIPPED,\nnot compared. Rerun on a >=4-core host "
-              "to exercise the sharding gates.", file=sys.stderr)
-        print("=" * 68, file=sys.stderr)
-
     baseline_json = load_baseline(args.baseline_ref, args.file)
     if baseline_json is None:
         print(f"bench_compare: no baseline {args.file} at "
@@ -150,10 +128,7 @@ def main():
     else:
         compared_any = True
         baseline = dict(metric_leaves(baseline_json, {"packets_per_sec"}))
-        regressions += compare(
-            args.file, current, baseline, args.threshold,
-            skip_section=(lambda s: s.startswith("sharding."))
-            if skip_sharding else None)
+        regressions += compare(args.file, current, baseline, args.threshold)
 
     # --- allocator: allocations/sec + indexed-vs-rescan speedup ---
     # The speedup ratio is intra-process (both sides timed in the same

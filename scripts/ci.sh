@@ -3,13 +3,12 @@
 # allocator parity/churn gate, a telemetry-overhead gate, a
 # throughput-regression gate, a chaos soak
 # (fault-injection digest-equality matrix), a migration soak, a fabric
-# soak (multi-switch failure drill + leaf-spine chaos), an ASan+UBSan
-# job, then a ThreadSanitizer job (the sharded engine's worker threads).
+# soak (multi-switch failure drill + leaf-spine chaos), then an
+# ASan+UBSan job.
 #
 # Usage: scripts/ci.sh
 #   [release|bench|perf-smoke|alloc-bench|telemetry-overhead|
-#    bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|
-#    tsan|all]
+#    bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all]
 # (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,8 +37,8 @@ run_perf_smoke() {
   cmake --preset default
   cmake --build --preset default
   # ARTMT_BENCH_QUICK=1 shrinks every packet count so the whole datapath
-  # bench (batched engine, burst coalescing, sharded epochs, chaos rig)
-  # finishes in seconds. The zero-alloc assertions stay at full strength;
+  # bench (batched engine, burst coalescing, chaos rig) finishes in
+  # seconds. The zero-alloc assertions stay at full strength;
   # perf-ratio gates are skipped and BENCH_datapath.json is left alone, so
   # this catches functional rot in the bench harness on any runner without
   # flaking on machine speed.
@@ -104,13 +103,13 @@ run_chaos_soak() {
   cmake --preset default
   cmake --build --preset default
   # artmt_chaos runs the e2e cache + heavy-hitter + load-balancer scenario
-  # fault-free and under scripted chaos (uniform loss, two link flaps, a
-  # switch brownout with register wipe) at shard counts 1, 2 and 4, and
-  # exits nonzero unless every run converges to the same application-state
-  # digest with identical injected-fault counts per seed. The flight
-  # recorder is armed for every cell: each brownout up-edge dumps the
-  # wiped switch's final span events, and on a failing cell the dumps are
-  # surfaced in the job log before the matrix aborts.
+  # fault-free and twice under scripted chaos (uniform loss, two link
+  # flaps, a switch brownout with register wipe), and exits nonzero unless
+  # every run converges to the same application-state digest and the two
+  # chaos runs agree byte for byte (digest, injected faults, metrics
+  # snapshot). The flight recorder is armed for every cell: each brownout
+  # up-edge dumps the wiped switch's final span events, and on a failing
+  # cell the dumps are surfaced in the job log before the matrix aborts.
   for seed in 1 7; do
     for loss in 0.005 0.01; do
       echo "-- chaos matrix: seed=$seed loss=$loss"
@@ -138,20 +137,20 @@ run_migration_soak() {
   # bench_migration runs the PoissonChurn soak with the migration engine
   # on vs off, then the live-migration scenario (cold tenant demoted, hot
   # tenant promoted, bystander disturbed under traffic) fault-free and
-  # under a 2% uniform-loss FaultPlan, asserting byte-identical state
-  # across shard counts. ARTMT_BENCH_QUICK=1 shrinks the event counts and
+  # under a 2% uniform-loss FaultPlan, asserting that a repeated run is
+  # byte-identical. ARTMT_BENCH_QUICK=1 shrinks the event counts and
   # skips the soak perf gate (and leaves BENCH_migration.json alone), but
   # the virtual-time gates stay at full strength: migrations must execute
   # in both the fault-free and faulted runs, every disturbed service must
-  # recover within the 60-window (3 s) p99 bound, and any cross-shard
-  # divergence fails the job.
+  # recover within the 60-window (3 s) p99 bound, and any divergence
+  # between the repeated runs fails the job.
   ARTMT_BENCH_QUICK=1 ./build/bench/bench_migration
   # The e2e scenario with the engine on must produce the identical
-  # migration report at any shard count (modeled compute).
-  report2="$(./build/tools/artmt_stats --migration --shards 2 2>/dev/null)"
-  report4="$(./build/tools/artmt_stats --migration --shards 4 2>/dev/null)"
-  if [ "$report2" != "$report4" ]; then
-    echo "migration-soak: artmt_stats --migration diverges across shard counts" >&2
+  # migration report on every run (the default config models compute).
+  report1="$(./build/tools/artmt_stats --migration 2>/dev/null)"
+  report2="$(./build/tools/artmt_stats --migration 2>/dev/null)"
+  if [ "$report1" != "$report2" ]; then
+    echo "migration-soak: repeated artmt_stats --migration runs diverge" >&2
     exit 1
   fi
 }
@@ -167,12 +166,12 @@ run_fabric_soak() {
   # BENCH_fabric.json alone, but the gates stay at full strength: p99
   # re-placement downtime within bound, zero state loss for
   # reliability-protected services, the victim serving again after
-  # re-placement, and byte-identical digests across shard counts.
+  # re-placement, and byte-identical digests across repeated runs.
   ARTMT_BENCH_QUICK=1 ./build/bench/bench_fabric
   # The e2e chaos scenario must also converge on the leaf-spine fabric:
-  # same application-state digest at shard counts 1, 2 and 4 with faults
-  # injected identically, now with the brownout wiping one leaf of a
-  # two-leaf fabric instead of the lone switch.
+  # the same application-state digest in every run with faults injected
+  # identically, now with the brownout wiping one leaf of a two-leaf
+  # fabric instead of the lone switch.
   ./build/tools/artmt_chaos --topology leaf-spine --requests 600 \
       --seed 3 --loss 0.005
 }
@@ -182,13 +181,6 @@ run_sanitize() {
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan
   ctest --preset asan-ubsan
-}
-
-run_tsan() {
-  echo "== ThreadSanitizer build + tests =="
-  cmake --preset tsan
-  cmake --build --preset tsan
-  ctest --preset tsan
 }
 
 case "$job" in
@@ -202,7 +194,6 @@ case "$job" in
   migration-soak) run_migration_soak ;;
   fabric-soak) run_fabric_soak ;;
   sanitize) run_sanitize ;;
-  tsan) run_tsan ;;
   all)
     run_release
     run_bench
@@ -214,10 +205,9 @@ case "$job" in
     run_migration_soak
     run_fabric_soak
     run_sanitize
-    run_tsan
     ;;
   *)
-    echo "unknown job '$job' (expected release|bench|perf-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|tsan|all)" >&2
+    echo "unknown job '$job' (expected release|bench|perf-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all)" >&2
     exit 2
     ;;
 esac

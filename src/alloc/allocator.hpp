@@ -56,13 +56,14 @@ enum class SearchMode {
 
 const char* search_mode_name(SearchMode mode);
 
-// How AllocationOutcome::search_ms / assign_ms are produced. The default
-// measures real host time (the paper's Figs. 5/12 methodology), which
-// makes downstream virtual timelines host-load dependent: the switch
-// schedules provisioning after compute_ms of virtual time. Experiments
-// that need reproducible timelines (the sharded engine's determinism
-// guarantee, CI comparisons) switch to the modeled form, where both
-// durations derive from deterministic work counts instead.
+// How AllocationOutcome::search_ms / assign_ms are produced. The
+// Allocator's default measures real host time (the paper's Figs. 5/12
+// methodology). Downstream, a switch schedules provisioning after
+// compute_ms of virtual time, which would make its timeline host-load
+// dependent -- so SwitchNode::Config defaults to the modeled form, where
+// both durations derive from deterministic work counts instead, and only
+// reproductions that compose measured compute (Fig. 8a) opt into
+// wall_clock().
 struct ComputeModel {
   bool modeled = false;
   double search_us_per_mutant = 0.2;  // feasibility check cost per mutant

@@ -54,7 +54,7 @@ class ClientNode : public netsim::Node {
   // probes it toggles to the other uplink (port 0 <-> port 1) and keeps
   // probing the new leaf. `until` bounds the probe train in virtual time
   // so deterministic runs drain. enable_uplink_probe() only installs the
-  // config; schedule the first probe_tick() on this node's shard.
+  // config; schedule the first probe_tick() on the simulator.
   struct UplinkProbeConfig {
     packet::MacAddr primary_mac = 0;  // leaf reachable on uplink port 0
     packet::MacAddr backup_mac = 0;   // leaf reachable on uplink port 1

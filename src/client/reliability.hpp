@@ -11,8 +11,7 @@
 // Timers run on the owning node's simulator (supplied lazily via a
 // callback, so a tracker can be constructed before its service is
 // attached). Jitter comes from a seed-derived Rng substream; draws happen
-// in the node's own event order, so schedules are deterministic under
-// both engines and any shard count.
+// in the node's own event order, so schedules are identical across runs.
 #pragma once
 
 #include <functional>

@@ -13,11 +13,8 @@
 //    the network -- and its pool -- are gone).
 //  - Mutation requires unique(); shared views alias the same bytes.
 //  - Not thread-safe: refcounts and freelists are plain (non-atomic).
-//    Each simulation shard owns one pool, and every FrameBuf minted from
-//    it is confined to that shard's worker thread. Frames crossing a
-//    shard boundary are deep-copied into the destination pool via
-//    FramePool::clone at the epoch barrier (see netsim/sharded.hpp);
-//    a slab never changes threads.
+//    The simulator is single-threaded, so a pool and its frames never
+//    leave the thread that drives it.
 #pragma once
 
 #include <cstring>
@@ -159,11 +156,9 @@ class FramePool {
                 std::size_t headroom = FrameBuf::kDefaultHeadroom);
 
   // Deep-copies `src` into this pool, preserving its headroom so in-place
-  // reply synthesis still works on the clone. This is the cross-shard
-  // handoff primitive: slabs (non-atomic refcounts, per-shard freelists)
-  // must never migrate between shards, so a frame crossing a shard
-  // boundary is cloned into the destination shard's pool at the epoch
-  // barrier and the original is released by its owner.
+  // reply synthesis still works on the clone. Used wherever a shared
+  // frame must be mutated or delivered twice (fault-injected corruption
+  // and duplicates) without touching the other references' bytes.
   FrameBuf clone(const FrameBuf& src);
 
   struct Stats {

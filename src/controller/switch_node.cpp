@@ -173,7 +173,6 @@ void SwitchNode::bind_pinned(packet::MacAddr mac, u32 port) {
 }
 
 u64 SwitchNode::wipe_registers() {
-  assert_confined();
   // Staged packets were delivered before the wipe; they must see the
   // pre-wipe registers, exactly as the per-packet engine ordered it.
   flush_batch();
@@ -195,7 +194,7 @@ u64 SwitchNode::wipe_registers() {
               /*span=*/0, /*parent=*/0, telemetry::kNoFid, attach_index(),
               /*a=*/wiped);
     if (auto* recorder = telemetry::flight_recorder()) {
-      recorder->dump(telemetry::span_lane(), "brownout");
+      recorder->dump("brownout");
     }
   }
   return wiped;
@@ -236,10 +235,6 @@ void SwitchNode::send_frame_to_mac(packet::MacAddr dst, netsim::Frame frame,
 }
 
 void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
-  // Sharded engine tripwire: the pipeline's state (runtime, allocator,
-  // control queue, program cache) is only ever touched by its owning
-  // shard's worker.
-  assert_confined();
   if (l2_learning_ && mac_ != 0 &&
       frame.size() >= packet::EthernetHeader::kWireSize) {
     ByteReader in(frame);
@@ -251,9 +246,8 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
   (void)port;
   if (migration_enabled_ && !migration_armed_) {
     // Armed lazily from the first frame, not the constructor: by now the
-    // node is attached and its scheduled closures resolve to the owning
-    // shard, so the tick train is deterministic across shard counts.
-    // Also how the engine re-arms after quiescing on an idle switch.
+    // node is attached to its network's simulator. Also how the engine
+    // re-arms after quiescing on an idle switch.
     migration_armed_ = true;
     mig_idle_streak_ = 0;
     network().simulator().schedule_after(migration_interval_,
@@ -553,9 +547,6 @@ void SwitchNode::enqueue_control(ActivePacket pkt) {
 }
 
 void SwitchNode::process_next_control() {
-  // Control continuations are scheduled closures; confinement here (and
-  // in ready_to_apply) catches one landing on the wrong shard's queue.
-  assert_confined();
   if (control_queue_.empty()) {
     control_busy_ = false;
     return;
@@ -686,7 +677,6 @@ void SwitchNode::run_admission(const ControlOp& op) {
 }
 
 void SwitchNode::migration_tick() {
-  assert_confined();
   flush_batch();  // the tick observes everything delivered before it
   ++mig_ticks_;
   metrics_->migration_ticks->inc();
@@ -813,7 +803,6 @@ SwitchNode::MigrationEngineStats SwitchNode::migration_stats() const {
 }
 
 void SwitchNode::ready_to_apply() {
-  assert_confined();
   if (!txn_ || txn_->applying) return;
   txn_->applying = true;
   network().simulator().schedule_after(txn_->apply_cost, [this] {

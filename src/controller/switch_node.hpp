@@ -43,11 +43,11 @@ class SwitchNode : public netsim::Node {
     // Fig. 8a per-entry composition is reproduced exactly; setting either
     // this or costs.batched_updates enables batching.
     bool batched_table_updates = false;
-    // Wall-clock by default (the paper measures real allocator compute);
-    // deterministic experiments (sharded-engine determinism tests,
-    // artmt_stats --shards) use ComputeModel::deterministic() so virtual
-    // timelines don't depend on host load.
-    alloc::ComputeModel compute_model;
+    // Modeled allocator compute by default, so a run's virtual timeline
+    // never depends on host load. Reproductions that compose measured
+    // compute time into virtual time (Fig. 8a) opt into
+    // ComputeModel::wall_clock().
+    alloc::ComputeModel compute_model = alloc::ComputeModel::deterministic();
     // Section 7.2 deployment hardening (off by default, as in the paper's
     // prototype).
     bool enforce_privilege = false;
@@ -222,7 +222,7 @@ class SwitchNode : public netsim::Node {
   void run_release(const ControlOp& op);
   void ready_to_apply();  // handshake complete or timed out
   // Background engine: the periodic tick (armed lazily from the first
-  // frame so scheduling lands on the owning shard), and the step that
+  // frame, once the node is attached), and the step that
   // turns one remap request into a live handshake. Returns true when a
   // handshake started (the tick stops draining until it completes).
   void migration_tick();

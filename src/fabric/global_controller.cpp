@@ -473,6 +473,11 @@ void GlobalController::send_control(packet::MacAddr dst,
   network().transmit(*this, port_, network().pool().copy(pkt.serialize()));
 }
 
+void GlobalController::relay(packet::MacAddr dst, packet::ActivePacket pkt) {
+  pkt.ethernet.src = mac_;
+  forward(dst, std::move(pkt));
+}
+
 void GlobalController::forward(packet::MacAddr dst, packet::ActivePacket pkt) {
   if (pkt.ethernet.src == 0) pkt.ethernet.src = mac_;
   pkt.ethernet.dst = dst;
@@ -526,10 +531,12 @@ void GlobalController::on_frame(netsim::Frame frame, u32 port) {
     case packet::ActiveType::kDealloc: {
       const auto it = placements_.find(pkt.initial.fid);
       if (it != placements_.end()) {
-        // Keep the client's source MAC: the switch acks straight back.
+        // Relayed under our own MAC (see relay()); the switch's ack comes
+        // back here and is forwarded to the releasing client.
         const packet::MacAddr sw = it->second.sw;
         placements_.erase(it);
-        forward(sw, std::move(pkt));
+        released_by_[pkt.initial.fid] = pkt.ethernet.src;
+        relay(sw, std::move(pkt));
       } else {
         // Parked or already-gone service: confirm the release ourselves.
         packet::ActivePacket ack = packet::ActivePacket::make_control(
@@ -541,16 +548,24 @@ void GlobalController::on_frame(netsim::Frame frame, u32 port) {
     case packet::ActiveType::kExtractComplete: {
       const auto it = placements_.find(pkt.initial.fid);
       if (it != placements_.end()) {
-        forward(it->second.sw, std::move(pkt));
+        relay(it->second.sw, std::move(pkt));
       } else {
         metrics_->dropped->inc();
       }
       return;
     }
-    case packet::ActiveType::kDeallocAck:
-      // Acks for our own reconcile/stale-grant deallocations; nothing to
+    case packet::ActiveType::kDeallocAck: {
+      // A client's release we relayed: hand the ack back. Anything else
+      // acks our own reconcile/stale-grant deallocations; nothing to
       // update (the placement was never recorded or is already gone).
+      const auto it = released_by_.find(pkt.initial.fid);
+      if (it != released_by_.end()) {
+        const packet::MacAddr client = it->second;
+        released_by_.erase(it);
+        forward(client, std::move(pkt));
+      }
       return;
+    }
     case packet::ActiveType::kProgram: {
       // Safety net -- steered data-plane traffic normally bypasses us.
       const auto it = placements_.find(pkt.initial.fid);

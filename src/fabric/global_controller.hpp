@@ -10,7 +10,11 @@
 //    winning switch's response is forwarded back with the client's own
 //    sequence number restored and the switch's source MAC preserved, so
 //    the client learns data-plane steering (ClientNode::steering_)
-//    without any extra protocol.
+//    without any extra protocol. A client's kDealloc and
+//    kExtractComplete reach the owning switch under the controller's own
+//    MAC -- with the client's, the switches on the way would learn that
+//    the client sits behind the controller's port -- and the switch's
+//    kDeallocAck comes back through the controller to the client.
 //
 //  * Health epochs -- every `epoch` of virtual time the controller
 //    probes each placement switch (kHealthProbe); the ack carries a
@@ -97,9 +101,8 @@ class GlobalController : public netsim::Node {
   void seed_scoreboard(packet::MacAddr sw, Scoreboard board);
 
   // Starts the health-epoch train; probes stop once the virtual clock
-  // passes `until` (so bounded runs drain). Must run on this node's
-  // shard: schedule via ShardedSimulator::schedule_on (or call directly
-  // in serial mode before run()).
+  // passes `until` (so bounded runs drain). Call directly before run(),
+  // or from a scheduled event.
   void start(SimTime until);
 
   void on_frame(netsim::Frame frame, u32 port) override;
@@ -194,6 +197,9 @@ class GlobalController : public netsim::Node {
   // Forwards a packet verbatim except for addressing (src preserved when
   // nonzero, so steering survives the hop).
   void forward(packet::MacAddr dst, packet::ActivePacket pkt);
+  // Forwards a client's control capsule to a switch with the controller's
+  // own MAC as src, so no switch learns the client behind our port.
+  void relay(packet::MacAddr dst, packet::ActivePacket pkt);
 
   packet::MacAddr mac_;
   Config config_;
@@ -207,6 +213,7 @@ class GlobalController : public netsim::Node {
   std::vector<SwitchState> switches_;
   std::map<u32, PendingAdmit> pending_;   // fseq -> in-flight admission
   std::map<Fid, Placement> placements_;   // fid -> owner
+  std::map<Fid, packet::MacAddr> released_by_;  // relayed kDealloc -> client
   std::deque<Parked> unplaced_;
   std::vector<Resend> resends_;
   std::vector<SimTime> downtimes_;

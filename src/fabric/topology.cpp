@@ -1,7 +1,5 @@
 #include "fabric/topology.hpp"
 
-#include "netsim/sharded.hpp"
-
 namespace artmt::fabric {
 
 packet::MacAddr Topology::leaf_mac(u32 i) const {
@@ -115,26 +113,8 @@ void Topology::attach_host(netsim::Node& host, u32 host_port, u32 leaf,
   }
 }
 
-void Topology::pin(netsim::ShardedSimulator& sharded) {
-  const u32 shards = sharded.shards();
-  for (u32 i = 0; i < leaves_.size(); ++i) {
-    sharded.pin(*leaves_[i], i % shards);
-  }
-  for (u32 j = 0; j < spines_.size(); ++j) {
-    sharded.pin(*spines_[j],
-                (static_cast<u32>(leaves_.size()) + j) % shards);
-  }
-  sharded.pin(*controller_, static_cast<u32>(leaves_.size()) % shards);
-}
-
 void Topology::start(netsim::Simulator& sim, SimTime at, SimTime until) {
   sim.schedule_at(at, [this, until] { controller_->start(until); });
-}
-
-void Topology::start(netsim::ShardedSimulator& sharded, SimTime at,
-                     SimTime until) {
-  sharded.schedule_on(*controller_, at,
-                      [this, until] { controller_->start(until); });
 }
 
 }  // namespace artmt::fabric

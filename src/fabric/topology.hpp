@@ -31,10 +31,6 @@
 #include "fabric/global_controller.hpp"
 #include "netsim/network.hpp"
 
-namespace artmt::netsim {
-class ShardedSimulator;
-}  // namespace artmt::netsim
-
 namespace artmt::fabric {
 
 struct TopologyConfig {
@@ -61,15 +57,9 @@ class Topology {
   void attach_host(netsim::Node& host, u32 host_port, u32 leaf,
                    packet::MacAddr mac);
 
-  // Pins every fabric node onto `sharded`'s shards (leaf i -> i mod N,
-  // spine j and the controller -> (leaves + j) mod N). Determinism never
-  // depends on the pinning; this just keeps placement stable.
-  void pin(netsim::ShardedSimulator& sharded);
-
-  // Starts the controller's health epochs at `at`, probing until `until`.
-  // Works under both engines (quiescent call, before run()).
+  // Starts the controller's health epochs at `at`, probing until `until`
+  // (call before run()).
   void start(netsim::Simulator& sim, SimTime at, SimTime until);
-  void start(netsim::ShardedSimulator& sharded, SimTime at, SimTime until);
 
   [[nodiscard]] u32 leaves() const { return static_cast<u32>(leaves_.size()); }
   [[nodiscard]] u32 spines() const { return static_cast<u32>(spines_.size()); }

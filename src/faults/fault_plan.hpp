@@ -4,7 +4,7 @@
 // link) fire as pure functions of (plan seed, sender, tx sequence), and
 // scripted events (link flaps, switch brownouts) are plain time windows
 // -- so an identical plan and seed reproduce the identical fault
-// sequence under the serial engine and at any shard count.
+// sequence on every run.
 #pragma once
 
 #include <limits>

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "netsim/sharded.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -33,29 +32,22 @@ const char* fault_kind_name(FaultKind kind) {
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, u32 shards)
-    : plan_(std::move(plan)), counts_(std::max<u32>(shards, 1)) {}
+    : plan_(std::move(plan)) {
+  if (shards != 1) {
+    throw UsageError("FaultInjector: shard count must be 1 (one engine)");
+  }
+}
 
 void FaultInjector::count(const netsim::Node& from, const netsim::Node& to,
                           FaultKind kind, SimTime now) {
-  const u32 shard = from.shard();
-  if (shard >= counts_.size()) {
-    throw UsageError(
-        "FaultInjector: sender shard exceeds the injector's shard count "
-        "(construct with the engine's shard count)");
-  }
-  ShardCounts& c = counts_[shard];
-  ++c.by_kind[static_cast<u32>(kind)];
-  ++c.by_link[from.name() + "->" + to.name()][static_cast<u32>(kind)];
-  // Worker threads skip the process-global trace sink (same rule as the
-  // netsim drop path); the serial engine records every injected fault.
-  if (netsim::detail::tls_shard == nullptr) {
-    if (auto* sink = telemetry::trace_sink()) {
-      sink->emit("faults", "injected", telemetry::kNoFid,
-                 {{"kind", fault_kind_name(kind)},
-                  {"src", from.name()},
-                  {"dst", to.name()},
-                  {"at_ns", static_cast<u64>(now)}});
-    }
+  ++by_kind_[static_cast<u32>(kind)];
+  ++by_link_[from.name() + "->" + to.name()][static_cast<u32>(kind)];
+  if (auto* sink = telemetry::trace_sink()) {
+    sink->emit("faults", "injected", telemetry::kNoFid,
+               {{"kind", fault_kind_name(kind)},
+                {"src", from.name()},
+                {"dst", to.name()},
+                {"at_ns", static_cast<u64>(now)}});
   }
 }
 
@@ -85,7 +77,7 @@ netsim::TransmitHook::Verdict FaultInjector::on_transmit(
 
   // One isolated substream per transmission: the decision depends only on
   // (seed, sender, tx_seq), never on which other frames were inspected
-  // before this one or which thread is asking.
+  // before this one.
   const u64 frame_tag =
       (static_cast<u64>(from.attach_index()) << 40) | tx_seq;
   Rng rng = Rng::substream(plan_.seed, frame_tag);
@@ -126,9 +118,7 @@ netsim::TransmitHook::Verdict FaultInjector::on_transmit(
 }
 
 u64 FaultInjector::injected(FaultKind kind) const {
-  u64 total = 0;
-  for (const auto& c : counts_) total += c.by_kind[static_cast<u32>(kind)];
-  return total;
+  return by_kind_[static_cast<u32>(kind)];
 }
 
 u64 FaultInjector::injected_total() const {
@@ -137,18 +127,6 @@ u64 FaultInjector::injected_total() const {
     total += injected(static_cast<FaultKind>(k));
   }
   return total;
-}
-
-std::map<std::string, std::array<u64, kFaultKindCount>>
-FaultInjector::injected_by_link() const {
-  std::map<std::string, std::array<u64, kFaultKindCount>> merged;
-  for (const auto& c : counts_) {
-    for (const auto& [link, kinds] : c.by_link) {
-      auto& into = merged[link];
-      for (u32 k = 0; k < kFaultKindCount; ++k) into[k] += kinds[k];
-    }
-  }
-  return merged;
 }
 
 void FaultInjector::export_metrics(telemetry::MetricsRegistry& metrics) const {

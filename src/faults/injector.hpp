@@ -3,22 +3,16 @@
 // Determinism contract: every probabilistic decision is drawn from an
 // Rng substream keyed on (plan seed, sender attach index, sender tx
 // sequence) -- a pure function of simulation state -- so the set of
-// injected faults is identical across repeated runs, across the serial
-// and sharded engines, and for any shard count. Scripted flaps and
+// injected faults is identical across repeated runs. Scripted flaps and
 // brownouts are stateless time-window predicates. The injector never
 // draws from a shared sequential stream, so attaching it to a fault-free
-// plan leaves every workload RNG sequence untouched.
-//
-// Thread safety: on_transmit runs concurrently on shard workers. The
-// plan is immutable after construction; counters are kept per shard
-// (one cache line each, indexed by the sending node's shard) and read
-// only while the engine is quiescent.
+// plan leaves every workload RNG sequence untouched. The plan is
+// immutable after construction; only the counters change.
 #pragma once
 
 #include <array>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "faults/fault_plan.hpp"
 #include "netsim/network.hpp"
@@ -43,8 +37,8 @@ inline constexpr u32 kFaultKindCount = 7;
 
 class FaultInjector final : public netsim::TransmitHook {
  public:
-  // `shards` sizes the per-shard counter blocks: pass the engine's shard
-  // count (1 for the serial engine).
+  // The simulator has one engine, so `shards` must be 1 (UsageError
+  // otherwise); the parameter stays for callers that still pass it.
   explicit FaultInjector(FaultPlan plan, u32 shards = 1);
 
   Verdict on_transmit(const netsim::Node& from, const netsim::Node& to,
@@ -53,29 +47,28 @@ class FaultInjector final : public netsim::TransmitHook {
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  // --- quiescent-only introspection (sums over the shard blocks) ---
+  // --- introspection ---
   [[nodiscard]] u64 injected(FaultKind kind) const;
   [[nodiscard]] u64 injected_total() const;
   // Per-link totals keyed "src->dst", per kind.
-  [[nodiscard]] std::map<std::string, std::array<u64, kFaultKindCount>>
-  injected_by_link() const;
+  [[nodiscard]] const std::map<std::string,
+                               std::array<u64, kFaultKindCount>>&
+  injected_by_link() const {
+    return by_link_;
+  }
 
   // Mirrors the totals into `metrics`: "faults" / "injected_<kind>"
-  // counters plus per-link "injected_<kind>:<src>-><dst>" counters.
-  // Quiescent-only (call after the run, on the merged registry).
+  // counters plus per-link "injected_<kind>:<src>-><dst>" counters
+  // (call after the run).
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
-  struct alignas(64) ShardCounts {
-    std::array<u64, kFaultKindCount> by_kind{};
-    std::map<std::string, std::array<u64, kFaultKindCount>> by_link;
-  };
-
   void count(const netsim::Node& from, const netsim::Node& to, FaultKind kind,
              SimTime now);
 
   FaultPlan plan_;
-  std::vector<ShardCounts> counts_;
+  std::array<u64, kFaultKindCount> by_kind_{};
+  std::map<std::string, std::array<u64, kFaultKindCount>> by_link_;
 };
 
 }  // namespace artmt::faults

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "netsim/sharded.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -10,53 +9,7 @@
 
 namespace artmt::netsim {
 
-void Node::assert_confined() const {
-  const auto* ctx = detail::tls_shard;
-  if (ctx == nullptr) return;  // serial engine or quiescent main thread
-  if (network_ == nullptr || network_->sharded_ == nullptr) return;
-  if (ctx->owner != network_->sharded_ || ctx->index != shard_) {
-    throw UsageError("Node '" + name_ + "' owned by shard " +
-                     std::to_string(shard_) +
-                     " was touched from shard worker " +
-                     std::to_string(ctx->index) +
-                     " (schedule node work via schedule_on or the node's "
-                     "own network().simulator())");
-  }
-}
-
-Network::Network(ShardedSimulator& sharded) : sharded_(&sharded) {
-  sharded.bind_network(*this);
-  const u32 n = sharded.shards();
-  shard_counters_.resize(n);
-  for (u32 i = 0; i < n; ++i) {
-    telemetry::MetricsRegistry& reg = sharded.shard_metrics(i);
-    shard_counters_[i].m_delivered = &reg.counter("netsim", "frames_delivered");
-    shard_counters_[i].m_bytes = &reg.counter("netsim", "bytes_delivered");
-    shard_counters_[i].m_dropped = &reg.counter("netsim", "frames_dropped");
-  }
-}
-
-Simulator& Network::shard_simulator() const {
-  const auto* ctx = detail::tls_shard;
-  if (ctx != nullptr && ctx->owner == sharded_) return *ctx->sim;
-  // Quiescent: all shard clocks agree, so shard 0 stands in for "the"
-  // simulator (tool code scheduling here lands on shard 0; use
-  // ShardedSimulator::schedule_on to target another node's shard).
-  return sharded_->shard_sim(0);
-}
-
-FramePool& Network::shard_pool() {
-  const auto* ctx = detail::tls_shard;
-  if (ctx != nullptr && ctx->owner == sharded_) return *ctx->pool;
-  return sharded_->shard_pool(0);
-}
-
 void Network::set_metrics(telemetry::MetricsRegistry* metrics) {
-  if (sharded_ != nullptr) {
-    throw UsageError(
-        "Network::set_metrics: sharded mode wires per-shard registries "
-        "automatically; merge them via ShardedSimulator::merge_metrics_into");
-  }
   if (metrics == nullptr) {
     m_delivered_ = nullptr;
     m_bytes_ = nullptr;
@@ -66,24 +19,6 @@ void Network::set_metrics(telemetry::MetricsRegistry* metrics) {
   m_delivered_ = &metrics->counter("netsim", "frames_delivered");
   m_bytes_ = &metrics->counter("netsim", "bytes_delivered");
   m_dropped_ = &metrics->counter("netsim", "frames_dropped");
-}
-
-u64 Network::frames_delivered() const {
-  u64 total = frames_delivered_;
-  for (const auto& c : shard_counters_) total += c.delivered;
-  return total;
-}
-
-u64 Network::bytes_delivered() const {
-  u64 total = bytes_delivered_;
-  for (const auto& c : shard_counters_) total += c.bytes;
-  return total;
-}
-
-u64 Network::frames_dropped() const {
-  u64 total = frames_dropped_;
-  for (const auto& c : shard_counters_) total += c.dropped;
-  return total;
 }
 
 void Network::attach(std::shared_ptr<Node> node) {
@@ -108,17 +43,6 @@ void Network::connect(Node& node_a, u32 port_a, Node& node_b, u32 port_b,
 }
 
 void Network::count_drop(const Node& from, u32 port, std::size_t bytes) {
-  if (sharded_ != nullptr) {
-    const auto* ctx = detail::tls_shard;
-    const u32 shard =
-        (ctx != nullptr && ctx->owner == sharded_) ? ctx->index : 0;
-    ShardCounters& c = shard_counters_[shard];
-    ++c.dropped;
-    if (c.m_dropped != nullptr) c.m_dropped->inc();
-    // Trace emission is skipped under workers: the sink is a process
-    // global and the hot path stays lock-free.
-    return;
-  }
   ++frames_dropped_;
   if (m_dropped_ != nullptr) m_dropped_->inc();
   if (auto* sink = telemetry::trace_sink()) {
@@ -127,65 +51,14 @@ void Network::count_drop(const Node& from, u32 port, std::size_t bytes) {
   }
 }
 
-void Network::deliver(Node& dest, u32 port, Frame frame, u32 shard) {
-  ShardCounters& c = shard_counters_[shard];
-  ++c.delivered;
-  c.bytes += frame.size();
-  if (c.m_delivered != nullptr) {
-    c.m_delivered->inc();
-    c.m_bytes->inc(frame.size());
-  }
-  dest.on_frame(std::move(frame), port);
-}
-
 void Network::dispatch(const Endpoint& dest, Node& from, u64 tx_seq,
                        SimTime send, SimTime arrival, Frame frame) {
-  if (sharded_ != nullptr) {
-    const auto* ctx = detail::tls_shard;
-    if (ctx != nullptr && ctx->owner == sharded_ &&
-        dest.node->shard_ == ctx->index) {
-      // Same-shard delivery: the slab already lives in this shard's pool
-      // and no other worker can observe the event, so schedule it
-      // directly instead of parking it in a mailbox until the barrier.
-      // The canonical delivery key makes the queue position identical to
-      // what a barrier drain would have produced, so this is purely a
-      // scheduling relaxation -- it also frees the epoch window to be
-      // derived from cross-shard link latencies alone.
-      Node* node = dest.node;
-      const u32 port = dest.port;
-      const u32 shard = ctx->index;
-      ctx->sim->schedule_delivery(
-          arrival, send, from.attach_index_, tx_seq,
-          [this, node, port, shard,
-           span = telemetry::span_id(from.attach_index_, tx_seq),
-           f = std::move(frame)]() mutable {
-            // Delivery runs under the transmission's span, so anything the
-            // handler sends is causally parented to this frame.
-            telemetry::SpanScope scope(span);
-            deliver(*node, port, std::move(f), shard);
-          });
-      return;
-    }
-    // Cross-shard (or quiescent) delivery: mailbox, drained at the epoch
-    // barrier; ordering stays canonical because the drain schedules with
-    // the same delivery key.
-    ShardedSimulator::MailMsg msg;
-    msg.net = this;
-    msg.dest = dest.node;
-    msg.port = dest.port;
-    msg.src_shard = from.shard_;
-    msg.src_index = from.attach_index_;
-    msg.tx_seq = tx_seq;
-    msg.send = send;
-    msg.arrival = arrival;
-    msg.frame = std::move(frame);
-    sharded_->enqueue(std::move(msg));
-    return;
-  }
   sim_->schedule_delivery(
       arrival, send, from.attach_index_, tx_seq,
       [this, dest, span = telemetry::span_id(from.attach_index_, tx_seq),
        f = std::move(frame)]() mutable {
+        // Delivery runs under the transmission's span, so anything the
+        // handler sends is causally parented to this frame.
         telemetry::SpanScope scope(span);
         ++frames_delivered_;
         bytes_delivered_ += f.size();
@@ -198,7 +71,6 @@ void Network::dispatch(const Endpoint& dest, Node& from, u64 tx_seq,
 }
 
 void Network::transmit(Node& from, u32 port, Frame frame) {
-  from.assert_confined();
   const auto it = egress_.find({&from, port});
   if (it == egress_.end()) {
     count_drop(from, port, frame.size());  // unplugged port: frame is lost
@@ -206,25 +78,16 @@ void Network::transmit(Node& from, u32 port, Frame frame) {
   }
   const Egress& out = it->second;
   const Endpoint dest = out.peer;
-  // Consumed unconditionally, by both engines, hook or not: the pair
-  // (attach_index, tx_seq) names this transmission identically no matter
-  // how the scenario is run, which is what keeps injected faults
-  // shard-count-invariant.
+  // Consumed unconditionally, hook or not: the pair (attach_index,
+  // tx_seq) names this transmission from simulation state alone, which is
+  // what keeps injected faults identical across runs.
   const u64 tx_seq = from.tx_seq_++;
-
-  SimTime send;
-  if (sharded_ != nullptr) {
-    const auto* ctx = detail::tls_shard;
-    send = (ctx != nullptr && ctx->owner == sharded_) ? ctx->sim->now()
-                                                      : sharded_->now();
-  } else {
-    send = sim_->now();
-  }
+  const SimTime send = sim_->now();
 
   // Span ids reuse the fault injector's (attach_index, tx_seq) key, so
-  // they are byte-identical across engines and shard counts. Noted before
-  // the hook runs: a dropped send still names a span, which is what lets
-  // the reliability layer chain retransmits of lost frames.
+  // they are byte-identical across runs. Noted before the hook runs: a
+  // dropped send still names a span, which is what lets the reliability
+  // layer chain retransmits of lost frames.
   const bool spans = telemetry::spans_active();
   u64 span = 0;
   if (spans) {
@@ -274,7 +137,7 @@ void Network::transmit(Node& from, u32 port, Frame frame) {
     // Injected duplicates: independent deep copies on the same link, each
     // consuming its own tx sequence slot (cloned before the original is
     // moved out, dispatched after it so same-arrival duplicates trail the
-    // original in both engines' orderings).
+    // original).
     std::vector<Frame> dups;
     dups.reserve(verdict.copies - 1);
     for (u32 i = 1; i < verdict.copies; ++i) dups.push_back(pool().clone(frame));

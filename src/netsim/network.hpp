@@ -18,7 +18,6 @@ namespace artmt::netsim {
 using Frame = FrameBuf;
 
 class Network;
-class ShardedSimulator;
 
 // A device attached to the network. Subclasses implement frame handling;
 // the switch, clients, and servers are all Nodes.
@@ -43,31 +42,17 @@ class Node {
     return *network_;
   }
 
-  // Shard owning this node under a ShardedSimulator (0 in serial mode).
-  [[nodiscard]] u32 shard() const { return shard_; }
-
   // Attach order (stable across runs); with the per-node transmit
   // sequence it identifies every frame the node has ever sent, which is
   // what fault injection keys its deterministic decisions on.
   [[nodiscard]] u32 attach_index() const { return attach_index_; }
 
-  // Shard-confinement check: under a ShardedSimulator, a node's state may
-  // only be touched by its owning shard's worker (or by the main thread
-  // while the engine is quiescent). Throws UsageError when called from a
-  // different shard's worker -- a deterministic tripwire for closures
-  // that were scheduled onto the wrong shard's event queue. No-op in
-  // serial mode.
-  void assert_confined() const;
-
  private:
   friend class Network;
-  friend class ShardedSimulator;
   std::string name_;
   Network* network_ = nullptr;
-  u32 shard_ = 0;
-  u32 attach_index_ = 0;  // attach order; deterministic drain tie-break
-  u64 tx_seq_ = 0;        // per-node transmit sequence (drain tie-break)
-  bool shard_assigned_ = false;
+  u32 attach_index_ = 0;  // attach order; delivery tie-break
+  u64 tx_seq_ = 0;        // per-node transmit sequence (delivery tie-break)
 };
 
 // Characteristics of one direction of a link.
@@ -80,10 +65,9 @@ struct LinkSpec {
 // Network::set_transmit_hook). The hook may drop the frame, mutate its
 // bytes in place, duplicate it, or delay it -- the fault-injection layer
 // (src/faults) implements this. Contract: the verdict must be a pure
-// function of the arguments plus the hook's immutable configuration,
-// because under the sharded engine the hook is called concurrently from
-// every shard's worker; per-shard mutable state (counters) must be
-// indexed by the sending node's shard.
+// function of the arguments plus the hook's immutable configuration, so
+// that two runs of the same scenario draw the same faults; the hook may
+// keep its own counters.
 class TransmitHook {
  public:
   virtual ~TransmitHook() = default;
@@ -106,20 +90,12 @@ class TransmitHook {
 };
 
 // Owns nodes and links; routes frames between node ports over the virtual
-// clock, modelling serialization + propagation delay per frame.
-//
-// Two drive modes: a serial Simulator (every delivery is scheduled
-// directly on the one event queue) or a ShardedSimulator (transmit
-// enqueues into per-shard mailboxes drained at the epoch barrier;
-// simulator() and pool() resolve to the calling worker's shard so node
-// code is mode-agnostic).
+// clock, modelling serialization + propagation delay per frame. Every
+// delivery is scheduled on the one Simulator with its canonical
+// (arrival, send time, sender attach index, tx sequence) key.
 class Network {
  public:
   explicit Network(Simulator& sim) : sim_(&sim) {}
-
-  // Sharded mode: per-shard FramePools and delivery counters; transmit
-  // routes through the engine's mailboxes. One Network per engine.
-  explicit Network(ShardedSimulator& sharded);
 
   // Attaches a node; the network keeps a non-owning pointer (caller keeps
   // the node alive for the network's lifetime, enforced by shared_ptr).
@@ -135,42 +111,26 @@ class Network {
   // frames_dropped().
   void transmit(Node& from, u32 port, Frame frame);
 
-  // Serial mode: the one Simulator. Sharded mode: the calling worker's
-  // shard Simulator (thread-local), or shard 0's while quiescent -- all
-  // shard clocks agree between runs, so quiescent now() reads and
-  // scheduling against shard 0 are well-defined.
-  [[nodiscard]] Simulator& simulator() const {
-    if (sharded_ == nullptr) return *sim_;
-    return shard_simulator();
-  }
+  // The simulator every node schedules on.
+  [[nodiscard]] Simulator& simulator() const { return *sim_; }
   // Buffer arena for the datapath; nodes acquire reply/ingress buffers
-  // here so slabs recirculate instead of hitting the heap. Sharded mode:
-  // the calling worker's shard pool (slabs never cross threads).
-  [[nodiscard]] FramePool& pool() {
-    if (sharded_ == nullptr) return pool_;
-    return shard_pool();
-  }
-  // Quiescent-only reads in sharded mode (sum over per-shard blocks).
-  [[nodiscard]] u64 frames_delivered() const;
-  [[nodiscard]] u64 bytes_delivered() const;
-  [[nodiscard]] u64 frames_dropped() const;
+  // here so slabs recirculate instead of hitting the heap.
+  [[nodiscard]] FramePool& pool() { return pool_; }
+  [[nodiscard]] u64 frames_delivered() const { return frames_delivered_; }
+  [[nodiscard]] u64 bytes_delivered() const { return bytes_delivered_; }
+  [[nodiscard]] u64 frames_dropped() const { return frames_dropped_; }
 
   // Mirrors delivery/drop counts into `metrics` under component "netsim"
   // (nullptr detaches). Drops also emit a "frame_dropped" trace event
-  // while a telemetry::TraceSink is installed. Sharded mode wires each
-  // shard's counters into that shard's registry automatically; calling
-  // this there throws UsageError (merge shard registries instead).
+  // while a telemetry::TraceSink is installed.
   void set_metrics(telemetry::MetricsRegistry* metrics);
 
-  // Installs (or with nullptr removes) the transmit hook. Install while
-  // quiescent, before frames flow; the pointer is read on every transmit
-  // without synchronization.
+  // Installs (or with nullptr removes) the transmit hook. Install before
+  // frames flow; the pointer is read on every transmit.
   void set_transmit_hook(TransmitHook* hook) { hook_ = hook; }
   [[nodiscard]] TransmitHook* transmit_hook() const { return hook_; }
 
  private:
-  friend class Node;  // assert_confined reads sharded_
-  friend class ShardedSimulator;
 
   struct Endpoint {
     Node* node = nullptr;
@@ -197,32 +157,12 @@ class Network {
     }
   };
 
-  // Per-shard delivery counters, one cache line each so neighbouring
-  // shards' workers never share a line. Telemetry handles point into the
-  // owning shard's registry (single writer preserved).
-  struct alignas(64) ShardCounters {
-    u64 delivered = 0;
-    u64 bytes = 0;
-    u64 dropped = 0;
-    telemetry::Counter* m_delivered = nullptr;
-    telemetry::Counter* m_bytes = nullptr;
-    telemetry::Counter* m_dropped = nullptr;
-  };
-
-  // Out-of-line thread-local resolution (netsim/sharded.cpp owns the TLS).
-  [[nodiscard]] Simulator& shard_simulator() const;
-  [[nodiscard]] FramePool& shard_pool();
-  // Runs a delivery on the destination shard's worker: counts it against
-  // `shard` and hands the frame to the node. Called by ShardedSimulator.
-  void deliver(Node& dest, u32 port, Frame frame, u32 shard);
-  // Schedules one copy of a frame for delivery (per-mode: serial event or
-  // sharded mailbox message).
+  // Schedules one copy of a frame for delivery.
   void dispatch(const Endpoint& dest, Node& from, u64 tx_seq, SimTime send,
                 SimTime arrival, Frame frame);
   void count_drop(const Node& from, u32 port, std::size_t bytes);
 
   Simulator* sim_ = nullptr;
-  ShardedSimulator* sharded_ = nullptr;
   TransmitHook* hook_ = nullptr;
   FramePool pool_;
   std::vector<std::shared_ptr<Node>> nodes_;
@@ -232,7 +172,6 @@ class Network {
   u64 frames_delivered_ = 0;
   u64 bytes_delivered_ = 0;
   u64 frames_dropped_ = 0;
-  std::vector<ShardCounters> shard_counters_;  // sharded mode only
   telemetry::Counter* m_delivered_ = nullptr;
   telemetry::Counter* m_bytes_ = nullptr;
   telemetry::Counter* m_dropped_ = nullptr;

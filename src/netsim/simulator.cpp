@@ -96,11 +96,4 @@ void Simulator::run() {
   flush_metrics();
 }
 
-void Simulator::run_window(SimTime end) {
-  while (!queue_.empty() && queue_.front().at < end) {
-    dispatch_one();
-  }
-  flush_metrics();
-}
-
 }  // namespace artmt::netsim

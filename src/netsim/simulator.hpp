@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -129,9 +128,6 @@ class Simulator {
  public:
   using Action = InlineAction;
 
-  // Returned by next_event_time() when the queue is empty.
-  static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
-
   // Schedules `action` to run at absolute virtual time `at` (>= now).
   // Events at equal times run in scheduling order (FIFO).
   void schedule_at(SimTime at, Action action);
@@ -142,11 +138,10 @@ class Simulator {
   // Schedules a frame-delivery event carrying its canonical ordering key:
   // ties at equal `at` resolve by (send time, sender attach index, sender
   // tx sequence) -- all derived from simulation state, never from when
-  // the event object was materialized. Every engine (serial, sharded
-  // mailbox drain, same-shard direct) schedules deliveries through this,
-  // so the dispatch order of same-timestamp deliveries is identical no
-  // matter which path created them. Deliveries sort ahead of plain events
-  // whose tie (scheduling time) equals their send time.
+  // the event object was materialized, so the dispatch order of
+  // same-timestamp deliveries is a function of the scenario alone.
+  // Deliveries sort ahead of plain events whose tie (scheduling time)
+  // equals their send time.
   void schedule_delivery(SimTime at, SimTime send, u32 src_index, u64 tx_seq,
                          Action action);
 
@@ -157,12 +152,6 @@ class Simulator {
   // Runs until the queue is empty.
   void run();
 
-  // Runs events with `at < end` (kNoEvent drains the queue) WITHOUT
-  // advancing the clock to `end` -- the clock stays at the last
-  // dispatched event. The sharded engine's epoch loop uses this so a
-  // shard's clock never outruns its own events.
-  void run_window(SimTime end);
-
   // Executes at most one event; returns false if the queue was empty.
   // Flushes the attached metrics registry (dispatch count, queue depth)
   // so single-stepping callers never read stale values.
@@ -171,11 +160,6 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] u64 events_dispatched() const { return events_dispatched_; }
-  // Timestamp of the earliest pending event, kNoEvent when idle. The
-  // sharded engine uses this to pick the next epoch window.
-  [[nodiscard]] SimTime next_event_time() const {
-    return queue_.empty() ? kNoEvent : queue_.front().at;
-  }
   // Scheduled actions whose captures exceeded the inline buffer (each one
   // cost a heap allocation); the frame fast path should keep this at zero.
   [[nodiscard]] u64 actions_spilled() const { return actions_spilled_; }

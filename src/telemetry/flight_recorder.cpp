@@ -20,55 +20,26 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity_per_lane, u32 lanes)
-    : capacity_(round_up_pow2(capacity_per_lane == 0 ? 1 : capacity_per_lane)),
-      rings_(lanes == 0 ? 1 : lanes) {
-  for (Ring& ring : rings_) ring.buf.resize(capacity_);
-}
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
+      buf_(capacity_) {}
 
-void FlightRecorder::clear() {
-  for (Ring& ring : rings_) ring.head = 0;
-}
-
-u64 FlightRecorder::recorded() const {
-  u64 total = 0;
-  for (const Ring& ring : rings_) total += ring.head;
-  return total;
-}
-
-std::vector<SpanEvent> FlightRecorder::lane_events(u32 lane) const {
-  const Ring& ring = rings_[lane < rings_.size() ? lane : 0];
-  const u64 held = std::min<u64>(ring.head, capacity_);
+std::vector<SpanEvent> FlightRecorder::events() const {
+  const u64 held = std::min<u64>(head_, capacity_);
   std::vector<SpanEvent> events;
   events.reserve(static_cast<std::size_t>(held));
   for (u64 i = 0; i < held; ++i) {
     // Oldest first: the ring's logical start is head - held.
-    const u64 pos = (ring.head - held + i) % capacity_;
-    events.push_back(ring.buf[static_cast<std::size_t>(pos)]);
+    const u64 pos = (head_ - held + i) % capacity_;
+    events.push_back(buf_[static_cast<std::size_t>(pos)]);
   }
   return events;
 }
 
-std::string FlightRecorder::dump(u32 lane, std::string_view reason) {
-  const u32 idx = lane < rings_.size() ? lane : 0;
-  return write_dump(lane_events(idx), reason, rings_[idx].head);
-}
-
-std::string FlightRecorder::dump_all(std::string_view reason) {
-  std::vector<SpanEvent> merged;
-  for (u32 lane = 0; lane < lanes(); ++lane) {
-    const std::vector<SpanEvent> events = lane_events(lane);
-    merged.insert(merged.end(), events.begin(), events.end());
-  }
-  std::sort(merged.begin(), merged.end(), span_event_before);
-  return write_dump(merged, reason, recorded());
-}
-
-std::string FlightRecorder::write_dump(const std::vector<SpanEvent>& events,
-                                       std::string_view reason,
-                                       u64 buffered_total) {
+std::string FlightRecorder::dump(std::string_view reason) {
   if (dir_.empty()) return "";
-  const u64 seq = dump_seq_.fetch_add(1, std::memory_order_relaxed);
+  const std::vector<SpanEvent> held = events();
+  const u64 seq = dump_seq_++;
   std::string path = dir_;
   if (!path.empty() && path.back() != '/') path += '/';
   path += "flight_" + std::to_string(seq) + "_" + std::string(reason) +
@@ -83,11 +54,11 @@ std::string FlightRecorder::write_dump(const std::vector<SpanEvent>& events,
   {
     TraceSink sink(out);
     sink.emit("flight", reason, kNoFid,
-              {{"events", static_cast<u64>(events.size())},
-               {"recorded", buffered_total},
+              {{"events", static_cast<u64>(held.size())},
+               {"recorded", head_},
                {"capacity", static_cast<u64>(capacity_)}});
   }
-  write_span_events(out, events);
+  write_span_events(out, held);
   return path;
 }
 

@@ -1,18 +1,13 @@
-// Fault flight recorder: a fixed-size lock-free ring buffer per lane
-// (shard) holding the last N span events, with zero steady-state
-// allocation -- the rings are sized once at construction and every record
-// is a plain array store by the lane's single writer.
+// Fault flight recorder: a fixed-size ring buffer holding the last N span
+// events, with zero steady-state allocation -- the ring is sized once at
+// construction and every record is a plain array store.
 //
 // On a trigger -- a brownout up-edge (SwitchNode::wipe_registers), a
-// worker-exception abort (ShardedSimulator::store_error), a chaos-soak
-// digest mismatch or an artmt_chaos gate failure -- the buffered tail is
-// dumped to a JSON-lines file so the failure ships with its own forensic
-// capture. dump() writes the calling lane's ring and is safe from that
-// lane's worker thread; dump_all() merges every lane and must only run
-// while the engine is quiescent.
+// chaos-soak digest mismatch or an artmt_chaos gate failure -- the
+// buffered tail is dumped to a JSON-lines file so the failure ships with
+// its own forensic capture.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -26,85 +21,69 @@ namespace artmt::telemetry {
 class FlightRecorder {
  public:
   // Default ring size for the always-on configuration: 256 events x 48
-  // bytes = 12 KiB per lane stays L1-resident next to the datapath's
-  // working set, which is what keeps armed-recorder overhead low (a 48
-  // KiB ring cycling through L2 measurably slows the hot path). Forensic
-  // consumers that want a deeper tail (artmt_chaos --flight-dir) pass a
-  // larger capacity explicitly and pay for it only in those runs.
+  // bytes = 12 KiB stays L1-resident next to the datapath's working set,
+  // which is what keeps armed-recorder overhead low (a 48 KiB ring
+  // cycling through L2 measurably slows the hot path). Forensic consumers
+  // that want a deeper tail (artmt_chaos --flight-dir) pass a larger
+  // capacity explicitly and pay for it only in those runs.
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  // `capacity_per_lane` is rounded up to the next power of two so the
-  // hot-path ring index is a mask, not a division.
-  explicit FlightRecorder(std::size_t capacity_per_lane = kDefaultCapacity,
-                          u32 lanes = 1);
+  // `capacity` is rounded up to the next power of two so the hot-path
+  // ring index is a mask, not a division.
+  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   // Directory dump files land in ("" disables dumping; recording still
-  // runs so tests can inspect lane_events()).
+  // runs so tests can inspect events()).
   void set_dump_dir(std::string dir) { dir_ = std::move(dir); }
   [[nodiscard]] const std::string& dump_dir() const { return dir_; }
 
   // Hot path: overwrites the oldest slot once the ring is full. No
-  // allocation, no synchronization -- each lane has one writer.
-  void record(u32 lane, const SpanEvent& event) { slot(lane) = event; }
+  // allocation, no synchronization.
+  void record(const SpanEvent& event) { slot() = event; }
 
-  // Claims the next slot of `lane`'s ring for in-place construction (the
-  // caller overwrites every field; span_emit_with resets the slot first).
-  SpanEvent& slot(u32 lane) {
-    Ring& ring = rings_[lane < rings_.size() ? lane : 0];
-    SpanEvent& s =
-        ring.buf[static_cast<std::size_t>(ring.head) & (capacity_ - 1)];
-    ++ring.head;
+  // Claims the next ring slot for in-place construction (the caller
+  // overwrites every field; span_emit_with resets the slot first).
+  SpanEvent& slot() {
+    SpanEvent& s = buf_[static_cast<std::size_t>(head_) & (capacity_ - 1)];
+    ++head_;
     return s;
   }
 
-  // Quiescent-only: forget everything buffered (e.g. between chaos runs).
-  void clear();
+  // Forget everything buffered (e.g. between chaos runs).
+  void clear() { head_ = 0; }
 
-  // Dumps lane `lane`'s buffered events (oldest first) to
+  // Dumps the buffered events (oldest first) to
   // <dir>/flight_<seq>_<reason>.json. Returns the file path, or "" when
-  // no dump dir is set. Callable from the lane's own worker thread.
-  std::string dump(u32 lane, std::string_view reason);
+  // no dump dir is set.
+  std::string dump(std::string_view reason);
 
-  // Quiescent-only: every lane merged into one canonically sorted dump.
-  std::string dump_all(std::string_view reason);
-
-  [[nodiscard]] u32 lanes() const { return static_cast<u32>(rings_.size()); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] u64 recorded() const;
-  [[nodiscard]] u64 dumps_written() const {
-    return dump_seq_.load(std::memory_order_relaxed);
-  }
+  // Total events ever recorded (buffered or since overwritten).
+  [[nodiscard]] u64 recorded() const { return head_; }
+  [[nodiscard]] u64 dumps_written() const { return dump_seq_; }
 
-  // The events currently buffered in `lane`, oldest first (test hook; the
-  // same view dump() serializes).
-  [[nodiscard]] std::vector<SpanEvent> lane_events(u32 lane) const;
+  // The events currently buffered, oldest first (test hook; the same
+  // view dump() serializes).
+  [[nodiscard]] std::vector<SpanEvent> events() const;
 
  private:
-  struct alignas(64) Ring {
-    std::vector<SpanEvent> buf;  // fixed capacity, preallocated
-    u64 head = 0;                // total events ever recorded to this lane
-  };
-
-  std::string write_dump(const std::vector<SpanEvent>& events,
-                         std::string_view reason, u64 buffered_total);
-
   std::size_t capacity_;
-  std::vector<Ring> rings_;
+  std::vector<SpanEvent> buf_;  // fixed capacity, preallocated
+  u64 head_ = 0;                // total events ever recorded
   std::string dir_;
-  std::atomic<u64> dump_seq_{0};
+  u64 dump_seq_ = 0;
 };
 
 // Declared in span.hpp; defined here so the whole emission path -- the
-// consumer loads, the lane lookup, and the stores -- inlines into the
-// call sites (which all include this header).
+// consumer loads and the stores -- inlines into the call sites (which all
+// include this header).
 inline void span_emit(const SpanEvent& event) {
-  const u32 lane = detail::tls_span_lane;
   if (SpanSink* sink = detail::g_span_sink.load(std::memory_order_relaxed)) {
-    sink->record(lane, event);
+    sink->record(event);
   }
   if (FlightRecorder* recorder =
           detail::g_flight.load(std::memory_order_relaxed)) {
-    recorder->record(lane, event);
+    recorder->record(event);
   }
 }
 
@@ -116,19 +95,18 @@ inline void span_emit(const SpanEvent& event) {
 // staged on the stack and copied to each consumer, as span_emit does.
 template <class Fill>
 inline void span_emit_with(Fill&& fill) {
-  const u32 lane = detail::tls_span_lane;
   SpanSink* sink = detail::g_span_sink.load(std::memory_order_relaxed);
   FlightRecorder* recorder = detail::g_flight.load(std::memory_order_relaxed);
   if (recorder != nullptr && sink == nullptr) {
-    SpanEvent& slot = recorder->slot(lane);
+    SpanEvent& slot = recorder->slot();
     slot = SpanEvent{};
     fill(slot);
     return;
   }
   SpanEvent event;
   fill(event);
-  if (sink != nullptr) sink->record(lane, event);
-  if (recorder != nullptr) recorder->record(lane, event);
+  if (sink != nullptr) sink->record(event);
+  if (recorder != nullptr) recorder->record(event);
 }
 
 }  // namespace artmt::telemetry

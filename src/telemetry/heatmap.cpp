@@ -39,24 +39,6 @@ u64 StageHeatmap::total_accesses(i32 fid) const {
   return total;
 }
 
-void StageHeatmap::merge_from(const StageHeatmap& other) {
-  for (const auto& [fid, row] : other.rows_) {
-    auto it = rows_.find(fid);
-    if (it == rows_.end()) {
-      it = rows_.emplace(fid, std::vector<Cell>(stages_)).first;
-    }
-    const u32 limit =
-        static_cast<u32>(std::min(it->second.size(), row.size()));
-    for (u32 s = 0; s < limit; ++s) {
-      it->second[s].reads += row[s].reads;
-      it->second[s].writes += row[s].writes;
-      it->second[s].collisions += row[s].collisions;
-    }
-  }
-  memo_fid_ = std::numeric_limits<i32>::min();
-  memo_row_ = nullptr;
-}
-
 void StageHeatmap::clear() {
   rows_.clear();
   memo_fid_ = std::numeric_limits<i32>::min();

@@ -2,12 +2,10 @@
 // path, plus the decaying-counter hotness table the migration engine
 // (ROADMAP item 2) will consume.
 //
-// Recording is single-writer plain-u64: the owning runtime increments
-// cells from its shard's worker only, gated behind telemetry::enabled()
-// like every other hot-path recording site, and a one-slot FID memo makes
-// the steady state (one flow per sweep) a pointer compare plus an
-// increment. Merging follows the shard-registry idiom: commutative
-// merge_from while quiescent.
+// Recording is plain-u64: the owning runtime increments cells, gated
+// behind telemetry::enabled() like every other hot-path recording site,
+// and a one-slot FID memo makes the steady state (one flow per sweep) a
+// pointer compare plus an increment.
 #pragma once
 
 #include <iosfwd>
@@ -51,15 +49,13 @@ class StageHeatmap {
   // Sum of reads + writes + collisions over every cell of `fid`.
   [[nodiscard]] u64 total_accesses(i32 fid) const;
 
-  // Commutative quiescent merge (shard-registry idiom).
-  void merge_from(const StageHeatmap& other);
   void clear();
 
   // Exports every cell as heatmap.* counters:
   //   heatmap.s<stage>_reads{fid=N} / _writes / _collisions
   void export_metrics(MetricsRegistry& out) const;
   // Deterministic JSON object {"fid":{"stage":{r,w,c},...},...} with keys
-  // ascending -- byte-comparable across engines and shard counts.
+  // ascending -- byte-comparable across runs.
   void snapshot_json(std::ostream& out) const;
 
  private:

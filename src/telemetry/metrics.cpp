@@ -4,7 +4,6 @@
 #include <cmath>
 #include <ostream>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -32,24 +31,6 @@ u64 Histogram::percentile(double p) const {
     }
   }
   return max();
-}
-
-void Histogram::merge_from(const Histogram& other) {
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    const u64 n = other.bucket_count(b);
-    if (n != 0) {
-      buckets_[b].store(buckets_[b].load(std::memory_order_relaxed) + n,
-                        std::memory_order_relaxed);
-    }
-  }
-  count_.store(count_.load(std::memory_order_relaxed) + other.count(),
-               std::memory_order_relaxed);
-  sum_.store(sum_.load(std::memory_order_relaxed) + other.sum(),
-             std::memory_order_relaxed);
-  const u64 other_max = other.max();
-  if (other_max > max_.load(std::memory_order_relaxed)) {
-    max_.store(other_max, std::memory_order_relaxed);
-  }
 }
 
 CounterFamily::CounterFamily(MetricsRegistry& registry, std::string component,
@@ -141,44 +122,6 @@ u64 MetricsRegistry::sum_counters(std::string_view component,
     }
   }
   return total;
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  if (this == &other) {
-    throw UsageError("MetricsRegistry::merge_from: self-merge");
-  }
-  // Copy `other`'s entries out under its lock, then apply under our own
-  // (get-or-create takes it), so the two locks are never held together.
-  std::vector<std::pair<Key, u64>> counters;
-  std::vector<std::pair<Key, i64>> gauges;
-  std::vector<std::pair<Key, const Histogram*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    counters.reserve(other.counters_.size());
-    for (const auto& [key, counter] : other.counters_) {
-      counters.emplace_back(key, counter->value());
-    }
-    gauges.reserve(other.gauges_.size());
-    for (const auto& [key, gauge] : other.gauges_) {
-      gauges.emplace_back(key, gauge->value());
-    }
-    histograms.reserve(other.histograms_.size());
-    for (const auto& [key, hist] : other.histograms_) {
-      histograms.emplace_back(key, hist.get());
-    }
-  }
-  for (const auto& [key, value] : counters) {
-    counter(key.component, key.name, key.fid).merge_add(value);
-  }
-  for (const auto& [key, value] : gauges) {
-    gauge(key.component, key.name, key.fid).merge_add(value);
-  }
-  // Histogram pointers stay valid after the lock drops: handles are
-  // stable for the registry's lifetime and the caller keeps `other`
-  // alive across the merge.
-  for (const auto& [key, hist] : histograms) {
-    histogram(key.component, key.name, key.fid).merge_from(*hist);
-  }
 }
 
 std::size_t MetricsRegistry::size() const {

@@ -64,8 +64,9 @@ class Counter {
     return value_.load(std::memory_order_relaxed);
   }
 
-  // Snapshot-time accumulation from another registry's counter. Not gated
-  // by enabled(): the source already applied the gate when it recorded.
+  // Snapshot-time accumulation of already-recorded totals (exporters fold
+  // their own books in here). Not gated by enabled(): the source already
+  // applied the gate when it recorded.
   void merge_add(u64 n) {
     value_.store(value_.load(std::memory_order_relaxed) + n,
                  std::memory_order_relaxed);
@@ -145,11 +146,6 @@ class Histogram {
   // p in [0, 1]; 0 observations -> 0.
   [[nodiscard]] u64 percentile(double p) const;
 
-  // Adds `other`'s buckets/count/sum into this histogram and raises max.
-  // Exact: log-bucketed histograms merge losslessly, so percentiles over
-  // the merge equal percentiles over the combined input multiset.
-  void merge_from(const Histogram& other);
-
  private:
   std::atomic<u64> buckets_[kBuckets]{};
   std::atomic<u64> count_{0};
@@ -222,13 +218,6 @@ class MetricsRegistry {
   // Deterministic JSON export: sorted keys rendered as
   // "component.name" / "component.name{fid=N}".
   void snapshot_json(std::ostream& out) const;
-
-  // Adds every metric in `other` into this registry (get-or-create by
-  // key, then sum counters/gauges and merge histograms). The sharded
-  // engine keeps a registry per shard so hot-path recording stays
-  // single-writer, then folds them into one view at snapshot time.
-  // Call while `other`'s writers are quiescent.
-  void merge_from(const MetricsRegistry& other);
 
  private:
   struct Key {

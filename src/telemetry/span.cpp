@@ -30,7 +30,6 @@ namespace detail {
 std::atomic<bool> g_spans_on{false};
 std::atomic<SpanSink*> g_span_sink{nullptr};
 std::atomic<FlightRecorder*> g_flight{nullptr};
-thread_local u32 tls_span_lane = 0;
 thread_local u64 tls_current_span = 0;
 thread_local u64 tls_last_tx_span = 0;
 }  // namespace detail
@@ -55,30 +54,10 @@ bool span_event_before(const SpanEvent& a, const SpanEvent& b) {
          std::tie(b.ts, b.span, b.parent, b.fid, b.phase, b.node, b.a, b.b);
 }
 
-SpanSink::SpanSink(u32 lanes) : lanes_(lanes == 0 ? 1 : lanes) {}
-
-void SpanSink::reserve(std::size_t events_per_lane) {
-  for (Lane& lane : lanes_) lane.events.reserve(events_per_lane);
-}
-
-void SpanSink::clear() {
-  for (Lane& lane : lanes_) lane.events.clear();
-}
-
-u64 SpanSink::recorded() const {
-  u64 total = 0;
-  for (const Lane& lane : lanes_) total += lane.events.size();
-  return total;
-}
-
 std::vector<SpanEvent> SpanSink::sorted_events() const {
-  std::vector<SpanEvent> merged;
-  merged.reserve(static_cast<std::size_t>(recorded()));
-  for (const Lane& lane : lanes_) {
-    merged.insert(merged.end(), lane.events.begin(), lane.events.end());
-  }
-  std::sort(merged.begin(), merged.end(), span_event_before);
-  return merged;
+  std::vector<SpanEvent> sorted = events_;
+  std::sort(sorted.begin(), sorted.end(), span_event_before);
+  return sorted;
 }
 
 void SpanSink::dump(std::ostream& out) const {

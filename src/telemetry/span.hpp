@@ -5,16 +5,10 @@
 //
 // Determinism contract: a span id is derived from the sending node's
 // (attach_index, tx_seq) pair -- the same simulation-state-only key the
-// fault injector uses -- so ids are byte-identical across the serial and
-// sharded engines and across shard counts. Every emitted SpanEvent is a
-// pure function of simulation state; the canonical dump sorts the merged
-// per-lane buffers over all fields, so the dump bytes are engine- and
-// shard-count-invariant too.
-//
-// Recording is multi-lane single-writer, mirroring the per-shard metric
-// registries: each sharded worker appends to its own lane (index set by
-// ShardedSimulator::worker_loop through set_span_lane), the serial engine
-// and quiescent tool code use lane 0. No locks, no read-modify-write.
+// fault injector uses -- so ids are byte-identical across runs. Every
+// emitted SpanEvent is a pure function of simulation state, and the
+// canonical dump sorts the buffer over all fields, so two runs with the
+// same seed dump the same bytes.
 #pragma once
 
 #include <atomic>
@@ -95,34 +89,26 @@ static_assert(sizeof(SpanEvent) == 48);
          ((parent * 0x100000001b3ull + pass) & ~0x8000'0000'0000'0000ull);
 }
 
-// Collects SpanEvents into per-lane single-writer buffers and produces
-// the canonical sorted dump. Install via set_span_sink while quiescent.
+// Collects SpanEvents and produces the canonical sorted dump. Install via
+// set_span_sink before the run.
 class SpanSink {
  public:
-  explicit SpanSink(u32 lanes = 1);
-
-  // Pre-sizes every lane so steady-state recording never allocates (the
+  // Pre-sizes the buffer so steady-state recording never allocates (the
   // bench's 0-allocs/frame gate records through a reserved sink).
-  void reserve(std::size_t events_per_lane);
+  void reserve(std::size_t events) { events_.reserve(events); }
 
-  void record(u32 lane, const SpanEvent& event) {
-    lanes_[lane < lanes_.size() ? lane : 0].events.push_back(event);
-  }
+  void record(const SpanEvent& event) { events_.push_back(event); }
 
-  void clear();
-  [[nodiscard]] u32 lanes() const { return static_cast<u32>(lanes_.size()); }
-  [[nodiscard]] u64 recorded() const;
+  void clear() { events_.clear(); }
+  [[nodiscard]] u64 recorded() const { return events_.size(); }
 
-  // Quiescent-only: all lanes merged and canonically sorted.
+  // Every recorded event, canonically sorted.
   [[nodiscard]] std::vector<SpanEvent> sorted_events() const;
   // Canonical JSON-lines dump (one TraceSink-schema line per event).
   void dump(std::ostream& out) const;
 
  private:
-  struct alignas(64) Lane {
-    std::vector<SpanEvent> events;
-  };
-  std::vector<Lane> lanes_;
+  std::vector<SpanEvent> events_;
 };
 
 // Serializes events through the existing TraceSink schema: component
@@ -135,23 +121,19 @@ class FlightRecorder;  // flight_recorder.hpp
 
 // --- process-global emission state ---------------------------------------
 // Like the trace sink, span capture is process-global: set_span_sink /
-// set_flight_recorder attach consumers while quiescent; spans_active() is
+// set_flight_recorder attach consumers before the run; spans_active() is
 // the one-relaxed-load gate every emission site checks first, so with
 // neither attached the hot paths pay a load and a branch.
 //
-// The globals and per-thread context live in detail:: so the emission
-// path (span_emit and the TLS accessors below) inlines into every call
-// site -- at ~3 span events per packet, an out-of-line call per access
-// is measurable against the 5% overhead gate. Relaxed loads are enough:
-// consumers attach while the engines are quiescent, and worker threads
-// are started (or released from a barrier) afterwards, which publishes
-// the pointed-to state.
+// The globals and causal context live in detail:: so the emission path
+// (span_emit and the accessors below) inlines into every call site -- at
+// ~3 span events per packet, an out-of-line call per access is measurable
+// against the 5% overhead gate.
 
 namespace detail {
 extern std::atomic<bool> g_spans_on;
 extern std::atomic<SpanSink*> g_span_sink;
 extern std::atomic<FlightRecorder*> g_flight;
-extern thread_local u32 tls_span_lane;
 extern thread_local u64 tls_current_span;
 extern thread_local u64 tls_last_tx_span;
 }  // namespace detail
@@ -169,28 +151,24 @@ void set_flight_recorder(FlightRecorder* recorder);
   return detail::g_flight.load(std::memory_order_relaxed);
 }
 
-// Routes one event to the attached sink and/or flight recorder, into the
-// calling thread's lane. Call only after a spans_active() check. Defined
-// inline in flight_recorder.hpp (it needs FlightRecorder::record); every
-// emitting translation unit includes that header. Hot-path sites use the
-// span_emit_with template there instead, which builds the event in place
-// in the ring slot when the recorder is the only consumer.
+// Routes one event to the attached sink and/or flight recorder. Call only
+// after a spans_active() check. Defined inline in flight_recorder.hpp (it
+// needs FlightRecorder::record); every emitting translation unit includes
+// that header. Hot-path sites use the span_emit_with template there
+// instead, which builds the event in place in the ring slot when the
+// recorder is the only consumer.
 void span_emit(const SpanEvent& event);
 
-// --- per-thread causal context --------------------------------------------
-// The recording lane (shard index under the sharded engine, 0 otherwise).
-inline void set_span_lane(u32 lane) { detail::tls_span_lane = lane; }
-[[nodiscard]] inline u32 span_lane() { return detail::tls_span_lane; }
-
+// --- causal context --------------------------------------------------------
 // The span whose causal context the current code runs under: set around
-// every frame delivery (both engines) and restored by SpanScope in
-// deferred-send closures, so a transmit's parent is the delivery (or
-// retransmit) that caused it.
+// every frame delivery and restored by SpanScope in deferred-send
+// closures, so a transmit's parent is the delivery (or retransmit) that
+// caused it.
 [[nodiscard]] inline u64 current_span() { return detail::tls_current_span; }
 inline void set_current_span(u64 span) { detail::tls_current_span = span; }
 
-// The span id of the calling thread's most recent transmit (recorded by
-// Network::transmit while spans are active). Only meaningful within the
+// The span id of the most recent transmit (recorded by Network::transmit
+// while spans are active). Only meaningful within the
 // same event handler as the send: ReliabilityTracker::track reads it right
 // after the caller's initial send -- the repo's send-then-track idiom --
 // to link retransmit chains without touching any service code.

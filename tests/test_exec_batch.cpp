@@ -2,12 +2,12 @@
 // engine must be observationally identical to the per-packet reference
 // interpreter: byte-identical reply streams (bytes AND virtual
 // timestamps), identical register contents, and identical runtime/switch
-// metric totals -- at shard counts 1, 2, and 4, with and without an
-// active FaultPlan. The workload mixes sweepable programs (query,
-// populate), a protection-faulting capsule (unallocated FID), and a
-// program longer than the pipeline (recirculates, so it must fall back
-// to per-packet order inside the batch), all injected in bursts that
-// arrive at the switch at the same virtual instant.
+// metric totals -- with and without an active FaultPlan. The workload
+// mixes sweepable programs (query, populate), a protection-faulting
+// capsule (unallocated FID), and a program longer than the pipeline
+// (recirculates, so it must fall back to per-packet order inside the
+// batch), all injected in bursts that arrive at the switch at the same
+// virtual instant.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,7 +18,6 @@
 #include "apps/programs.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "packet/active_packet.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -27,7 +26,7 @@ namespace {
 
 using netsim::LinkSpec;
 using netsim::Network;
-using netsim::ShardedSimulator;
+using netsim::Simulator;
 
 // FNV-1a over 64-bit words: order-sensitive, so equal digests mean equal
 // event streams in equal order.
@@ -107,13 +106,12 @@ struct RunResult {
   u64 injected_drops = 0;   // sanity: the fault plan actually fired
 };
 
-RunResult run_scenario(u32 shards, bool batching,
-                       const faults::FaultPlan* plan) {
-  ShardedSimulator ssim(shards);
-  Network net(ssim);
+RunResult run_scenario(bool batching, const faults::FaultPlan* plan) {
+  Simulator sim;
+  Network net(sim);
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(*plan, shards);
+    injector = std::make_unique<faults::FaultInjector>(*plan);
     net.set_transmit_hook(injector.get());
   }
 
@@ -143,7 +141,6 @@ RunResult run_scenario(u32 shards, bool batching,
     const std::string tag = std::to_string(r);
     controller::SwitchNode::Config cfg;
     cfg.batching = batching;
-    cfg.compute_model = alloc::ComputeModel::deterministic();
     auto sw = std::make_shared<controller::SwitchNode>("sw" + tag, cfg);
     auto client = std::make_shared<DigestSink>("client" + tag);
     auto server = std::make_shared<DigestSink>("server" + tag);
@@ -159,19 +156,15 @@ RunResult run_scenario(u32 shards, bool batching,
     for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
       sw->pipeline().stage(s).install(1, 0, 4096, 0);
     }
-    const u32 shard = r % shards;
-    ssim.pin(*sw, shard);
-    ssim.pin(*client, shard);
-    ssim.pin(*server, shard);
     switches.push_back(std::move(sw));
     clients.push_back(std::move(client));
     servers.push_back(std::move(server));
   }
   for (u32 r = 0; r < kRings; ++r) {
     WaveInjector inj{&net, clients[r].get(), &wires, kWaves};
-    ssim.schedule_on(*clients[r], ssim.now(), inj);
+    sim.schedule_at(sim.now(), inj);
   }
-  ssim.run();
+  sim.run();
 
   RunResult out;
   Digest d;
@@ -218,50 +211,31 @@ RunResult run_scenario(u32 shards, bool batching,
   return out;
 }
 
-TEST(ExecBatchParity, BatchedMatchesPerPacketAtEveryShardCount) {
-  RunResult ref;
-  for (const u32 shards : {1u, 2u, 4u}) {
-    const RunResult per_packet = run_scenario(shards, false, nullptr);
-    const RunResult batched = run_scenario(shards, true, nullptr);
-    EXPECT_EQ(per_packet.digest, batched.digest) << "shards=" << shards;
-    // The workload exercised every interesting path.
-    EXPECT_GT(batched.replies, 0u);
-    EXPECT_GT(batched.drops, 0u);
-    EXPECT_GT(batched.recirculations, 0u);
-    EXPECT_GT(batched.rts, 0u);
-    EXPECT_GT(batched.exec_batches, 0u);
-    EXPECT_EQ(per_packet.exec_batches, 0u);
-    // And the result is also invariant across shard counts.
-    if (shards == 1) {
-      ref = batched;
-    } else {
-      EXPECT_EQ(ref.digest, batched.digest) << "shards=" << shards;
-    }
-  }
+TEST(ExecBatchParity, BatchedMatchesPerPacket) {
+  const RunResult per_packet = run_scenario(false, nullptr);
+  const RunResult batched = run_scenario(true, nullptr);
+  EXPECT_EQ(per_packet.digest, batched.digest);
+  // The workload exercised every interesting path.
+  EXPECT_GT(batched.replies, 0u);
+  EXPECT_GT(batched.drops, 0u);
+  EXPECT_GT(batched.recirculations, 0u);
+  EXPECT_GT(batched.rts, 0u);
+  EXPECT_GT(batched.exec_batches, 0u);
+  EXPECT_EQ(per_packet.exec_batches, 0u);
 }
 
 TEST(ExecBatchParity, ParityHoldsUnderActiveFaultPlan) {
   const faults::FaultPlan plan = faults::FaultPlan::uniform_loss(7, 0.05);
-  RunResult ref;
-  for (const u32 shards : {1u, 2u, 4u}) {
-    const RunResult per_packet = run_scenario(shards, false, &plan);
-    const RunResult batched = run_scenario(shards, true, &plan);
-    EXPECT_EQ(per_packet.digest, batched.digest) << "shards=" << shards;
-    EXPECT_GT(batched.injected_drops, 0u);
-    EXPECT_EQ(per_packet.injected_drops, batched.injected_drops);
-    if (shards == 1) {
-      ref = batched;
-    } else {
-      // Fault decisions are pure functions of (seed, sender, tx_seq), so
-      // even the faulted run is shard-count invariant.
-      EXPECT_EQ(ref.digest, batched.digest) << "shards=" << shards;
-    }
-  }
+  const RunResult per_packet = run_scenario(false, &plan);
+  const RunResult batched = run_scenario(true, &plan);
+  EXPECT_EQ(per_packet.digest, batched.digest);
+  EXPECT_GT(batched.injected_drops, 0u);
+  EXPECT_EQ(per_packet.injected_drops, batched.injected_drops);
 }
 
 TEST(ExecBatchParity, RepeatedBatchedRunsAreIdentical) {
-  const RunResult a = run_scenario(2, true, nullptr);
-  const RunResult b = run_scenario(2, true, nullptr);
+  const RunResult a = run_scenario(true, nullptr);
+  const RunResult b = run_scenario(true, nullptr);
   EXPECT_EQ(a.digest, b.digest);
 }
 

@@ -2,9 +2,9 @@
 // (src/fabric): scoreboard wire format, leaf-spine admission with
 // client-side steering, failure-driven re-placement (leaf kill, spine
 // brownout, sub-epoch flaps, simultaneous double loss), dual-homed
-// client uplink failover, cross-shard determinism of the whole fabric,
-// the stage-bias tie parity guarantee, and migration-pressure admission
-// deferral.
+// client uplink failover, run-to-run determinism of the whole fabric,
+// control relays that keep learnable host routes intact, the stage-bias
+// tie parity guarantee, and migration-pressure admission deferral.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,7 +24,6 @@
 #include "fabric/topology.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "proto/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "workload/zipf.hpp"
@@ -66,7 +65,6 @@ TEST(ScoreboardTest, DecodeTruncatedThrows) {
 
 TEST(ScoreboardTest, BuildFromFreshSwitchIsAllFree) {
   controller::SwitchNode::Config cfg;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
   controller::SwitchNode sw("probe-me", cfg);
   const Scoreboard board = fabric::build_scoreboard(sw);
   EXPECT_EQ(board.stages, cfg.pipeline.logical_stages);
@@ -80,8 +78,8 @@ TEST(ScoreboardTest, BuildFromFreshSwitchIsAllFree) {
 // --- topology validation ---------------------------------------------------
 
 TEST(TopologyTest, RejectsDegenerateShapes) {
-  netsim::ShardedSimulator ssim(1);
-  netsim::Network net(ssim);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
   TopologyConfig one_leaf;
   one_leaf.leaves = 1;
   EXPECT_THROW(Topology(net, one_leaf), UsageError);
@@ -133,7 +131,6 @@ u64 register_digest(rmt::Pipeline& pipeline) {
 }
 
 struct FabricOpts {
-  u32 shards = 1;
   std::vector<u32> client_leaf = {0, 1, 2, 3};  // one service per client
   u32 server_leaf = 3;
   const faults::FaultPlan* plan = nullptr;
@@ -159,11 +156,11 @@ struct FabricOut {
 };
 
 FabricOut run_fabric(const FabricOpts& opts) {
-  netsim::ShardedSimulator ssim(opts.shards);
-  netsim::Network net(ssim);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
   std::unique_ptr<faults::FaultInjector> injector;
   if (opts.plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(*opts.plan, opts.shards);
+    injector = std::make_unique<faults::FaultInjector>(*opts.plan);
     net.set_transmit_hook(injector.get());
   }
 
@@ -174,7 +171,6 @@ FabricOut run_fabric(const FabricOpts& opts) {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.switch_config.compute_model = alloc::ComputeModel::deterministic();
   if (opts.migration) {
     tcfg.switch_config.migration.enabled = true;
     tcfg.switch_config.migration.interval = 20 * kMillisecond;
@@ -182,12 +178,10 @@ FabricOut run_fabric(const FabricOpts& opts) {
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   topo.attach_host(*server, 0, opts.server_leaf, kServerMac);
-  ssim.pin(*server, opts.server_leaf % opts.shards);
 
   const u32 n = static_cast<u32>(opts.client_leaf.size());
   struct Tenant {
@@ -212,7 +206,6 @@ FabricOut run_fabric(const FabricOpts& opts) {
         topo.controller_mac());
     net.attach(t->client);
     topo.attach_host(*t->client, 0, opts.client_leaf[i], kClientMacBase + i);
-    ssim.pin(*t->client, opts.client_leaf[i] % opts.shards);
     t->cache = std::make_shared<apps::CacheService>(
         "cache" + std::to_string(i), kServerMac);
     t->client->register_service(t->cache);
@@ -270,17 +263,17 @@ FabricOut run_fabric(const FabricOpts& opts) {
       t.stop_time = drive_stop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    sim.schedule_at((i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
 
   if (opts.wipe_leaf0_at != 0) {
-    ssim.schedule_on(topo.leaf(0), opts.wipe_leaf0_at,
-                     [&topo] { topo.leaf(0).wipe_registers(); });
+    sim.schedule_at(opts.wipe_leaf0_at,
+                    [&topo] { topo.leaf(0).wipe_registers(); });
   }
 
-  topo.start(ssim, 1 * kMillisecond, opts.stop);
-  ssim.run_until(opts.stop + 500 * kMillisecond);
+  topo.start(sim, 1 * kMillisecond, opts.stop);
+  sim.run_until(opts.stop + 500 * kMillisecond);
 
   FabricOut out;
   out.report = topo.controller().report();
@@ -302,7 +295,7 @@ FabricOut run_fabric(const FabricOpts& opts) {
     out.bad_values += t.bad_values;
   }
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
+  out.completed_at = sim.now();
   return out;
 }
 
@@ -445,45 +438,39 @@ TEST(FabricE2E, SimultaneousTwoLeafLossIsDeterministic) {
   EXPECT_EQ(two.completed_at, one.completed_at);
 }
 
-// The fabric rides the conservative sharded engine: fault-free runs are
-// byte-identical at any shard count.
-TEST(FabricE2E, FaultFreeDeterministicAcrossShards) {
+// Two fault-free runs of the same fabric scenario are byte-identical.
+TEST(FabricE2E, FaultFreeRunsAreByteIdentical) {
   FabricOpts opts;
   const auto one = run_fabric(opts);
   ASSERT_EQ(one.report.placements, 4u);
-  for (const u32 shards : {2u, 4u}) {
-    FabricOpts sharded = opts;
-    sharded.shards = shards;
-    const auto result = run_fabric(sharded);
-    EXPECT_EQ(result.leaf_digests, one.leaf_digests) << shards << " shards";
-    EXPECT_EQ(result.reply_digest, one.reply_digest) << shards << " shards";
-    EXPECT_EQ(result.owners, one.owners) << shards << " shards";
-    EXPECT_EQ(result.fids, one.fids) << shards << " shards";
-    EXPECT_EQ(result.completed_at, one.completed_at) << shards << " shards";
-  }
+  const auto two = run_fabric(opts);
+  EXPECT_EQ(two.leaf_digests, one.leaf_digests);
+  EXPECT_EQ(two.reply_digest, one.reply_digest);
+  EXPECT_EQ(two.owners, one.owners);
+  EXPECT_EQ(two.fids, one.fids);
+  EXPECT_EQ(two.completed_at, one.completed_at);
 }
 
-// ... and so is the full evacuation pipeline under a leaf kill.
-TEST(FabricE2E, EvacuationDeterministicAcrossShards) {
+// ... and so is the full evacuation pipeline under a leaf kill, checked
+// next to the same placement without the kill.
+TEST(FabricE2E, EvacuationRunsAreByteIdentical) {
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 10 * kSecond});
   FabricOpts opts;
   opts.client_leaf = {3, 3, 3};
   opts.server_leaf = 2;
-  opts.plan = &plan;
 
-  const auto one = run_fabric(opts);
-  ASSERT_EQ(one.report.replaced, 1u);
-  for (const u32 shards : {2u, 4u}) {
-    FabricOpts sharded = opts;
-    sharded.shards = shards;
-    const auto result = run_fabric(sharded);
-    EXPECT_EQ(result.leaf_digests, one.leaf_digests) << shards << " shards";
-    EXPECT_EQ(result.reply_digest, one.reply_digest) << shards << " shards";
-    EXPECT_EQ(result.owners, one.owners) << shards << " shards";
-    EXPECT_EQ(result.report.downtimes, one.report.downtimes)
-        << shards << " shards";
-    EXPECT_EQ(result.completed_at, one.completed_at) << shards << " shards";
+  const faults::FaultPlan* const plans[] = {nullptr, &plan};
+  for (const faults::FaultPlan* active : plans) {
+    opts.plan = active;
+    const auto one = run_fabric(opts);
+    ASSERT_EQ(one.report.replaced, active == nullptr ? 0u : 1u);
+    const auto two = run_fabric(opts);
+    EXPECT_EQ(two.leaf_digests, one.leaf_digests);
+    EXPECT_EQ(two.reply_digest, one.reply_digest);
+    EXPECT_EQ(two.owners, one.owners);
+    EXPECT_EQ(two.report.downtimes, one.report.downtimes);
+    EXPECT_EQ(two.completed_at, one.completed_at);
   }
 }
 
@@ -492,11 +479,11 @@ TEST(FabricE2E, EvacuationDeterministicAcrossShards) {
 // fabric; meanwhile the controller re-places the service that died with
 // the leaf, and the client ends up fully served on the new paths.
 TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
-  netsim::ShardedSimulator ssim(1);
-  netsim::Network net(ssim);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 400 * kMillisecond, 10 * kSecond});
-  faults::FaultInjector injector(plan, 1);
+  faults::FaultInjector injector(plan);
   net.set_transmit_hook(&injector);
 
   TopologyConfig tcfg;
@@ -507,11 +494,9 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.switch_config.compute_model = alloc::ComputeModel::deterministic();
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   constexpr SimTime kStop = 1'200 * kMillisecond;
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
@@ -573,11 +558,10 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   probe.miss_threshold = 2;
   probe.until = kStop;
   client->enable_uplink_probe(probe);
-  ssim.schedule_on(*client, 50 * kMillisecond, [&] { client->probe_tick(); });
-  ssim.schedule_on(*client, 100 * kMillisecond,
-                   [&] { cache->request_allocation(); });
-  topo.start(ssim, 1 * kMillisecond, kStop);
-  ssim.run_until(kStop + 500 * kMillisecond);
+  sim.schedule_at(50 * kMillisecond, [&] { client->probe_tick(); });
+  sim.schedule_at(100 * kMillisecond, [&] { cache->request_allocation(); });
+  topo.start(sim, 1 * kMillisecond, kStop);
+  sim.run_until(kStop + 500 * kMillisecond);
 
   EXPECT_EQ(client->failovers(), 1u);
   EXPECT_EQ(client->active_uplink(), 1u);
@@ -593,6 +577,133 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   EXPECT_EQ(report.state_loss_services, 0u);
   EXPECT_GT(late_hits, 0u);  // fully recovered on the backup paths
   EXPECT_EQ(bad_values, 0u);
+}
+
+// --- control relays --------------------------------------------------------
+
+// Host routes here are learnable (attach_host, not pinned). The global
+// controller relays a client's kExtractComplete and kDealloc to the
+// owning switch; were they relayed under the client's MAC, spine 0 and
+// the owning leaf would learn that the client sits behind the
+// controller's port, and frames to the client would loop until it sent
+// again. Here an admission disturbs an elastic cache on the same leaf --
+// forcing the extraction handshake through the controller -- and a
+// service then releases.
+TEST(FabricRelay, ClientControlRelaysKeepHostRoutes) {
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  telemetry::MetricsRegistry gc_metrics;
+  TopologyConfig tcfg;
+  tcfg.leaves = 2;
+  tcfg.spines = 2;
+  tcfg.switch_config.scheme = alloc::Scheme::kFirstFit;  // stage sharing
+  tcfg.switch_config.costs.table_entry_update = 100 * kMicrosecond;
+  tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
+  tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
+  tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
+  tcfg.controller.epoch = 2 * kMillisecond;
+  tcfg.controller.metrics = &gc_metrics;
+  Topology topo(net, tcfg);
+
+  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
+  net.attach(server);
+  topo.attach_host(*server, 0, 1, kServerMac);
+
+  // Admission spreads one service per leaf, so the third service lands
+  // next to the first; both of their clients sit on that leaf.
+  const std::vector<u32> client_leaf = {0, 1, 0};
+  std::vector<std::shared_ptr<client::ClientNode>> clients;
+  std::vector<std::shared_ptr<apps::CacheService>> caches;
+  for (u32 i = 0; i < client_leaf.size(); ++i) {
+    auto client = std::make_shared<client::ClientNode>(
+        "tenant" + std::to_string(i), kClientMacBase + i,
+        topo.controller_mac());
+    net.attach(client);
+    topo.attach_host(*client, 0, client_leaf[i], kClientMacBase + i);
+    auto cache = std::make_shared<apps::CacheService>(
+        "cache" + std::to_string(i), kServerMac);
+    client->register_service(cache);
+    clients.push_back(std::move(client));
+    caches.push_back(std::move(cache));
+  }
+
+  // Tenant 0 sends GETs until just before the third admission and stays
+  // quiet through the handshake and the release -- nothing it sends
+  // re-teaches the fabric meanwhile -- then resumes; its results after
+  // the release are counted.
+  constexpr SimTime kQuiet = 140 * kMillisecond;
+  constexpr SimTime kRelease = 400 * kMillisecond;
+  constexpr SimTime kResume = 410 * kMillisecond;
+  constexpr SimTime kStop = 600 * kMillisecond;
+  const auto key_of = [](u32 rank) {
+    return workload::ZipfGenerator::key_for_rank(rank) | (1ull << 40);
+  };
+  workload::ZipfGenerator zipf{256, 1.2};
+  Rng rng{11};
+  for (u32 rank = 0; rank < zipf.universe(); ++rank) {
+    server->put(key_of(rank), rank + 1);
+  }
+  apps::CacheService& cache = *caches[0];
+  clients[0]->on_passive = [&cache](netsim::Frame& frame) {
+    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
+        packet::EthernetHeader::kWireSize));
+    if (msg) cache.handle_server_reply(*msg);
+  };
+  u64 moves = 0;
+  u64 late_results = 0;
+  cache.on_result = [&](u32, u64, u32, bool) {
+    if (sim.now() > kRelease) ++late_results;
+  };
+  const auto hot_set = [&] {
+    const u32 k = std::min(cache.bucket_count(), zipf.universe());
+    std::vector<std::pair<u64, u32>> out;
+    for (u32 rank = k; rank-- > 0;) out.emplace_back(key_of(rank), rank + 1);
+    return out;
+  };
+  cache.on_relocated = [&] {
+    ++moves;
+    cache.populate(hot_set());
+  };
+  std::function<void()> drive = [&] {
+    if (sim.now() >= kStop) return;
+    if (sim.now() >= kQuiet && sim.now() < kResume) {
+      sim.schedule_at(kResume, [&] { drive(); });
+      return;
+    }
+    cache.get(key_of(zipf.next_rank(rng)));
+    sim.schedule_after(500 * kMicrosecond, [&] { drive(); });
+  };
+  cache.on_ready = [&] {
+    cache.populate(hot_set());
+    drive();
+  };
+
+  for (u32 i = 0; i < caches.size(); ++i) {
+    sim.schedule_at((i + 1) * 50 * kMillisecond,
+                    [&caches, i] { caches[i]->request_allocation(); });
+  }
+  packet::MacAddr released_owner = 0;
+  sim.schedule_at(kRelease, [&] {
+    released_owner = topo.controller().owner_of(caches[2]->fid());
+    caches[2]->release();
+  });
+  topo.start(sim, 1 * kMillisecond, kStop);
+  sim.run_until(kStop + 200 * kMillisecond);
+
+  // The setup did what it says: services 0 and 2 share leaf0, and the
+  // third admission moved the first cache through the handshake.
+  ASSERT_EQ(topo.controller().owner_of(caches[0]->fid()), topo.leaf_mac(0));
+  ASSERT_EQ(released_owner, topo.leaf_mac(0));
+  ASSERT_EQ(caches[2]->state(), client::Service::State::kReleased)
+      << "the switch's dealloc ack never reached the releasing client";
+  EXPECT_GE(moves, 1u);
+  // Tenant 0 is served again after the relays, and once the traffic and
+  // the health epochs stop, the fabric goes quiet: no frame is left
+  // circling between the controller and spine 0.
+  EXPECT_TRUE(caches[0]->operational());
+  EXPECT_GT(late_results, 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_LT(gc_metrics.counter_value("fabric", "forwarded"), 100u);
 }
 
 // --- satellite: stage-bias tie parity --------------------------------------
@@ -670,15 +781,14 @@ alloc::AllocationRequest tiny_request(u32 position, u32 blocks) {
 // needs, is deferred one migration interval instead of denied -- and the
 // retry, running after the compaction, is granted.
 TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
-  netsim::ShardedSimulator ssim(1);
-  netsim::Network net(ssim);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
 
   controller::SwitchNode::Config cfg;
   cfg.pipeline.logical_stages = 2;
   cfg.pipeline.ingress_stages = 1;
   cfg.pipeline.words_per_stage = 10 * 256;  // 10 blocks per stage
   cfg.scheme = alloc::Scheme::kFirstFit;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
   cfg.costs.table_entry_update = 100 * kMicrosecond;
   cfg.costs.snapshot_per_block = 1 * kMicrosecond;
   cfg.costs.clear_per_block = 1 * kMicrosecond;
@@ -699,13 +809,13 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
   u32 seq = 0;
   const auto admit_at = [&](SimTime at, u32 position, u32 blocks) {
     const u32 s = ++seq;
-    ssim.schedule_on(*raw, at, [&, s, position, blocks] {
+    sim.schedule_at(at, [&, s, position, blocks] {
       raw->send(proto::encode_request(tiny_request(position, blocks), s));
     });
     return s;
   };
   const auto release_at = [&](SimTime at, u32 grant_seq) {
-    ssim.schedule_on(*raw, at, [&, grant_seq] {
+    sim.schedule_at(at, [&, grant_seq] {
       const auto* grant = raw->response_for(grant_seq);
       ASSERT_NE(grant, nullptr);
       raw->send(packet::ActivePacket::make_control(
@@ -732,7 +842,7 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
   // the first; G (3 contiguous blocks in BOTH stages) arrives while the
   // other is still queued -> deferral, then a granted retry.
   u32 g = 0;
-  ssim.schedule_on(*raw, 220 * kMillisecond, [&] {
+  sim.schedule_at(220 * kMillisecond, [&] {
     alloc::AllocationRequest request;
     request.accesses = {alloc::AccessDemand{0, 3, -1},
                         alloc::AccessDemand{1, 3, -1}};
@@ -741,7 +851,7 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
     raw->send(proto::encode_request(request, g));
   });
 
-  ssim.run_until(400 * kMillisecond);
+  sim.run_until(400 * kMillisecond);
 
   EXPECT_EQ(sw->metrics().counter_value("alloc", "admission_deferred"), 1u);
   const auto stats = sw->migration_stats();

@@ -1,8 +1,8 @@
 // Deterministic fault injection (src/faults) and the unified client
 // reliability layer (client::ReliabilityTracker): probabilistic
 // drop/corrupt/duplicate/reorder/jitter semantics, scripted link flaps
-// and switch brownouts, determinism across repeated runs and shard
-// counts, the fault-free byte-identity regression, retransmit/backoff
+// and switch brownouts, determinism across repeated runs, the
+// fault-free byte-identity regression, retransmit/backoff
 // schedules, and end-to-end recovery of the cache and heavy-hitter
 // services under loss (including the extraction-timeout force-finalize
 // path when a disturbed client is cut off entirely).
@@ -23,7 +23,6 @@
 #include "client/reliability.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace artmt {
@@ -37,7 +36,6 @@ using faults::FaultPlan;
 using faults::LinkFaults;
 using faults::LinkFlap;
 using netsim::Network;
-using netsim::ShardedSimulator;
 using netsim::Simulator;
 
 // --- Rng substreams (satellite: isolated fault randomness) ----------------
@@ -399,11 +397,10 @@ TEST(Injector, ExportMetricsPublishesPerKindAndPerLinkCounters) {
   EXPECT_EQ(metrics.counter_value("faults", "injected_drop:a->b"), 5u);
 }
 
-// --- determinism: byte identity and shard invariance ----------------------
+// --- determinism: byte identity across runs -------------------------------
 
-// Relay ring reused from the sharded-engine tests: forwards while byte 0
-// (a hop countdown) is positive, so one injection fans into a long
-// deterministic frame cascade.
+// Relay ring: forwards while byte 0 (a hop countdown) is positive, so one
+// injection fans into a long deterministic frame cascade.
 class RelayNode : public netsim::Node {
  public:
   using Node::Node;
@@ -424,13 +421,17 @@ struct RingRun {
   u64 digest = 0;
   SimTime completed_at = 0;
   u64 delivered = 0;
-  std::string snapshot;  // merged telemetry (sharded runs only)
+  std::string snapshot;  // telemetry snapshot
   u64 injected_total = 0;
   std::array<u64, faults::kFaultKindCount> injected{};
 };
 
-template <typename Engine>
-RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
+RingRun run_ring(FaultInjector* injector) {
+  Simulator sim;
+  Network net(sim);
+  telemetry::MetricsRegistry metrics;
+  sim.set_metrics(&metrics);
+  net.set_metrics(&metrics);
   std::vector<std::shared_ptr<RelayNode>> nodes;
   for (u32 i = 0; i < 6; ++i) {
     nodes.push_back(std::make_shared<RelayNode>("n" + std::to_string(i)));
@@ -450,7 +451,7 @@ RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
   inject(0, 40, 256);
   inject(2, 35, 512);
   inject(4, 30, 128);
-  engine.run();
+  sim.run();
 
   RingRun out;
   Digest d;
@@ -463,8 +464,11 @@ RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
     }
   }
   out.digest = d.h;
-  out.completed_at = engine.now();
+  out.completed_at = sim.now();
   out.delivered = net.frames_delivered();
+  std::ostringstream os;
+  metrics.snapshot_json(os);
+  out.snapshot = os.str();
   if (injector != nullptr) {
     out.injected_total = injector->injected_total();
     for (u32 k = 0; k < faults::kFaultKindCount; ++k) {
@@ -476,30 +480,18 @@ RingRun run_ring(Engine& engine, Network& net, FaultInjector* injector) {
 
 // Satellite regression: attaching an injector whose plan injects nothing
 // leaves the run byte-identical -- same event times, same delivery
-// counts, same merged telemetry snapshot.
+// counts, same telemetry snapshot.
 TEST(FaultDeterminism, FaultFreeInjectorIsByteIdentical) {
-  auto run = [](FaultInjector* injector) {
-    ShardedSimulator ssim(2);
-    Network net(ssim);
-    RingRun out = run_ring(ssim, net, injector);
-    telemetry::MetricsRegistry merged;
-    ssim.merge_metrics_into(merged);
-    std::ostringstream os;
-    merged.snapshot_json(os);
-    out.snapshot = os.str();
-    return out;
-  };
+  const RingRun bare = run_ring(nullptr);
 
-  const RingRun bare = run(nullptr);
-
-  FaultInjector empty_plan{FaultPlan{}, 2};
-  const RingRun with_hook = run(&empty_plan);
+  FaultInjector empty_plan{FaultPlan{}};
+  const RingRun with_hook = run_ring(&empty_plan);
 
   // A rule that matches every frame but fires nothing must also be inert.
   FaultPlan zero_prob;
   zero_prob.link_faults.push_back(LinkFaults{});
-  FaultInjector zero_rule(zero_prob, 2);
-  const RingRun with_rule = run(&zero_rule);
+  FaultInjector zero_rule(zero_prob);
+  const RingRun with_rule = run_ring(&zero_rule);
 
   for (const RingRun* run_result : {&with_hook, &with_rule}) {
     EXPECT_EQ(run_result->digest, bare.digest);
@@ -510,28 +502,35 @@ TEST(FaultDeterminism, FaultFreeInjectorIsByteIdentical) {
   }
 }
 
-// The tentpole invariant: identical seeds produce identical fault
-// sequences under the serial engine and at shard counts 1, 2, 4.
-TEST(FaultDeterminism, InjectionIdenticalAcrossEnginesAndShardCounts) {
+// The tentpole invariant: identical seeds produce identical runs --
+// fault-free, and under a plan the same fault sequence.
+TEST(FaultDeterminism, InjectionIdenticalAcrossRuns) {
+  const RingRun clean_a = run_ring(nullptr);
+  const RingRun clean_b = run_ring(nullptr);
+  EXPECT_EQ(clean_b.digest, clean_a.digest);
+  EXPECT_EQ(clean_b.completed_at, clean_a.completed_at);
+  EXPECT_EQ(clean_b.snapshot, clean_a.snapshot);
+
   const FaultPlan plan = FaultPlan::uniform_loss(9, 0.2);
+  FaultInjector injector_a(plan);
+  const RingRun a = run_ring(&injector_a);
+  ASSERT_GT(a.injected_total, 0u);
+  ASSERT_GT(a.delivered, 0u);
+  FaultInjector injector_b(plan);
+  const RingRun b = run_ring(&injector_b);
+  EXPECT_EQ(b.digest, a.digest);
+  EXPECT_EQ(b.completed_at, a.completed_at);
+  EXPECT_EQ(b.delivered, a.delivered);
+  EXPECT_EQ(b.injected, a.injected);
+  EXPECT_EQ(b.snapshot, a.snapshot);
+}
 
-  Simulator serial;
-  Network serial_net(serial);
-  FaultInjector serial_injector(plan);
-  const RingRun reference = run_ring(serial, serial_net, &serial_injector);
-  ASSERT_GT(reference.injected_total, 0u);
-  ASSERT_GT(reference.delivered, 0u);
-
-  for (u32 shards : {1u, 2u, 4u, 4u}) {  // 4 twice: repeated-run check
-    ShardedSimulator ssim(shards);
-    Network net(ssim);
-    FaultInjector injector(plan, shards);
-    const RingRun run = run_ring(ssim, net, &injector);
-    EXPECT_EQ(run.digest, reference.digest) << shards << " shards";
-    EXPECT_EQ(run.completed_at, reference.completed_at) << shards << " shards";
-    EXPECT_EQ(run.delivered, reference.delivered) << shards << " shards";
-    EXPECT_EQ(run.injected, reference.injected) << shards << " shards";
-  }
+// One engine: the injector keeps one set of counters and refuses any
+// other shard count.
+TEST(FaultDeterminism, InjectorRejectsShardCountOtherThanOne) {
+  EXPECT_NO_THROW(FaultInjector(FaultPlan{}, 1));
+  EXPECT_THROW(FaultInjector(FaultPlan{}, 0), UsageError);
+  EXPECT_THROW(FaultInjector(FaultPlan{}, 2), UsageError);
 }
 
 // --- ReliabilityTracker ---------------------------------------------------

@@ -1,10 +1,10 @@
 // Tests for the background migration & defragmentation engine (ROADMAP
 // item 2): the decayed hotness table (half-life, coldness hysteresis,
-// observation clamping), heatmap shard-merge edge cases, the bounded
-// remap queue, planner determinism, the allocator's demote / promote /
-// re-slide primitives, Controller::migrate's sentinel handshake, and the
-// end-to-end SwitchNode engine -- post-migration register state must be
-// byte-identical across shard counts, fault-free and under a FaultPlan.
+// observation clamping), the bounded remap queue, planner determinism,
+// the allocator's demote / promote / re-slide primitives,
+// Controller::migrate's sentinel handshake, and the end-to-end SwitchNode
+// engine -- post-migration register state must be byte-identical across
+// two runs with the same seed, fault-free and under a FaultPlan.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,7 +24,6 @@
 #include "controller/switch_node.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "telemetry/heatmap.hpp"
 #include "workload/zipf.hpp"
 
@@ -143,64 +142,6 @@ TEST(Hotness, RankedOrdersHottestFirstWithFidTiebreak) {
   EXPECT_EQ(ranked[0].first, 1);  // 16
   EXPECT_EQ(ranked[1].first, 2);  // 4, fid tiebreak vs 3
   EXPECT_EQ(ranked[2].first, 3);
-}
-
-// --- heatmap shard merges --------------------------------------------------
-
-std::string heatmap_json(const telemetry::StageHeatmap& h) {
-  std::ostringstream os;
-  h.snapshot_json(os);
-  return os.str();
-}
-
-TEST(HeatmapMerge, OrderInvariantAndEmptyShardSafe) {
-  telemetry::StageHeatmap a(4);
-  telemetry::StageHeatmap b(4);
-  telemetry::StageHeatmap empty(4);
-  for (int i = 0; i < 10; ++i) a.record_read(0, 1);
-  for (int i = 0; i < 5; ++i) a.record_write(1, 2);
-  for (int i = 0; i < 3; ++i) b.record_read(0, 1);  // overlaps a's cell
-  b.record_collision(3, 2);
-
-  telemetry::StageHeatmap forward(4);
-  forward.merge_from(a);
-  forward.merge_from(b);
-  forward.merge_from(empty);
-  telemetry::StageHeatmap backward(4);
-  backward.merge_from(empty);
-  backward.merge_from(b);
-  backward.merge_from(a);
-
-  EXPECT_EQ(heatmap_json(forward), heatmap_json(backward));
-  EXPECT_EQ(forward.total_accesses(1), 13u);
-  EXPECT_EQ(forward.total_accesses(2), 6u);
-  // Merging an empty shard into an empty map stays empty.
-  telemetry::StageHeatmap still_empty(4);
-  still_empty.merge_from(empty);
-  EXPECT_TRUE(still_empty.fids().empty());
-}
-
-TEST(HeatmapMerge, MergedShardsFeedHotnessLikeOneMap) {
-  telemetry::StageHeatmap a(2);
-  telemetry::StageHeatmap b(2);
-  for (int i = 0; i < 12; ++i) a.record_read(0, 1);
-  for (int i = 0; i < 20; ++i) b.record_write(1, 1);
-
-  telemetry::StageHeatmap merged(2);
-  merged.merge_from(b);
-  merged.merge_from(a);
-  alloc::HotnessTable from_merged;
-  from_merged.tick(merged);
-
-  telemetry::StageHeatmap single(2);
-  for (int i = 0; i < 12; ++i) single.record_read(0, 1);
-  for (int i = 0; i < 20; ++i) single.record_write(1, 1);
-  alloc::HotnessTable from_single;
-  from_single.tick(single);
-
-  EXPECT_EQ(from_merged.score(1), from_single.score(1));
-  EXPECT_EQ(from_merged.stage_score(1, 0), from_single.stage_score(1, 0));
-  EXPECT_EQ(from_merged.stage_score(1, 1), from_single.stage_score(1, 1));
 }
 
 // --- remap queue -----------------------------------------------------------
@@ -623,13 +564,16 @@ struct MigScenarioOut {
 // Two cache tenants; tenant 1 idles mid-run (cold -> demoted) and then
 // resumes (hot -> promoted), both moves disturbing tenant 0, which
 // repopulates through the extraction datapath while its traffic keeps
-// flowing. Drivable at any shard count, with an optional fault plan.
-MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
-  netsim::ShardedSimulator ssim(shards);
-  netsim::Network net(ssim);
+// flowing. Runs fault-free or under an optional fault plan.
+MigScenarioOut run_mig_scenario(const faults::FaultPlan* plan) {
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  telemetry::MetricsRegistry registry;
+  sim.set_metrics(&registry);
+  net.set_metrics(&registry);
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(*plan, shards);
+    injector = std::make_unique<faults::FaultInjector>(*plan);
     net.set_transmit_hook(injector.get());
   }
 
@@ -638,13 +582,11 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
   cfg.costs.snapshot_per_block = 1 * kMicrosecond;
   cfg.costs.clear_per_block = 1 * kMicrosecond;
   cfg.costs.extraction_timeout = 200 * kMillisecond;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
-  cfg.metrics = &ssim.shard_metrics(0);
+  cfg.metrics = &registry;
   cfg.migration.enabled = true;
   cfg.migration.interval = 50 * kMillisecond;
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   net.attach(sw);
-  ssim.pin(*sw, 0);
   auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
   net.attach(server);
   net.connect(*sw, 0, *server, 0);
@@ -724,9 +666,9 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
     };
     t.cache->on_relocated = [&t, hot_set] { t.cache->populate(hot_set()); };
 
-    // Self-rescheduling request driver (runs on the client's shard). The
-    // tenant owns it, so the recursive capture is a plain reference --
-    // no shared_ptr cycle for LeakSanitizer to flag.
+    // Self-rescheduling request driver. The tenant owns it, so the
+    // recursive capture is a plain reference -- no shared_ptr cycle for
+    // LeakSanitizer to flag.
     t.drive = [&t, &net, i, key_of] {
       if (net.simulator().now() >= t.stop_time) return;
       t.cache->get(key_of(i, t.zipf.next_rank(t.rng)));
@@ -737,17 +679,17 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
       t.stop_time = i == 1 ? kPause : kStop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    sim.schedule_at((i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
     if (i == 1) {
-      ssim.schedule_on(*t.client, kResume, [&t] {
+      sim.schedule_at(kResume, [&t] {
         t.stop_time = kStop;
         t.drive();
       });
     }
   }
 
-  ssim.run_until(kStop + kSecond);
+  sim.run_until(kStop + kSecond);
 
   MigScenarioOut out;
   out.reg_digest = register_digest(sw->pipeline());
@@ -758,45 +700,40 @@ MigScenarioOut run_mig_scenario(u32 shards, const faults::FaultPlan* plan) {
     out.bad_values += t->bad_values;
   }
   out.reply_digest = combined.h;
-  out.completed_at = ssim.now();
+  out.completed_at = sim.now();
   out.engine = sw->migration_stats();
-  telemetry::MetricsRegistry merged;
-  ssim.merge_metrics_into(merged);
   std::ostringstream os;
-  merged.snapshot_json(os);
+  registry.snapshot_json(os);
   out.snapshot = os.str();
   return out;
 }
 
-TEST(MigrationE2E, ShardCountsProduceByteIdenticalState) {
-  const auto one = run_mig_scenario(1, nullptr);
+TEST(MigrationE2E, RepeatedRunsProduceByteIdenticalState) {
+  const auto one = run_mig_scenario(nullptr);
   ASSERT_GE(one.engine.executed, 2u);  // at least the demote and promote
   ASSERT_GE(one.engine.planner.demotions_planned, 1u);
   ASSERT_GE(one.engine.planner.promotions_planned, 1u);
   EXPECT_EQ(one.bad_values, 0u);
   EXPECT_GT(one.late_hits, 0u);  // tenant 0 kept serving post-migration
 
-  for (const u32 shards : {2u, 4u}) {
-    const auto result = run_mig_scenario(shards, nullptr);
-    EXPECT_EQ(result.reg_digest, one.reg_digest) << shards << " shards";
-    EXPECT_EQ(result.reply_digest, one.reply_digest) << shards << " shards";
-    EXPECT_EQ(result.snapshot, one.snapshot) << shards << " shards";
-    EXPECT_EQ(result.completed_at, one.completed_at) << shards << " shards";
-  }
+  const auto two = run_mig_scenario(nullptr);
+  EXPECT_EQ(two.reg_digest, one.reg_digest);
+  EXPECT_EQ(two.reply_digest, one.reply_digest);
+  EXPECT_EQ(two.snapshot, one.snapshot);
+  EXPECT_EQ(two.completed_at, one.completed_at);
 }
 
-TEST(MigrationE2E, SurvivesFaultPlanByteIdenticallyAcrossShards) {
+TEST(MigrationE2E, SurvivesFaultPlanByteIdentically) {
   const auto plan = faults::FaultPlan::uniform_loss(5, 0.02);
-  const auto one = run_mig_scenario(1, &plan);
+  const auto one = run_mig_scenario(&plan);
   ASSERT_GE(one.engine.executed, 1u);
   EXPECT_EQ(one.bad_values, 0u);  // loss may cost hits, never wrong values
 
-  for (const u32 shards : {2u, 4u}) {
-    const auto result = run_mig_scenario(shards, &plan);
-    EXPECT_EQ(result.reg_digest, one.reg_digest) << shards << " shards";
-    EXPECT_EQ(result.reply_digest, one.reply_digest) << shards << " shards";
-    EXPECT_EQ(result.snapshot, one.snapshot) << shards << " shards";
-  }
+  const auto two = run_mig_scenario(&plan);
+  EXPECT_EQ(two.reg_digest, one.reg_digest);
+  EXPECT_EQ(two.reply_digest, one.reply_digest);
+  EXPECT_EQ(two.snapshot, one.snapshot);
+  EXPECT_EQ(two.completed_at, one.completed_at);
 }
 
 }  // namespace

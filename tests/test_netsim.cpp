@@ -137,26 +137,6 @@ TEST(Simulator, StepFlushesMetrics) {
   EXPECT_EQ(dispatched.value(), 3u);
 }
 
-// run_window() dispatches strictly-before-end events without dragging the
-// clock to the window edge (the sharded engine's epoch phase).
-TEST(Simulator, RunWindowDoesNotAdvanceClockPastLastEvent) {
-  Simulator sim;
-  std::vector<SimTime> seen;
-  sim.schedule_at(10, [&] { seen.push_back(sim.now()); });
-  sim.schedule_at(25, [&] { seen.push_back(sim.now()); });
-  sim.schedule_at(40, [&] { seen.push_back(sim.now()); });
-
-  sim.run_window(40);  // strictly before 40
-  EXPECT_EQ(seen, (std::vector<SimTime>{10, 25}));
-  EXPECT_EQ(sim.now(), 25);
-  EXPECT_EQ(sim.next_event_time(), 40);
-
-  sim.run_window(Simulator::kNoEvent);  // drains the rest
-  EXPECT_EQ(seen, (std::vector<SimTime>{10, 25, 40}));
-  EXPECT_EQ(sim.now(), 40);
-  EXPECT_EQ(sim.next_event_time(), Simulator::kNoEvent);
-}
-
 // ---------- network ----------
 
 class Recorder : public Node {

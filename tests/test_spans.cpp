@@ -1,11 +1,11 @@
 // Causal span tracing, heatmaps and the flight recorder.
 //
 // The determinism contract under test: a span dump's bytes are a pure
-// function of the simulated scenario -- identical across the serial and
-// sharded engines and across shard counts 1/2/4, fault-free AND under an
-// active FaultPlan -- because span ids derive from (attach_index, tx_seq)
-// and the canonical dump sorts the merged lane buffers totally. The same
-// holds for the per-switch heatmap snapshot. The flight recorder must
+// function of the simulated scenario -- two runs with the same seed dump
+// the same bytes, fault-free AND under an active FaultPlan -- because
+// span ids derive from (attach_index, tx_seq) and the canonical dump
+// sorts the buffer totally. The same holds for the per-switch heatmap
+// snapshot. The flight recorder must
 // wrap without allocating and dump the switch's final events on a
 // brownout up-edge.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "apps/programs.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "packet/active_packet.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/heatmap.hpp"
@@ -103,35 +102,21 @@ struct SpanRun {
   u64 replies = 0;
 };
 
-// `shards` == 0 selects the serial engine; otherwise the sharded engine.
 // `wipe_after` models a brownout up-edge once the run is quiescent.
-SpanRun run_scenario(u32 shards, const faults::FaultPlan* plan,
-                     bool wipe_after = false) {
-  telemetry::SpanSink sink(shards > 0 ? shards : 1);
+SpanRun run_scenario(const faults::FaultPlan* plan, bool wipe_after = false) {
+  telemetry::SpanSink sink;
   telemetry::set_span_sink(&sink);
 
-  std::unique_ptr<netsim::Simulator> sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<Network> net_holder;
-  if (shards > 0) {
-    ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-    net_holder = std::make_unique<Network>(*ssim);
-  } else {
-    sim = std::make_unique<netsim::Simulator>();
-    net_holder = std::make_unique<Network>(*sim);
-  }
-  Network& net = *net_holder;
-
+  netsim::Simulator sim;
+  Network net(sim);
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(
-        *plan, shards > 0 ? shards : 1);
+    injector = std::make_unique<faults::FaultInjector>(*plan);
     net.set_transmit_hook(injector.get());
   }
 
-  controller::SwitchNode::Config cfg;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
-  auto sw = std::make_shared<controller::SwitchNode>("sw", cfg);
+  auto sw = std::make_shared<controller::SwitchNode>(
+      "sw", controller::SwitchNode::Config{});
   auto client = std::make_shared<CountSink>("client");
   auto server = std::make_shared<CountSink>("server");
   LinkSpec link;
@@ -149,14 +134,8 @@ SpanRun run_scenario(u32 shards, const faults::FaultPlan* plan,
 
   const std::vector<std::vector<u8>> wires = make_wires();
   WaveInjector inj{&net, client.get(), &wires, kWaves};
-  if (ssim) {
-    ssim->pin(*sw, 0);
-    ssim->schedule_on(*client, ssim->now(), inj);
-    ssim->run();
-  } else {
-    sim->schedule_at(0, inj);
-    sim->run();
-  }
+  sim.schedule_at(0, inj);
+  sim.run();
 
   if (wipe_after) sw->wipe_registers();
   telemetry::set_span_sink(nullptr);
@@ -172,37 +151,34 @@ SpanRun run_scenario(u32 shards, const faults::FaultPlan* plan,
   return out;
 }
 
-TEST(SpanTrace, DumpBytesInvariantAcrossEnginesAndShards) {
-  const SpanRun serial = run_scenario(0, nullptr);
-  EXPECT_GT(serial.span_events, 0u);
-  EXPECT_GT(serial.replies, 0u);
+TEST(SpanTrace, DumpBytesIdenticalAcrossRuns) {
+  const SpanRun first = run_scenario(nullptr);
+  EXPECT_GT(first.span_events, 0u);
+  EXPECT_GT(first.replies, 0u);
   // The scenario exercised execution, recirculation and collisions.
-  EXPECT_NE(serial.span_dump.find("\"exec\""), std::string::npos);
-  EXPECT_NE(serial.span_dump.find("\"recirc\""), std::string::npos);
-  EXPECT_NE(serial.heatmap.find("\"c\""), std::string::npos);
-  for (const u32 shards : {1u, 2u, 4u}) {
-    const SpanRun sharded = run_scenario(shards, nullptr);
-    EXPECT_EQ(serial.span_dump, sharded.span_dump) << "shards=" << shards;
-    EXPECT_EQ(serial.heatmap, sharded.heatmap) << "shards=" << shards;
-    EXPECT_EQ(serial.replies, sharded.replies) << "shards=" << shards;
-  }
+  EXPECT_NE(first.span_dump.find("\"exec\""), std::string::npos);
+  EXPECT_NE(first.span_dump.find("\"recirc\""), std::string::npos);
+  EXPECT_NE(first.heatmap.find("\"c\""), std::string::npos);
+  const SpanRun second = run_scenario(nullptr);
+  EXPECT_EQ(first.span_dump, second.span_dump);
+  EXPECT_EQ(first.heatmap, second.heatmap);
+  EXPECT_EQ(first.replies, second.replies);
 }
 
 TEST(SpanTrace, DumpBytesInvariantUnderFaultPlan) {
   const faults::FaultPlan plan = faults::FaultPlan::uniform_loss(7, 0.05);
-  const SpanRun serial = run_scenario(0, &plan);
-  EXPECT_GT(serial.span_events, 0u);
+  const SpanRun first = run_scenario(&plan);
+  EXPECT_GT(first.span_events, 0u);
   // The plan actually dropped sends, and drops carry their own phase.
-  EXPECT_NE(serial.span_dump.find("\"drop\""), std::string::npos);
-  for (const u32 shards : {1u, 2u, 4u}) {
-    const SpanRun sharded = run_scenario(shards, &plan);
-    EXPECT_EQ(serial.span_dump, sharded.span_dump) << "shards=" << shards;
-    EXPECT_EQ(serial.heatmap, sharded.heatmap) << "shards=" << shards;
-  }
+  EXPECT_NE(first.span_dump.find("\"drop\""), std::string::npos);
+  const SpanRun second = run_scenario(&plan);
+  EXPECT_EQ(first.span_dump, second.span_dump);
+  EXPECT_EQ(first.heatmap, second.heatmap);
+  EXPECT_EQ(first.replies, second.replies);
 }
 
 TEST(SpanTrace, DumpRoundTripsThroughLoader) {
-  const SpanRun run = run_scenario(1, nullptr);
+  const SpanRun run = run_scenario(nullptr);
   std::istringstream in(run.span_dump);
   std::vector<telemetry::SpanEvent> events;
   std::string error;
@@ -211,36 +187,6 @@ TEST(SpanTrace, DumpRoundTripsThroughLoader) {
   const std::vector<telemetry::SpanRequest> requests =
       telemetry::reconstruct_requests(events);
   EXPECT_GT(requests.size(), 0u);
-}
-
-TEST(Heatmap, MergeMatchesSerialRecording) {
-  // Two "shards" record disjoint slices of one access stream; merging
-  // them must equal recording the whole stream into one map.
-  telemetry::StageHeatmap reference(4);
-  telemetry::StageHeatmap a(4), b(4);
-  for (u32 i = 0; i < 100; ++i) {
-    const u32 stage = i % 4;
-    const i32 fid = static_cast<i32>(1 + i % 3);
-    telemetry::StageHeatmap& half = (i % 2 == 0) ? a : b;
-    reference.record_read(stage, fid);
-    half.record_read(stage, fid);
-    if (i % 5 == 0) {
-      reference.record_write(stage, fid);
-      half.record_write(stage, fid);
-    }
-    if (i % 7 == 0) {
-      reference.record_collision(stage, fid);
-      half.record_collision(stage, fid);
-    }
-  }
-  telemetry::StageHeatmap merged(4);
-  merged.merge_from(a);
-  merged.merge_from(b);
-  std::ostringstream want, got;
-  reference.snapshot_json(want);
-  merged.snapshot_json(got);
-  EXPECT_EQ(want.str(), got.str());
-  EXPECT_EQ(merged.total_accesses(1), reference.total_accesses(1));
 }
 
 TEST(Heatmap, HotnessTableDecaysAndRanks) {
@@ -263,15 +209,15 @@ TEST(Heatmap, HotnessTableDecaysAndRanks) {
 }
 
 TEST(FlightRecorder, WraparoundKeepsLastN) {
-  telemetry::FlightRecorder recorder(4, 1);
+  telemetry::FlightRecorder recorder(4);
   for (u64 i = 0; i < 10; ++i) {
     telemetry::SpanEvent event;
     event.ts = static_cast<SimTime>(i);
     event.span = i;
-    recorder.record(0, event);
+    recorder.record(event);
   }
   EXPECT_EQ(recorder.recorded(), 10u);
-  const std::vector<telemetry::SpanEvent> kept = recorder.lane_events(0);
+  const std::vector<telemetry::SpanEvent> kept = recorder.events();
   ASSERT_EQ(kept.size(), 4u);
   for (u64 i = 0; i < 4; ++i) {
     EXPECT_EQ(kept[i].span, 6 + i);  // oldest surviving event first
@@ -280,14 +226,14 @@ TEST(FlightRecorder, WraparoundKeepsLastN) {
 
 TEST(FlightRecorder, BrownoutUpEdgeDumpsFinalEvents) {
   const std::string dir = ::testing::TempDir();
-  telemetry::FlightRecorder recorder(1024, 1);
+  telemetry::FlightRecorder recorder(1024);
   recorder.set_dump_dir(dir);
   telemetry::set_flight_recorder(&recorder);
 
   // Run the capsule scenario with the recorder armed: every span event
   // lands in the ring, then the brownout up-edge wipes the registers and
   // auto-dumps the buffered tail.
-  run_scenario(0, nullptr, /*wipe_after=*/true);
+  run_scenario(nullptr, /*wipe_after=*/true);
   EXPECT_GT(recorder.recorded(), 0u);
   EXPECT_EQ(recorder.dumps_written(), 1u);  // wipe fired exactly once
 

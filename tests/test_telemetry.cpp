@@ -214,51 +214,6 @@ TEST_F(TelemetryTest, MergeAddBypassesTheRecordingGate) {
   EXPECT_EQ(c.value(), 12u);
 }
 
-TEST_F(TelemetryTest, HistogramMergePreservesPercentiles) {
-  Histogram& a = registry_.histogram("comp", "a");
-  Histogram& b = registry_.histogram("comp", "b");
-  Histogram& combined = registry_.histogram("comp", "combined");
-  std::vector<u64> values;
-  for (u64 v = 1; v <= 500; ++v) values.push_back(v * 13 % 4099);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    (i % 2 == 0 ? a : b).record(values[i]);
-    combined.record(values[i]);
-  }
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.sum(), combined.sum());
-  EXPECT_EQ(a.max(), combined.max());
-  for (const double p : {0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(a.percentile(p), combined.percentile(p)) << "p=" << p;
-  }
-}
-
-TEST_F(TelemetryTest, RegistryMergeCreatesAndAccumulates) {
-  MetricsRegistry other;
-  other.counter("netsim", "frames").inc(10);
-  other.counter("runtime", "packets", 7).inc(3);  // per-FID label
-  other.gauge("netsim", "depth").set(4);
-  other.histogram("switch", "lat").record(100);
-
-  registry_.counter("netsim", "frames").inc(5);  // pre-existing: accumulates
-  registry_.histogram("switch", "lat").record(7);
-  registry_.merge_from(other);
-
-  EXPECT_EQ(registry_.counter("netsim", "frames").value(), 15u);
-  EXPECT_EQ(registry_.counter("runtime", "packets", 7).value(), 3u);  // created
-  EXPECT_EQ(registry_.gauge("netsim", "depth").value(), 4);
-  EXPECT_EQ(registry_.histogram("switch", "lat").count(), 2u);
-  EXPECT_EQ(registry_.histogram("switch", "lat").sum(), 107u);
-
-  // Merging twice double-counts by design (callers merge fresh registries).
-  registry_.merge_from(other);
-  EXPECT_EQ(registry_.counter("netsim", "frames").value(), 25u);
-}
-
-TEST_F(TelemetryTest, RegistrySelfMergeThrows) {
-  EXPECT_THROW(registry_.merge_from(registry_), UsageError);
-}
-
 TEST(TraceSinkTest, EmitsOneJsonObjectPerLine) {
   std::ostringstream out;
   TraceSink sink(out);

@@ -1,10 +1,10 @@
 // artmt_chaos -- the fault-injection soak: runs the end-to-end scenario
 // (in-network cache + heavy-hitter monitor + Cheetah load balancer on one
-// switch) twice per shard count -- once fault-free, once under a chaos
-// plan (uniform loss, two scripted link flaps, a switch brownout that
-// wipes register state) -- and asserts that the reliability layer
-// converges both to the SAME application-state digest, deterministically
-// at shard counts 1, 2 and 4.
+// switch) once fault-free and twice under the same chaos plan (uniform
+// loss, two scripted link flaps, a switch brownout that wipes register
+// state) -- and asserts that the reliability layer converges every run to
+// the SAME application-state digest, and that the two chaos runs are
+// byte-identical (same digest, injected faults and metrics snapshot).
 //
 // What the digest covers -- and what it deliberately does not. The digest
 // is the reliability-protected converged state: the cache's bucket words
@@ -28,7 +28,7 @@
 //
 // Usage:
 //   artmt_chaos [--topology single|leaf-spine] [--requests N] [--seed S]
-//               [--loss P] [--hot H] [--shards a,b,c] [--trace FILE]
+//               [--loss P] [--hot H] [--trace FILE]
 //               [--snapshot FILE] [--flight-dir DIR]
 //     --topology T    single (default): everything on one switch.
 //                     leaf-spine: the same services placed by the fabric's
@@ -40,21 +40,19 @@
 //     --seed S        fault-plan seed (default 1); workload seed is fixed
 //     --loss P        uniform loss probability (default 0.01)
 //     --hot H         cache hot-set size (default 50)
-//     --shards a,b,c  shard counts to gate (default 1,2,4; 0 = serial)
-//     --trace FILE    also run the serial engine with a trace sink and
+//     --trace FILE    attach a trace sink to the second chaos run and
 //                     write every injected-fault/telemetry event there
-//     --snapshot FILE write the last faulty run's merged metrics snapshot
+//     --snapshot FILE write the last chaos run's metrics snapshot
 //                     (faults.* and reliability.* included) as JSON
 //     --flight-dir DIR arm the fault flight recorder: every run records
-//                     span events into per-shard rings; the brownout
-//                     up-edge dumps the wiped switch's final events to
-//                     DIR, and a digest mismatch or gate failure dumps
-//                     the offending run's merged rings
+//                     span events into its ring; the brownout up-edge
+//                     dumps the wiped switch's final events to DIR, and a
+//                     digest mismatch or gate failure dumps the offending
+//                     run's ring
 //
 // stdout: one JSON summary object (digests, injected counts, retransmit /
-// recovered / give-up totals, verdict). Exit 0 iff every faulty digest
-// equals the fault-free digest and they agree across shard counts.
-#include <algorithm>
+// recovered / give-up totals, verdict). Exit 0 iff every chaos digest
+// equals the fault-free digest and the two chaos runs are identical.
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -75,7 +73,6 @@
 #include "controller/switch_node.hpp"
 #include "fabric/topology.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -121,7 +118,7 @@ struct RunResult {
   u64 retransmits = 0;
   u64 recovered = 0;
   u64 give_ups = 0;
-  std::string snapshot;  // merged metrics JSON
+  std::string snapshot;  // metrics JSON
 };
 
 // The chaos plan the acceptance scenario prescribes: uniform loss from
@@ -162,28 +159,17 @@ faults::FaultPlan chaos_plan(const ChaosConfig& config, SimTime window_start,
   return plan;
 }
 
-// Runs the scenario once. `shards` == 0 selects the serial engine (used
-// for --trace); otherwise the sharded engine with that worker count.
-// `plan` == nullptr runs fault-free.
-RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
+// Runs the scenario once; `plan` == nullptr runs fault-free.
+RunResult run_scenario(const faults::FaultPlan* plan,
                        const ChaosConfig& config,
                        telemetry::TraceSink* sink) {
-  std::unique_ptr<netsim::Simulator> sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<netsim::Network> net_holder;
-  telemetry::MetricsRegistry serial_registry;
-  if (shards > 0) {
-    ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-    net_holder = std::make_unique<netsim::Network>(*ssim);
-  } else {
-    sim = std::make_unique<netsim::Simulator>();
-    net_holder = std::make_unique<netsim::Network>(*sim);
-    sim->set_metrics(&serial_registry);
-    net_holder->set_metrics(&serial_registry);
-  }
-  netsim::Network& net = *net_holder;
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  telemetry::MetricsRegistry registry;
+  sim.set_metrics(&registry);
+  net.set_metrics(&registry);
   if (sink != nullptr) {
-    sink->set_clock([&net] { return net.simulator().now(); });
+    sink->set_clock([&sim] { return sim.now(); });
     telemetry::set_trace_sink(sink);
   }
 
@@ -197,7 +183,6 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
   cfg.costs.table_entry_update = 100 * kMicrosecond;
   cfg.costs.snapshot_per_block = 1 * kMicrosecond;
   cfg.costs.clear_per_block = 1 * kMicrosecond;
-  cfg.compute_model = alloc::ComputeModel::deterministic();
 
   std::shared_ptr<controller::SwitchNode> sw;          // single mode
   std::unique_ptr<fabric::Topology> topo;              // leaf-spine mode
@@ -206,7 +191,7 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     fabric::TopologyConfig tcfg;
     tcfg.leaves = 2;
     tcfg.spines = 1;
-    tcfg.switch_config = cfg;  // per-switch registries: leaves span shards
+    tcfg.switch_config = cfg;  // each switch keeps a private registry
     tcfg.controller.epoch = 2 * kMillisecond;
     // The leaf0 brownout silences its health acks for its whole duration.
     // This soak gates digest convergence, not re-placement (bench_fabric
@@ -216,7 +201,7 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     topo = std::make_unique<fabric::Topology>(net, tcfg);
     control_target = topo->controller_mac();
   } else {
-    cfg.metrics = ssim ? &ssim->shard_metrics(0) : &serial_registry;
+    cfg.metrics = &registry;
     sw = std::make_shared<controller::SwitchNode>("switch", cfg);
     net.attach(sw);
   }
@@ -240,7 +225,6 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     topo->attach_host(*server, 0, 1, kServerMac);      // leaf1 port 1
     topo->attach_host(*backend1, 1, 1, kBackend1Mac);  // leaf1 port 2
     topo->attach_host(*backend2, 1, 1, kBackend2Mac);  // leaf1 port 3
-    if (ssim) topo->pin(*ssim);
   } else {
     net.connect(*sw, 0, *server, 0);
     net.connect(*sw, 8, *backend1, 0);
@@ -250,24 +234,17 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
     sw->bind(kBackend1Mac, 8);
     sw->bind(kBackend2Mac, 9);
     sw->bind(kClientMac, 1);
-    if (ssim) ssim->pin(*sw, 0);
   }
 
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
-    injector = std::make_unique<faults::FaultInjector>(
-        *plan, std::max<u32>(shards, 1));
+    injector = std::make_unique<faults::FaultInjector>(*plan);
     net.set_transmit_hook(injector.get());
     // The up-edge of a brownout is a power cycle: SRAM is gone. Table and
     // allocator state live on the controller and persist.
     controller::SwitchNode* wiped = topo ? &topo->leaf(0) : sw.get();
     for (const faults::Brownout& brownout : plan->brownouts) {
-      if (ssim) {
-        ssim->schedule_on(*wiped, brownout.up_at(),
-                          [wiped] { wiped->wipe_registers(); });
-      } else {
-        sim->schedule_at(brownout.up_at(), [wiped] { wiped->wipe_registers(); });
-      }
+      sim.schedule_at(brownout.up_at(), [wiped] { wiped->wipe_registers(); });
     }
   }
 
@@ -390,35 +367,17 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
   // Fabric mode: run the controller's health epochs across the fault
   // window and the recovery tail, then let the event queue drain.
   if (topo) {
-    const SimTime probe_until = recovery_at + 500 * kMillisecond;
-    if (ssim) {
-      topo->start(*ssim, 1 * kMillisecond, probe_until);
-    } else {
-      topo->start(*sim, 1 * kMillisecond, probe_until);
-    }
+    topo->start(sim, 1 * kMillisecond, recovery_at + 500 * kMillisecond);
   }
-  auto start_all = [&] {
-    if (ssim) {
-      ssim->schedule_on(*client, 50 * kMillisecond,
-                        [&] { monitor->request_allocation(); });
-      ssim->schedule_on(*client, 100 * kMillisecond,
-                        [&] { lb->request_allocation(); });
-      ssim->schedule_on(*client, workload_start, kickoff);
-      ssim->schedule_on(*client, recovery_at, recover);
-      ssim->run();
-    } else {
-      sim->schedule_at(50 * kMillisecond, [&] { monitor->request_allocation(); });
-      sim->schedule_at(100 * kMillisecond, [&] { lb->request_allocation(); });
-      sim->schedule_at(workload_start, kickoff);
-      sim->schedule_at(recovery_at, recover);
-      sim->run();
-    }
-  };
-  start_all();
+  sim.schedule_at(50 * kMillisecond, [&] { monitor->request_allocation(); });
+  sim.schedule_at(100 * kMillisecond, [&] { lb->request_allocation(); });
+  sim.schedule_at(workload_start, kickoff);
+  sim.schedule_at(recovery_at, recover);
+  sim.run();
 
   // --- digest the converged, reliability-protected state ---
   RunResult out;
-  out.end_time = ssim ? ssim->now() : sim->now();
+  out.end_time = sim.now();
   out.converged = cache_populated && lb_configured && extraction_done &&
                   lb->cookies().size() >= kFlows &&
                   cache->populate_reliability().outstanding() == 0;
@@ -462,20 +421,14 @@ RunResult run_scenario(u32 shards, const faults::FaultPlan* plan,
   digest.mix(out.converged ? 1 : 0);
   out.digest = digest.h;
 
-  // --- merge telemetry: engine + faults.* + reliability.* ---
-  telemetry::MetricsRegistry merged;
-  if (ssim) {
-    ssim->merge_metrics_into(merged);
-    ssim->export_shard_stats(merged);
-  }
+  // --- telemetry: engine + faults.* + reliability.* ---
   if (injector) {
-    injector->export_metrics(ssim ? merged : serial_registry);
+    injector->export_metrics(registry);
     out.injected_total = injector->injected_total();
     for (u32 k = 0; k < faults::kFaultKindCount; ++k) {
       out.injected[k] = injector->injected(static_cast<faults::FaultKind>(k));
     }
   }
-  telemetry::MetricsRegistry& registry = ssim ? merged : serial_registry;
   const std::pair<const client::ReliabilityTracker*, i32> trackers[] = {
       {&cache->populate_reliability(), static_cast<i32>(cache->fid())},
       {&monitor->extract_reliability(), static_cast<i32>(monitor->fid())},
@@ -514,7 +467,6 @@ void print_injected(std::ostream& os, const RunResult& run) {
 
 int main(int argc, char** argv) {
   ChaosConfig config;
-  std::vector<u32> shard_counts = {1, 2, 4};
   const char* trace_path = nullptr;
   const char* snapshot_path = nullptr;
   const char* flight_dir = nullptr;
@@ -538,13 +490,6 @@ int main(int argc, char** argv) {
       config.loss = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--hot") == 0 && i + 1 < argc) {
       config.hot = static_cast<u32>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shard_counts.clear();
-      std::stringstream list(argv[++i]);
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        shard_counts.push_back(static_cast<u32>(std::stoul(item)));
-      }
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
@@ -555,7 +500,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: artmt_chaos [--topology single|leaf-spine] "
                    "[--requests N] [--seed S] [--loss P] "
-                   "[--hot H] [--shards a,b,c] [--trace FILE] "
+                   "[--hot H] [--trace FILE] "
                    "[--snapshot FILE] [--flight-dir DIR]\n");
       return 2;
     }
@@ -570,38 +515,43 @@ int main(int argc, char** argv) {
   const faults::FaultPlan plan =
       chaos_plan(config, workload_start + window / 10, window);
 
-  // Flight recorder: one ring per worker lane, shared across every run in
-  // the gate (cleared between runs). The brownout up-edge dumps from
-  // inside wipe_registers; mismatches and gate failures dump from here.
+  // Flight recorder: one ring shared across every run in the gate
+  // (cleared between runs). The brownout up-edge dumps from inside
+  // wipe_registers; mismatches and gate failures dump from here.
   std::unique_ptr<telemetry::FlightRecorder> recorder;
   if (flight_dir != nullptr) {
-    u32 lanes = 1;
-    for (const u32 shards : shard_counts) {
-      lanes = std::max(lanes, std::max<u32>(shards, 1));
-    }
-    recorder = std::make_unique<telemetry::FlightRecorder>(4096, lanes);
+    recorder = std::make_unique<telemetry::FlightRecorder>(4096);
     recorder->set_dump_dir(flight_dir);
     telemetry::set_flight_recorder(recorder.get());
   }
 
-  // Fault-free reference (first shard count in the gate list).
-  const u32 reference_shards = shard_counts.empty() ? 1 : shard_counts[0];
-  const RunResult clean =
-      run_scenario(reference_shards, nullptr, config, nullptr);
-  std::fprintf(stderr,
-               "clean run (shards=%u): digest 0x%016llx, done at t=%.3fs%s\n",
-               reference_shards,
+  std::ofstream trace_file;
+  std::unique_ptr<telemetry::TraceSink> trace_sink;
+  if (trace_path != nullptr) {
+    trace_file.open(trace_path);
+    if (!trace_file) {
+      std::fprintf(stderr, "artmt_chaos: cannot open %s\n", trace_path);
+      return 1;
+    }
+    trace_sink = std::make_unique<telemetry::TraceSink>(trace_file);
+  }
+
+  const RunResult clean = run_scenario(nullptr, config, nullptr);
+  std::fprintf(stderr, "clean run: digest 0x%016llx, done at t=%.3fs%s\n",
                static_cast<unsigned long long>(clean.digest),
                clean.end_time / 1e9, clean.converged ? "" : " [NOT CONVERGED]");
 
+  // Two chaos runs with the same plan. The second carries the trace sink
+  // (if any): recording never perturbs the simulation.
   bool ok = clean.converged;
-  std::vector<std::pair<u32, RunResult>> runs;
-  for (const u32 shards : shard_counts) {
+  std::vector<RunResult> runs;
+  for (u32 i = 0; i < 2; ++i) {
     if (recorder) recorder->clear();
-    RunResult run = run_scenario(shards, &plan, config, nullptr);
+    RunResult run =
+        run_scenario(&plan, config, i == 1 ? trace_sink.get() : nullptr);
     const bool match = run.converged && run.digest == clean.digest;
     if (!match && recorder) {
-      const std::string dump = recorder->dump_all("digest_mismatch");
+      const std::string dump = recorder->dump("digest_mismatch");
       if (!dump.empty()) {
         std::fprintf(stderr, "flight recorder dump: %s\n", dump.c_str());
       }
@@ -609,55 +559,39 @@ int main(int argc, char** argv) {
     ok = ok && match;
     std::fprintf(
         stderr,
-        "chaos run (shards=%u, seed=%llu, loss=%.3f): digest 0x%016llx "
+        "chaos run %u (seed=%llu, loss=%.3f): digest 0x%016llx "
         "[%s], %llu faults injected, %llu retransmits, %llu recovered, "
         "%llu give-ups, done at t=%.3fs\n",
-        shards, static_cast<unsigned long long>(config.fault_seed),
-        config.loss, static_cast<unsigned long long>(run.digest),
+        i, static_cast<unsigned long long>(config.fault_seed), config.loss,
+        static_cast<unsigned long long>(run.digest),
         match ? "match" : "MISMATCH",
         static_cast<unsigned long long>(run.injected_total),
         static_cast<unsigned long long>(run.retransmits),
         static_cast<unsigned long long>(run.recovered),
         static_cast<unsigned long long>(run.give_ups), run.end_time / 1e9);
-    runs.emplace_back(shards, std::move(run));
+    runs.push_back(std::move(run));
   }
-  // Cross-shard-count determinism: identical digests AND identical
-  // injected-fault counts.
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].second.digest != runs[0].second.digest ||
-        runs[i].second.injected != runs[0].second.injected) {
-      std::fprintf(stderr,
-                   "determinism violation: shards=%u and shards=%u disagree\n",
-                   runs[0].first, runs[i].first);
-      ok = false;
-    }
+  // Run-twice determinism: the same plan and seed reproduce the same
+  // digest, injected faults and metrics snapshot byte for byte.
+  if (runs[1].digest != runs[0].digest ||
+      runs[1].injected != runs[0].injected ||
+      runs[1].snapshot != runs[0].snapshot) {
+    std::fprintf(stderr, "determinism violation: the chaos runs disagree\n");
+    ok = false;
   }
-
-  if (trace_path != nullptr) {
-    std::ofstream trace_file(trace_path);
-    if (!trace_file) {
-      std::fprintf(stderr, "artmt_chaos: cannot open %s\n", trace_path);
-      return 1;
-    }
-    telemetry::TraceSink sink(trace_file);
-    if (recorder) recorder->clear();
-    const RunResult serial = run_scenario(0, &plan, config, &sink);
-    std::fprintf(stderr,
-                 "serial trace run: digest 0x%016llx [%s], %llu events -> "
-                 "%s\n",
-                 static_cast<unsigned long long>(serial.digest),
-                 serial.digest == clean.digest ? "match" : "MISMATCH",
-                 static_cast<unsigned long long>(sink.emitted()), trace_path);
-    ok = ok && serial.digest == clean.digest;
+  if (trace_sink != nullptr) {
+    std::fprintf(stderr, "wrote %llu trace events to %s\n",
+                 static_cast<unsigned long long>(trace_sink->emitted()),
+                 trace_path);
   }
 
-  if (snapshot_path != nullptr && !runs.empty()) {
+  if (snapshot_path != nullptr) {
     std::ofstream snapshot_file(snapshot_path);
     if (!snapshot_file) {
       std::fprintf(stderr, "artmt_chaos: cannot open %s\n", snapshot_path);
       return 1;
     }
-    snapshot_file << runs.back().second.snapshot;
+    snapshot_file << runs.back().snapshot;
   }
 
   // Machine-readable summary.
@@ -669,8 +603,8 @@ int main(int argc, char** argv) {
             << ",\n  \"clean_digest\": \"0x" << std::hex << clean.digest
             << std::dec << "\",\n  \"runs\": [";
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& [shards, run] = runs[i];
-    std::cout << (i == 0 ? "" : ",") << "\n    {\"shards\": " << shards
+    const RunResult& run = runs[i];
+    std::cout << (i == 0 ? "" : ",") << "\n    {\"run\": " << i
               << ", \"digest\": \"0x" << std::hex << run.digest << std::dec
               << "\", \"converged\": " << (run.converged ? "true" : "false")
               << ", \"injected_total\": " << run.injected_total
@@ -683,7 +617,7 @@ int main(int argc, char** argv) {
   std::cout << "\n  ],\n  \"match\": " << (ok ? "true" : "false") << "\n}\n";
   if (recorder) {
     if (!ok) {
-      const std::string dump = recorder->dump_all("gate_failure");
+      const std::string dump = recorder->dump("gate_failure");
       if (!dump.empty()) {
         std::fprintf(stderr, "flight recorder dump: %s\n", dump.c_str());
       }

@@ -6,18 +6,11 @@
 // quantities without recompiling a single printf.
 //
 // Usage:
-//   artmt_stats [--requests N] [--trace FILE] [--shards N]
+//   artmt_stats [--requests N] [--trace FILE]
 //               [--loss P] [--fault-seed S] [--alloc]
 //     --requests N   data-plane requests per service (default 2000)
 //     --trace FILE   also write TraceSink JSON-lines (simulated
 //                    timestamps) for every control-plane/netsim event
-//     --shards N     run on the sharded multi-worker engine with N
-//                    shards (switch pinned to shard 0, fleets spread
-//                    over the rest). Uses the modeled allocator compute
-//                    cost, so the snapshot is byte-identical for any N
-//                    and across repeated runs. Incompatible with
-//                    --trace: the trace sink is process-global and
-//                    worker threads would interleave its lines.
 //     --loss P       attach a FaultInjector with uniform loss P on every
 //                    link; faults.* counters land in the snapshot and
 //                    the reliability.* retransmit schedules absorb the
@@ -40,8 +33,8 @@
 //                    --span-dump output) and print the per-FID
 //                    p50/p90/p99 phase latency breakdown
 //     --span-dump F  record causal spans during the scenario and write
-//                    the canonical sorted dump to F (byte-identical for
-//                    any engine and shard count)
+//                    the canonical sorted dump to F (byte-identical
+//                    across runs)
 //     --fabric       no single-switch scenario: run the multi-switch
 //                    fabric story instead -- four cache tenants placed by
 //                    the federated global controller across a 4-leaf /
@@ -49,11 +42,11 @@
 //                    failure-driven re-placement path executes -- and
 //                    dump the controller's FabricReport (placements,
 //                    evacuations, downtime percentiles, state loss) plus
-//                    the fabric.* metrics snapshot as JSON. Honors
-//                    --shards (default 1); the outcome is byte-identical
-//                    for any shard count.
+//                    the fabric.* metrics snapshot as JSON.
 //
-// The snapshot goes to stdout; a human summary goes to stderr.
+// Every output is a function of the flags alone: two runs with the same
+// flags print the same bytes. The snapshot goes to stdout; a human
+// summary goes to stderr.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -75,7 +68,6 @@
 #include "fabric/topology.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "netsim/sharded.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -221,15 +213,14 @@ double downtime_percentile_ms(std::vector<SimTime> samples, double p) {
 // a 4-leaf / 2-spine fabric, placed by the federated global controller;
 // leaf0 loses every link at 500ms and is never restored, so the health
 // epochs declare it dead and the evacuation/re-placement machinery runs
-// inside the dump window. Deterministic for any shard count.
-int run_fabric_report(u32 shards) {
-  const u32 workers = std::max<u32>(shards, 1);
-  netsim::ShardedSimulator ssim(workers);
-  netsim::Network net(ssim);
+// inside the dump window.
+int run_fabric_report() {
+  netsim::Simulator sim;
+  netsim::Network net(sim);
 
   faults::FaultPlan plan;
   plan.flaps.push_back({"leaf0", "", 500 * kMillisecond, 10 * kSecond});
-  faults::FaultInjector injector(plan, workers);
+  faults::FaultInjector injector(plan);
   net.set_transmit_hook(&injector);
 
   telemetry::MetricsRegistry fabric_registry;
@@ -240,18 +231,15 @@ int run_fabric_report(u32 shards) {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.switch_config.compute_model = alloc::ComputeModel::deterministic();
   tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.metrics = &fabric_registry;
   fabric::Topology topo(net, tcfg);
-  topo.pin(ssim);
 
   constexpr packet::MacAddr kFabServerMac = 0x5E00;
   constexpr packet::MacAddr kFabClientBase = 0xC100;
   auto server = std::make_shared<apps::ServerNode>("server", kFabServerMac);
   net.attach(server);
   topo.attach_host(*server, 0, 2, kFabServerMac);
-  ssim.pin(*server, 2 % workers);
 
   // Tenant 0 lands on the doomed leaf0 (round-robin admission places
   // service i on leaf i), so its service is the evacuation victim.
@@ -282,7 +270,6 @@ int run_fabric_report(u32 shards) {
         topo.controller_mac());
     net.attach(t->client);
     topo.attach_host(*t->client, 0, client_leaf[i], kFabClientBase + i);
-    ssim.pin(*t->client, client_leaf[i] % workers);
     t->cache = std::make_shared<apps::CacheService>(
         "cache" + std::to_string(i), kFabServerMac);
     t->client->register_service(t->cache);
@@ -321,12 +308,12 @@ int run_fabric_report(u32 shards) {
       t.stop_time = drive_stop;
       t.drive();
     };
-    ssim.schedule_on(*t.client, (i + 1) * 100 * kMillisecond,
-                     [&t] { t.cache->request_allocation(); });
+    sim.schedule_at((i + 1) * 100 * kMillisecond,
+                    [&t] { t.cache->request_allocation(); });
   }
 
-  topo.start(ssim, 1 * kMillisecond, kStop);
-  ssim.run_until(kStop + 500 * kMillisecond);
+  topo.start(sim, 1 * kMillisecond, kStop);
+  sim.run_until(kStop + 500 * kMillisecond);
 
   const fabric::FabricReport report = topo.controller().report();
   const auto leaf_of = [&](packet::MacAddr mac) -> std::string {
@@ -349,7 +336,7 @@ int run_fabric_report(u32 shards) {
   std::fprintf(stderr,
                "fabric scenario done at t=%.3fs (%u leaves, %u spines, "
                "%u tenants, leaf0 killed at 0.5s)\n",
-               ssim.now() / 1e9, topo.leaves(), topo.spines(), n);
+               sim.now() / 1e9, topo.leaves(), topo.spines(), n);
   for (u32 i = 0; i < n; ++i) {
     const Tenant& t = *tenants[i];
     std::fprintf(stderr,
@@ -401,7 +388,6 @@ int run_fabric_report(u32 shards) {
 
 int main(int argc, char** argv) {
   u32 requests = 2000;
-  u32 shards = 0;  // 0 = the serial reference engine
   bool alloc_report = false;
   bool heatmap_report = false;
   bool migration_report = false;
@@ -416,8 +402,6 @@ int main(int argc, char** argv) {
       requests = static_cast<u32>(std::stoul(argv[++i]));
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<u32>(std::stoul(argv[++i]));
     } else if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
       loss = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
@@ -437,7 +421,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: artmt_stats [--requests N] [--trace FILE] "
-                   "[--shards N] [--loss P] [--fault-seed S] [--alloc] "
+                   "[--loss P] [--fault-seed S] [--alloc] "
                    "[--heatmap] [--migration] [--fabric] [--spans FILE] "
                    "[--span-dump FILE]\n");
       return 2;
@@ -461,42 +445,21 @@ int main(int argc, char** argv) {
         std::cout, telemetry::reconstruct_requests(events));
     return 0;
   }
-  if (fabric_report) return run_fabric_report(shards);
-  if (shards > 0 && trace_path != nullptr) {
-    std::fprintf(stderr,
-                 "artmt_stats: --trace requires the serial engine (the "
-                 "trace sink is process-global; drop --shards)\n");
-    return 2;
-  }
+  if (fabric_report) return run_fabric_report();
 
-  std::unique_ptr<netsim::Simulator> sim;
-  std::unique_ptr<netsim::ShardedSimulator> ssim;
-  std::unique_ptr<netsim::Network> net_holder;
-  if (shards > 0) {
-    ssim = std::make_unique<netsim::ShardedSimulator>(shards);
-    net_holder = std::make_unique<netsim::Network>(*ssim);
-  } else {
-    sim = std::make_unique<netsim::Simulator>();
-    net_holder = std::make_unique<netsim::Network>(*sim);
-  }
-  netsim::Network& net = *net_holder;
+  netsim::Simulator sim;
+  netsim::Network net(sim);
 
-  // Serial mode: everything records into the process-wide registry and
-  // the snapshot at the end is the union of every component's counters.
-  // Sharded mode: each shard owns a registry (wired up by the engine);
-  // they are merged -- plus the per-shard engine stats -- after the run.
+  // Everything records into the process-wide registry and the snapshot
+  // at the end is the union of every component's counters.
   telemetry::MetricsRegistry& registry = telemetry::registry();
-  if (sim) {
-    sim->set_metrics(&registry);
-    net.set_metrics(&registry);
-  }
+  sim.set_metrics(&registry);
+  net.set_metrics(&registry);
 
-  // Span capture: one lane per shard worker (lane 0 for the serial
-  // engine); the canonical sorted dump is engine- and shard-invariant.
+  // Span capture: the canonical sorted dump is byte-identical across runs.
   std::unique_ptr<telemetry::SpanSink> span_sink;
   if (span_dump_path != nullptr) {
-    span_sink =
-        std::make_unique<telemetry::SpanSink>(shards > 0 ? shards : 1);
+    span_sink = std::make_unique<telemetry::SpanSink>();
     telemetry::set_span_sink(span_sink.get());
   }
 
@@ -509,21 +472,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     sink = std::make_unique<telemetry::TraceSink>(trace_file);
-    sink->set_clock([&sim] { return sim->now(); });
+    sink->set_clock([&sim] { return sim.now(); });
     telemetry::set_trace_sink(sink.get());
   }
 
   controller::SwitchNode::Config cfg;
   if (migration_report) cfg.migration.enabled = true;
-  if (ssim) {
-    // The switch lives on shard 0; its components record there. Modeled
-    // compute makes the timeline -- and therefore the snapshot --
-    // reproducible for any shard count.
-    cfg.metrics = &ssim->shard_metrics(0);
-    cfg.compute_model = alloc::ComputeModel::deterministic();
-  } else {
-    cfg.metrics = &registry;
-  }
+  cfg.metrics = &registry;
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
   auto client = std::make_shared<client::ClientNode>("client", 0x100, 0xaa);
@@ -534,15 +489,13 @@ int main(int argc, char** argv) {
   net.connect(*sw, 1, *client, 0);
   sw->bind(0xbb, 0);
   sw->bind(0x100, 1);
-  if (ssim) ssim->pin(*sw, 0);  // fleets round-robin over shards 1..N-1
 
   // Optional uniform loss: the reliability trackers ride through it and
   // the injected-fault counters join the snapshot.
   std::unique_ptr<faults::FaultInjector> injector;
   if (loss > 0.0) {
     injector = std::make_unique<faults::FaultInjector>(
-        faults::FaultPlan::uniform_loss(fault_seed, loss),
-        shards > 0 ? shards : 1);
+        faults::FaultPlan::uniform_loss(fault_seed, loss));
     net.set_transmit_hook(injector.get());
   }
 
@@ -573,9 +526,6 @@ int main(int argc, char** argv) {
   client->register_service(monitor);
   std::size_t heavy_hitters = 0;
 
-  // The recursive drivers schedule through net.simulator(), which
-  // resolves to the serial engine or -- on a worker thread -- to the
-  // client's shard, so both engines run the identical scenario.
   std::function<void(u32)> get_next = [&](u32 remaining) {
     if (remaining == 0) return;
     cache->get(key_of(zipf.next_rank(rng)));
@@ -605,16 +555,9 @@ int main(int argc, char** argv) {
   monitor->on_ready = [&] { observe_next(requests); };
 
   cache->request_allocation();
-  // The monitor's kick-off touches the client node, so in sharded mode
-  // it must run on the client's shard.
-  if (ssim) {
-    ssim->schedule_on(*client, kSecond, [&] { monitor->request_allocation(); });
-    ssim->run();
-  } else {
-    sim->schedule_at(kSecond, [&] { monitor->request_allocation(); });
-    sim->run();
-  }
-  const SimTime end_time = ssim ? ssim->now() : sim->now();
+  sim.schedule_at(kSecond, [&] { monitor->request_allocation(); });
+  sim.run();
+  const SimTime end_time = sim.now();
 
   std::fprintf(stderr,
                "scenario done at t=%.3fs: cache %llu hits / %llu misses, "
@@ -622,40 +565,8 @@ int main(int argc, char** argv) {
                end_time / 1e9, static_cast<unsigned long long>(hits),
                static_cast<unsigned long long>(misses), heavy_hitters,
                static_cast<unsigned long long>(sw->runtime().stats().packets));
-  if (ssim) {
-    std::fprintf(stderr, "sharded engine: %u shards, %llu epochs\n", shards,
-                 static_cast<unsigned long long>(ssim->epochs()));
-    for (u32 s = 0; s < ssim->shards(); ++s) {
-      const netsim::ShardStats& st = ssim->shard_stats(s);
-      std::fprintf(
-          stderr,
-          "  shard %u: %llu events, %llu frames in / %llu out, "
-          "barrier wait %.3f ms\n",
-          s, static_cast<unsigned long long>(st.events_dispatched),
-          static_cast<unsigned long long>(st.frames_in),
-          static_cast<unsigned long long>(st.frames_out),
-          static_cast<double>(st.barrier_wait_ns) / 1e6);
-    }
-    // Scheduler shape: adaptive epoch-window widths (virtual ns) and the
-    // count of unbounded windows (no cross-shard constraint applied).
-    telemetry::MetricsRegistry shape;
-    ssim->export_shard_stats(shape);
-    const telemetry::Histogram& widths =
-        shape.histogram("sharding", "epoch_width_ns");
-    std::fprintf(
-        stderr,
-        "  epoch widths: %llu bounded (p50 %llu ns, p99 %llu ns, "
-        "max %llu ns), %llu unbounded\n",
-        static_cast<unsigned long long>(widths.count()),
-        static_cast<unsigned long long>(widths.percentile(0.50)),
-        static_cast<unsigned long long>(widths.percentile(0.99)),
-        static_cast<unsigned long long>(widths.max()),
-        static_cast<unsigned long long>(
-            shape.counter_value("sharding", "unbounded_epochs")));
-  }
-
-  // Fault and reliability metrics live outside the engine registries:
-  // mirror them into whichever snapshot we emit.
+  // Fault and reliability metrics live outside the registry: mirror them
+  // into the snapshot.
   if (span_sink != nullptr) {
     telemetry::set_span_sink(nullptr);
     std::ofstream out(span_dump_path);
@@ -685,12 +596,6 @@ int main(int argc, char** argv) {
     print_migration_report(*sw);
   } else if (heatmap_report) {
     print_heatmap_report(sw->heatmap());
-  } else if (ssim) {
-    telemetry::MetricsRegistry merged;
-    ssim->merge_metrics_into(merged);
-    ssim->export_shard_stats(merged);
-    export_extras(merged);
-    merged.snapshot_json(std::cout);
   } else {
     export_extras(registry);
     telemetry::snapshot_json(std::cout);
