@@ -36,7 +36,6 @@
 #include "packet/active_packet.hpp"
 #include "proto/wire.hpp"
 #include "rmt/hash.hpp"
-#include "runtime/exec_batch.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
@@ -265,20 +264,19 @@ int run_steady_state() {
 // --- e2e netsim datapath harness -----------------------------------------
 // The full wire-in/wire-out loop over the discrete-event network: a client
 // node transmits pre-serialized program capsules to a SwitchNode, which
-// executes them and forwards the shrunk reply to a server sink. Runs twice
-// -- materialized (Config::zero_copy off, the pre-refactor path) and
-// zero-copy (ProgramView + pooled in-place reply) -- and writes
-// BENCH_datapath.json. Asserts (exit 1) that the zero-copy path performs
-// zero heap allocations per forwarded frame once the pool is warm.
+// parses them in place, executes them, and rewrites the shrunk reply into
+// the inbound pooled buffer on its way to a server sink; writes
+// BENCH_datapath.json. Asserts (exit 1) that the datapath performs zero
+// heap allocations per forwarded frame once the pool is warm.
 //
-// A third rig runs the zero-copy path with telemetry recording enabled
+// A second rig runs the same path with telemetry recording enabled
 // (per-FID counters + latency histogram on every frame, netsim counters
-// on every delivery) against the first two measured with recording
-// gated off. Asserts (exit 1) that the instrumented path still performs
-// zero steady-state allocations and stays within 5% of the zero-copy
-// packets/sec baseline -- the CI `telemetry-overhead` gate.
+// on every delivery) against itself with recording gated off. Asserts
+// (exit 1) that the instrumented path still performs zero steady-state
+// allocations and stays within 5% of the recording-off packets/sec --
+// the CI `telemetry-overhead` gate.
 //
-// A fourth rig measures the always-on tracing configuration: span
+// A third rig measures the always-on tracing configuration: span
 // emission live with the FlightRecorder ring armed (the production
 // forensic setup -- the full-capture SpanSink is an offline dump mode,
 // attached like a trace sink only when wanted), with metric/heatmap
@@ -310,17 +308,10 @@ struct E2eRig {
   std::shared_ptr<SinkNode> client;
   std::shared_ptr<SinkNode> server;
   std::vector<u8> wire;  // the repeated capsule, serialized once
-  bool pooled_ingress;
 
-  explicit E2eRig(bool zero_copy, bool telemetry = false)
-      : pooled_ingress(zero_copy) {
-    controller::SwitchNode::Config cfg;
-    cfg.zero_copy = zero_copy;
-    // These rigs measure the per-packet reference engine (frames are
-    // pumped one at a time anyway, so batching would only add a flush
-    // event per frame); the batched ingress is measured by BurstRig.
-    cfg.batching = false;
-    sw = std::make_shared<controller::SwitchNode>("switch", cfg);
+  explicit E2eRig(bool telemetry = false) {
+    sw = std::make_shared<controller::SwitchNode>(
+        "switch", controller::SwitchNode::Config{});
     if (telemetry) {
       // Mirror the full artmt_stats wiring: netsim counters join the
       // switch's (private) registry, so the instrumented measurement pays
@@ -350,19 +341,12 @@ struct E2eRig {
     wire = pkt.serialize();
   }
 
-  // One frame at a time through the whole path (ingress copy, switch
-  // execution, egress delivery), draining the simulator between frames
-  // like a line-rate switch between arrivals. The zero-copy rig ingests
-  // through the recycling pool; the materialized rig ingests the way the
-  // pre-refactor vector datapath did -- a fresh standalone buffer per
-  // frame.
+  // One frame at a time through the whole path (ingress copy into the
+  // recycling pool, switch execution, egress delivery), draining the
+  // simulator between frames like a line-rate switch between arrivals.
   void pump(u64 packets) {
     for (u64 i = 0; i < packets; ++i) {
-      if (pooled_ingress) {
-        net.transmit(*client, 0, net.pool().copy(wire));
-      } else {
-        net.transmit(*client, 0, wire);
-      }
+      net.transmit(*client, 0, net.pool().copy(wire));
       sim.run();
     }
   }
@@ -383,280 +367,6 @@ void measure_e2e(E2eRig& rig, u64 rounds, u64 per_round, E2eMeasurement* out) {
                  static_cast<double>(per_round) / seconds_since(start));
     out->allocs += g_alloc_count - allocs_before;
   }
-}
-
-// --- batched ingress burst harness ----------------------------------------
-// Measures the SwitchNode batch ingress: kBurst capsules transmitted
-// back-to-back arrive at the switch at the same virtual instant, so the
-// flush event drains the whole burst into one runtime::ExecBatch stage
-// sweep (one memoized protection lookup and one register working set per
-// stage for all lanes). A second rig runs the identical burst workload
-// with Config::batching off -- the per-packet reference engine -- so the
-// engine speedup is isolated from the workload. The capsule carries a
-// small payload (active capsules are probe-sized; the 1400-byte payload
-// of the per-frame rigs would make the harness's injection memcpy the
-// bottleneck of what is an execution measurement). Gate (exit 1, full
-// runs only): the batched path must clear 2x this run's zero-copy
-// per-packet baseline.
-
-constexpr u32 kBurst = 64;
-constexpr std::size_t kBurstPayloadBytes = 64;
-
-struct BurstRig {
-  netsim::Simulator sim;
-  netsim::Network net{sim};
-  std::shared_ptr<controller::SwitchNode> sw;
-  std::shared_ptr<SinkNode> client;
-  std::shared_ptr<SinkNode> server;
-  std::vector<u8> wire;
-
-  explicit BurstRig(bool batching) {
-    controller::SwitchNode::Config cfg;
-    cfg.batching = batching;
-    sw = std::make_shared<controller::SwitchNode>("switch", cfg);
-    client = std::make_shared<SinkNode>("client");
-    server = std::make_shared<SinkNode>("server");
-    net.attach(sw);
-    net.attach(client);
-    net.attach(server);
-    net.connect(*sw, 0, *client, 0);
-    net.connect(*sw, 1, *server, 0);
-    sw->bind(kBenchClientMac, 0);
-    sw->bind(kBenchServerMac, 1);
-    for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
-      sw->pipeline().stage(s).install(1, 0, 4096, 0);
-    }
-    auto pkt = packet::ActivePacket::make_program(
-        1, packet::ArgumentHeader{{10, 2, 3, 0}},
-        apps::cache_query_program());
-    pkt.ethernet.src = kBenchClientMac;
-    pkt.ethernet.dst = kBenchServerMac;
-    pkt.payload.assign(kBurstPayloadBytes, 0x5a);
-    wire = pkt.serialize();
-  }
-
-  // All frames of a burst are transmitted at the same virtual instant
-  // before the simulator drains, so they share one arrival timestamp.
-  void pump(u64 bursts) {
-    for (u64 i = 0; i < bursts; ++i) {
-      for (u32 b = 0; b < kBurst; ++b) {
-        net.transmit(*client, 0, net.pool().copy(wire));
-      }
-      sim.run();
-    }
-  }
-};
-
-// Engine-level lanes: kBurst pre-parsed execution contexts against one
-// pipeline, run per-packet (execute) or batched (ExecBatch). This
-// isolates the execution engines from parse/encode/netsim costs -- the
-// number the flat-dispatch/stage-sweep refactor actually moves.
-struct EngineLanes {
-  rmt::PipelineConfig cfg;
-  rmt::Pipeline pipeline{cfg};
-  runtime::ActiveRuntime runtime{pipeline};
-  active::CompiledProgram compiled;
-  std::vector<std::array<Word, active::kArgFields>> args;
-  std::vector<runtime::ExecContext> ctxs;
-  std::vector<active::ExecCursor> cursors;
-  runtime::PacketMeta meta;
-  runtime::ExecBatch batch{runtime};
-
-  // `resident_fids` populates every stage's protection table: 1 mirrors
-  // the committed zero-copy baseline conditions; a populated table makes
-  // the per-access lookup cost what a multi-tenant switch pays.
-  EngineLanes(const active::Program& program, u32 resident_fids)
-      : compiled(active::CompiledProgram::compile(program)) {
-    for (u32 s = 0; s < cfg.logical_stages; ++s) {
-      for (u32 f = 1; f <= resident_fids; ++f) {
-        pipeline.stage(s).install(f, 0, 4096, 0);
-      }
-    }
-    args.resize(kBurst);
-    ctxs.resize(kBurst);
-    cursors.resize(kBurst);
-    for (u32 i = 0; i < kBurst; ++i) {
-      args[i] = {10, 2, 3, 0};
-      ctxs[i].args = &args[i];
-      ctxs[i].fid = 1;
-    }
-  }
-
-  void run_per_packet(u64 reps) {
-    for (u64 r = 0; r < reps; ++r) {
-      for (u32 i = 0; i < kBurst; ++i) {
-        benchmark::DoNotOptimize(
-            runtime.execute(compiled, ctxs[i], cursors[i], meta, 0));
-      }
-    }
-  }
-
-  void run_batched(u64 reps) {
-    for (u64 r = 0; r < reps; ++r) {
-      batch.clear();
-      for (u32 i = 0; i < kBurst; ++i) {
-        batch.add(compiled, ctxs[i], cursors[i], meta, 0);
-      }
-      batch.execute();
-      for (u32 i = 0; i < kBurst; ++i) {
-        benchmark::DoNotOptimize(batch.result(i));
-      }
-    }
-  }
-};
-
-struct EnginePair {
-  double per_packet_pps = 0.0;
-  double batched_pps = 0.0;
-};
-
-EnginePair measure_engine(EngineLanes& rig, u64 rounds, u64 reps) {
-  EnginePair out;
-  rig.run_per_packet(reps / 4 + 1);  // warm
-  rig.run_batched(reps / 4 + 1);
-  const double frames = static_cast<double>(reps) * kBurst;
-  for (u64 r = 0; r < rounds; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    rig.run_per_packet(reps);
-    out.per_packet_pps =
-        std::max(out.per_packet_pps, frames / seconds_since(start));
-    start = std::chrono::steady_clock::now();
-    rig.run_batched(reps);
-    out.batched_pps = std::max(out.batched_pps, frames / seconds_since(start));
-  }
-  return out;
-}
-
-// A telemetry-counter program: one address load, then a counter bump in
-// every remaining ingress+egress stage. Nearly every instruction is a
-// protected memory access, so per-packet execution pays a protection
-// lookup per stage per packet while the sweep pays one per stage per
-// BATCH -- the access pattern the stage-sweep engine is built for.
-active::Program counter_sweep_program() {
-  return active::assemble(R"(
-      MAR_LOAD $0
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      MEM_INCREMENT
-      RETURN
-  )");
-}
-
-// Fills `json` with the "batched" member of BENCH_datapath.json (trailing
-// comma included). Returns 0 on success, 1 when the 2x gate fails.
-int run_batched_block(char* json, std::size_t cap, double zc_baseline_pps) {
-  const u64 rounds = quick_mode() ? 3 : 10;
-  const u64 bursts_per_round = quick_mode() ? 20 : 500;
-  const u64 frames_per_round = bursts_per_round * kBurst;
-  BurstRig per_packet(/*batching=*/false);
-  BurstRig batched(/*batching=*/true);
-  telemetry::set_enabled(false);
-  per_packet.pump(quick_mode() ? 5 : 50);
-  batched.pump(quick_mode() ? 5 : 50);
-
-  double pp_pps = 0.0;
-  double bat_pps = 0.0;
-  u64 bat_allocs = 0;
-  for (u64 r = 0; r < rounds; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    per_packet.pump(bursts_per_round);
-    pp_pps = std::max(pp_pps, static_cast<double>(frames_per_round) /
-                                  seconds_since(start));
-    const auto allocs_before = g_alloc_count;
-    start = std::chrono::steady_clock::now();
-    batched.pump(bursts_per_round);
-    bat_pps = std::max(bat_pps, static_cast<double>(frames_per_round) /
-                                    seconds_since(start));
-    bat_allocs += g_alloc_count - allocs_before;
-  }
-  // One instrumented burst (recording was gated off during measurement):
-  // proves the burst actually coalesced into a single ExecBatch.
-  telemetry::set_enabled(true);
-  batched.pump(1);
-  const u64 batches =
-      batched.sw->metrics().counter("switch", "exec_batches").value();
-  const u64 coalesced =
-      batched.sw->metrics().counter("switch", "zero_copy_frames").value();
-  if (batches == 0 || coalesced / std::max<u64>(batches, 1) < kBurst / 2) {
-    std::fprintf(stderr,
-                 "FAIL: burst of %u frames did not coalesce (batches=%llu)\n",
-                 kBurst, static_cast<unsigned long long>(batches));
-    return 1;
-  }
-
-  // Engine-level comparison, two workloads: the cache query under the
-  // committed baseline's table conditions (the gate anchor), and the
-  // counter sweep against a populated protection table (where the
-  // memoized per-stage lookup is the dominant saving).
-  const u64 engine_rounds = quick_mode() ? 3 : 10;
-  const u64 engine_reps = quick_mode() ? 200 : 2'000;
-  EngineLanes query_rig(apps::cache_query_program(), /*resident_fids=*/1);
-  EngineLanes sweep_rig(counter_sweep_program(), /*resident_fids=*/64);
-  telemetry::set_enabled(false);
-  const EnginePair query = measure_engine(query_rig, engine_rounds,
-                                          engine_reps);
-  const EnginePair sweep = measure_engine(sweep_rig, engine_rounds,
-                                          engine_reps);
-  telemetry::set_enabled(true);
-
-  const double vs_zero_copy = query.batched_pps / zc_baseline_pps;
-  const bool gate_met = query.batched_pps >= 2.0 * zc_baseline_pps;
-  std::snprintf(
-      json, cap,
-      "  \"batched\": {\n"
-      "    \"packets_per_sec\": %.0f,\n"
-      "    \"speedup_vs_zero_copy\": %.2f, \"gate_2x_zero_copy\": %s,\n"
-      "    \"engine_cache_query\": {\"resident_fids\": 1,\n"
-      "      \"per_packet_packets_per_sec\": %.0f, "
-      "\"batched_packets_per_sec\": %.0f, \"speedup\": %.2f},\n"
-      "    \"engine_counter_sweep\": {\"resident_fids\": 64,\n"
-      "      \"per_packet_packets_per_sec\": %.0f, "
-      "\"batched_packets_per_sec\": %.0f, \"speedup\": %.2f},\n"
-      "    \"e2e_burst\": {\"program\": \"cache_query\", \"burst\": %u, "
-      "\"payload_bytes\": %zu,\n"
-      "      \"per_packet_packets_per_sec\": %.0f, "
-      "\"batched_packets_per_sec\": %.0f,\n"
-      "      \"allocs_per_frame_steady\": %.6f, \"exec_batches\": %llu}\n"
-      "  },\n",
-      query.batched_pps, vs_zero_copy, gate_met ? "true" : "false",
-      query.per_packet_pps, query.batched_pps,
-      query.batched_pps / query.per_packet_pps, sweep.per_packet_pps,
-      sweep.batched_pps, sweep.batched_pps / sweep.per_packet_pps, kBurst,
-      kBurstPayloadBytes, pp_pps, bat_pps,
-      static_cast<double>(bat_allocs) /
-          static_cast<double>(rounds * frames_per_round),
-      static_cast<unsigned long long>(batches));
-
-  if (bat_allocs != 0) {
-    std::fprintf(stderr,
-                 "FAIL: batched ingress allocated %llu times over %llu "
-                 "frames (expected 0 in steady state)\n",
-                 static_cast<unsigned long long>(bat_allocs),
-                 static_cast<unsigned long long>(rounds * frames_per_round));
-    return 1;
-  }
-  if (!quick_mode() && !gate_met) {
-    std::fprintf(stderr,
-                 "FAIL: batched engine ran at %.0f pps, %.2fx the zero-copy "
-                 "datapath baseline of %.0f pps (gate: >= 2x)\n",
-                 query.batched_pps, vs_zero_copy, zc_baseline_pps);
-    return 1;
-  }
-  return 0;
 }
 
 // --- chaos: injector hook overhead + lossy reliability soak ---------------
@@ -748,8 +458,8 @@ ChaosSoak run_chaos_soak() {
 // Fills `json` with the "chaos" member of BENCH_datapath.json (trailing
 // comma included). Returns 0 on success, 1 when a gate fails.
 int run_chaos_block(char* json, std::size_t cap) {
-  E2eRig base_rig(/*zero_copy=*/true);
-  E2eRig hook_rig(/*zero_copy=*/true);
+  E2eRig base_rig;
+  E2eRig hook_rig;
   faults::FaultInjector idle{faults::FaultPlan{}};
   hook_rig.net.set_transmit_hook(&idle);
   telemetry::set_enabled(false);
@@ -814,10 +524,9 @@ int run_e2e_datapath() {
   const u64 kRounds = quick_mode() ? 3 : 12;
   const u64 kPerRound = quick_mode() ? 1'000 : 5'000;
   const u64 kPackets = kRounds * kPerRound;
-  E2eRig legacy_rig(/*zero_copy=*/false);
-  E2eRig zc_rig(/*zero_copy=*/true);
-  E2eRig tel_rig(/*zero_copy=*/true, /*telemetry=*/true);
-  E2eRig spans_rig(/*zero_copy=*/true);
+  E2eRig zc_rig;
+  E2eRig tel_rig(/*telemetry=*/true);
+  E2eRig spans_rig;
   // The production always-on tracing configuration: every span event is
   // emitted into the armed flight-recorder ring (preallocated, no dump
   // dir -- recording only). The full-capture SpanSink is the offline
@@ -832,7 +541,6 @@ int run_e2e_datapath() {
   // queue capacity, and (for the instrumented rigs) the per-FID counter
   // memos, so the measured rounds see the steady state.
   telemetry::set_enabled(true);
-  legacy_rig.pump(1000);
   zc_rig.pump(1000);
   tel_rig.pump(1000);
   arm_spans();
@@ -840,7 +548,6 @@ int run_e2e_datapath() {
   disarm_spans();
   const u64 warmup_span_events = flight.recorded();
 
-  E2eMeasurement legacy;
   E2eMeasurement zc;
   E2eMeasurement tel_base;
   E2eMeasurement tel;
@@ -906,7 +613,6 @@ int run_e2e_datapath() {
   spans_overheads.reserve(kRounds * kAbBlocks);
   for (u64 r = 0; r < kRounds; ++r) {
     telemetry::set_enabled(false);
-    measure_e2e(legacy_rig, 1, kPerRound, &legacy);
     measure_e2e(zc_rig, 1, kPerRound, &zc);
     paired_round(tel_rig, [] { telemetry::set_enabled(false); },
                  [] { telemetry::set_enabled(true); }, &tel_base, &tel,
@@ -950,11 +656,8 @@ int run_e2e_datapath() {
     return n % 2 != 0 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
   };
 
-  const double legacy_allocs_per_frame =
-      static_cast<double>(legacy.allocs) / static_cast<double>(kPackets);
   const double zc_allocs_per_frame =
       static_cast<double>(zc.allocs) / static_cast<double>(kPackets);
-  const double speedup = zc.packets_per_sec / legacy.packets_per_sec;
   const double tel_allocs_per_frame =
       static_cast<double>(tel.allocs) / static_cast<double>(kPackets);
   const double tel_overhead = median_overhead(tel_overheads);
@@ -974,10 +677,6 @@ int run_e2e_datapath() {
       lookups ? static_cast<double>(cs.hits) / static_cast<double>(lookups)
               : 0.0;
 
-  char batched_json[1024];
-  const int batched_rc =
-      run_batched_block(batched_json, sizeof(batched_json),
-                        zc.packets_per_sec);
   char chaos_json[1024];
   const int chaos_rc = run_chaos_block(chaos_json, sizeof(chaos_json));
 
@@ -991,11 +690,8 @@ int run_e2e_datapath() {
       "  \"workload\": {\"program\": \"cache_query\", \"payload_bytes\": "
       "%zu,\n"
       "               \"frame_bytes\": %zu, \"packets_per_path\": %llu},\n"
-      "  \"materialized\": {\"packets_per_sec\": %.0f, "
-      "\"allocs_per_frame\": %.2f},\n"
       "  \"zero_copy\": {\"packets_per_sec\": %.0f, "
       "\"allocs_per_frame_steady\": %.6f},\n"
-      "  \"speedup\": %.2f,\n"
       "  \"telemetry\": {\"packets_per_sec\": %.0f, "
       "\"baseline_packets_per_sec\": %.0f,\n"
       "               \"allocs_per_frame_steady\": %.6f,\n"
@@ -1017,13 +713,11 @@ int run_e2e_datapath() {
       "%llu},\n"
       "  \"simulator\": {\"actions_spilled\": %llu},\n"
       "%s"
-      "%s"
       "}\n",
       std::thread::hardware_concurrency(),
       quick_mode() ? "true" : "false", kBenchPayloadBytes, zc_rig.wire.size(),
-      static_cast<unsigned long long>(kPackets), legacy.packets_per_sec,
-      legacy_allocs_per_frame, zc.packets_per_sec, zc_allocs_per_frame,
-      speedup, tel.packets_per_sec, tel_base.packets_per_sec,
+      static_cast<unsigned long long>(kPackets), zc.packets_per_sec,
+      zc_allocs_per_frame, tel.packets_per_sec, tel_base.packets_per_sec,
       tel_allocs_per_frame, tel_overhead_pct,
       tel_within_5pct ? "true" : "false", spans.packets_per_sec,
       spans_base.packets_per_sec, spans_allocs_per_frame, spans_overhead_pct,
@@ -1044,7 +738,7 @@ int run_e2e_datapath() {
       static_cast<unsigned long long>(zc_rig.net.frames_delivered()),
       static_cast<unsigned long long>(zc_rig.net.frames_dropped()),
       static_cast<unsigned long long>(zc_rig.sim.actions_spilled()),
-      batched_json, chaos_json);
+      chaos_json);
   std::fputs(json, stdout);
   std::fflush(stdout);
   if (!quick_mode()) {
@@ -1095,7 +789,7 @@ int run_e2e_datapath() {
                  spans_overhead_pct);
     return 1;
   }
-  return batched_rc != 0 ? batched_rc : chaos_rc;
+  return chaos_rc;
 }
 
 // --- google-benchmark cases ----------------------------------------------

@@ -376,7 +376,7 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
 
   controller::SwitchNode::Config cfg;
   cfg.costs.extraction_timeout = 300 * kMillisecond;
-  cfg.batched_table_updates = true;  // deployment config (EXPERIMENTS.md)
+  cfg.costs.batched_updates = true;  // deployment config (EXPERIMENTS.md)
   cfg.metrics = &registry;
   cfg.migration.enabled = true;
   cfg.migration.interval = 100 * kMillisecond;

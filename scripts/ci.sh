@@ -37,8 +37,8 @@ run_perf_smoke() {
   cmake --preset default
   cmake --build --preset default
   # ARTMT_BENCH_QUICK=1 shrinks every packet count so the whole datapath
-  # bench (batched engine, burst coalescing, chaos rig) finishes in
-  # seconds. The zero-alloc assertions stay at full strength;
+  # bench (steady state, e2e datapath, telemetry and span rigs, chaos rig)
+  # finishes in seconds. The zero-alloc assertions stay at full strength;
   # perf-ratio gates are skipped and BENCH_datapath.json is left alone, so
   # this catches functional rot in the bench harness on any runner without
   # flaking on machine speed.

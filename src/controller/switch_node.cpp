@@ -24,16 +24,13 @@ struct SwitchMetrics {
         returned(&r.counter("switch", "returned")),
         dropped(&r.counter("switch", "dropped")),
         zero_copy_frames(&r.counter("switch", "zero_copy_frames")),
-        legacy_frames(&r.counter("switch", "legacy_frames")),
         register_wipes(&r.counter("switch", "register_wipes")),
-        exec_batches(&r.counter("switch", "exec_batches")),
         migration_ticks(&r.counter("switch", "migration_ticks")),
         migration_deferred(&r.counter("switch", "migration_deferred")),
         transit_frames(&r.counter("switch", "transit_frames")),
         health_acks(&r.counter("switch", "health_acks")),
         admission_deferred(&r.counter("alloc", "admission_deferred")),
-        exec_latency_ns(&r.histogram("switch", "exec_latency_ns")),
-        batch_size(&r.histogram("switch", "batch_size")) {}
+        exec_latency_ns(&r.histogram("switch", "exec_latency_ns")) {}
 
   telemetry::CounterFamily packets;
   telemetry::Counter* malformed;
@@ -43,43 +40,25 @@ struct SwitchMetrics {
   telemetry::Counter* returned;
   telemetry::Counter* dropped;
   telemetry::Counter* zero_copy_frames;
-  telemetry::Counter* legacy_frames;
   telemetry::Counter* register_wipes;
-  telemetry::Counter* exec_batches;
   telemetry::Counter* migration_ticks;
   telemetry::Counter* migration_deferred;
   telemetry::Counter* transit_frames;   // fabric: forwarded through, unexecuted
   telemetry::Counter* health_acks;      // fabric: probes answered
   telemetry::Counter* admission_deferred;  // parked for a pending re-slide
   telemetry::Histogram* exec_latency_ns;
-  telemetry::Histogram* batch_size;
 };
-
-namespace {
-
-// Folds the Config convenience flag into the cost model handed to the
-// controller (either switch turns batching on).
-CostModel effective_costs(const SwitchNode::Config& config) {
-  CostModel costs = config.costs;
-  costs.batched_updates |= config.batched_table_updates;
-  return costs;
-}
-
-}  // namespace
 
 SwitchNode::SwitchNode(std::string name, const Config& config)
     : netsim::Node(std::move(name)),
       pipeline_(config.pipeline),
       runtime_(pipeline_),
       controller_(pipeline_, runtime_, config.scheme, config.policy,
-                  effective_costs(config)),
+                  config.costs),
       program_cache_(config.program_cache_entries),
       mac_(config.mac),
       l2_learning_(config.l2_learning),
       default_recirc_budget_(config.default_recirc_budget),
-      zero_copy_(config.zero_copy),
-      batching_(config.batching),
-      batch_(runtime_),
       heatmap_(pipeline_.stage_count()),
       migration_enabled_(config.migration.enabled),
       migration_interval_(config.migration.interval),
@@ -118,15 +97,13 @@ SwitchNode::NodeStats SwitchNode::node_stats() const {
   s.returned = metrics_->returned->value();
   s.dropped = metrics_->dropped->value();
   s.zero_copy_frames = metrics_->zero_copy_frames->value();
-  s.legacy_frames = metrics_->legacy_frames->value();
   return s;
 }
 
 namespace {
 
 // The flow metadata the parser would extract (5-tuple surrogate: MAC pair
-// plus the head of the passive payload). Shared by both program paths so
-// hash-based programs see identical inputs either way.
+// plus the head of the passive payload).
 runtime::PacketMeta derive_meta(const packet::EthernetHeader& eth,
                                 std::span<const u8> payload) {
   runtime::PacketMeta meta;
@@ -173,9 +150,6 @@ void SwitchNode::bind_pinned(packet::MacAddr mac, u32 port) {
 }
 
 u64 SwitchNode::wipe_registers() {
-  // Staged packets were delivered before the wipe; they must see the
-  // pre-wipe registers, exactly as the per-packet engine ordered it.
-  flush_batch();
   u64 wiped = 0;
   for (u32 s = 0; s < pipeline_.stage_count(); ++s) {
     rmt::RegisterArray& memory = pipeline_.stage(s).memory();
@@ -226,7 +200,6 @@ void SwitchNode::send_frame_to_mac(packet::MacAddr dst, netsim::Frame frame,
   network().simulator().schedule_after(
       delay, [this, port, span = telemetry::current_span(),
               f = std::move(frame)]() mutable {
-        flush_batch();  // keep transmit order identical to per-packet mode
         // The reply leaves under the inbound capsule's span, so the
         // client-bound send is causally chained to the request.
         telemetry::SpanScope scope(span);
@@ -243,7 +216,6 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
       l2_table_[eth.src] = port;
     }
   }
-  (void)port;
   if (migration_enabled_ && !migration_armed_) {
     // Armed lazily from the first frame, not the constructor: by now the
     // node is attached to its network's simulator. Also how the engine
@@ -254,25 +226,25 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
                                          [this] { migration_tick(); });
   }
   if (migration_enabled_) ++mig_frames_since_tick_;
-  if (mac_ != 0 && packet::ProgramView::is_program_frame(frame)) {
-    // Fabric transit: a program capsule whose FID is not resident here is
-    // someone else's traffic -- forward it by destination untouched. The
-    // peek is two fixed-offset header reads; the frame is never decoded
-    // or interned, so transit at a spine costs no program-cache churn.
-    ByteReader in(frame);
-    const auto eth = packet::EthernetHeader::parse(in);
-    const Fid fid = in.get_u16();
-    if (!controller_.resident(fid)) {
-      flush_batch();  // a transit ends the burst: send order stays causal
-      metrics_->transit_frames->inc();
-      send_frame_to_mac(eth.dst, std::move(frame), 0);
-      return;
+  if (packet::ProgramView::is_program_frame(frame)) {
+    if (mac_ != 0) {
+      // Fabric transit: a program capsule whose FID is not resident here
+      // is someone else's traffic -- forward it by destination untouched.
+      // The peek is two fixed-offset header reads; the frame is never
+      // decoded or interned, so transit at a spine costs no program-cache
+      // churn.
+      ByteReader in(frame);
+      const auto eth = packet::EthernetHeader::parse(in);
+      const Fid fid = in.get_u16();
+      if (!controller_.resident(fid)) {
+        metrics_->transit_frames->inc();
+        send_frame_to_mac(eth.dst, std::move(frame), 0);
+        return;
+      }
     }
-  }
-  if (zero_copy_ && packet::ProgramView::is_program_frame(frame)) {
-    // Fast path: parse the capsule in place -- no ActivePacket, no byte
-    // copies. An unparseable program-typed frame falls through to the
-    // same passive/malformed handling as the legacy path.
+    // Parse the capsule in place -- no ActivePacket, no byte copies. An
+    // unparseable program-typed frame falls through to the passive
+    // handling below (the owning parser rejects exactly the same frames).
     std::optional<packet::ProgramView> view;
     try {
       view = packet::ProgramView::parse(frame, program_cache_);
@@ -280,24 +252,14 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
       view.reset();
     }
     if (view) {
-      // No kParse span on this path: the in-place parse is part of the
-      // execution step, and the capsule's kSend (arrival) + kExec events
-      // already bound it. The materialized handle_program path -- where
-      // parsing is a real decode -- emits the explicit kParse marker.
-      if (batching_) {
-        stage_program_view(*std::move(view), std::move(frame));
-      } else {
-        handle_program_view(*std::move(view), std::move(frame));
-      }
+      handle_program(*std::move(view), std::move(frame));
       return;
     }
   }
-  // Anything that is not a batchable program capsule ends the burst:
-  // staged packets execute first, preserving arrival order.
-  flush_batch();
+  // Control capsules are materialized; anything unparseable is passive.
   ActivePacket pkt;
   try {
-    pkt = proto::parse_capsule(frame, program_cache_);
+    pkt = ActivePacket::parse(frame, program_cache_);
   } catch (const ParseError&) {
     // Passive traffic: plain L2 forwarding by destination MAC.
     if (frame.size() >= packet::EthernetHeader::kWireSize) {
@@ -335,9 +297,6 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
   }
 
   switch (pkt.initial.type) {
-    case ActiveType::kProgram:
-      handle_program(std::move(pkt));
-      return;
     case ActiveType::kAllocRequest:
     case ActiveType::kDealloc:
       enqueue_control(std::move(pkt));
@@ -354,91 +313,19 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
   }
 }
 
-void SwitchNode::handle_program(ActivePacket pkt) {
-  const runtime::PacketMeta meta = derive_meta(pkt.ethernet, pkt.payload);
-
-  // Steady-state execution: the interned, immutable program plus a
-  // stack-local cursor. The decoded-Program fallback only runs for
-  // packets injected without going through the caching parser.
-  active::ExecCursor cursor;
-  const SimTime now = network().simulator().now();
-  if (telemetry::spans_active()) {
-    emit_span(telemetry::SpanPhase::kParse, now, telemetry::current_span(),
-              /*parent=*/0, pkt.initial.fid, attach_index());
-  }
-  const runtime::ExecutionResult result =
-      pkt.compiled && !pkt.program
-          ? runtime_.execute(*pkt.compiled, pkt, cursor, meta, now)
-          : runtime_.execute(pkt, meta, now);
-  if (telemetry::spans_active()) {
-    const u64 span = telemetry::current_span();
-    emit_span(telemetry::SpanPhase::kExec, now, span, /*parent=*/0,
-              pkt.initial.fid, attach_index(), result.passes,
-              static_cast<u64>(result.latency));
-    for (u32 pass = 1; pass < result.passes; ++pass) {
-      emit_span(telemetry::SpanPhase::kRecirc, now,
-                telemetry::recirc_span_id(span, pass), span, pkt.initial.fid,
-                attach_index(), pass);
-    }
-  }
-  metrics_->packets.at(pkt.initial.fid).inc();
-  metrics_->legacy_frames->inc();
-  metrics_->exec_latency_ns->record(static_cast<u64>(result.latency));
-  switch (result.verdict) {
-    case runtime::Verdict::kDrop:
-      metrics_->dropped->inc();
-      return;
-    case runtime::Verdict::kReturnToSender:
-      metrics_->returned->inc();
-      break;
-    case runtime::Verdict::kForward:
-      metrics_->forwarded->inc();
-      break;
-  }
-  // One outbound frame synthesis: the shrink reply comes from the cursor,
-  // never from mutated code.
-  auto frame = proto::encode_executed(pkt, cursor);
-  if (result.forked) {
-    // The clone continues to the original destination as well.
-    send_frame_to_mac(pkt.ethernet.dst, frame, result.latency);
-  }
-  if (result.phv.dst_overridden &&
-      result.verdict == runtime::Verdict::kForward) {
-    // SET_DST: the program chose an egress port directly (the Cheetah
-    // select program stores server ports in the VIP pool).
-    const u32 port = result.phv.dst_value;
-    network().simulator().schedule_after(
-        result.latency, [this, port, span = telemetry::current_span(),
-                         f = std::move(frame)]() mutable {
-          flush_batch();
-          telemetry::SpanScope scope(span);
-          network().transmit(*this, port, std::move(f));
-        });
-    return;
-  }
-  send_frame_to_mac(pkt.ethernet.dst, std::move(frame), result.latency);
-}
-
-void SwitchNode::handle_program_view(packet::ProgramView view,
-                                     netsim::Frame frame) {
+void SwitchNode::handle_program(packet::ProgramView view,
+                                netsim::Frame frame) {
   const runtime::PacketMeta meta =
       derive_meta(view.ethernet, view.payload(frame));
-
   active::ExecCursor cursor;
   const SimTime now = network().simulator().now();
   const runtime::ExecutionResult result =
       runtime_.execute(view, cursor, meta, now);
-  emit_program_result(view, std::move(frame), cursor, result);
-}
-
-void SwitchNode::emit_program_result(packet::ProgramView& view,
-                                     netsim::Frame frame,
-                                     active::ExecCursor& cursor,
-                                     const runtime::ExecutionResult& result) {
   if (telemetry::spans_active()) {
     // Before the verdict switch, so dropped capsules keep their execution
-    // record (the phase breakdown needs exec cost even for drops).
-    const SimTime now = network().simulator().now();
+    // record (the phase breakdown needs exec cost even for drops). The
+    // in-place parse has no span of its own: the capsule's kSend arrival
+    // and this kExec bound it.
     const u64 span = telemetry::current_span();
     emit_span(telemetry::SpanPhase::kExec, now, span, /*parent=*/0,
               view.initial.fid, attach_index(), result.passes,
@@ -474,68 +361,18 @@ void SwitchNode::emit_program_result(packet::ProgramView& view,
   }
   if (result.phv.dst_overridden &&
       result.verdict == runtime::Verdict::kForward) {
-    // SET_DST: the program chose an egress port directly.
+    // SET_DST: the program chose an egress port directly (the Cheetah
+    // select program stores server ports in the VIP pool).
     const u32 port = result.phv.dst_value;
     network().simulator().schedule_after(
         result.latency, [this, port, span = telemetry::current_span(),
                          f = std::move(out)]() mutable {
-          flush_batch();
           telemetry::SpanScope scope(span);
           network().transmit(*this, port, std::move(f));
         });
     return;
   }
   send_frame_to_mac(view.ethernet.dst, std::move(out), result.latency);
-}
-
-void SwitchNode::stage_program_view(packet::ProgramView view,
-                                    netsim::Frame frame) {
-  pending_.push_back(PendingExec{std::move(view), std::move(frame),
-                                 telemetry::current_span()});
-  if (flush_scheduled_) return;
-  flush_scheduled_ = true;
-  // A plain event at `now` sorts after every delivery arriving at `now`
-  // (deliveries carry their earlier send time as the tie key), so by the
-  // time this fires the whole same-instant burst has been staged. Any
-  // earlier-keyed closure at this instant flushes eagerly instead.
-  network().simulator().schedule_after(0, [this] {
-    flush_scheduled_ = false;
-    flush_batch();
-  });
-}
-
-void SwitchNode::flush_batch() {
-  if (pending_.empty()) return;
-  const SimTime now = network().simulator().now();
-  const std::size_t n = pending_.size();
-  // Lane state captures pointers into these; size them only once the
-  // burst is complete so nothing reallocates under a live lane.
-  batch_ctx_.resize(n);
-  batch_cursors_.resize(n);
-  batch_meta_.resize(n);
-  batch_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    PendingExec& p = pending_[i];
-    batch_meta_[i] = derive_meta(p.view.ethernet, p.view.payload(p.frame));
-    runtime::ExecContext& ctx = batch_ctx_[i];
-    ctx.args = &p.view.arguments.args;
-    ctx.fid = p.view.initial.fid;
-    ctx.flags = p.view.initial.flags;
-    ctx.eth_src = &p.view.ethernet.src;
-    ctx.eth_dst = &p.view.ethernet.dst;
-    batch_.add(*p.view.compiled, ctx, batch_cursors_[i], batch_meta_[i], now);
-  }
-  batch_.execute();
-  metrics_->exec_batches->inc();
-  metrics_->batch_size->record(static_cast<u64>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    // Each reply runs under its capsule's delivery span (the flush event
-    // itself has no span context), matching the per-packet engine.
-    telemetry::SpanScope scope(pending_[i].span);
-    emit_program_result(pending_[i].view, std::move(pending_[i].frame),
-                        batch_cursors_[i], batch_.result(i));
-  }
-  pending_.clear();
 }
 
 void SwitchNode::enqueue_control(ActivePacket pkt) {
@@ -557,7 +394,6 @@ void SwitchNode::process_next_control() {
   // Digest delivery to the switch CPU.
   network().simulator().schedule_after(
       controller_.costs().digest_latency, [this, op = std::move(op)]() {
-        flush_batch();  // staged packets predate this control op
         if (op.pkt.initial.type == ActiveType::kAllocRequest) {
           run_admission(op);
         } else {
@@ -601,13 +437,11 @@ void SwitchNode::run_admission(const ControlOp& op) {
       ControlOp retry = op;
       retry.deferred = true;
       network().simulator().schedule_after(compute_delay, [this] {
-        flush_batch();
         finish_control();  // free the control plane so the re-slide can run
       });
       network().simulator().schedule_after(
           compute_delay + migration_interval_,
           [this, retry = std::move(retry)]() mutable {
-            flush_batch();
             control_queue_.push_front(std::move(retry));
             if (!control_busy_) process_next_control();
           });
@@ -616,7 +450,6 @@ void SwitchNode::run_admission(const ControlOp& op) {
     send_to_mac(op.requester, proto::encode_denial(op.pkt.initial.seq),
                 compute_delay);
     network().simulator().schedule_after(compute_delay, [this] {
-      flush_batch();
       finish_control();
     });
     return;
@@ -642,7 +475,6 @@ void SwitchNode::run_admission(const ControlOp& op) {
     txn_->applying = true;
     network().simulator().schedule_after(
         compute_delay + txn_->apply_cost, [this] {
-          flush_batch();
           send_to_mac(txn_->requester,
                       proto::encode_response(
                           txn_->new_fid,
@@ -657,7 +489,6 @@ void SwitchNode::run_admission(const ControlOp& op) {
   // Handshake: notify the disturbed apps, arm the extraction timeout.
   const u64 txn_id = txn.id;
   network().simulator().schedule_after(compute_delay, [this, txn_id] {
-    flush_batch();
     if (!txn_ || txn_->id != txn_id) return;
     for (const Fid fid : txn_->disturbed) {
       const auto it = client_of_.find(fid);
@@ -669,7 +500,6 @@ void SwitchNode::run_admission(const ControlOp& op) {
   network().simulator().schedule_after(
       compute_delay + controller_.costs().extraction_timeout,
       [this, txn_id] {
-        flush_batch();
         if (!txn_ || txn_->id != txn_id || txn_->applying) return;
         controller_.timeout_pending();
         ready_to_apply();
@@ -677,7 +507,6 @@ void SwitchNode::run_admission(const ControlOp& op) {
 }
 
 void SwitchNode::migration_tick() {
-  flush_batch();  // the tick observes everything delivered before it
   ++mig_ticks_;
   metrics_->migration_ticks->inc();
   // Absorb the heatmap delta and decay every tick, busy or not: hotness
@@ -770,7 +599,6 @@ bool SwitchNode::start_migration(const RemapRequest& request) {
       static_cast<SimTime>(result.compute_ms * kMillisecond);
   const u64 txn_id = txn.id;
   network().simulator().schedule_after(compute_delay, [this, txn_id] {
-    flush_batch();
     if (!txn_ || txn_->id != txn_id) return;
     for (const Fid fid : txn_->disturbed) {
       const auto it = client_of_.find(fid);
@@ -782,7 +610,6 @@ bool SwitchNode::start_migration(const RemapRequest& request) {
   network().simulator().schedule_after(
       compute_delay + controller_.costs().extraction_timeout,
       [this, txn_id] {
-        flush_batch();
         if (!txn_ || txn_->id != txn_id || txn_->applying) return;
         controller_.timeout_pending();
         ready_to_apply();
@@ -806,7 +633,6 @@ void SwitchNode::ready_to_apply() {
   if (!txn_ || txn_->applying) return;
   txn_->applying = true;
   network().simulator().schedule_after(txn_->apply_cost, [this] {
-    flush_batch();  // packets staged before the apply see the old layout
     controller_.apply_pending();
     // New allocations for the requester and every moved app. A migration
     // has no requester (and FID 0 has no mutant); only the disturbed
@@ -851,7 +677,6 @@ void SwitchNode::run_release(const ControlOp& op) {
   // headers, payload, and program vectors into the closure for nothing.
   network().simulator().schedule_after(
       delay, [this, requester = op.requester, fid, result] {
-    flush_batch();
     send_to_mac(requester,
                 ActivePacket::make_control(fid, ActiveType::kDeallocAck));
     // Departure-triggered moves: tell the affected apps their new layout.

@@ -18,7 +18,6 @@
 #include "netsim/network.hpp"
 #include "proto/wire.hpp"
 #include "rmt/pipeline.hpp"
-#include "runtime/exec_batch.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/heatmap.hpp"
 
@@ -37,12 +36,6 @@ class SwitchNode : public netsim::Node {
     alloc::Scheme scheme = alloc::Scheme::kWorstFit;
     alloc::MutantPolicy policy = alloc::MutantPolicy::most_constrained();
     CostModel costs;
-    // Convenience switch for CostModel::batched_updates: coalesce each
-    // application's table-entry operations into one ranged driver batch
-    // (sub-linear provisioning under churn). Off by default so the
-    // Fig. 8a per-entry composition is reproduced exactly; setting either
-    // this or costs.batched_updates enables batching.
-    bool batched_table_updates = false;
     // Modeled allocator compute by default, so a run's virtual timeline
     // never depends on host load. Reproductions that compose measured
     // compute time into virtual time (Fig. 8a) opt into
@@ -55,20 +48,6 @@ class SwitchNode : public netsim::Node {
     runtime::RecircBudget default_recirc_budget;
     // Bound on distinct interned programs (LRU beyond this).
     std::size_t program_cache_entries = active::ProgramCache::kDefaultCapacity;
-    // Run program capsules through the zero-copy ProgramView fast path
-    // (parse in place, execute, rewrite the reply into the inbound
-    // buffer). Control packets always take the owning ActivePacket path.
-    // Disable to force full materialization (parity tests, bench
-    // baseline).
-    bool zero_copy = true;
-    // Batch ingress: program capsules deliverable at the same virtual
-    // instant are staged and executed as one runtime::ExecBatch stage
-    // sweep, replies still encoded in place by the zero-copy writer.
-    // Byte-identical to per-packet execution (the batch engine drives the
-    // same lane protocol, and a flush runs before any other node activity
-    // at that instant). Only applies to the zero-copy path. Disable to
-    // force per-packet execution (reference engine, parity tests).
-    bool batching = true;
     // Registry receiving this node's metrics (runtime, controller,
     // allocator, program cache, and the node's own counters). nullptr =
     // the node owns a private registry, so per-node counts stay exact no
@@ -129,8 +108,7 @@ class SwitchNode : public netsim::Node {
     u64 forwarded = 0;
     u64 returned = 0;  // RTS'd capsules
     u64 dropped = 0;
-    u64 zero_copy_frames = 0;  // program capsules served by the fast path
-    u64 legacy_frames = 0;     // program capsules fully materialized
+    u64 zero_copy_frames = 0;  // program capsules replied in place
   };
 
   SwitchNode(std::string name, const Config& config);
@@ -194,28 +172,11 @@ class SwitchNode : public netsim::Node {
     bool deferred = false;
   };
 
-  void handle_program(packet::ActivePacket pkt);
-  // Zero-copy fast path: `view` was parsed in place from `frame`, which
-  // stays alive (and unmodified) for the whole call; the reply reuses its
-  // bytes when the buffer is uniquely owned.
-  void handle_program_view(packet::ProgramView view, netsim::Frame frame);
-  // Batch ingress: stages a parsed program frame for the flush event
-  // scheduled at the current instant (the event comparator runs plain
-  // events after every same-instant delivery, so the flush sees the whole
-  // burst).
-  void stage_program_view(packet::ProgramView view, netsim::Frame frame);
-  // Executes everything staged, in arrival order, as one ExecBatch; emits
-  // replies in that same order. Called by the flush event AND eagerly at
-  // the top of every other node entry point (non-program frames, control
-  // closures, delayed transmits, wipes) so staged packets always take
-  // effect exactly where the per-packet engine would have executed them.
-  void flush_batch();
-  // Shared reply tail of the zero-copy path (metrics, verdict counters,
-  // in-place encode, FORK/SET_DST egress); used by both the per-packet
-  // and the batched engine.
-  void emit_program_result(packet::ProgramView& view, netsim::Frame frame,
-                           active::ExecCursor& cursor,
-                           const runtime::ExecutionResult& result);
+  // The program-capsule datapath: `view` was parsed in place from
+  // `frame`; execute it, count the verdict, and rewrite the reply into the
+  // inbound buffer (reusing its bytes when uniquely owned) on its way to
+  // the next hop.
+  void handle_program(packet::ProgramView view, netsim::Frame frame);
   void enqueue_control(packet::ActivePacket pkt);
   void process_next_control();
   void run_admission(const ControlOp& op);
@@ -273,25 +234,7 @@ class SwitchNode : public netsim::Node {
   std::optional<PendingTxn> txn_;
   u64 txn_counter_ = 0;
   runtime::RecircBudget default_recirc_budget_;
-  bool zero_copy_ = true;
-  bool batching_ = true;
-
-  // Batched-ingress staging. The scratch vectors are sized per flush
-  // (AFTER staging completes, so lane pointers never dangle across
-  // reallocation) and keep their storage between flushes: the warm
-  // steady state stages and executes without heap traffic.
-  struct PendingExec {
-    packet::ProgramView view;
-    netsim::Frame frame;
-    u64 span = 0;  // the delivery's causal span, restored around the reply
-  };
-  std::vector<PendingExec> pending_;
-  std::vector<runtime::ExecContext> batch_ctx_;
-  std::vector<active::ExecCursor> batch_cursors_;
-  std::vector<runtime::PacketMeta> batch_meta_;
-  runtime::ExecBatch batch_;
   telemetry::StageHeatmap heatmap_;
-  bool flush_scheduled_ = false;
 
   // Background migration engine state.
   bool migration_enabled_ = false;

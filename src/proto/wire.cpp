@@ -9,11 +9,6 @@ namespace artmt::proto {
 using packet::ActivePacket;
 using packet::ActiveType;
 
-packet::ActivePacket parse_capsule(std::span<const u8> frame,
-                                   active::ProgramCache& cache) {
-  return ActivePacket::parse(frame, cache);
-}
-
 namespace {
 
 // Fixed prefix of every executed-program reply: Ethernet + initial +

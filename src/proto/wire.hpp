@@ -5,7 +5,6 @@
 #pragma once
 
 #include "active/compiled_program.hpp"
-#include "active/program_cache.hpp"
 #include "alloc/mutant.hpp"
 #include "alloc/request.hpp"
 #include "common/frame_buf.hpp"
@@ -13,12 +12,6 @@
 #include "packet/program_view.hpp"
 
 namespace artmt::proto {
-
-// Parses a capsule, interning program code through `cache` so recurring
-// programs are decoded and compiled once and every later packet shares the
-// read-only CompiledProgram (the switch's steady-state parse path).
-packet::ActivePacket parse_capsule(std::span<const u8> frame,
-                                   active::ProgramCache& cache);
 
 // Serializes an executed program capsule. The packet-shrink reply of
 // Section 3.1 is synthesized from the execution cursor: instructions whose

@@ -1,11 +1,6 @@
-// Shared execution core: the per-lane state and the flat-dispatch opcode
-// semantics used by BOTH the per-packet interpreter (ActiveRuntime::
-// execute) and the batched stage-sweep engine (runtime::ExecBatch). The
-// two engines differ only in the order they call ActiveRuntime's
-// lane_begin / lane_step / lane_finish -- the state they thread through
-// and the op semantics they dispatch live here, once, which is what makes
-// batched execution byte-identical to the per-packet reference by
-// construction.
+// Execution core of ActiveRuntime::execute: the per-packet lane state
+// threaded through lane_begin / lane_step / lane_finish, and the
+// flat-dispatch opcode semantics lane_step runs once per logical stage.
 #pragma once
 
 #include <algorithm>
@@ -19,11 +14,10 @@
 
 namespace artmt::runtime {
 
-// All mutable state of one in-flight packet execution ("lane"). The
-// per-packet path keeps one on its stack and steps it to completion; the
-// batch engine keeps a vector of them and interleaves steps stage by
-// stage. Pointers reference caller-owned storage that must outlive the
-// lane (cursor, context, metadata).
+// All mutable state of one in-flight packet execution ("lane"), kept on
+// execute()'s stack and stepped to completion. Pointers reference
+// caller-owned storage that must outlive the lane (cursor, context,
+// metadata).
 struct LaneState {
   const active::CompiledProgram* program = nullptr;
   ExecContext* ctx = nullptr;
@@ -39,19 +33,6 @@ struct LaneState {
   u32 logical_stage = 0;  // pc % logical_stages, carried incrementally
   bool halted = false;    // no further lane_step will change state
   bool bypassed = false;  // deactivated FID: res finalized in lane_begin
-};
-
-// Single-slot per-(stage, fid) protection-table memo. A stage sweep
-// resets it once per stage and every lane of the same FID then reuses the
-// looked-up entry, amortizing the per-instruction hash lookup that
-// dominates memory-heavy programs. Correct for mixed-FID batches too --
-// a mismatch just falls back to the lookup.
-struct StageMemo {
-  Fid fid = 0;
-  const rmt::FidEntry* entry = nullptr;
-  bool valid = false;
-
-  void reset() { valid = false; }
 };
 
 namespace core {

@@ -106,9 +106,8 @@ bool ActiveRuntime::lane_begin(const CompiledProgram& program, ExecContext& ctx,
 }
 
 // Consumes exactly one logical stage of the lane's program (or halts it):
-// the body of the historical interpreter loop, flat-dispatched so the
-// per-packet path and the batch engine's stage sweep run the same code.
-void ActiveRuntime::lane_step(LaneState& lane, StageMemo* memo) {
+// the body of the interpreter loop, flat-dispatched.
+void ActiveRuntime::lane_step(LaneState& lane) {
   const auto& cfg = pipeline_->config();
   Phv& phv = lane.phv;
   ExecCursor& cursor = *lane.cursor;
@@ -199,21 +198,11 @@ void ActiveRuntime::lane_step(LaneState& lane, StageMemo* memo) {
   }
 
   // Memory instructions: protection check first (range match on MAR).
-  // The memo caches the (stage, fid) lookup across the lanes of a sweep.
   rmt::Stage& stage = pipeline_->stage(lane.logical_stage);
   const rmt::FidEntry* entry = nullptr;
   bool ok = true;
   if (op.memory_access) {
-    if (memo != nullptr && memo->valid && memo->fid == ctx.fid) {
-      entry = memo->entry;
-    } else {
-      entry = stage.lookup(ctx.fid);
-      if (memo != nullptr) {
-        memo->fid = ctx.fid;
-        memo->entry = entry;
-        memo->valid = true;
-      }
-    }
+    entry = stage.lookup(ctx.fid);
     if (entry == nullptr) {
       lane.fault = Fault::kNoAllocation;
       phv.drop = true;
@@ -395,10 +384,9 @@ bool ActiveRuntime::charge_recirculation(Fid fid, u32 extra_passes,
 ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
                                        ExecContext& ctx, ExecCursor& cursor,
                                        const PacketMeta& meta, SimTime now) {
-  // The per-packet reference engine: one lane, stepped to completion.
   LaneState lane;
   if (lane_begin(program, ctx, cursor, meta, now, lane)) {
-    while (!lane.halted) lane_step(lane, /*memo=*/nullptr);
+    while (!lane.halted) lane_step(lane);
   }
   return lane_finish(lane);
 }

@@ -32,9 +32,7 @@ class StageHeatmap;
 namespace artmt::runtime {
 
 struct RuntimeMetrics;  // telemetry handle bundle (runtime.cpp)
-struct LaneState;       // per-packet execution lane (exec_core.hpp)
-struct StageMemo;       // per-stage protection-table memo (exec_core.hpp)
-class ExecBatch;        // batched stage-sweep engine (exec_batch.hpp)
+struct LaneState;       // per-packet execution state (exec_core.hpp)
 
 // What the switch should do with the packet after execution.
 enum class Verdict {
@@ -192,30 +190,24 @@ class ActiveRuntime {
   // (packets and recirculations also per-FID); nullptr detaches.
   void set_metrics(telemetry::MetricsRegistry* metrics);
 
-  // Attaches a per-(stage, FID) memory-access heatmap; every memory op in
-  // lane_step records a read/write/collision cell (gated by
-  // telemetry::enabled(), like the metric handles). nullptr detaches. The
-  // heatmap must be single-writer from this runtime's thread.
+  // Attaches a per-(stage, FID) memory-access heatmap; every memory op
+  // records a read/write/collision cell (gated by telemetry::enabled(),
+  // like the metric handles). nullptr detaches. The heatmap must be
+  // single-writer from this runtime's thread.
   void set_heatmap(telemetry::StageHeatmap* heatmap) { heatmap_ = heatmap; }
   [[nodiscard]] telemetry::StageHeatmap* heatmap() const { return heatmap_; }
 
  private:
-  // The batch engine drives the same lane protocol the per-packet path
-  // uses, so its results are byte-identical by construction.
-  friend class ExecBatch;
-
-  // Lane protocol (shared with ExecBatch; state structs in exec_core.hpp).
+  // The three phases of execute() (lane state in exec_core.hpp).
   // lane_begin runs the prologue (accounting, cursor reset, deactivation
   // early-out, preload); returns false when the lane finished there.
   // lane_step consumes exactly one logical stage (or marks the lane
-  // halted); `memo` optionally amortizes the stage's protection lookup
-  // across lanes of a sweep (nullptr on the per-packet path). lane_finish
-  // runs the epilogue (passes, latency, recirculation charge, verdict)
-  // and returns the result.
+  // halted). lane_finish runs the epilogue (passes, latency,
+  // recirculation charge, verdict) and returns the result.
   bool lane_begin(const active::CompiledProgram& program, ExecContext& ctx,
                   active::ExecCursor& cursor, const PacketMeta& meta,
                   SimTime now, LaneState& lane);
-  void lane_step(LaneState& lane, StageMemo* memo);
+  void lane_step(LaneState& lane);
   ExecutionResult lane_finish(LaneState& lane);
 
   // Charges `extra_passes` against the FID's token bucket at time `now`;

@@ -25,8 +25,9 @@ namespace artmt::telemetry {
 // Lifecycle phases. The payload fields `a`/`b` are phase-specific:
 //   kSend    a = scheduled arrival time, b = frame bytes
 //   kDrop    b = frame bytes (transmit-hook loss; the send never dispatched)
-//   kParse   (none; materialized-decode path only -- the zero-copy fast
-//             path's in-place parse is bounded by kSend arrival + kExec)
+//   kParse   (none; not emitted: the switch's in-place parse is bounded
+//             by kSend arrival + kExec. Reserved so older span dumps
+//             still decode.)
 //   kExec    a = pipeline passes, b = modeled switch latency (ns)
 //   kRecirc  a = 1-based extra pass index
 //   kRecv    (none; a client service claimed the delivered frame)

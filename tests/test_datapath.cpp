@@ -1,13 +1,16 @@
-// The switch frame datapath: zero-copy ProgramView fast path vs the
-// legacy materialized ActivePacket path (wire parity, stats parity),
-// passive L2 forwarding, unknown-destination accounting, and pool
-// recycling across a full wire-in/wire-out exchange.
+// The switch frame datapath: in-place parse -> execute -> in-place reply
+// encode checked against the library reference (owning parse, execute,
+// owning encode), passive L2 forwarding, unknown-destination accounting,
+// the per-capsule event budget, and pool recycling across a full
+// wire-in/wire-out exchange.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
+#include "active/program_cache.hpp"
 #include "controller/switch_node.hpp"
 #include "netsim/network.hpp"
 #include "proto/wire.hpp"
+#include "runtime/runtime.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace artmt {
@@ -30,15 +33,13 @@ class Recorder : public netsim::Node {
   std::vector<netsim::Frame> frames;
 };
 
-// One switch with a client-side and a server-side recorder, zero-copy on
-// or off; everything else identical so outputs can be diffed bitwise.
-// Pass a registry to share it with the caller (the telemetry tests read
-// counters directly); by default the switch keeps a private one.
+// One default-configured switch with a client-side and a server-side
+// recorder. Pass a registry to share it with the caller (the telemetry
+// tests read counters directly); by default the switch keeps a private
+// one.
 struct Bed {
-  explicit Bed(bool zero_copy,
-               telemetry::MetricsRegistry* metrics = nullptr) {
+  explicit Bed(telemetry::MetricsRegistry* metrics = nullptr) {
     SwitchNode::Config cfg;
-    cfg.zero_copy = zero_copy;
     cfg.metrics = metrics;
     sw = std::make_shared<SwitchNode>("switch", cfg);
     client = std::make_shared<Recorder>("client");
@@ -75,32 +76,63 @@ std::vector<u8> program_frame(const std::string& text,
   return pkt.serialize();
 }
 
-// ---------- zero-copy vs legacy parity ----------
+// ---------- switch vs library reference ----------
 
-// Runs the same capsule through a zero-copy switch and a materializing
-// switch and asserts the frames coming out of both are bit-identical.
+// Runs the capsule through the switch and through the library reference
+// on an identically configured pipeline: owning parse through a program
+// cache, ActiveRuntime::execute, then the owning encoder. The frame the
+// switch emits (encoded in place into the inbound buffer) must be
+// bit-identical to the reference encoding and reach the recorder the
+// reference verdict names; the verdict counters and the runtime's stats
+// must agree too. None of the parity programs reads the flow 5-tuple, so
+// the reference runs with empty packet metadata.
 void expect_wire_parity(const std::vector<u8>& frame) {
-  Bed fast(/*zero_copy=*/true);
-  Bed slow(/*zero_copy=*/false);
-  fast.inject(frame);
-  slow.inject(frame);
+  Bed bed;
+  bed.inject(frame);
 
-  ASSERT_EQ(fast.server->frames.size(), slow.server->frames.size());
-  for (std::size_t i = 0; i < fast.server->frames.size(); ++i) {
-    EXPECT_EQ(fast.server->frames[i].to_vector(),
-              slow.server->frames[i].to_vector());
+  rmt::Pipeline pipeline(SwitchNode::Config{}.pipeline);
+  runtime::ActiveRuntime runtime(pipeline);
+  active::ProgramCache cache;
+  auto pkt = ActivePacket::parse(frame, cache);
+  ASSERT_TRUE(pkt.compiled);
+  active::ExecCursor cursor;
+  const runtime::ExecutionResult result =
+      runtime.execute(*pkt.compiled, pkt, cursor);
+
+  std::vector<std::vector<u8>> want_client;
+  std::vector<std::vector<u8>> want_server;
+  if (result.verdict != runtime::Verdict::kDrop) {
+    // RTS swapped the reference packet's MACs, so its destination names
+    // the recorder the reply must reach.
+    ASSERT_TRUE(pkt.ethernet.dst == kClientMac ||
+                pkt.ethernet.dst == kServerMac);
+    (pkt.ethernet.dst == kClientMac ? want_client : want_server)
+        .push_back(proto::encode_executed(pkt, cursor));
   }
-  ASSERT_EQ(fast.client->frames.size(), slow.client->frames.size());
-  for (std::size_t i = 0; i < fast.client->frames.size(); ++i) {
-    EXPECT_EQ(fast.client->frames[i].to_vector(),
-              slow.client->frames[i].to_vector());
+  ASSERT_EQ(bed.server->frames.size(), want_server.size());
+  for (std::size_t i = 0; i < want_server.size(); ++i) {
+    EXPECT_EQ(bed.server->frames[i].to_vector(), want_server[i]);
   }
-  const auto& fs = fast.sw->node_stats();
-  const auto& ss = slow.sw->node_stats();
-  EXPECT_EQ(fs.forwarded, ss.forwarded);
-  EXPECT_EQ(fs.returned, ss.returned);
-  EXPECT_EQ(fs.dropped, ss.dropped);
-  EXPECT_EQ(fs.malformed, ss.malformed);
+  ASSERT_EQ(bed.client->frames.size(), want_client.size());
+  for (std::size_t i = 0; i < want_client.size(); ++i) {
+    EXPECT_EQ(bed.client->frames[i].to_vector(), want_client[i]);
+  }
+
+  const auto count = [&](runtime::Verdict v) -> u64 {
+    return result.verdict == v ? 1 : 0;
+  };
+  const auto ns = bed.sw->node_stats();
+  EXPECT_EQ(ns.forwarded, count(runtime::Verdict::kForward));
+  EXPECT_EQ(ns.returned, count(runtime::Verdict::kReturnToSender));
+  EXPECT_EQ(ns.dropped, count(runtime::Verdict::kDrop));
+  EXPECT_EQ(ns.malformed, 0u);
+  const runtime::RuntimeStats& got = bed.sw->runtime().stats();
+  const runtime::RuntimeStats& want = runtime.stats();
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.recirculations, want.recirculations);
+  EXPECT_EQ(got.drops_no_allocation, want.drops_no_allocation);
+  EXPECT_EQ(got.rts_packets, want.rts_packets);
 }
 
 TEST(Datapath, ParityStraightLineShrink) {
@@ -147,15 +179,16 @@ TEST(Datapath, ParityRecirculation) {
 }
 
 TEST(Datapath, ParityDrop) {
-  // Unallocated memory access: both paths drop, nothing egresses.
+  // Unallocated memory access: switch and reference drop, nothing
+  // egresses.
   expect_wire_parity(program_frame("MAR_LOAD $0\nMEM_READ\nRETURN",
                                    ArgumentHeader{{500, 0, 0, 0}}));
 }
 
-// ---------- fast-path accounting and recycling ----------
+// ---------- accounting, event budget and recycling ----------
 
 TEST(Datapath, ZeroCopyPathIsTaken) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   bed.inject(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                            ArgumentHeader{{3, 0, 0, 0}}));
   EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 1u);
@@ -165,16 +198,20 @@ TEST(Datapath, ZeroCopyPathIsTaken) {
   EXPECT_TRUE(bed.server->frames[0].pooled());
 }
 
-TEST(Datapath, LegacyPathLeavesZeroCopyCounterAtZero) {
-  Bed bed(/*zero_copy=*/false);
+TEST(Datapath, OneCapsuleDispatchesThreeEvents) {
+  // client -> switch -> server costs exactly three simulator events: the
+  // delivery to the switch, the transmit delayed by the modeled switch
+  // latency, and the delivery to the server. The capsule executes inside
+  // its own delivery; no extra event runs it.
+  Bed bed;
   bed.inject(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                            ArgumentHeader{{3, 0, 0, 0}}));
-  EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 0u);
-  EXPECT_EQ(bed.sw->node_stats().forwarded, 1u);
+  ASSERT_EQ(bed.server->frames.size(), 1u);
+  EXPECT_EQ(bed.sim.events_dispatched(), 3u);
 }
 
 TEST(Datapath, SlabRecyclesAfterReceiverReleases) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   bed.inject(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                            ArgumentHeader{{3, 0, 0, 0}}));
   ASSERT_EQ(bed.server->frames.size(), 1u);
@@ -202,7 +239,7 @@ std::vector<u8> passive_frame(packet::MacAddr dst, packet::MacAddr src,
 }
 
 TEST(Datapath, PassiveFramesForwardByL2Address) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   const auto frame = passive_frame(kServerMac, kClientMac, {1, 2, 3, 4});
   bed.inject(frame);
   ASSERT_EQ(bed.server->frames.size(), 1u);
@@ -213,7 +250,7 @@ TEST(Datapath, PassiveFramesForwardByL2Address) {
 }
 
 TEST(Datapath, PassiveUnknownDestinationCountsMalformed) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   bed.inject(passive_frame(/*dst=*/0xdead, kClientMac, {1, 2, 3}));
   EXPECT_TRUE(bed.server->frames.empty());
   EXPECT_TRUE(bed.client->frames.empty());
@@ -221,7 +258,7 @@ TEST(Datapath, PassiveUnknownDestinationCountsMalformed) {
 }
 
 TEST(Datapath, CapsuleToUnboundMacCountsUnknownDestination) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   auto pkt = ActivePacket::make_program(
       1, ArgumentHeader{{3, 0, 0, 0}},
       active::assemble("MBR_LOAD $0\nMBR_STORE $1\nRETURN"));
@@ -234,10 +271,10 @@ TEST(Datapath, CapsuleToUnboundMacCountsUnknownDestination) {
 }
 
 TEST(Datapath, TruncatedProgramFrameFallsBackToL2Forward) {
-  Bed bed(/*zero_copy=*/true);
+  Bed bed;
   // A frame that looks like a program capsule (active ethertype, kProgram
-  // type byte) but has no valid code: the fast path must decline and the
-  // frame must still reach its L2 destination, as on the legacy path.
+  // type byte) but has no valid code: the in-place parse must decline and
+  // the frame must still reach its L2 destination as passive traffic.
   auto frame = program_frame("MBR_LOAD $0\nRETURN", ArgumentHeader{});
   frame.resize(packet::EthernetHeader::kWireSize + 12);  // cut mid-header
   bed.inject(frame);
@@ -247,44 +284,60 @@ TEST(Datapath, TruncatedProgramFrameFallsBackToL2Forward) {
   EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 0u);
 }
 
+TEST(Datapath, BadOpcodeProgramFrameToUnboundMacCountsMalformed) {
+  Bed bed;
+  // A complete program capsule whose first instruction byte is no opcode
+  // at all, addressed to a MAC the switch cannot reach: neither parser
+  // accepts it and L2 has no route, so it is counted malformed -- never
+  // executed, never forwarded.
+  auto pkt = ActivePacket::make_program(
+      1, ArgumentHeader{{3, 0, 0, 0}},
+      active::assemble("MBR_LOAD $0\nMBR_STORE $1\nRETURN"));
+  pkt.ethernet.src = kClientMac;
+  pkt.ethernet.dst = 0xdead;
+  auto frame = pkt.serialize();
+  frame[packet::EthernetHeader::kWireSize + packet::InitialHeader::kWireSize +
+        packet::ArgumentHeader::kWireSize] = 0xee;
+  bed.inject(frame);
+  EXPECT_TRUE(bed.server->frames.empty());
+  EXPECT_TRUE(bed.client->frames.empty());
+  const auto ns = bed.sw->node_stats();
+  EXPECT_EQ(ns.malformed, 1u);
+  EXPECT_EQ(ns.forwarded, 0u);
+  EXPECT_EQ(ns.zero_copy_frames, 0u);
+  EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
+}
+
 // ---------- telemetry-on parity ----------
 
 TEST(Datapath, TelemetryCountsMatchOnBothPaths) {
-  // The same capsules through a zero-copy and a materializing switch,
-  // each recording into a caller-owned registry: the per-FID packet
-  // counters, the latency histogram, and the NodeStats snapshot view all
-  // agree across the two paths (except zero_copy_frames, by design).
+  // The same capsule three times through a switch recording into a
+  // caller-owned registry: the switch's and the runtime's per-FID packet
+  // counters, the latency histogram, the in-place reply counter, and the
+  // NodeStats snapshot view all agree.
   telemetry::set_enabled(true);
-  telemetry::MetricsRegistry fast_reg;
-  telemetry::MetricsRegistry slow_reg;
-  Bed fast(/*zero_copy=*/true, &fast_reg);
-  Bed slow(/*zero_copy=*/false, &slow_reg);
+  telemetry::MetricsRegistry reg;
+  Bed bed(&reg);
   const auto frame = program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                                    ArgumentHeader{{3, 0, 0, 0}});
-  for (int i = 0; i < 3; ++i) {
-    fast.inject(frame);
-    slow.inject(frame);
-  }
+  for (int i = 0; i < 3; ++i) bed.inject(frame);
 
-  for (auto* reg : {&fast_reg, &slow_reg}) {
-    EXPECT_EQ(reg->counter_value("switch", "packets", 1), 3u);
-    EXPECT_EQ(reg->counter_value("runtime", "packets", 1), 3u);
-    EXPECT_EQ(reg->counter_value("switch", "forwarded"), 3u);
-    const telemetry::Histogram* lat =
-        reg->find_histogram("switch", "exec_latency_ns");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->count(), 3u);
-    EXPECT_GT(lat->sum(), 0u);
-  }
-  EXPECT_EQ(fast_reg.counter_value("switch", "zero_copy_frames"), 3u);
-  EXPECT_EQ(slow_reg.counter_value("switch", "zero_copy_frames"), 0u);
+  EXPECT_EQ(reg.counter_value("switch", "packets", 1), 3u);
+  EXPECT_EQ(reg.counter_value("runtime", "packets", 1), 3u);
+  EXPECT_EQ(reg.counter_value("switch", "forwarded"), 3u);
+  EXPECT_EQ(reg.counter_value("switch", "zero_copy_frames"), 3u);
+  const telemetry::Histogram* lat =
+      reg.find_histogram("switch", "exec_latency_ns");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count(), 3u);
+  EXPECT_GT(lat->sum(), 0u);
 
   // The NodeStats snapshot is a view over the same registry.
-  const auto fs = fast.sw->node_stats();
-  EXPECT_EQ(fs.forwarded, 3u);
-  EXPECT_EQ(fs.zero_copy_frames, 3u);
-  EXPECT_EQ(fs.malformed, 0u);
-  EXPECT_EQ(fs.control_rejects, 0u);
+  const auto ns = bed.sw->node_stats();
+  EXPECT_EQ(ns.forwarded, 3u);
+  EXPECT_EQ(ns.zero_copy_frames, 3u);
+  EXPECT_EQ(ns.malformed, 0u);
+  EXPECT_EQ(ns.control_rejects, 0u);
 }
 
 TEST(Datapath, MalformedControlTrafficSplitsFromMalformedData) {
@@ -293,7 +346,7 @@ TEST(Datapath, MalformedControlTrafficSplitsFromMalformedData) {
   // control reject, not as a malformed data frame and not as an unknown
   // destination.
   telemetry::MetricsRegistry reg;
-  Bed bed(/*zero_copy=*/true, &reg);
+  Bed bed(&reg);
   alloc::AllocationRequest request;
   request.program_length = 3;
   request.accesses.push_back(alloc::AccessDemand{/*position=*/200,
