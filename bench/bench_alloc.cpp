@@ -1,24 +1,21 @@
-// Allocator churn bench gate (BENCH_alloc.json): drives the incremental
-// (indexed) allocator and the legacy full-rescan reference through
-// identical Poisson churn event streams and reports
-//   - placement parity: every scheme, byte-identical placements, disturbed
-//     sets, and mutants_considered between the two search modes (hard
-//     assertion; any divergence exits non-zero),
-//   - allocations/sec at ~1k and ~10k resident services, with the
-//     indexed-vs-rescan speedup gated at >= 5x at 10k residents,
+// Allocator churn bench (BENCH_alloc.json): drives the allocator through
+// Poisson churn event streams and reports
+//   - allocations/sec at ~1k and ~10k resident services,
 //   - modeled p99 provisioning latency with per-entry vs batched+coalesced
 //     table updates (CostModel::table_update_time),
-//   - fragmentation over time (largest-free-run contiguity) while churning.
+//   - fragmentation over time (largest-free-run contiguity) while churning,
+//   - admissions/sec through the full controller at 10k resident FIDs.
+// Placement correctness is checked in tests/test_alloc_golden.cpp against
+// a brute-force oracle, not here.
 //
 // The 10k-resident runs use a scaled geometry (20 stages x 2048 blocks):
 // the paper's 368-block stages hold only a few dozen services, and the
-// point of this gate is search/bookkeeping scaling, not capacity. Request
+// point of this bench is search/bookkeeping scaling, not capacity. Request
 // demands are small (1-4 blocks) to match a 10k-service mix.
 //
 // CI smoke mode: ARTMT_BENCH_QUICK=1 shrinks event counts and skips the
-// 10k run and the speedup gate (too noisy at reduced scale); parity
-// assertions still run at full strength, and BENCH_alloc.json is NOT
-// rewritten so a smoke run never clobbers committed full-run numbers.
+// 10k run, and BENCH_alloc.json is NOT rewritten so a smoke run never
+// clobbers committed full-run numbers.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -94,78 +91,15 @@ struct Driver {
       }
       return outcome;
     }
-    alloc::AllocationOutcome outcome;
     const auto it = ids.find(event.service);
     if (it != ids.end()) {
-      // Disturbed-set parity piggybacks on the outcome's reallocated list.
-      outcome.reallocated = alloc.deallocate(it->second);
+      alloc.deallocate(it->second);
       ids.erase(it);
       ++released;
     }
-    return outcome;
+    return {};
   }
 };
-
-// Full per-stage region map: the byte-identical placement check.
-using Layout = std::vector<std::map<alloc::AppId, Interval>>;
-
-Layout layout_of(const alloc::Allocator& a) {
-  Layout out;
-  for (u32 s = 0; s < a.geometry().logical_stages; ++s) {
-    out.push_back(a.stage(s).regions());
-  }
-  return out;
-}
-
-// --- parity ----------------------------------------------------------------
-
-u64 g_parity_checks = 0;
-
-bool outcomes_match(const alloc::AllocationOutcome& idx,
-                    const alloc::AllocationOutcome& ref, const char* where) {
-  ++g_parity_checks;
-  if (idx.success != ref.success || idx.chosen != ref.chosen ||
-      idx.regions != ref.regions || idx.reallocated != ref.reallocated) {
-    std::fprintf(stderr, "FAIL: placement divergence (%s)\n", where);
-    return false;
-  }
-  // The indexed path's only accounting divergence: hopeless failures are
-  // pruned against the global bound (mutants_considered == 0) where the
-  // rescan path enumerates the whole space.
-  if (idx.mutants_considered != ref.mutants_considered &&
-      !(idx.mutants_considered == 0 && !idx.success)) {
-    std::fprintf(stderr, "FAIL: mutants_considered divergence (%s)\n", where);
-    return false;
-  }
-  return true;
-}
-
-// Runs one indexed and one rescan allocator through the same events,
-// asserting identical outcomes after every operation and identical full
-// layouts at the end. Returns false on any divergence.
-bool parity_run(alloc::Scheme scheme, const alloc::StageGeometry& geom,
-                u32 blocks, const workload::ChurnConfig& churn,
-                std::size_t events, const char* label) {
-  Driver indexed(geom, blocks, scheme);
-  Driver rescan(geom, blocks, scheme);
-  rescan.alloc.set_search_mode(alloc::SearchMode::kRescan);
-  workload::PoissonChurn gen(churn);
-  for (std::size_t i = 0; i < events; ++i) {
-    const auto event = gen.next();
-    const auto a = indexed.apply(event);
-    const auto b = rescan.apply(event);
-    if (!outcomes_match(a, b, label)) return false;
-  }
-  if (layout_of(indexed.alloc) != layout_of(rescan.alloc)) {
-    std::fprintf(stderr, "FAIL: final layout divergence (%s)\n", label);
-    return false;
-  }
-  if (indexed.alloc.resident_count() != rescan.alloc.resident_count()) {
-    std::fprintf(stderr, "FAIL: resident-count divergence (%s)\n", label);
-    return false;
-  }
-  return true;
-}
 
 // --- throughput + fragmentation --------------------------------------------
 
@@ -194,11 +128,8 @@ struct ThroughputResult {
   std::size_t window_events = 0;
   u64 window_allocs = 0;
   double indexed_allocs_per_sec = 0.0;
-  double rescan_allocs_per_sec = 0.0;
-  double speedup = 0.0;
   double p99_unbatched_ms = 0.0;  // modeled provisioning, per-entry updates
   double p99_batched_ms = 0.0;    // modeled provisioning, coalesced batches
-  bool layouts_match = false;
   std::vector<FragPoint> frag;
 };
 
@@ -240,8 +171,7 @@ ThroughputResult measure(u32 target_residents, double arrival_rate,
   churn.seed = seed;
 
   // Pre-generate the fill (until the generator population reaches the
-  // target) and the measurement window, so both modes replay identical
-  // streams.
+  // target) and the measurement window, so only allocator work is timed.
   std::vector<workload::ChurnEvent> fill;
   std::vector<workload::ChurnEvent> window_events;
   {
@@ -256,7 +186,7 @@ ThroughputResult measure(u32 target_residents, double arrival_rate,
   controller::CostModel batched;
   batched.batched_updates = true;
 
-  // Indexed run: fill (recording fragmentation), then the timed window.
+  // Fill (recording fragmentation), then the timed window.
   Driver indexed(geom, blocks, alloc::Scheme::kWorstFit);
   {
     const std::size_t stride = std::max<std::size_t>(1, fill.size() / 16);
@@ -293,23 +223,6 @@ ThroughputResult measure(u32 target_residents, double arrival_rate,
                              indexed.alloc.resident_count(),
                              indexed.alloc.utilization(),
                              contiguity_of(indexed.alloc)});
-
-  // Rescan run: identical fill (replayed indexed for speed -- placements
-  // are identical by parity), then the same window under full rescans.
-  Driver rescan(geom, blocks, alloc::Scheme::kWorstFit);
-  for (const auto& event : fill) rescan.apply(event);
-  rescan.alloc.set_search_mode(alloc::SearchMode::kRescan);
-  const u64 rescan_before = rescan.admitted;
-  watch.reset();
-  for (const auto& event : window_events) rescan.apply(event);
-  const double rescan_sec = watch.elapsed_ms() / 1000.0;
-  const u64 rescan_allocs = rescan.admitted - rescan_before;
-  r.rescan_allocs_per_sec =
-      rescan_sec > 0.0 ? static_cast<double>(rescan_allocs) / rescan_sec : 0.0;
-  r.speedup = r.rescan_allocs_per_sec > 0.0
-                  ? r.indexed_allocs_per_sec / r.rescan_allocs_per_sec
-                  : 0.0;
-  r.layouts_match = layout_of(indexed.alloc) == layout_of(rescan.alloc);
   return r;
 }
 
@@ -318,9 +231,9 @@ ThroughputResult measure(u32 target_residents, double arrival_rate,
 // Same churn stream, but admitted through the full control plane: FID
 // issue, TCAM headroom checks, table/snapshot cost accounting, and the
 // extraction handshake (force-finalized inline, as a quiesced switch
-// would) instead of raw Allocator calls. The indexed-vs-rescan phases
-// isolate search cost; this phase reports what a provisioning client
-// actually observes per admission at 10k resident FIDs.
+// would) instead of raw Allocator calls. The throughput phase isolates
+// search cost; this phase reports what a provisioning client actually
+// observes per admission at 10k resident FIDs.
 struct E2EResult {
   u32 residents_at_window = 0;
   std::size_t window_events = 0;
@@ -407,17 +320,13 @@ std::string throughput_json(const ThroughputResult& r) {
       buf, sizeof(buf),
       "    {\"target_residents\": %u, \"residents_at_window\": %u,\n"
       "     \"window_events\": %zu, \"window_allocs\": %llu,\n"
-      "     \"indexed_allocs_per_sec\": %.1f, \"rescan_allocs_per_sec\": "
-      "%.1f,\n"
-      "     \"speedup\": %.2f, \"layouts_match\": %s,\n"
+      "     \"indexed_allocs_per_sec\": %.1f,\n"
       "     \"p99_provisioning_ms_unbatched\": %.3f, "
       "\"p99_provisioning_ms_batched\": %.3f,\n"
       "     \"fragmentation\": ",
       r.target_residents, r.residents_at_window, r.window_events,
       static_cast<unsigned long long>(r.window_allocs),
-      r.indexed_allocs_per_sec, r.rescan_allocs_per_sec, r.speedup,
-      r.layouts_match ? "true" : "false", r.p99_unbatched_ms,
-      r.p99_batched_ms);
+      r.indexed_allocs_per_sec, r.p99_unbatched_ms, r.p99_batched_ms);
   return std::string(buf) + frag_json(r.frag) + "}";
 }
 
@@ -428,39 +337,8 @@ int main() {
   using namespace artmt;
   const bool quick = quick_mode();
 
-  // --- Phase 1: placement parity, every scheme, two geometries. ---
-  const alloc::StageGeometry paper_geom{20, 10};
+  // --- Phase 1: throughput + provisioning + fragmentation. ---
   const alloc::StageGeometry scaled_geom{20, 10};
-  const std::size_t parity_events = quick ? 400 : 1500;
-  const alloc::Scheme schemes[] = {
-      alloc::Scheme::kWorstFit, alloc::Scheme::kBestFit,
-      alloc::Scheme::kFirstFit, alloc::Scheme::kRealloc};
-  bool parity_ok = true;
-  for (const alloc::Scheme scheme : schemes) {
-    // Paper geometry under saturating churn: small capacity forces
-    // failures, exercising the prune/enumerate divergence rule.
-    workload::ChurnConfig saturating;
-    saturating.arrival_rate = 4.0;
-    saturating.mean_lifetime = 25.0;
-    saturating.kind_weights = {0.4, 0.3, 0.3};
-    saturating.seed = 11;
-    parity_ok &= parity_run(scheme, paper_geom, 368, saturating,
-                            parity_events, alloc::scheme_name(scheme));
-    // Scaled geometry at a few hundred residents: deep disturbance chains.
-    workload::ChurnConfig scaled;
-    scaled.arrival_rate = 20.0;
-    scaled.mean_lifetime = 20.0;
-    scaled.kind_weights = {0.1, 0.2, 0.7};
-    scaled.seed = 23;
-    parity_ok &= parity_run(scheme, scaled_geom, 512, scaled, parity_events,
-                            alloc::scheme_name(scheme));
-  }
-  std::printf("parity: %s (%llu outcome checks)\n",
-              parity_ok ? "ok" : "FAILED",
-              static_cast<unsigned long long>(g_parity_checks));
-  if (!parity_ok) return 1;
-
-  // --- Phase 2: throughput + provisioning + fragmentation. ---
   const u32 scaled_blocks = 2048;
   std::vector<ThroughputResult> results;
   results.push_back(measure(1000, 15.0, 100.0, quick ? 300 : 2000, 42,
@@ -469,22 +347,15 @@ int main() {
     results.push_back(
         measure(10000, 150.0, 100.0, 600, 42, scaled_geom, scaled_blocks));
   }
-  bool layouts_ok = true;
   for (const auto& r : results) {
     std::printf(
-        "residents=%u: indexed %.0f allocs/s, rescan %.0f allocs/s "
-        "(%.1fx), p99 provisioning %.1f ms (batched %.1f ms), layouts %s\n",
-        r.residents_at_window, r.indexed_allocs_per_sec,
-        r.rescan_allocs_per_sec, r.speedup, r.p99_unbatched_ms,
-        r.p99_batched_ms, r.layouts_match ? "match" : "DIVERGE");
-    layouts_ok &= r.layouts_match;
-  }
-  if (!layouts_ok) {
-    std::fprintf(stderr, "FAIL: indexed/rescan layout divergence\n");
-    return 1;
+        "residents=%u: %.0f allocs/s, p99 provisioning %.1f ms "
+        "(batched %.1f ms)\n",
+        r.residents_at_window, r.indexed_allocs_per_sec, r.p99_unbatched_ms,
+        r.p99_batched_ms);
   }
 
-  // --- Phase 3: end-to-end controller datapath at 10k FIDs. ---
+  // --- Phase 2: end-to-end controller datapath at 10k FIDs. ---
   const E2EResult e2e =
       quick ? measure_e2e(500, 15.0, 100.0, 200, 42)
             : measure_e2e(10000, 150.0, 100.0, 600, 42);
@@ -496,15 +367,10 @@ int main() {
       static_cast<unsigned long long>(e2e.window_handshakes),
       e2e.window_events);
 
-  // --- JSON + gates (full mode only). ---
+  // --- JSON (full mode only). ---
   if (!quick) {
     std::string json = "{\n  \"quick\": false,\n";
     json += "  \"geometry\": {\"stages\": 20, \"blocks_per_stage\": 2048},\n";
-    char head[128];
-    std::snprintf(head, sizeof(head),
-                  "  \"parity\": {\"checks\": %llu, \"ok\": true},\n",
-                  static_cast<unsigned long long>(g_parity_checks));
-    json += head;
     json += "  \"throughput\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       json += throughput_json(results[i]);
@@ -528,15 +394,6 @@ int main() {
     if (std::FILE* f = std::fopen("BENCH_alloc.json", "w")) {
       std::fputs(json.c_str(), f);
       std::fclose(f);
-    }
-
-    const ThroughputResult& at10k = results.back();
-    if (at10k.speedup < 5.0) {
-      std::fprintf(stderr,
-                   "FAIL: indexed allocator %.2fx over rescan at %u "
-                   "residents (gate: 5x)\n",
-                   at10k.speedup, at10k.residents_at_window);
-      return 1;
     }
   }
   return 0;

@@ -2,8 +2,8 @@
 """Throughput regression gate over the committed bench baselines.
 
 Collects every throughput leaf in the working-tree bench JSONs --
-``packets_per_sec`` in BENCH_datapath.json, ``indexed_allocs_per_sec``,
-``speedup`` and ``admissions_per_sec`` in BENCH_alloc.json, and the
+``packets_per_sec`` in BENCH_datapath.json, ``indexed_allocs_per_sec``
+and ``admissions_per_sec`` in BENCH_alloc.json, and the
 migration soak's ``sustained_utilization`` / ``rejection_reduction_pct``
 in BENCH_migration.json, and the fabric failure drill's
 ``downtime_p99_ms`` / ``downtime_max_ms`` / ``zero_state_loss_fraction``
@@ -130,11 +130,8 @@ def main():
         baseline = dict(metric_leaves(baseline_json, {"packets_per_sec"}))
         regressions += compare(args.file, current, baseline, args.threshold)
 
-    # --- allocator: allocations/sec + indexed-vs-rescan speedup ---
-    # The speedup ratio is intra-process (both sides timed in the same
-    # run), so it stays meaningful on slow or contended runners where
-    # absolute allocs/sec would flake.
-    alloc_keys = {"indexed_allocs_per_sec", "speedup", "admissions_per_sec"}
+    # --- allocator: allocations/sec + controller admissions/sec ---
+    alloc_keys = {"indexed_allocs_per_sec", "admissions_per_sec"}
     alloc = load_json(args.alloc_file)
     if alloc is None:
         print(f"bench_compare: NOTICE: {args.alloc_file} not present; "

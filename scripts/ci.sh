@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: release build + full test suite, a bench smoke job, an
-# allocator parity/churn gate, a telemetry-overhead gate, a
+# allocator churn smoke, a telemetry-overhead gate, a
 # throughput-regression gate, a chaos soak
 # (fault-injection digest-equality matrix), a migration soak, a fabric
 # soak (multi-switch failure drill + leaf-spine chaos), then an
@@ -46,15 +46,13 @@ run_perf_smoke() {
 }
 
 run_alloc_bench() {
-  echo "== alloc bench: indexed/rescan parity + churn smoke =="
+  echo "== alloc bench: churn throughput smoke =="
   cmake --preset default
   cmake --build --preset default
-  # bench_alloc replays identical Poisson churn through the indexed and
-  # legacy-rescan allocator paths and exits nonzero on any placement,
-  # disturbed-set, or mutants_considered divergence. ARTMT_BENCH_QUICK=1
-  # shrinks event counts and skips the 10k-resident speedup gate (too
-  # noisy at reduced scale) without touching BENCH_alloc.json; parity
-  # assertions run at full strength.
+  # bench_alloc drives Poisson churn through the allocator and the full
+  # controller. ARTMT_BENCH_QUICK=1 shrinks event counts and skips the
+  # 10k-resident run without touching BENCH_alloc.json. Placement
+  # correctness is checked by test_alloc_golden's brute-force oracle.
   ARTMT_BENCH_QUICK=1 ./build/bench/bench_alloc
 }
 
@@ -91,8 +89,7 @@ run_bench_regression() {
   # Refresh BENCH_datapath.json and BENCH_alloc.json from this checkout,
   # then compare every packets_per_sec / allocations-per-second section
   # against the committed baselines; more than a 10% drop in any section
-  # fails the job. bench_alloc also enforces its own 5x indexed-vs-rescan
-  # speedup gate at 10k residents.
+  # fails the job.
   ./build/bench/bench_micro --benchmark_filter=NONE
   ./build/bench/bench_alloc
   python3 scripts/bench_compare.py

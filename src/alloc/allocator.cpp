@@ -36,16 +36,6 @@ const char* scheme_name(Scheme scheme) {
   return "unknown";
 }
 
-const char* search_mode_name(SearchMode mode) {
-  switch (mode) {
-    case SearchMode::kIndexed:
-      return "indexed";
-    case SearchMode::kRescan:
-      return "rescan";
-  }
-  return "unknown";
-}
-
 Allocator::Allocator(const StageGeometry& geometry, u32 blocks_per_stage,
                      Scheme scheme, MutantPolicy policy)
     : geometry_(geometry),
@@ -107,18 +97,6 @@ std::map<u32, u32> Allocator::stage_demands(const AllocationRequest& request,
   return demands;
 }
 
-bool Allocator::feasible(const AllocationRequest& request,
-                         const std::map<u32, u32>& demands) const {
-  for (const auto& [stage, demand] : demands) {
-    const StageState& state = stages_[stage];
-    if (request.elastic ? !state.elastic_fits(demand)
-                        : !state.inelastic_fits(demand)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 double Allocator::score_term(const AllocationRequest& request, u32 stage,
                              u32 demand) const {
   const StageState& state = stages_[stage];
@@ -140,15 +118,6 @@ double Allocator::score_term(const AllocationRequest& request, u32 stage,
       return 0.0;  // never scored
   }
   return 0.0;
-}
-
-double Allocator::score(const AllocationRequest& request,
-                        const std::map<u32, u32>& demands) const {
-  double total = 0.0;
-  for (const auto& [stage, demand] : demands) {
-    total += score_term(request, stage, demand);
-  }
-  return total;
 }
 
 bool Allocator::evaluate_indexed(const AllocationRequest& request,
@@ -177,43 +146,14 @@ bool Allocator::evaluate_indexed(const AllocationRequest& request,
       return false;
     }
   }
-  // Exact small-integer addends: the sum matches the legacy stage-sorted
-  // iteration bit-for-bit regardless of accumulation order.
+  // Exact small-integer addends: the total is the same in any
+  // accumulation order, so first-encounter order is as good as sorted.
   double total = 0.0;
   for (const u32 stage : scratch_stages_) {
     total += score_term(request, stage, scratch_demand_[stage]);
   }
   score_out = total;
   return true;
-}
-
-std::map<AppId, std::map<u32, Interval>> Allocator::snapshot() const {
-  std::map<AppId, std::map<u32, Interval>> out;
-  for (u32 s = 0; s < stages_.size(); ++s) {
-    for (const auto& [id, region] : stages_[s].regions()) {
-      out[id][s] = region;
-    }
-  }
-  return out;
-}
-
-std::vector<AppId> Allocator::diff_against(
-    const std::map<AppId, std::map<u32, Interval>>& before,
-    AppId exclude) const {
-  const auto after = snapshot();
-  std::vector<AppId> changed;
-  for (const auto& [id, regions] : after) {
-    if (id == exclude) continue;
-    const auto it = before.find(id);
-    if (it == before.end() || it->second != regions) changed.push_back(id);
-  }
-  for (const auto& [id, regions] : before) {
-    if (id != exclude && !after.contains(id) &&
-        std::find(changed.begin(), changed.end(), id) == changed.end()) {
-      changed.push_back(id);
-    }
-  }
-  return changed;
 }
 
 std::vector<AppId> Allocator::collect_changed(const std::map<u32, u32>& touched,
@@ -238,40 +178,38 @@ void Allocator::set_stage_bias(std::vector<u64> bias) {
 
 bool Allocator::search_placement(const AllocationRequest& request, Mutant& best,
                                  u64& considered, bool& pruned) {
-  const bool indexed = search_mode_ == SearchMode::kIndexed;
   bool found = false;
   double best_score = std::numeric_limits<double>::infinity();
-  // Integer bias totals (not doubles): the sum is order-independent, so
-  // the indexed and rescan paths agree bit-for-bit on every tie-break.
+  // Integer bias totals (not doubles): the sum does not depend on the
+  // order stages are visited, so equal-score ties break the same way
+  // however a candidate's stages are enumerated.
   u64 best_bias = std::numeric_limits<u64>::max();
   considered = 0;
 
-  // Global feasibility prune (indexed only): if the bottleneck access
-  // cannot be placed on *any* stage, no mutant is feasible -- reject
-  // without enumerating. This is the one intentional divergence from the
-  // legacy path's accounting: hopeless failures report
-  // mutants_considered == 0 where the rescan path enumerates them all.
+  // Global feasibility prune: if the bottleneck access cannot be placed on
+  // *any* stage, no mutant is feasible -- reject without enumerating, and
+  // report mutants_considered == 0.
   pruned = false;
-  if (indexed) {
-    u32 max_demand = 0;
-    for (const auto& access : request.accesses) {
-      max_demand = std::max(max_demand, access.demand_blocks);
-    }
-    if (max_demand > 0 &&
-        !index_.feasible_anywhere(request.elastic, max_demand)) {
-      pruned = true;
-      if (m_search_pruned_ != nullptr) m_search_pruned_->inc();
-      return false;
-    }
+  u32 max_demand = 0;
+  for (const auto& access : request.accesses) {
+    max_demand = std::max(max_demand, access.demand_blocks);
+  }
+  if (max_demand > 0 &&
+      !index_.feasible_anywhere(request.elastic, max_demand)) {
+    pruned = true;
+    if (m_search_pruned_ != nullptr) m_search_pruned_->inc();
+    return false;
   }
 
   // Least-constrained policies (extra_passes > 0) multiply the
   // enumeration space per access; precompute the per-(access, stage)
   // feasibility oracle once and prune subtrees instead of rejecting
-  // leaf-by-leaf. The default most-constrained policy skips the filter so
-  // its visit counts stay bit-compatible with the legacy rescan path.
+  // leaf-by-leaf. The default most-constrained policy skips the filter:
+  // its visit counts drive the modeled search time of
+  // ComputeModel::deterministic() and the golden mutants_considered, and
+  // filtering would lower both.
   StageFilter filter;
-  if (indexed && policy_.extra_passes > 0) {
+  if (policy_.extra_passes > 0) {
     const u32 n = geometry_.logical_stages;
     const std::size_t m = request.accesses.size();
     scratch_feasible_.assign(m * n, 0);
@@ -293,21 +231,10 @@ bool Allocator::search_placement(const AllocationRequest& request, Mutant& best,
   considered = for_each_mutant(
       request, geometry_, policy_, filter, [&](const Mutant& candidate) {
         double s = 0.0;
+        if (!evaluate_indexed(request, candidate, s)) return true;
         u64 bias = 0;
-        if (indexed) {
-          if (!evaluate_indexed(request, candidate, s)) return true;
-          if (!stage_bias_.empty()) {
-            for (const u32 stage : scratch_stages_) bias += stage_bias_[stage];
-          }
-        } else {
-          const auto demands = stage_demands(request, candidate);
-          if (!feasible(request, demands)) return true;
-          if (scheme_ != Scheme::kFirstFit) s = score(request, demands);
-          if (!stage_bias_.empty()) {
-            for (const auto& [stage, demand] : demands) {
-              bias += stage_bias_[stage];
-            }
-          }
+        if (!stage_bias_.empty()) {
+          for (const u32 stage : scratch_stages_) bias += stage_bias_[stage];
         }
         if (scheme_ == Scheme::kFirstFit) {
           best = candidate;
@@ -329,7 +256,6 @@ bool Allocator::search_placement(const AllocationRequest& request, Mutant& best,
 AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
   AllocationOutcome outcome;
   Stopwatch watch;
-  const bool indexed = search_mode_ == SearchMode::kIndexed;
 
   // --- Phase 1: systematic search over the mutant space. ---
   Mutant best;
@@ -359,8 +285,6 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
   // --- Phase 2: final assignment for the new app and every resident app
   // whose share shifts (this dominates allocation time; Section 6.1). ---
   watch.reset();
-  std::map<AppId, std::map<u32, Interval>> before;
-  if (!indexed) before = snapshot();
   const AppId id = next_id_++;
   const auto demands = stage_demands(request, best);
   for (const auto& [stage, demand] : demands) {
@@ -384,8 +308,7 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
   outcome.app = id;
   outcome.chosen = best;
   outcome.regions = regions_of(id);
-  outcome.reallocated =
-      indexed ? collect_changed(demands, id) : diff_against(before, id);
+  outcome.reallocated = collect_changed(demands, id);
   const u64 blocks = region_blocks(outcome.regions);
   if (compute_model_.modeled) {
     u64 moved = blocks;
@@ -425,10 +348,7 @@ std::vector<AppId> Allocator::deallocate(AppId id) {
     }
     return {};
   }
-  const bool indexed = search_mode_ == SearchMode::kIndexed;
   const u64 blocks = region_blocks(regions_of(id));
-  std::map<AppId, std::map<u32, Interval>> before;
-  if (!indexed) before = snapshot();
   for (const auto& [stage, demand] : it->second.stage_demand) {
     if (it->second.elastic) {
       stages_[stage].remove_elastic(id);
@@ -437,8 +357,7 @@ std::vector<AppId> Allocator::deallocate(AppId id) {
     }
     index_.refresh(stage, stages_[stage]);
   }
-  const auto changed = indexed ? collect_changed(it->second.stage_demand, id)
-                               : diff_against(before, id);
+  const auto changed = collect_changed(it->second.stage_demand, id);
   apps_.erase(it);
   if (m_deallocations_ != nullptr) {
     m_deallocations_->inc();
@@ -455,9 +374,6 @@ std::vector<AppId> Allocator::deallocate(AppId id) {
 std::vector<AppId> Allocator::demote_elastic(AppId id) {
   const auto it = apps_.find(id);
   if (it == apps_.end() || !it->second.elastic || it->second.demoted) return {};
-  const bool indexed = search_mode_ == SearchMode::kIndexed;
-  std::map<AppId, std::map<u32, Interval>> before;
-  if (!indexed) before = snapshot();
   for (const auto& [stage, demand] : it->second.stage_demand) {
     stages_[stage].set_elastic_cap(id, demand);  // cap = minimum share
     index_.refresh(stage, stages_[stage]);
@@ -466,8 +382,7 @@ std::vector<AppId> Allocator::demote_elastic(AppId id) {
   // Exclude nothing (AppId 0 is never issued): a demotion that shrinks the
   // target's own share disturbs the target too, and the control plane must
   // resync its entries like any other moved app.
-  auto changed = indexed ? collect_changed(it->second.stage_demand, 0)
-                         : diff_against(before, 0);
+  auto changed = collect_changed(it->second.stage_demand, 0);
   if (m_demotions_ != nullptr) m_demotions_->inc();
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("alloc", "demote", telemetry::kNoFid,
@@ -481,16 +396,12 @@ std::vector<AppId> Allocator::promote_elastic(AppId id) {
   if (it == apps_.end() || !it->second.elastic || !it->second.demoted) {
     return {};
   }
-  const bool indexed = search_mode_ == SearchMode::kIndexed;
-  std::map<AppId, std::map<u32, Interval>> before;
-  if (!indexed) before = snapshot();
   for (const auto& [stage, demand] : it->second.stage_demand) {
     stages_[stage].set_elastic_cap(id, it->second.request.elastic_cap_blocks);
     index_.refresh(stage, stages_[stage]);
   }
   it->second.demoted = false;
-  auto changed = indexed ? collect_changed(it->second.stage_demand, 0)
-                         : diff_against(before, 0);
+  auto changed = collect_changed(it->second.stage_demand, 0);
   if (m_promotions_ != nullptr) m_promotions_->inc();
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("alloc", "promote", telemetry::kNoFid,
@@ -509,15 +420,11 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
   const auto it = apps_.find(id);
   if (it == apps_.end()) return out;
   AppRecord& record = it->second;
-  const bool indexed = search_mode_ == SearchMode::kIndexed;
   Stopwatch watch;
 
   out.success = true;
   out.app = id;
   out.old_regions = regions_of(id);
-
-  std::map<AppId, std::map<u32, Interval>> before;
-  if (!indexed) before = snapshot();
 
   // Baseline regions of every resident in a stage this op may touch,
   // captured before that stage first mutates. Comparing final regions
@@ -582,23 +489,17 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
   out.new_regions = regions_of(id);
   out.moved = out.new_regions != out.old_regions;
 
-  if (indexed) {
-    std::vector<AppId> changed;
-    for (const u32 stage : touched) {
-      for (const auto& [app, region] : stages_[stage].regions()) {
-        if (app == id) continue;
-        const auto b = baseline.find({stage, app});
-        if (b == baseline.end() || b->second != region) {
-          changed.push_back(app);
-        }
-      }
+  std::vector<AppId> changed;
+  for (const u32 stage : touched) {
+    for (const auto& [app, region] : stages_[stage].regions()) {
+      if (app == id) continue;
+      const auto b = baseline.find({stage, app});
+      if (b == baseline.end() || b->second != region) changed.push_back(app);
     }
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-    out.reallocated = std::move(changed);
-  } else {
-    out.reallocated = diff_against(before, id);
   }
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  out.reallocated = std::move(changed);
 
   if (compute_model_.modeled) {
     u64 moved = region_blocks(out.new_regions);

@@ -4,17 +4,14 @@
 // default), then computes final assignments for every (re)allocated
 // instance. Existing applications are never moved across stages.
 //
-// Two search paths produce byte-identical placements:
-//   - kIndexed (default): per-stage feasibility and scores are O(1) reads
-//     of the incremental StageState accounting and the StageScoreIndex;
-//     per-mutant demands collapse into epoch-stamped scratch arrays (no
-//     allocation per candidate), hopeless requests are rejected against
-//     the index's global bound before enumerating a single mutant, and
-//     disturbed apps are collected from per-stage rebalance change lists.
-//   - kRescan (legacy): the original full-rescan implementation -- a map
-//     of demands per mutant, linear stage scans, and whole-allocator
-//     region snapshots diffed before/after. Kept as the reference the
-//     parity tests and the allocator bench gate compare against.
+// The search is incremental: per-stage feasibility and scores are O(1)
+// reads of the StageState accounting and the StageScoreIndex, per-mutant
+// demands collapse into epoch-stamped scratch arrays (no allocation per
+// candidate), hopeless requests are rejected against the index's global
+// bound before enumerating a single mutant, and disturbed apps are
+// collected from per-stage rebalance change lists. tests/test_alloc_golden
+// checks every decision against a brute-force oracle built on the public
+// StageState queries.
 #pragma once
 
 #include <map>
@@ -45,16 +42,6 @@ enum class Scheme {
 };
 
 const char* scheme_name(Scheme scheme);
-
-// Which admission-search implementation runs (see the header comment).
-// Placements are identical either way; kIndexed is O(changed) per
-// operation where kRescan is O(residents).
-enum class SearchMode {
-  kIndexed,  // incremental indexes (default)
-  kRescan,   // legacy full-rescan reference path
-};
-
-const char* search_mode_name(SearchMode mode);
 
 // How AllocationOutcome::search_ms / assign_ms are produced. The
 // Allocator's default measures real host time (the paper's Figs. 5/12
@@ -179,17 +166,12 @@ class Allocator {
     return compute_model_;
   }
 
-  // Selects the admission-search implementation (see SearchMode). Safe to
-  // flip between operations: both paths share the same stage state.
-  void set_search_mode(SearchMode mode) { search_mode_ = mode; }
-  [[nodiscard]] SearchMode search_mode() const { return search_mode_; }
-
   // Hotness-directed placement: a per-stage tie-break bias for the
   // placement search. When two candidate mutants score identically under
   // the scheme, the one whose touched stages carry the smaller bias total
   // wins; scheme scores always dominate. Empty (the default) keeps the
-  // legacy first-in-enumeration-order tie-break, and kFirstFit never
-  // compares scores at all. Must be empty or logical_stages long.
+  // first-in-enumeration-order tie-break, and kFirstFit never compares
+  // scores at all. Must be empty or logical_stages long.
   void set_stage_bias(std::vector<u64> bias);
   [[nodiscard]] const std::vector<u64>& stage_bias() const {
     return stage_bias_;
@@ -201,42 +183,31 @@ class Allocator {
   [[nodiscard]] std::map<u32, u32> stage_demands(
       const AllocationRequest& request, const Mutant& mutant) const;
 
-  [[nodiscard]] bool feasible(const AllocationRequest& request,
-                              const std::map<u32, u32>& demands) const;
-
-  // Lower is better; used by worst/best/realloc schemes.
-  [[nodiscard]] double score(const AllocationRequest& request,
-                             const std::map<u32, u32>& demands) const;
-
-  // One scheme term for `stage` under `demand`; shared by both paths so
-  // their scores are bit-identical (integer-valued double addends).
+  // One scheme term for `stage` under `demand`; lower totals are better
+  // (worst/best/realloc schemes). Integer-valued double addends, so a
+  // mutant's total does not depend on the order its stages are summed.
   [[nodiscard]] double score_term(const AllocationRequest& request, u32 stage,
                                   u32 demand) const;
 
-  // Indexed search body: collapses the candidate's demands into the
-  // epoch-stamped scratch arrays and evaluates feasibility + score with
-  // O(1) per-stage reads. Returns false when infeasible.
+  // Search body: collapses the candidate's demands into the epoch-stamped
+  // scratch arrays and evaluates feasibility + score with O(1) per-stage
+  // reads. Returns false when infeasible.
   [[nodiscard]] bool evaluate_indexed(const AllocationRequest& request,
                                       const Mutant& candidate, double& score);
 
   // Phase-1 search shared by allocate() and reallocate_app(): global
-  // hopeless-prune (indexed only; reported via `pruned` with
-  // considered == 0), then the mutant walk. In indexed mode with a
-  // least-constrained policy (extra_passes > 0) the walk runs through the
-  // per-(access, stage) StageFilter so the blown-up enumeration space is
-  // pruned by subtree instead of leaf-by-leaf; the default
-  // most-constrained policy keeps the exact legacy visit counts.
+  // hopeless-prune (reported via `pruned` with considered == 0), then the
+  // mutant walk. With a least-constrained policy (extra_passes > 0) the
+  // walk runs through the per-(access, stage) StageFilter so the blown-up
+  // enumeration space is pruned by subtree instead of leaf-by-leaf. The
+  // default most-constrained policy walks unfiltered: its visit counts
+  // feed the modeled search time (ComputeModel::deterministic()), so
+  // filtering there would shift virtual admission latency.
   bool search_placement(const AllocationRequest& request, Mutant& best,
                         u64& considered, bool& pruned);
 
-  // Snapshot of every app's regions (kRescan reallocation diffing).
-  [[nodiscard]] std::map<AppId, std::map<u32, Interval>> snapshot() const;
-  [[nodiscard]] std::vector<AppId> diff_against(
-      const std::map<AppId, std::map<u32, Interval>>& before,
-      AppId exclude) const;
-
-  // kIndexed disturbance report: union of the touched stages' rebalance
-  // change lists, sorted and deduplicated, excluding `exclude`.
+  // Disturbance report: union of the touched stages' rebalance change
+  // lists, sorted and deduplicated, excluding `exclude`.
   [[nodiscard]] std::vector<AppId> collect_changed(
       const std::map<u32, u32>& touched, AppId exclude) const;
 
@@ -247,12 +218,11 @@ class Allocator {
   std::vector<StageState> stages_;
   StageScoreIndex index_;
   ComputeModel compute_model_;
-  SearchMode search_mode_ = SearchMode::kIndexed;
   std::vector<u64> stage_bias_;
   std::unordered_map<AppId, AppRecord> apps_;
   AppId next_id_ = 1;
 
-  // Scratch for the indexed per-mutant demand collapse (no allocation per
+  // Scratch for the per-mutant demand collapse (no allocation per
   // candidate: stamped entries expire by epoch, not by clearing).
   std::vector<u32> scratch_demand_;
   std::vector<u64> scratch_stamp_;

@@ -85,8 +85,6 @@ namespace {
 void print_alloc_report(const alloc::Allocator& a) {
   std::printf("{\n");
   std::printf("  \"scheme\": \"%s\",\n", alloc::scheme_name(a.scheme()));
-  std::printf("  \"search_mode\": \"%s\",\n",
-              alloc::search_mode_name(a.search_mode()));
   std::printf("  \"resident_apps\": %u,\n", a.resident_count());
   std::printf("  \"utilization\": %.4f,\n", a.utilization());
   std::printf("  \"stages\": [\n");
