@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: release build + full test suite, a bench smoke job, an
+# CI entry point: release build + full test suite, a bench smoke job, the
+# layered benchmark's output checks on its three workloads, an
 # allocator churn smoke, a telemetry-overhead gate, a
 # throughput-regression gate, a chaos soak
 # (fault-injection digest-equality matrix), a migration soak, a fabric
@@ -7,8 +8,9 @@
 # ASan+UBSan job.
 #
 # Usage: scripts/ci.sh
-#   [release|bench|perf-smoke|alloc-bench|telemetry-overhead|
-#    bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all]
+#   [release|bench|perf-smoke|perfbench-smoke|alloc-bench|
+#    telemetry-overhead|bench-regression|chaos-soak|migration-soak|
+#    fabric-soak|sanitize|all]
 # (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,6 +45,30 @@ run_perf_smoke() {
   # this catches functional rot in the bench harness on any runner without
   # flaking on machine speed.
   ARTMT_BENCH_QUICK=1 ./build/bench/bench_micro --benchmark_filter=NONE
+}
+
+run_perfbench_smoke() {
+  echo "== perfbench smoke: benchmark output checks on every workload =="
+  # perfbench/run.py builds src/ into .bench_build/perfbench and runs one
+  # workload at held-out seed 2. Its last stdout line is the result: it
+  # reports "correct": false on duplicate or unmatched results, a wrong
+  # cache value, digest drift between repetitions, or fabric state loss,
+  # and "failed" counts requests that never completed. Any of them fails
+  # the job. Wall-clock numbers are printed but not gated here.
+  for workload in serve_mix churn fabric_failover; do
+    echo "-- perfbench: $workload"
+    result="$(python3 perfbench/run.py --workload "$workload" --seed 2 \
+        --seconds 5 --trace 0 | tail -n 1)"
+    echo "$result"
+    if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "$result"; then
+      echo "perfbench-smoke: $workload failed its output checks" >&2
+      exit 1
+    fi
+  done
 }
 
 run_alloc_bench() {
@@ -184,6 +210,7 @@ case "$job" in
   release) run_release ;;
   bench) run_bench ;;
   perf-smoke) run_perf_smoke ;;
+  perfbench-smoke) run_perfbench_smoke ;;
   alloc-bench) run_alloc_bench ;;
   telemetry-overhead) run_telemetry_overhead ;;
   bench-regression) run_bench_regression ;;
@@ -195,6 +222,7 @@ case "$job" in
     run_release
     run_bench
     run_perf_smoke
+    run_perfbench_smoke
     run_alloc_bench
     run_telemetry_overhead
     run_bench_regression
@@ -204,7 +232,7 @@ case "$job" in
     run_sanitize
     ;;
   *)
-    echo "unknown job '$job' (expected release|bench|perf-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all)" >&2
+    echo "unknown job '$job' (expected release|bench|perf-smoke|perfbench-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all)" >&2
     exit 2
     ;;
 esac

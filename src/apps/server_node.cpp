@@ -30,13 +30,11 @@ void ServerNode::reply(packet::MacAddr dst, const KvMessage& msg) {
 
 void ServerNode::on_frame(netsim::Frame frame, u32 port) {
   (void)port;
-  packet::ActivePacket pkt;
+  const std::optional<packet::ActivePacket> parsed = packet::try_parse(frame);
   std::span<const u8> payload;
-  std::optional<packet::ActivePacket> parsed;
-  try {
-    parsed = packet::ActivePacket::parse(frame);
+  if (parsed) {
     payload = parsed->payload;
-  } catch (const ParseError&) {
+  } else {
     // Passive request: payload follows the Ethernet header directly.
     if (frame.size() <= packet::EthernetHeader::kWireSize) {
       ++stats_.ignored;

@@ -103,13 +103,12 @@ void ClientNode::probe_tick() {
 
 void ClientNode::on_frame(netsim::Frame frame, u32 port) {
   (void)port;
-  packet::ActivePacket pkt;
-  try {
-    pkt = packet::ActivePacket::parse(frame);
-  } catch (const ParseError&) {
+  std::optional<packet::ActivePacket> parsed = packet::try_parse(frame);
+  if (!parsed) {
     if (on_passive) on_passive(frame);
     return;
   }
+  packet::ActivePacket& pkt = *parsed;
 
   // Uplink health acks are addressed to the client itself (FID 0), never
   // to a service.

@@ -226,53 +226,70 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
                                          [this] { migration_tick(); });
   }
   if (migration_enabled_) ++mig_frames_since_tick_;
-  if (packet::ProgramView::is_program_frame(frame)) {
-    if (mac_ != 0) {
-      // Fabric transit: a program capsule whose FID is not resident here
-      // is someone else's traffic -- forward it by destination untouched.
-      // The peek is two fixed-offset header reads; the frame is never
-      // decoded or interned, so transit at a spine costs no program-cache
-      // churn.
-      ByteReader in(frame);
-      const auto eth = packet::EthernetHeader::parse(in);
-      const Fid fid = in.get_u16();
-      if (!controller_.resident(fid)) {
-        metrics_->transit_frames->inc();
-        send_frame_to_mac(eth.dst, std::move(frame), 0);
-        return;
-      }
-    }
-    // Parse the capsule in place -- no ActivePacket, no byte copies. An
-    // unparseable program-typed frame falls through to the passive
-    // handling below (the owning parser rejects exactly the same frames).
-    std::optional<packet::ProgramView> view;
-    try {
-      view = packet::ProgramView::parse(frame, program_cache_);
-    } catch (const ParseError&) {
-      view.reset();
-    }
-    if (view) {
-      handle_program(*std::move(view), std::move(frame));
+  switch (packet::classify(frame)) {
+    case packet::FrameClass::kProgram:
+      on_program_frame(std::move(frame));
+      return;
+    case packet::FrameClass::kControl:
+      on_control_frame(std::move(frame));
+      return;
+    case packet::FrameClass::kPassive:
+      forward_passive(std::move(frame));
+      return;
+  }
+}
+
+void SwitchNode::forward_passive(netsim::Frame frame) {
+  // Plain L2 forwarding by destination MAC; no route means malformed.
+  if (frame.size() >= packet::EthernetHeader::kWireSize) {
+    ByteReader in(frame);
+    const auto eth = packet::EthernetHeader::parse(in);
+    const auto it = l2_table_.find(eth.dst);
+    if (it != l2_table_.end()) {
+      metrics_->forwarded->inc();
+      network().transmit(*this, it->second, std::move(frame));
       return;
     }
   }
-  // Control capsules are materialized; anything unparseable is passive.
+  metrics_->malformed->inc();
+}
+
+void SwitchNode::on_program_frame(netsim::Frame frame) {
+  if (mac_ != 0) {
+    // Fabric transit: a program capsule whose FID is not resident here
+    // is someone else's traffic -- forward it by destination untouched.
+    // The peek is two fixed-offset header reads; the frame is never
+    // decoded or interned, so transit at a spine costs no program-cache
+    // churn.
+    ByteReader in(frame);
+    const auto eth = packet::EthernetHeader::parse(in);
+    const Fid fid = in.get_u16();
+    if (!controller_.resident(fid)) {
+      metrics_->transit_frames->inc();
+      send_frame_to_mac(eth.dst, std::move(frame), 0);
+      return;
+    }
+  }
+  // Parse the capsule in place -- no ActivePacket, no byte copies. A
+  // program frame the in-place parse rejects is malformed; the owning
+  // parser would reject it too, so it goes straight to passive handling.
+  packet::ProgramView view;
+  try {
+    view = packet::ProgramView::parse(frame, program_cache_);
+  } catch (const ParseError&) {
+    forward_passive(std::move(frame));
+    return;
+  }
+  handle_program(std::move(view), std::move(frame));
+}
+
+void SwitchNode::on_control_frame(netsim::Frame frame) {
+  // Control capsules are materialized; a malformed one is passive.
   ActivePacket pkt;
   try {
-    pkt = ActivePacket::parse(frame, program_cache_);
+    pkt = ActivePacket::parse(frame);
   } catch (const ParseError&) {
-    // Passive traffic: plain L2 forwarding by destination MAC.
-    if (frame.size() >= packet::EthernetHeader::kWireSize) {
-      ByteReader in(frame);
-      const auto eth = packet::EthernetHeader::parse(in);
-      const auto it = l2_table_.find(eth.dst);
-      if (it != l2_table_.end()) {
-        metrics_->forwarded->inc();
-        network().transmit(*this, it->second, std::move(frame));
-        return;
-      }
-    }
-    metrics_->malformed->inc();
+    forward_passive(std::move(frame));
     return;
   }
 

@@ -172,6 +172,10 @@ class SwitchNode : public netsim::Node {
     bool deferred = false;
   };
 
+  // on_frame's three branches, one per packet::FrameClass.
+  void on_program_frame(netsim::Frame frame);
+  void on_control_frame(netsim::Frame frame);
+  void forward_passive(netsim::Frame frame);
   // The program-capsule datapath: `view` was parsed in place from
   // `frame`; execute it, count the verdict, and rewrite the reply into the
   // inbound buffer (reusing its bytes when uniquely owned) on its way to

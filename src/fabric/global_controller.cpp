@@ -487,13 +487,12 @@ void GlobalController::forward(packet::MacAddr dst, packet::ActivePacket pkt) {
 
 void GlobalController::on_frame(netsim::Frame frame, u32 port) {
   (void)port;
-  packet::ActivePacket pkt;
-  try {
-    pkt = packet::ActivePacket::parse(frame);
-  } catch (const ParseError&) {
+  std::optional<packet::ActivePacket> parsed = packet::try_parse(frame);
+  if (!parsed) {
     metrics_->dropped->inc();
     return;
   }
+  packet::ActivePacket& pkt = *parsed;
 
   switch (pkt.initial.type) {
     case packet::ActiveType::kHealthAck:

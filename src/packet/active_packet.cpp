@@ -16,7 +16,7 @@ InitialHeader InitialHeader::parse(ByteReader& in) {
   InitialHeader header;
   header.fid = in.get_u16();
   const u8 type = in.get_u8();
-  if (type > static_cast<u8>(ActiveType::kHealthAck)) {
+  if (type > static_cast<u8>(kLastActiveType)) {
     throw ParseError("InitialHeader: unknown active packet type " +
                      std::to_string(type));
   }
@@ -221,6 +221,31 @@ ActivePacket ActivePacket::make_control(Fid fid, ActiveType type) {
   pkt.initial.fid = fid;
   pkt.initial.type = type;
   return pkt;
+}
+
+FrameClass classify(std::span<const u8> frame) {
+  // Ethertype at offset 12, initial-header type byte at offset 16
+  // (dst 6 + src 6 + ethertype 2 + fid 2).
+  if (frame.size() < EthernetHeader::kWireSize + InitialHeader::kWireSize) {
+    return FrameClass::kPassive;
+  }
+  const u16 ethertype = static_cast<u16>(frame[12]) << 8 | frame[13];
+  if (ethertype != kEtherTypeActive) return FrameClass::kPassive;
+  const u8 type = frame[16];
+  if (type == static_cast<u8>(ActiveType::kProgram)) {
+    return FrameClass::kProgram;
+  }
+  return type <= static_cast<u8>(kLastActiveType) ? FrameClass::kControl
+                                                  : FrameClass::kPassive;
+}
+
+std::optional<ActivePacket> try_parse(std::span<const u8> frame) {
+  if (classify(frame) == FrameClass::kPassive) return std::nullopt;
+  try {
+    return ActivePacket::parse(frame);
+  } catch (const ParseError&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace artmt::packet

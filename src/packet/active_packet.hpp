@@ -12,6 +12,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "active/program.hpp"
@@ -37,6 +38,8 @@ enum class ActiveType : u8 {
   kHealthProbe = 8,  // controller/client -> switch: are you alive?
   kHealthAck = 9,    // switch -> prober: alive; payload = scoreboard
 };
+// Type bytes above this are unknown; parsers reject them.
+inline constexpr ActiveType kLastActiveType = ActiveType::kHealthAck;
 
 // Control-flag bits in the initial header.
 inline constexpr u8 kFlagPreloadMar = 0x01;   // seed MAR from args[0]
@@ -180,5 +183,24 @@ struct ActivePacket {
       std::shared_ptr<const active::CompiledProgram> compiled);
   static ActivePacket make_control(Fid fid, ActiveType type);
 };
+
+// What a frame carries, read from fixed-offset header bytes without
+// parsing and without throwing. A frame is active when it has the active
+// EtherType, a complete initial header and a known type byte; everything
+// else is passive traffic. Nodes classify before they parse, so the
+// throwing parsers see active frames only and a ParseError means a
+// malformed active frame.
+enum class FrameClass : u8 {
+  kPassive,
+  kProgram,  // a program capsule (ProgramView::parse's input)
+  kControl,  // any other active type (materialized as an ActivePacket)
+};
+[[nodiscard]] FrameClass classify(std::span<const u8> frame);
+
+// Materializes an active frame. Returns nullopt for passive traffic,
+// which is classified without a throw, and for a malformed active frame;
+// the nodes hand both to their passive path.
+[[nodiscard]] std::optional<ActivePacket> try_parse(
+    std::span<const u8> frame);
 
 }  // namespace artmt::packet

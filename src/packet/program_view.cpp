@@ -4,17 +4,6 @@
 
 namespace artmt::packet {
 
-bool ProgramView::is_program_frame(std::span<const u8> frame) {
-  // Ethertype at offset 12, initial-header type byte at offset 16
-  // (dst 6 + src 6 + ethertype 2 + fid 2).
-  if (frame.size() < EthernetHeader::kWireSize + InitialHeader::kWireSize) {
-    return false;
-  }
-  const u16 ethertype = static_cast<u16>(frame[12]) << 8 | frame[13];
-  return ethertype == kEtherTypeActive &&
-         frame[16] == static_cast<u8>(ActiveType::kProgram);
-}
-
 ProgramView ProgramView::parse(std::span<const u8> frame,
                                active::ProgramCache& cache) {
   ByteReader in(frame);

@@ -30,14 +30,10 @@ struct ProgramView {
   u32 code_end = 0;      // byte offset of the EOF marker
   u32 payload_begin = 0;  // byte offset of the passive remainder
 
-  // Cheap peek: active ethertype and a kProgram type byte. True means
-  // ProgramView::parse is the right parser (it may still throw on a
-  // malformed body).
-  [[nodiscard]] static bool is_program_frame(std::span<const u8> frame);
-
   // Parses the capsule headers in place and interns the code through
   // `cache`. Performs no heap allocation on a cache hit. Throws ParseError
-  // on truncation, a non-program capsule, or an invalid opcode.
+  // on truncation, a non-program capsule, or an invalid opcode; a frame
+  // that classify() calls kProgram can fail only on its body.
   static ProgramView parse(std::span<const u8> frame,
                            active::ProgramCache& cache);
 

@@ -1,12 +1,15 @@
 // Integration tests for the exemplar services' active programs executed
 // against a real pipeline + runtime + controller (no network): the cache
 // query/populate pair, the frequent-item monitor, and the Cheetah LB.
+// Also the application server's passive request path over a network.
 #include <gtest/gtest.h>
 
 #include "apps/kv.hpp"
 #include "apps/programs.hpp"
+#include "apps/server_node.hpp"
 #include "client/compiler.hpp"
 #include "controller/controller.hpp"
+#include "netsim/network.hpp"
 #include "rmt/hash.hpp"
 
 namespace artmt::apps {
@@ -425,6 +428,65 @@ TEST_F(LbFixture, RoutingIsStateless) {
   ActivePacket pkt = ActivePacket::make_program(999, args, lb_route_program());
   const auto res = runtime_.execute(pkt, meta);
   EXPECT_TRUE(res.phv.dst_overridden);
+}
+
+// ---------- application server, passive requests ----------
+
+class Peer : public netsim::Node {
+ public:
+  Peer() : netsim::Node("peer") {}
+  void on_frame(netsim::Frame frame, u32 port) override {
+    (void)port;
+    frames.push_back(std::move(frame));
+  }
+  std::vector<netsim::Frame> frames;
+};
+
+TEST(ServerNodePassive, AnswersPassiveGetAndIgnoresBareHeaders) {
+  constexpr packet::MacAddr kPeerMac = 0xcc;
+  constexpr packet::MacAddr kServerMac = 0xbb;
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  auto peer = std::make_shared<Peer>();
+  auto server = std::make_shared<ServerNode>("server", kServerMac);
+  net.attach(peer);
+  net.attach(server);
+  net.connect(*peer, 0, *server, 0);
+  server->put(42, 777);
+
+  ByteWriter get;
+  packet::EthernetHeader eth;
+  eth.dst = kServerMac;
+  eth.src = kPeerMac;
+  eth.ethertype = packet::kEtherTypeIpv4;
+  eth.serialize(get);
+  get.put_bytes(KvMessage{KvMessage::Type::kGet, /*request_id=*/5,
+                          /*key=*/42, /*value=*/0}
+                    .serialize());
+  net.transmit(*peer, 0, net.pool().copy(get.bytes()));
+  // Frames with no byte past the Ethernet header carry no request.
+  const auto header_only = std::span<const u8>(get.bytes())
+                               .first(packet::EthernetHeader::kWireSize);
+  net.transmit(*peer, 0, net.pool().copy(header_only));
+  net.transmit(*peer, 0, net.pool().copy(header_only.first(6)));
+  sim.run();
+
+  EXPECT_EQ(server->stats().gets_served, 1u);
+  EXPECT_EQ(server->stats().ignored, 2u);
+  ASSERT_EQ(peer->frames.size(), 1u);
+  const std::vector<u8> reply = peer->frames[0].to_vector();
+  ByteReader in(reply);
+  const auto reply_eth = packet::EthernetHeader::parse(in);
+  EXPECT_EQ(reply_eth.dst, kPeerMac);
+  EXPECT_EQ(reply_eth.src, kServerMac);
+  EXPECT_EQ(reply_eth.ethertype, packet::kEtherTypeIpv4);
+  const auto msg = KvMessage::parse(
+      std::span<const u8>(reply).subspan(packet::EthernetHeader::kWireSize));
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->type, KvMessage::Type::kReply);
+  EXPECT_EQ(msg->request_id, 5u);
+  EXPECT_EQ(msg->key, 42u);
+  EXPECT_EQ(msg->value, 777u);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Tests for the client compiler (request derivation, mutant synthesis,
 // preloading) and the memory-sync capsule builders, including executing
-// memsync programs against a real runtime + controller.
+// memsync programs against a real runtime + controller, and the client
+// node's handling of frames that are not well-formed capsules.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
 #include "apps/programs.hpp"
+#include "client/client_node.hpp"
 #include "client/compiler.hpp"
 #include "client/memsync.hpp"
 #include "controller/controller.hpp"
+#include "netsim/network.hpp"
 
 namespace artmt::client {
 namespace {
@@ -304,6 +307,67 @@ TEST_F(MemsyncLive, IdempotentRetransmitSafe) {
   auto res = run(make_read_program(target), read_args(target), pkt);
   EXPECT_EQ(res.verdict, runtime::Verdict::kReturnToSender);
   EXPECT_EQ(pkt.arguments->args[1], 5u);
+}
+
+// ---------- passive traffic at the client node ----------
+
+class Sender : public netsim::Node {
+ public:
+  Sender() : netsim::Node("sender") {}
+  void on_frame(netsim::Frame, u32) override {}
+};
+
+TEST(ClientNodePassive, NonCapsuleFramesReachOnPassive) {
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  auto sender = std::make_shared<Sender>();
+  auto client = std::make_shared<ClientNode>("client", /*mac=*/0xcc,
+                                             /*switch_mac=*/0xaa);
+  net.attach(sender);
+  net.attach(client);
+  net.connect(*sender, 0, *client, 0);
+  std::vector<std::vector<u8>> passive;
+  client->on_passive = [&passive](netsim::Frame& frame) {
+    passive.push_back(frame.to_vector());
+  };
+  u32 unclaimed = 0;
+  client->on_unclaimed = [&unclaimed](packet::ActivePacket&) { ++unclaimed; };
+
+  // A complete initial header behind the active EtherType.
+  const auto active_header = [](u8 type) {
+    auto pkt = packet::ActivePacket::make_control(
+        0, packet::ActiveType::kDeallocAck);
+    pkt.ethernet.dst = 0xcc;
+    auto frame = pkt.serialize();
+    frame[packet::EthernetHeader::kWireSize + 2] = type;
+    return frame;
+  };
+  auto ipv4 = active_header(0);
+  ipv4[12] = 0x08;  // EtherType 0x0800
+  ipv4[13] = 0x00;
+  auto truncated_header = active_header(0);
+  truncated_header.resize(packet::EthernetHeader::kWireSize + 6);
+  auto truncated_args = active_header(0);  // a program, cut in its args
+  truncated_args.resize(packet::EthernetHeader::kWireSize +
+                        packet::InitialHeader::kWireSize + 4);
+  const std::vector<std::vector<u8>> frames = {
+      std::vector<u8>(10, 0xab),  // shorter than an Ethernet header
+      ipv4,
+      truncated_header,
+      active_header(0xff),  // unknown type byte
+      truncated_args,
+  };
+  for (const auto& frame : frames) {
+    net.transmit(*sender, 0, net.pool().copy(frame));
+  }
+  // A well-formed control capsule no service claims: not passive.
+  net.transmit(*sender, 0,
+               net.pool().copy(active_header(
+                   static_cast<u8>(packet::ActiveType::kDeallocAck))));
+  sim.run();
+
+  EXPECT_EQ(passive, frames);
+  EXPECT_EQ(unclaimed, 1u);
 }
 
 }  // namespace

@@ -1,17 +1,68 @@
 // The switch frame datapath: in-place parse -> execute -> in-place reply
 // encode checked against the library reference (owning parse, execute,
 // owning encode), passive L2 forwarding, unknown-destination accounting,
-// the per-capsule event budget, and pool recycling across a full
-// wire-in/wire-out exchange.
+// the per-capsule event budget, pool recycling across a full
+// wire-in/wire-out exchange, and the heap cost of passive traffic.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
 
 #include "active/assembler.hpp"
 #include "active/program_cache.hpp"
+#include "client/client_node.hpp"
 #include "controller/switch_node.hpp"
 #include "netsim/network.hpp"
 #include "proto/wire.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/metrics.hpp"
+
+// --- global allocation counter -------------------------------------------
+// Counts every heap allocation this binary makes; tests read deltas
+// around the loop they measure. The deletes are kept out of line so the
+// compiler does not pair an inlined free() with the replaced new.
+namespace {
+unsigned long long g_alloc_count = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_alloc_count;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  ++g_alloc_count;
+  const std::size_t a = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return operator new(size, align);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace artmt {
 namespace {
@@ -306,6 +357,48 @@ TEST(Datapath, BadOpcodeProgramFrameToUnboundMacCountsMalformed) {
   EXPECT_EQ(ns.forwarded, 0u);
   EXPECT_EQ(ns.zero_copy_frames, 0u);
   EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
+  // The code is interned once: the rejected frame is not parsed again.
+  EXPECT_EQ(bed.sw->program_cache().stats().misses, 1u);
+}
+
+TEST(Datapath, PassiveFramesAllocateNothing) {
+  // IPv4 frames through the switch to a ClientNode's on_passive handler.
+  // Both nodes classify them passive from a header peek; the switch
+  // forwards them by L2 address. With a warm pool and event queue, none
+  // of it touches the heap.
+  netsim::Simulator sim;
+  netsim::Network net{sim};
+  auto sw = std::make_shared<SwitchNode>("switch", SwitchNode::Config{});
+  auto sender = std::make_shared<Recorder>("sender");
+  auto client = std::make_shared<client::ClientNode>("client", kClientMac,
+                                                     /*switch_mac=*/0);
+  net.attach(sw);
+  net.attach(sender);
+  net.attach(client);
+  net.connect(*sw, 0, *client, 0);
+  net.connect(*sw, 1, *sender, 0);
+  sw->bind(kClientMac, 0);
+  sw->bind(kServerMac, 1);
+  u64 passive = 0;
+  client->on_passive = [&passive](netsim::Frame&) { ++passive; };
+
+  const auto frame =
+      passive_frame(kClientMac, kServerMac, std::vector<u8>(64, 0x5a));
+  const auto push = [&](int frames) {
+    for (int i = 0; i < frames; ++i) {
+      net.transmit(*sender, 0, net.pool().copy(frame));
+      sim.run();
+    }
+  };
+  push(16);  // warm the pool and the event queue
+  const unsigned long long before = g_alloc_count;
+  push(1000);
+  const unsigned long long allocs = g_alloc_count - before;
+
+  EXPECT_EQ(passive, 1016u);
+  EXPECT_EQ(sw->node_stats().forwarded, 1016u);
+  EXPECT_EQ(sw->node_stats().malformed, 0u);
+  EXPECT_EQ(allocs, 0u);
 }
 
 // ---------- telemetry-on parity ----------

@@ -4,7 +4,8 @@
 // brownout, sub-epoch flaps, simultaneous double loss), dual-homed
 // client uplink failover, run-to-run determinism of the whole fabric,
 // control relays that keep learnable host routes intact, the stage-bias
-// tie parity guarantee, and migration-pressure admission deferral.
+// tie parity guarantee, migration-pressure admission deferral, and the
+// global controller's accounting of frames that are not capsules.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -870,6 +871,36 @@ TEST(AdmissionDeferralTest, QueuedReslideDefersThenAdmits) {
     }
   }
   EXPECT_EQ(g_responses, 1u);
+}
+
+// Frames that are not capsules reach the global controller only by
+// mistake; it drops and counts them without acting on them.
+TEST(GlobalControllerTest, PassiveFrameCountsDropped) {
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  telemetry::MetricsRegistry reg;
+  GlobalController::Config cfg;
+  cfg.metrics = &reg;
+  auto gc = std::make_shared<GlobalController>("gc", cfg);
+  auto peer = std::make_shared<RawClient>("peer", 0xcc);
+  net.attach(gc);
+  net.attach(peer);
+  net.connect(*peer, 0, *gc, 0);
+
+  ByteWriter out;
+  packet::EthernetHeader eth;
+  eth.dst = cfg.mac;
+  eth.src = 0xcc;
+  eth.ethertype = packet::kEtherTypeIpv4;
+  eth.serialize(out);
+  out.put_bytes(std::vector<u8>(32, 0));
+  net.transmit(*peer, 0, net.pool().copy(out.bytes()));
+  sim.run();
+
+  EXPECT_EQ(reg.counter_value("fabric", "dropped"), 1u);
+  EXPECT_EQ(reg.counter_value("fabric", "admissions"), 0u);
+  EXPECT_EQ(reg.counter_value("fabric", "forwarded"), 0u);
+  EXPECT_TRUE(peer->responses.empty());
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
-// Tests for the active packet wire formats of Section 3.3.
+// Tests for the active packet wire formats of Section 3.3 and the
+// header-peek frame classifier.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "packet/active_packet.hpp"
 
@@ -179,6 +183,104 @@ TEST(ActivePacket, Listing1WireSize) {
   const ActivePacket pkt =
       ActivePacket::make_program(1, ArgumentHeader{}, prog);
   EXPECT_EQ(pkt.serialize().size(), 14u + 10u + 16u + 24u);
+}
+
+// ---------- classification ----------
+
+// Ethernet header plus a 10-byte initial header with the given type byte,
+// then cut (or zero-padded) to `size` bytes.
+std::vector<u8> header_frame(u16 ethertype, u8 type, std::size_t size) {
+  ByteWriter w;
+  EthernetHeader eth;
+  eth.dst = 0xbb;
+  eth.src = 0xcc;
+  eth.ethertype = ethertype;
+  eth.serialize(w);
+  w.put_u16(/*fid=*/7);
+  w.put_u8(type);
+  w.put_u8(/*flags=*/0);
+  w.put_u32(/*seq=*/1);
+  w.put_u16(0);
+  std::vector<u8> frame = w.take();
+  frame.resize(size);
+  return frame;
+}
+
+TEST(Classify, HeaderPeekTable) {
+  constexpr std::size_t kFull =
+      EthernetHeader::kWireSize + InitialHeader::kWireSize;  // 24
+  struct Case {
+    std::string name;
+    std::vector<u8> frame;
+    FrameClass want;
+  };
+  std::vector<Case> cases = {
+      {"13 bytes", header_frame(kEtherTypeActive, 0, 13),
+       FrameClass::kPassive},
+      {"type 0xff", header_frame(kEtherTypeActive, 0xff, kFull),
+       FrameClass::kPassive},
+      {"first unknown type",
+       header_frame(kEtherTypeActive, static_cast<u8>(kLastActiveType) + 1,
+                    kFull),
+       FrameClass::kPassive},
+      {"IPv4 EtherType, program type byte",
+       header_frame(kEtherTypeIpv4, 0, 64), FrameClass::kPassive},
+      {"IPv4 EtherType, control type byte",
+       header_frame(kEtherTypeIpv4, 1, 64), FrameClass::kPassive},
+      {"empty", {}, FrameClass::kPassive},
+  };
+  // An active frame is passive until its initial header is complete.
+  for (std::size_t size = EthernetHeader::kWireSize; size < kFull; ++size) {
+    cases.push_back({"active, " + std::to_string(size) + " bytes",
+                     header_frame(kEtherTypeActive, 0, size),
+                     FrameClass::kPassive});
+  }
+  // Every known type, at exactly the full initial header and with a body.
+  for (u8 t = 0; t <= static_cast<u8>(kLastActiveType); ++t) {
+    const FrameClass want =
+        t == 0 ? FrameClass::kProgram : FrameClass::kControl;
+    for (std::size_t size : {kFull, kFull + 200}) {
+      cases.push_back({"type " + std::to_string(t) + ", " +
+                           std::to_string(size) + " bytes",
+                       header_frame(kEtherTypeActive, t, size), want});
+    }
+  }
+  // The serializer's own capsules, so the peek offsets match the format.
+  active::Program prog;
+  prog.push({active::Opcode::kReturn});
+  cases.push_back(
+      {"serialized program",
+       ActivePacket::make_program(1, ArgumentHeader{}, prog).serialize(),
+       FrameClass::kProgram});
+  cases.push_back(
+      {"serialized health ack",
+       ActivePacket::make_control(1, ActiveType::kHealthAck).serialize(),
+       FrameClass::kControl});
+  for (const Case& c : cases) {
+    EXPECT_EQ(classify(c.frame), c.want) << c.name;
+  }
+}
+
+TEST(TryParse, PassiveAndMalformedFramesAreNullopt) {
+  active::Program prog;
+  prog.push({active::Opcode::kReturn});
+  const auto frame =
+      ActivePacket::make_program(3, ArgumentHeader{{9, 0, 0, 0}}, prog)
+          .serialize();
+  const auto parsed = try_parse(frame);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->initial.fid, 3u);
+  EXPECT_EQ(parsed->arguments->args[0], 9u);
+
+  EXPECT_FALSE(try_parse(header_frame(kEtherTypeIpv4, 0, 64)).has_value());
+  EXPECT_FALSE(
+      try_parse(header_frame(kEtherTypeActive, 0xff, 24)).has_value());
+  // Classified a program, but the argument header is cut short.
+  auto truncated = frame;
+  truncated.resize(EthernetHeader::kWireSize + InitialHeader::kWireSize + 4);
+  ASSERT_EQ(classify(truncated), FrameClass::kProgram);
+  EXPECT_THROW((void)ActivePacket::parse(truncated), ParseError);
+  EXPECT_FALSE(try_parse(truncated).has_value());
 }
 
 }  // namespace
