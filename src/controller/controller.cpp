@@ -105,26 +105,20 @@ const alloc::Mutant* Controller::mutant_of(Fid fid) const {
   return it == mutants_.end() ? nullptr : &it->second;
 }
 
-const std::map<u32, std::vector<Word>>* Controller::snapshot_of(
-    Fid fid) const {
-  const auto it = snapshots_.find(fid);
-  return it == snapshots_.end() ? nullptr : &it->second;
-}
-
-void Controller::take_snapshot(Fid fid) {
+u64 Controller::take_snapshot(Fid fid) {
   // Old regions are what the pipeline tables still hold (the allocator's
-  // bookkeeping already reflects the new layout).
-  std::map<u32, std::vector<Word>> snapshot;
+  // bookkeeping already reflects the new layout). Their words stay in
+  // pipeline memory for the client to extract; only the count is kept.
+  u64 blocks = 0;
   for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
     const rmt::FidEntry* entry = pipeline_->stage(s).lookup(fid);
-    if (entry == nullptr || entry->words() == 0) continue;
-    snapshot[s] =
-        pipeline_->stage(s).memory().dump(entry->start_word, entry->words());
-    const u64 blocks = entry->words() / pipeline_->config().block_words;
-    stats_.blocks_snapshotted += blocks;
-    if (metrics_) metrics_->blocks_snapshotted->inc(blocks);
+    if (entry != nullptr) {
+      blocks += entry->words() / pipeline_->config().block_words;
+    }
   }
-  snapshots_[fid] = std::move(snapshot);
+  stats_.blocks_snapshotted += blocks;
+  if (metrics_) metrics_->blocks_snapshotted->inc(blocks);
+  return blocks;
 }
 
 void Controller::install_with_advance(Fid fid) {
@@ -247,7 +241,6 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
 
   // Cost accounting (performed work happens at finalize, but the totals
   // are deterministic now).
-  const u32 block_words = pipeline_->config().block_words;
   u64 entry_ops = alloc_.regions_of(result.outcome.app).size();
   u64 blocks_cleared = 0;
   u64 blocks_snapshotted = 0;
@@ -258,12 +251,10 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
   for (const Fid disturbed : result.disturbed) {
     const alloc::AppId app = fid_to_app_.at(disturbed);
     for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
-      const rmt::FidEntry* entry = pipeline_->stage(s).lookup(disturbed);
-      if (entry != nullptr) {
-        ++entry_ops;  // removal
-        blocks_snapshotted += entry->words() / block_words;
-      }
+      // One removal per entry the old layout still holds.
+      if (pipeline_->stage(s).lookup(disturbed) != nullptr) ++entry_ops;
     }
+    blocks_snapshotted += take_snapshot(disturbed);
     for (const auto& [stage, region] : alloc_.regions_of(app)) {
       ++entry_ops;  // install
       blocks_cleared += region.size();
@@ -308,12 +299,12 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
     return result;
   }
 
-  // Handshake: quiesce and snapshot the disturbed apps, then wait.
+  // Handshake: quiesce the disturbed apps, then wait for their clients to
+  // extract from the old regions.
   PendingAdmission pending;
   pending.new_fid = fid;
   for (const Fid disturbed : result.disturbed) {
     runtime_->deactivate(disturbed);
-    take_snapshot(disturbed);
     pending.awaiting.insert(disturbed);
   }
   pending_ = pending;
@@ -368,8 +359,8 @@ void Controller::finalize() {
   if (new_fid != 0) install_with_advance(new_fid);
 
   // Zero the regions that changed hands: the new app's and the disturbed
-  // apps' new regions (content migration is the clients' job, from the
-  // snapshots taken at deactivation).
+  // apps' new regions (content migration is the clients' job: they have
+  // extracted from the old regions by now and re-populate the new ones).
   const u32 block_words = pipeline_->config().block_words;
   auto clear_regions = [&](Fid fid) {
     for (const auto& [stage, region] :
@@ -480,18 +471,15 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
 
   // Cost accounting (mirrors admit, minus a new app): removals are what
   // the tables still hold, installs and clears follow the new layout.
-  const u32 block_words = pipeline_->config().block_words;
   u64 entry_ops = 0;
   u64 blocks_cleared = 0;
   u64 blocks_snapshotted = 0;
   for (const Fid dfid : result.disturbed) {
     for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
-      const rmt::FidEntry* entry = pipeline_->stage(s).lookup(dfid);
-      if (entry != nullptr) {
-        ++entry_ops;  // removal
-        blocks_snapshotted += entry->words() / block_words;
-      }
+      // One removal per entry the old layout still holds.
+      if (pipeline_->stage(s).lookup(dfid) != nullptr) ++entry_ops;
     }
+    blocks_snapshotted += take_snapshot(dfid);
     for (const auto& [stage, region] :
          alloc_.regions_of(fid_to_app_.at(dfid))) {
       ++entry_ops;  // install
@@ -513,13 +501,12 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
     metrics_->blocks_migrated->inc(blocks_cleared);
   }
 
-  // Handshake: quiesce and snapshot every disturbed app, then wait for
-  // extraction like any admission; new_fid = 0 marks the migration.
+  // Handshake: quiesce every disturbed app, then wait for extraction like
+  // any admission; new_fid = 0 marks the migration.
   PendingAdmission pending;
   pending.new_fid = 0;
   for (const Fid dfid : result.disturbed) {
     runtime_->deactivate(dfid);
-    take_snapshot(dfid);
     pending.awaiting.insert(dfid);
   }
   pending_ = pending;
@@ -552,17 +539,10 @@ ReleaseResult Controller::release(Fid fid) {
 
   const u32 block_words = pipeline_->config().block_words;
   u64 blocks_snapshotted = 0;
-  // Snapshot every disturbed app before any region is rewritten, so no
-  // snapshot observes another app's freshly cleared blocks.
   for (const alloc::AppId disturbed : disturbed_apps) {
     const Fid dfid = app_to_fid_.at(disturbed);
     result.disturbed.push_back(dfid);
-    take_snapshot(dfid);
-    for (const auto& [stage, snap] : snapshots_[dfid]) {
-      blocks_snapshotted += snap.size() / block_words;
-    }
-  }
-  for (const Fid dfid : result.disturbed) {
+    blocks_snapshotted += take_snapshot(dfid);  // before its entries move
     entry_ops += sync_entries(dfid);
     // Departure-triggered moves also hand apps fresh (zeroed) regions.
     for (const auto& [stage, region] :
@@ -587,7 +567,6 @@ ReleaseResult Controller::release(Fid fid) {
   fid_to_app_.erase(fid);
   app_to_fid_.erase(app);
   mutants_.erase(fid);
-  snapshots_.erase(fid);
   runtime_->reactivate(fid);  // forget any stale deactivation
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("controller", "release", fid,

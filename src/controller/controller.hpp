@@ -1,15 +1,17 @@
 // The switch control plane (Section 4.3): serializes admissions, runs the
-// memory allocator, installs/removes per-FID match-table entries, provides
-// consistent snapshots to reallocated applications, and models the
-// provisioning costs a Tofino controller would incur (table updates,
-// snapshotting, register clears).
+// memory allocator, installs/removes per-FID match-table entries, and
+// models the provisioning costs a Tofino controller would incur (table
+// updates, snapshotting, register clears).
 //
 // Admissions that disturb resident applications follow the paper's
 // handshake: the disturbed FIDs are deactivated (program packets forwarded
-// unprocessed), a snapshot of their old regions is taken, and the new
-// layout is applied only after every disturbed client reports extraction
-// complete (or times out). `admit` finalizes immediately when nothing is
-// disturbed; otherwise the caller drives `extraction_complete` /
+// unprocessed) and the new layout is applied only after every disturbed
+// client reports extraction complete (or times out). Clients extract their
+// state with management capsules from the old regions, which stay
+// untouched in pipeline memory until the layout is applied; the
+// controller's snapshot of a disturbed app is only the count of its old
+// blocks, which the cost model charges. `admit` finalizes immediately when
+// nothing is disturbed; otherwise the caller drives `extraction_complete` /
 // `force_finalize`.
 #pragma once
 
@@ -139,22 +141,16 @@ class Controller {
   // --- background migration (ROADMAP item 2) ---
   // Executes one remap request as a live state migration: the allocator
   // op runs immediately, every FID whose layout changed is deactivated
-  // and snapshotted, and the new layout is applied through the same
-  // extraction handshake admissions use (extraction_complete /
-  // force_finalize), with PendingAdmission::new_fid == 0 as the
-  // no-admission sentinel. A request whose FID departed, or whose plan
-  // resolves to no layout change, is a graceful no-op (!pending). Throws
-  // while an admission or another migration is pending (the engine
-  // serializes). Re-slides are skipped (counted, !applied) unless every
-  // stage has TCAM headroom for one entry -- the target may enter stages
-  // it did not previously occupy.
+  // (its old blocks counted as snapshotted), and the new layout is applied
+  // through the same extraction handshake admissions use
+  // (extraction_complete / force_finalize), with PendingAdmission::new_fid
+  // == 0 as the no-admission sentinel. A request whose FID departed, or
+  // whose plan resolves to no layout change, is a graceful no-op
+  // (!pending). Throws while an admission or another migration is pending
+  // (the engine serializes). Re-slides are skipped (counted, !applied)
+  // unless every stage has TCAM headroom for one entry -- the target may
+  // enter stages it did not previously occupy.
   MigrationResult migrate(const RemapRequest& request);
-
-  // --- snapshot access (control-plane state extraction, Section 4.3) ---
-  // Available for disturbed FIDs between deactivation and their client's
-  // re-population; stage -> words of the app's old region.
-  [[nodiscard]] const std::map<u32, std::vector<Word>>* snapshot_of(
-      Fid fid) const;
 
   // Selects wall-clock vs modeled allocator compute timing (see
   // alloc::ComputeModel); modeled timing makes admission timelines
@@ -212,7 +208,9 @@ class Controller {
   // and returns the number of entry operations performed.
   u32 sync_entries(Fid fid);
   u32 remove_entries(Fid fid);
-  void take_snapshot(Fid fid);
+  // Snapshot of a disturbed app: the blocks its installed (old) entries
+  // cover. Counts them in stats and returns them for the cost model.
+  u64 take_snapshot(Fid fid);
   void finalize();
 
   // MAR auto-advance per access chain (Section 3.4): the entry installed at
@@ -229,7 +227,6 @@ class Controller {
   std::unordered_map<Fid, alloc::AppId> fid_to_app_;
   std::unordered_map<alloc::AppId, Fid> app_to_fid_;
   std::unordered_map<Fid, alloc::Mutant> mutants_;
-  std::unordered_map<Fid, std::map<u32, std::vector<Word>>> snapshots_;
   std::optional<PendingAdmission> pending_;
   Fid next_fid_ = 1;
 };

@@ -1,7 +1,7 @@
 // The logical pipeline: an ordered set of stages over one configuration.
 // The runtime walks this structure one instruction per stage; the
-// controller installs/removes per-FID table entries and takes memory
-// snapshots through it.
+// controller installs/removes per-FID table entries and clears the
+// regions that change hands through it.
 #pragma once
 
 #include <vector>

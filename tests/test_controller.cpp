@@ -1,13 +1,25 @@
 // Tests for the control plane: admission, table installation (including
 // the MAR advance chain), snapshots, the reallocation handshake, zeroing,
-// release, and cost accounting.
+// release, cost accounting, and the heap cost of a reallocation.
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hpp"
 #include "apps/programs.hpp"
 #include "controller/controller.hpp"
 
 namespace artmt::controller {
 namespace {
+
+// Blocks covered by the entries `fid` has installed in `pipe`.
+u64 installed_blocks(const rmt::Pipeline& pipe, Fid fid) {
+  u64 blocks = 0;
+  for (u32 s = 0; s < pipe.stage_count(); ++s) {
+    if (const rmt::FidEntry* entry = pipe.stage(s).lookup(fid)) {
+      blocks += entry->words() / pipe.config().block_words;
+    }
+  }
+  return blocks;
+}
 
 class ControllerTest : public ::testing::Test {
  protected:
@@ -89,15 +101,21 @@ TEST_F(ControllerTest, SecondTenantTriggersHandshake) {
   Controller ctrl(pipe, rt, alloc::Scheme::kFirstFit);
   const auto first = ctrl.admit(apps::cache_request());
   ASSERT_TRUE(first.admitted);
+  const u64 first_blocks = installed_blocks(pipe, first.fid);
+  ASSERT_GT(first_blocks, 0u);
   const auto second = ctrl.admit(apps::cache_request());
   ASSERT_TRUE(second.admitted);
   ASSERT_TRUE(second.pending);
   ASSERT_EQ(second.disturbed.size(), 1u);
   EXPECT_EQ(second.disturbed[0], first.fid);
 
-  // The disturbed app is quiesced and snapshotted; old entries intact.
+  // The disturbed app is quiesced and snapshotted (its old blocks
+  // counted); old entries intact.
   EXPECT_TRUE(rt.is_deactivated(first.fid));
-  ASSERT_NE(ctrl.snapshot_of(first.fid), nullptr);
+  EXPECT_EQ(ctrl.stats().blocks_snapshotted, first_blocks);
+  EXPECT_EQ(second.snapshot_cost, static_cast<SimTime>(first_blocks) *
+                                      ctrl.costs().snapshot_per_block);
+  EXPECT_EQ(installed_blocks(pipe, first.fid), first_blocks);
 
   // The new app's entries are NOT installed until the handshake ends.
   bool installed = false;
@@ -129,10 +147,12 @@ TEST_F(ControllerTest, SnapshotCapturesOldContents) {
 
   const auto second = ctrl.admit(apps::cache_request());
   ASSERT_TRUE(second.pending);
-  const auto* snapshot = ctrl.snapshot_of(first.fid);
-  ASSERT_NE(snapshot, nullptr);
-  ASSERT_TRUE(snapshot->contains(stage));
-  EXPECT_EQ(snapshot->at(stage)[5], 0xfeedfaceu);
+  // While the admission is pending, the old region is untouched and still
+  // mapped by the first app's entry: what its extraction capsules read.
+  const rmt::FidEntry* entry = pipe.stage(stage).lookup(first.fid);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_TRUE(entry->covers(word));
+  EXPECT_EQ(pipe.stage(stage).memory().read(word), 0xfeedfaceu);
 
   // After the handshake the moved regions are zeroed (isolation).
   ctrl.extraction_complete(first.fid);
@@ -193,6 +213,50 @@ TEST_F(ControllerTest, ReleaseRemovesEntriesAndRebalances) {
   for (const auto& [s, iv] : ctrl.regions_of(a.fid)) {
     EXPECT_EQ(iv.size(), pipe.config().blocks_per_stage());
   }
+}
+
+TEST_F(ControllerTest, ReleaseSnapshotCostCountsOldBlocks) {
+  // Two caches share their stages; the second's departure grows the first
+  // back to whole stages. The snapshot cost charges the first cache's old
+  // (half-stage) blocks.
+  rmt::Pipeline pipe(config());
+  runtime::ActiveRuntime rt(pipe);
+  Controller ctrl(pipe, rt, alloc::Scheme::kFirstFit);
+  const auto a = ctrl.admit(apps::cache_request());
+  const auto b = ctrl.admit(apps::cache_request());
+  ctrl.extraction_complete(a.fid);
+  ctrl.apply_pending();
+  const u64 old_blocks = installed_blocks(pipe, a.fid);
+  const u64 snapshotted = ctrl.stats().blocks_snapshotted;
+  ASSERT_GT(old_blocks, 0u);
+
+  const auto release = ctrl.release(b.fid);
+  ASSERT_EQ(release.disturbed.size(), 1u);
+  EXPECT_GT(installed_blocks(pipe, a.fid), old_blocks);  // it grew
+  EXPECT_EQ(release.snapshot_cost,
+            static_cast<SimTime>(old_blocks) * ctrl.costs().snapshot_per_block);
+  EXPECT_EQ(ctrl.stats().blocks_snapshotted, snapshotted + old_blocks);
+}
+
+TEST_F(ControllerTest, ReallocationCopiesNoRegisterWords) {
+  // A disturbing admission runs the whole handshake without copying the
+  // disturbed cache's old regions (3 stages x 94,208 words): clients
+  // extract from pipeline memory, so the controller only counts blocks.
+  rmt::Pipeline pipe(config());
+  runtime::ActiveRuntime rt(pipe);
+  Controller ctrl(pipe, rt, alloc::Scheme::kFirstFit);
+  const auto first = ctrl.admit(apps::cache_request());
+  ASSERT_TRUE(first.admitted);
+  const auto request = apps::cache_request();
+
+  const unsigned long long before = g_alloc_bytes;
+  const auto second = ctrl.admit(request);
+  ASSERT_TRUE(second.pending);
+  ASSERT_TRUE(ctrl.extraction_complete(first.fid));
+  ctrl.apply_pending();
+  const unsigned long long bytes = g_alloc_bytes - before;
+
+  EXPECT_LT(bytes, 64u * 1024u);
 }
 
 TEST_F(ControllerTest, ReleaseUnknownThrows) {

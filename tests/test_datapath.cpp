@@ -5,64 +5,15 @@
 // wire-in/wire-out exchange, and the heap cost of passive traffic.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
-
 #include "active/assembler.hpp"
 #include "active/program_cache.hpp"
+#include "alloc_counter.hpp"
 #include "client/client_node.hpp"
 #include "controller/switch_node.hpp"
 #include "netsim/network.hpp"
 #include "proto/wire.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/metrics.hpp"
-
-// --- global allocation counter -------------------------------------------
-// Counts every heap allocation this binary makes; tests read deltas
-// around the loop they measure. The deletes are kept out of line so the
-// compiler does not pair an inlined free() with the replaced new.
-namespace {
-unsigned long long g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_alloc_count;
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::size_t,
-                                       std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t,
-                                         std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace artmt {
 namespace {

