@@ -16,10 +16,16 @@
 // CI smoke mode: ARTMT_BENCH_QUICK=1 shrinks event counts and skips the
 // 10k run, and BENCH_alloc.json is NOT rewritten so a smoke run never
 // clobbers committed full-run numbers.
+//
+// The JSON records the host fingerprint perfbench records (cores, CPU
+// model, build type, compiler): its throughputs are wall-clock rates, and
+// scripts/bench_compare.py compares them only between equal fingerprints.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -300,6 +306,24 @@ E2EResult measure_e2e(u32 target_residents, double arrival_rate,
   return r;
 }
 
+std::string fingerprint_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon + 2 < line.size()) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  std::erase_if(cpu, [](char c) { return c == '"' || c == '\\'; });
+  return "  \"fingerprint\": {\"cores\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": \"" + cpu + "\", \"build_type\": \"" +
+         ARTMT_BUILD_TYPE + "\", \"compiler\": \"" + ARTMT_COMPILER +
+         "\"},\n";
+}
+
 std::string frag_json(const std::vector<FragPoint>& frag) {
   std::string out = "[";
   for (std::size_t i = 0; i < frag.size(); ++i) {
@@ -369,7 +393,7 @@ int main() {
 
   // --- JSON (full mode only). ---
   if (!quick) {
-    std::string json = "{\n  \"quick\": false,\n";
+    std::string json = "{\n  \"quick\": false,\n" + fingerprint_json();
     json += "  \"geometry\": {\"stages\": 20, \"blocks_per_stage\": 2048},\n";
     json += "  \"throughput\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {

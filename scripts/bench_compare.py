@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
-"""Throughput regression gate over the committed bench baselines.
+"""Regression gate over the committed bench baselines.
 
-Collects every throughput leaf in the working-tree bench JSONs --
-``packets_per_sec`` in BENCH_datapath.json, ``indexed_allocs_per_sec``
-and ``admissions_per_sec`` in BENCH_alloc.json, and the
-migration soak's ``sustained_utilization`` / ``rejection_reduction_pct``
-in BENCH_migration.json, and the fabric failure drill's
-``downtime_p99_ms`` / ``downtime_max_ms`` / ``zero_state_loss_fraction``
-in BENCH_fabric.json -- and compares each against the
-committed baseline (``git show HEAD:<file>`` by default). Exits nonzero
-when any section regresses by more than the threshold (10% unless
---threshold says otherwise). Sections present on only one side are
+Collects the compared leaves in the working-tree bench JSONs --
+``indexed_allocs_per_sec`` and ``admissions_per_sec`` in BENCH_alloc.json,
+the migration soak's ``sustained_utilization`` /
+``rejection_reduction_pct`` in BENCH_migration.json, and the fabric
+failure drill's ``downtime_p99_ms`` / ``downtime_max_ms`` /
+``zero_state_loss_fraction`` in BENCH_fabric.json -- and compares each
+against the committed baseline (``git show HEAD:<file>`` by default).
+Exits nonzero when any section regresses by more than the threshold (10%
+unless --threshold says otherwise). Sections present on only one side are
 reported but never fail the gate: new benchmarks have no baseline, and
 retired ones have no current value. A bench file missing from the
 working tree is skipped with a notice (its bench may not have run).
 
+BENCH_alloc.json's rates are wall-clock, so they are compared only when
+the working-tree and baseline host fingerprints (cores, CPU model, build
+type, compiler) are equal; otherwise both fingerprints are printed and
+the allocator sections are skipped loudly. The migration and fabric keys
+are virtual time and need no fingerprint.
+
 Stdlib only; runs anywhere git and python3 exist.
 
 Usage: scripts/bench_compare.py [--threshold 0.10]
-                                [--file BENCH_datapath.json]
                                 [--alloc-file BENCH_alloc.json]
                                 [--migration-file BENCH_migration.json]
                                 [--fabric-file BENCH_fabric.json]
@@ -104,7 +108,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="allowed fractional drop (default 0.10)")
-    parser.add_argument("--file", default="BENCH_datapath.json")
     parser.add_argument("--alloc-file", default="BENCH_alloc.json")
     parser.add_argument("--migration-file", default="BENCH_migration.json")
     parser.add_argument("--fabric-file", default="BENCH_fabric.json")
@@ -114,23 +117,9 @@ def main():
     regressions = []
     compared_any = False
 
-    # --- datapath: packets_per_sec leaves ---
-    datapath = load_json(args.file)
-    if datapath is None:
-        print(f"bench_compare: cannot read {args.file}", file=sys.stderr)
-        return 2
-    current = dict(metric_leaves(datapath, {"packets_per_sec"}))
-
-    baseline_json = load_baseline(args.baseline_ref, args.file)
-    if baseline_json is None:
-        print(f"bench_compare: no baseline {args.file} at "
-              f"{args.baseline_ref}; nothing to compare")
-    else:
-        compared_any = True
-        baseline = dict(metric_leaves(baseline_json, {"packets_per_sec"}))
-        regressions += compare(args.file, current, baseline, args.threshold)
-
     # --- allocator: allocations/sec + controller admissions/sec ---
+    # Wall-clock rates: comparable only on the host and build that
+    # recorded the baseline, so a fingerprint mismatch is a loud skip.
     alloc_keys = {"indexed_allocs_per_sec", "admissions_per_sec"}
     alloc = load_json(args.alloc_file)
     if alloc is None:
@@ -141,6 +130,17 @@ def main():
         if alloc_baseline is None:
             print(f"bench_compare: no baseline {args.alloc_file} at "
                   f"{args.baseline_ref}; nothing to compare")
+        elif alloc.get("fingerprint") != alloc_baseline.get("fingerprint"):
+            print("=" * 68, file=sys.stderr)
+            print(f"bench_compare: NOTICE: {args.alloc_file} host "
+                  "fingerprints differ -- allocator\nsections SKIPPED, not "
+                  "compared.", file=sys.stderr)
+            for side, rep in (("baseline", alloc_baseline),
+                              ("current", alloc)):
+                print(f"  {side}: "
+                      f"{json.dumps(rep.get('fingerprint'), sort_keys=True)}",
+                      file=sys.stderr)
+            print("=" * 68, file=sys.stderr)
         else:
             compared_any = True
             regressions += compare(

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# CI entry point: release build + full test suite, a bench smoke job, the
-# layered benchmark's output checks on its three workloads, an
-# allocator churn smoke, a telemetry-overhead gate, a
-# throughput-regression gate, a chaos soak
+# CI entry point: release build + full test suite, the layered
+# benchmark's output checks on its three workloads, an allocator churn
+# smoke, the datapath overhead budgets (same-rig paired A/Bs), a
+# regression gate against the committed bench baselines, a chaos soak
 # (fault-injection digest-equality matrix), a migration soak, a fabric
 # soak (multi-switch failure drill + leaf-spine chaos), then an
 # ASan+UBSan job.
 #
 # Usage: scripts/ci.sh
-#   [release|bench|perf-smoke|perfbench-smoke|alloc-bench|
-#    telemetry-overhead|bench-regression|chaos-soak|migration-soak|
-#    fabric-soak|sanitize|all]
+#   [release|perfbench-smoke|alloc-bench|telemetry-overhead|
+#    bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all]
 # (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,29 +21,6 @@ run_release() {
   cmake --preset default
   cmake --build --preset default
   ctest --preset default
-}
-
-run_bench() {
-  echo "== bench smoke: steady-state + e2e datapath =="
-  cmake --preset default
-  cmake --build --preset default
-  # bench_micro exits nonzero when the cache-hit execute or the zero-copy
-  # frame datapath allocates in steady state (allocs_per_frame_steady > 0);
-  # it also writes BENCH_datapath.json for the record.
-  ./build/bench/bench_micro --benchmark_filter=NONE
-}
-
-run_perf_smoke() {
-  echo "== perf smoke: quick-mode datapath bench (reduced packet counts) =="
-  cmake --preset default
-  cmake --build --preset default
-  # ARTMT_BENCH_QUICK=1 shrinks every packet count so the whole datapath
-  # bench (steady state, e2e datapath, telemetry and span rigs, chaos rig)
-  # finishes in seconds. The zero-alloc assertions stay at full strength;
-  # perf-ratio gates are skipped and BENCH_datapath.json is left alone, so
-  # this catches functional rot in the bench harness on any runner without
-  # flaking on machine speed.
-  ARTMT_BENCH_QUICK=1 ./build/bench/bench_micro --benchmark_filter=NONE
 }
 
 run_perfbench_smoke() {
@@ -83,40 +59,26 @@ run_alloc_bench() {
 }
 
 run_telemetry_overhead() {
-  echo "== telemetry overhead gate: <=5% pps, zero steady-state allocs =="
+  echo "== datapath overhead budgets: <=5% pps median, same-rig paired A/B =="
   cmake --preset default
   cmake --build --preset default
-  # bench_micro measures the zero-copy datapath with telemetry recording
-  # gated off, fully live, and with span tracing in its always-on shape
-  # (armed FlightRecorder, no capture sink). It
-  # exits nonzero when any instrumented path allocates in steady state or
-  # loses more than 5% packets/sec; the gate double-checks the verdicts
-  # recorded in BENCH_datapath.json -- both the "telemetry" and the
-  # "spans" blocks must report within_5pct and zero allocs per frame.
-  ./build/bench/bench_micro --benchmark_filter=NONE
-  for block in telemetry spans; do
-    if ! grep -A2 "\"$block\":" BENCH_datapath.json \
-        | grep -q '"within_5pct": true'; then
-      echo "telemetry-overhead: '$block' block reports >5% regression" >&2
-      exit 1
-    fi
-    if ! grep -A2 "\"$block\":" BENCH_datapath.json \
-        | grep -q '"allocs_per_frame_steady": 0.000000'; then
-      echo "telemetry-overhead: '$block' block allocated per frame" >&2
-      exit 1
-    fi
-  done
+  # bench_micro runs the zero-copy datapath with telemetry recording, an
+  # armed flight recorder and an idle fault injector each toggled off and
+  # on in alternating blocks on one rig, and exits nonzero when a budget's
+  # median pair overhead is above 5%. The same path's steady-state
+  # allocation and cache/pool counts are a ctest case
+  # (Datapath.ProgramCapsulesAllocateNothing).
+  ./build/bench/bench_micro
 }
 
 run_bench_regression() {
-  echo "== bench regression gate: packets/sec vs committed baseline =="
+  echo "== bench regression gate: committed bench baselines =="
   cmake --preset default
   cmake --build --preset default
-  # Refresh BENCH_datapath.json and BENCH_alloc.json from this checkout,
-  # then compare every packets_per_sec / allocations-per-second section
-  # against the committed baselines; more than a 10% drop in any section
-  # fails the job.
-  ./build/bench/bench_micro --benchmark_filter=NONE
+  # Refresh BENCH_alloc.json from this checkout, then compare it and the
+  # committed BENCH_migration.json / BENCH_fabric.json against their
+  # baselines; more than a 10% regression in any section fails the job.
+  # Allocator rates are compared only when the host fingerprints match.
   ./build/bench/bench_alloc
   python3 scripts/bench_compare.py
 }
@@ -208,8 +170,6 @@ run_sanitize() {
 
 case "$job" in
   release) run_release ;;
-  bench) run_bench ;;
-  perf-smoke) run_perf_smoke ;;
   perfbench-smoke) run_perfbench_smoke ;;
   alloc-bench) run_alloc_bench ;;
   telemetry-overhead) run_telemetry_overhead ;;
@@ -220,8 +180,6 @@ case "$job" in
   sanitize) run_sanitize ;;
   all)
     run_release
-    run_bench
-    run_perf_smoke
     run_perfbench_smoke
     run_alloc_bench
     run_telemetry_overhead
@@ -232,7 +190,7 @@ case "$job" in
     run_sanitize
     ;;
   *)
-    echo "unknown job '$job' (expected release|bench|perf-smoke|perfbench-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all)" >&2
+    echo "unknown job '$job' (expected release|perfbench-smoke|alloc-bench|telemetry-overhead|bench-regression|chaos-soak|migration-soak|fabric-soak|sanitize|all)" >&2
     exit 2
     ;;
 esac

@@ -151,46 +151,6 @@ ActivePacket ActivePacket::parse(std::span<const u8> frame) {
   return pkt;
 }
 
-ActivePacket ActivePacket::parse(std::span<const u8> frame,
-                                 active::ProgramCache& cache) {
-  ByteReader in(frame);
-  ActivePacket pkt;
-  pkt.ethernet = EthernetHeader::parse(in);
-  if (pkt.ethernet.ethertype != kEtherTypeActive) {
-    throw ParseError("ActivePacket: not an active frame");
-  }
-  pkt.initial = InitialHeader::parse(in);
-  if (pkt.initial.type != ActiveType::kProgram) {
-    // Only program packets carry internable code; everything else takes
-    // the ordinary parse path.
-    return parse(frame);
-  }
-  pkt.arguments = ArgumentHeader::parse(in);
-  // Scan the instruction stream up to (not including) the EOF marker and
-  // intern the raw bytes: a recurring program is decoded and compiled
-  // exactly once, and this packet shares the read-only artifact. Only the
-  // EOF opcode is matched here -- opcode validation happens inside the
-  // cache (byte-compare against a validated artifact on hits, compile on
-  // misses), so the hot path touches each code byte once.
-  const std::size_t code_begin = in.position();
-  std::size_t code_end = code_begin;
-  for (;;) {
-    if (code_end + 2 > frame.size()) {
-      throw ParseError("ActivePacket: program missing EOF");
-    }
-    if (frame[code_end] == static_cast<u8>(active::Opcode::kEof)) break;
-    code_end += 2;
-  }
-  in.skip(code_end + 2 - code_begin);  // past the code and the EOF pair
-  pkt.compiled = cache.intern(
-      frame.subspan(code_begin, code_end - code_begin),
-      (pkt.initial.flags & kFlagPreloadMar) != 0,
-      (pkt.initial.flags & kFlagPreloadMbr) != 0);
-  const auto rest = in.get_bytes(in.remaining());
-  pkt.payload.assign(rest.begin(), rest.end());
-  return pkt;
-}
-
 ActivePacket ActivePacket::make_program(Fid fid, const ArgumentHeader& args,
                                         const active::Program& program) {
   ActivePacket pkt;

@@ -15,8 +15,8 @@
 #include <span>
 #include <vector>
 
+#include "active/compiled_program.hpp"
 #include "active/program.hpp"
-#include "active/program_cache.hpp"
 #include "common/bytes.hpp"
 #include "common/types.hpp"
 #include "packet/ethernet.hpp"
@@ -146,10 +146,9 @@ struct AllocResponseHeader {
 // the program does not inspect).
 //
 // Program packets carry their code in one of two forms: a decoded,
-// mutable `program` (the legacy path) or a shared, immutable `compiled`
-// artifact interned through a ProgramCache (the switch's steady-state
-// path, which skips the per-packet decode entirely). When both are set,
-// `program` wins for serialization.
+// mutable `program` (what parse() yields) or a shared, immutable
+// `compiled` artifact (the client's send form, serialized as its pristine
+// wire code). When both are set, `program` wins for serialization.
 struct ActivePacket {
   EthernetHeader ethernet;
   InitialHeader initial;
@@ -162,18 +161,11 @@ struct ActivePacket {
 
   // Serializes the whole frame (Ethernet + active headers + payload).
   // Program packets serialize `program` when present, else the pristine
-  // `compiled` wire form (use proto::encode_executed for the post-
-  // execution shrink reply).
+  // `compiled` wire form.
   [[nodiscard]] std::vector<u8> serialize() const;
 
   // Parses a frame; requires ethertype == kEtherTypeActive.
   static ActivePacket parse(std::span<const u8> frame);
-
-  // Parses a frame, interning program code through `cache`: on a cache
-  // hit the instruction stream is never decoded and `compiled` points at
-  // the shared artifact (`program` stays empty).
-  static ActivePacket parse(std::span<const u8> frame,
-                            active::ProgramCache& cache);
 
   // Convenience constructors.
   static ActivePacket make_program(Fid fid, const ArgumentHeader& args,

@@ -17,9 +17,10 @@ ProgramView ProgramView::parse(std::span<const u8> frame,
     throw ParseError("ProgramView: not a program capsule");
   }
   view.arguments = ArgumentHeader::parse(in);
-  // Same EOF scan as the owning parser: only the EOF opcode is matched
-  // here; opcode validation happens inside the cache (byte-compare against
-  // a validated artifact on hits, compile on misses).
+  // Scan to the EOF marker: only the EOF opcode is matched here; opcode
+  // validation happens inside the cache (byte-compare against a validated
+  // artifact on hits, compile on misses), so the hot path touches each
+  // code byte once.
   const std::size_t code_begin = in.position();
   std::size_t code_end = code_begin;
   for (;;) {

@@ -32,8 +32,9 @@ u32 count_live(std::span<const active::CompiledInsn> code,
 // exact-size destination (a growable writer's per-byte bookkeeping costs
 // more than the frame itself at line rate). Writes Ethernet + initial +
 // arguments + surviving instructions + EOF at `p`; returns the pointer
-// past the EOF pair (where the payload belongs). Shared by the owning and
-// zero-copy encode_executed variants so their wire bytes cannot diverge.
+// past the EOF pair (where the payload belongs). Used for both the
+// in-place and the fresh-buffer reply, so their wire bytes cannot
+// diverge.
 u8* write_executed(u8* p, const packet::EthernetHeader& ethernet,
                    const packet::InitialHeader& initial,
                    const packet::ArgumentHeader& arguments,
@@ -82,29 +83,6 @@ u8* write_executed(u8* p, const packet::EthernetHeader& ethernet,
 }
 
 }  // namespace
-
-std::vector<u8> encode_executed(const packet::ActivePacket& pkt,
-                                const active::ExecCursor& cursor) {
-  if (pkt.initial.type != ActiveType::kProgram || pkt.program ||
-      !pkt.compiled) {
-    // Decoded-Program packets were already mutated by the compat path;
-    // control packets carry no code. Either way the plain serializer is
-    // authoritative.
-    return pkt.serialize();
-  }
-  const auto& code = pkt.compiled->code();
-  const u32 live = count_live(code, cursor);
-  const std::size_t total = kExecutedHeaderBytes +
-                            2 * (static_cast<std::size_t>(live) + 1) +
-                            pkt.payload.size();
-  std::vector<u8> frame(total);
-  u8* p = write_executed(frame.data(), pkt.ethernet, pkt.initial,
-                         *pkt.arguments, code, cursor);
-  if (!pkt.payload.empty()) {
-    std::memcpy(p, pkt.payload.data(), pkt.payload.size());
-  }
-  return frame;
-}
 
 FrameBuf encode_executed(const packet::ProgramView& view,
                          const active::ExecCursor& cursor, FrameBuf frame,

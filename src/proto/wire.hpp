@@ -13,22 +13,18 @@
 
 namespace artmt::proto {
 
-// Serializes an executed program capsule. The packet-shrink reply of
-// Section 3.1 is synthesized from the execution cursor: instructions whose
-// done-bit is set (on the wire or in this execution) are dropped when the
-// cursor allows shrinking, or re-emitted with the done flag set under
-// kFlagNoShrink. The shared CompiledProgram is never modified. Falls back
-// to ActivePacket::serialize() for packets without a compiled artifact.
-std::vector<u8> encode_executed(const packet::ActivePacket& pkt,
-                                const active::ExecCursor& cursor);
-
-// Zero-copy variant: synthesizes the reply for an executed ProgramView,
-// consuming the inbound frame. When the buffer is uniquely owned, the
-// (possibly shrunk) headers are rewritten in place ahead of the untouched
-// payload — the window simply slides forward over the freed bytes — and
-// no copy or allocation happens at all. A shared buffer falls back to a
-// fresh pool buffer with one payload memcpy. Wire bytes are bit-identical
-// to the owning encode_executed above (asserted by parity tests).
+// Synthesizes the reply for an executed ProgramView, consuming the
+// inbound frame. The packet-shrink reply of Section 3.1 comes from the
+// execution cursor: instructions whose done-bit is set (on the wire or in
+// this execution) are dropped when the cursor allows shrinking, or
+// re-emitted with the done flag set under kFlagNoShrink. The shared
+// CompiledProgram is never modified. When the buffer is uniquely owned,
+// the (possibly shrunk) headers are rewritten in place ahead of the
+// untouched payload — the window simply slides forward over the freed
+// bytes — and no copy or allocation happens at all. A shared buffer falls
+// back to a fresh pool buffer with one payload memcpy. Parity tests check
+// the bytes against the decoded-program reference
+// (ActiveRuntime::execute(ActivePacket&) then ActivePacket::serialize).
 FrameBuf encode_executed(const packet::ProgramView& view,
                          const active::ExecCursor& cursor, FrameBuf frame,
                          FramePool& pool);

@@ -58,9 +58,9 @@ using packet::ActivePacket;
 namespace {
 
 // Removes instructions whose `done` flag is set (the parser-side shrink
-// optimization of Section 3.1). Compat path only: the switch's hot path
-// never materializes a mutable Program and synthesizes the shrunk reply
-// from the cursor instead (proto::encode_executed).
+// optimization of Section 3.1). Decoded-program reference only: the
+// switch never materializes a mutable Program and synthesizes the shrunk
+// reply from the cursor instead (proto::encode_executed).
 void shrink(active::Program& program) {
   auto& code = program.code();
   code.erase(std::remove_if(code.begin(), code.end(),
@@ -391,26 +391,6 @@ ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
   return lane_finish(lane);
 }
 
-ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
-                                       ActivePacket& pkt, ExecCursor& cursor,
-                                       const PacketMeta& meta, SimTime now) {
-  if (!pkt.arguments) {
-    // Malformed capsule: forward untouched.
-    ExecutionResult res;
-    ++stats_.packets;
-    if (metrics_) metrics_->packets.at(telemetry::kNoFid).inc();
-    res.latency = pipeline_->config().pass_latency;
-    return res;
-  }
-  ExecContext ctx;
-  ctx.args = &pkt.arguments->args;
-  ctx.fid = pkt.initial.fid;
-  ctx.flags = pkt.initial.flags;
-  ctx.eth_src = &pkt.ethernet.src;
-  ctx.eth_dst = &pkt.ethernet.dst;
-  return execute(program, ctx, cursor, meta, now);
-}
-
 ExecutionResult ActiveRuntime::execute(packet::ProgramView& view,
                                        ExecCursor& cursor,
                                        const PacketMeta& meta, SimTime now) {
@@ -425,8 +405,8 @@ ExecutionResult ActiveRuntime::execute(packet::ProgramView& view,
 
 ExecutionResult ActiveRuntime::execute(ActivePacket& pkt,
                                        const PacketMeta& meta, SimTime now) {
-  if (pkt.initial.type != packet::ActiveType::kProgram ||
-      (!pkt.program && !pkt.compiled) || !pkt.arguments) {
+  if (pkt.initial.type != packet::ActiveType::kProgram || !pkt.program ||
+      !pkt.arguments) {
     // Control packets and passive traffic just forward.
     ExecutionResult res;
     ++stats_.packets;
@@ -435,18 +415,18 @@ ExecutionResult ActiveRuntime::execute(ActivePacket& pkt,
     return res;
   }
 
+  ExecContext ctx;
+  ctx.args = &pkt.arguments->args;
+  ctx.fid = pkt.initial.fid;
+  ctx.flags = pkt.initial.flags;
+  ctx.eth_src = &pkt.ethernet.src;
+  ctx.eth_dst = &pkt.ethernet.dst;
   active::ExecCursor cursor;
-  ExecutionResult res;
-  if (pkt.compiled && !pkt.program) {
-    res = execute(*pkt.compiled, pkt, cursor, meta, now);
-  } else {
-    const CompiledProgram compiled = CompiledProgram::compile(*pkt.program);
-    res = execute(compiled, pkt, cursor, meta, now);
-  }
+  const CompiledProgram compiled = CompiledProgram::compile(*pkt.program);
+  const ExecutionResult res = execute(compiled, ctx, cursor, meta, now);
 
-  // Mirror the cursor back into the mutable wire form, preserving the
-  // historic in-place semantics for packets that carry a decoded Program.
-  if (res.executed && pkt.program) {
+  // Mirror the cursor back into the mutable wire form.
+  if (res.executed) {
     auto& code = pkt.program->code();
     for (u32 i = 0; i < code.size(); ++i) {
       if (cursor.done(i)) code[i].done = true;

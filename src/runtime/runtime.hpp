@@ -10,7 +10,9 @@
 // shrink decision) lives in a caller-provided active::ExecCursor. On the
 // cache-hit steady state the interpreter performs no heap allocation and
 // no writes to program storage; the wire-level "shrink" reply is
-// synthesized from the cursor afterwards (proto::encode_executed).
+// synthesized from the cursor afterwards (proto::encode_executed). The
+// switch executes packet::ProgramViews; the decoded-ActivePacket wrapper
+// is the reference that tests compare the switch's frames against.
 #pragma once
 
 #include <functional>
@@ -112,7 +114,7 @@ struct TraceEvent {
 using TraceFn = std::function<void(const TraceEvent&)>;
 
 // The per-packet state the interpreter reads and writes, decoupled from
-// how the capsule is held: an owning ActivePacket and a zero-copy
+// how the capsule is held: a decoded ActivePacket and a zero-copy
 // ProgramView both project onto this. `args` is required; the Ethernet
 // address pointers are optional (RTS swaps them when present).
 struct ExecContext {
@@ -139,12 +141,6 @@ class ActiveRuntime {
                           ExecContext& ctx, active::ExecCursor& cursor,
                           const PacketMeta& meta = {}, SimTime now = 0);
 
-  // Owning-packet adapter (bench/test paths and injected packets).
-  ExecutionResult execute(const active::CompiledProgram& program,
-                          packet::ActivePacket& pkt,
-                          active::ExecCursor& cursor,
-                          const PacketMeta& meta = {}, SimTime now = 0);
-
   // Zero-copy adapter: executes a parsed ProgramView in place. The view's
   // argument header and Ethernet addresses are updated; the frame buffer
   // it was parsed from is untouched (proto::encode_executed re-emits the
@@ -153,11 +149,13 @@ class ActiveRuntime {
                           active::ExecCursor& cursor,
                           const PacketMeta& meta = {}, SimTime now = 0);
 
-  // Compatibility wrapper: compiles `pkt.program` on the fly (or reuses
-  // `pkt.compiled`), executes, then mirrors the cursor back into
-  // `pkt.program` when present -- done flags are set and, unless
-  // kFlagNoShrink, executed instructions are dropped from the wire form,
-  // exactly as the pre-cursor runtime mutated packets in place.
+  // Decoded-program reference: compiles `pkt.program` on the fly,
+  // executes, then mirrors the cursor back into `pkt.program` -- done
+  // flags are set and, unless kFlagNoShrink, executed instructions are
+  // dropped -- so pkt.serialize() is the reply. Shares no parser, shrink
+  // or encoder with the ProgramView path. Packets without a decoded
+  // program (control capsules, the client's compiled send form) are
+  // forwarded unexecuted.
   ExecutionResult execute(packet::ActivePacket& pkt,
                           const PacketMeta& meta = {}, SimTime now = 0);
 

@@ -1,18 +1,20 @@
 // The switch frame datapath: in-place parse -> execute -> in-place reply
-// encode checked against the library reference (owning parse, execute,
-// owning encode), passive L2 forwarding, unknown-destination accounting,
-// the per-capsule event budget, pool recycling across a full
-// wire-in/wire-out exchange, and the heap cost of passive traffic.
+// encode checked against the decoded-program reference (ActivePacket::
+// parse, execute, serialize), passive L2 forwarding, unknown-destination
+// accounting, the per-capsule event budget, pool recycling across a full
+// wire-in/wire-out exchange, and the heap cost of passive and program
+// traffic.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
-#include "active/program_cache.hpp"
 #include "alloc_counter.hpp"
+#include "apps/programs.hpp"
 #include "client/client_node.hpp"
 #include "controller/switch_node.hpp"
 #include "netsim/network.hpp"
 #include "proto/wire.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace artmt {
@@ -80,9 +82,10 @@ std::vector<u8> program_frame(const std::string& text,
 
 // ---------- switch vs library reference ----------
 
-// Runs the capsule through the switch and through the library reference
-// on an identically configured pipeline: owning parse through a program
-// cache, ActiveRuntime::execute, then the owning encoder. The frame the
+// Runs the capsule through the switch and through the decoded-program
+// reference on an identically configured pipeline: ActivePacket::parse,
+// ActiveRuntime::execute(ActivePacket&), then ActivePacket::serialize --
+// no parser, shrink or encoder shared with the switch. The frame the
 // switch emits (encoded in place into the inbound buffer) must be
 // bit-identical to the reference encoding and reach the recorder the
 // reference verdict names; the verdict counters and the runtime's stats
@@ -94,12 +97,8 @@ void expect_wire_parity(const std::vector<u8>& frame) {
 
   rmt::Pipeline pipeline(SwitchNode::Config{}.pipeline);
   runtime::ActiveRuntime runtime(pipeline);
-  active::ProgramCache cache;
-  auto pkt = ActivePacket::parse(frame, cache);
-  ASSERT_TRUE(pkt.compiled);
-  active::ExecCursor cursor;
-  const runtime::ExecutionResult result =
-      runtime.execute(*pkt.compiled, pkt, cursor);
+  auto pkt = ActivePacket::parse(frame);
+  const runtime::ExecutionResult result = runtime.execute(pkt);
 
   std::vector<std::vector<u8>> want_client;
   std::vector<std::vector<u8>> want_server;
@@ -109,7 +108,7 @@ void expect_wire_parity(const std::vector<u8>& frame) {
     ASSERT_TRUE(pkt.ethernet.dst == kClientMac ||
                 pkt.ethernet.dst == kServerMac);
     (pkt.ethernet.dst == kClientMac ? want_client : want_server)
-        .push_back(proto::encode_executed(pkt, cursor));
+        .push_back(pkt.serialize());
   }
   ASSERT_EQ(bed.server->frames.size(), want_server.size());
   for (std::size_t i = 0; i < want_server.size(); ++i) {
@@ -350,6 +349,74 @@ TEST(Datapath, PassiveFramesAllocateNothing) {
   EXPECT_EQ(sw->node_stats().forwarded, 1016u);
   EXPECT_EQ(sw->node_stats().malformed, 0u);
   EXPECT_EQ(allocs, 0u);
+}
+
+class Sink : public netsim::Node {
+ public:
+  using netsim::Node::Node;
+  void on_frame(netsim::Frame, u32) override { ++received; }
+  u64 received = 0;
+};
+
+TEST(Datapath, ProgramCapsulesAllocateNothing) {
+  // The cache query with a 1400-byte payload, client -> switch -> server,
+  // FID 1 granted the whole pipeline so nothing faults. Once the pool,
+  // program cache, event queue and per-FID counters are warm, parse,
+  // execute, in-place encode and the delayed send allocate nothing:
+  // with telemetry recording off, on (netsim counters included), and
+  // feeding an armed flight recorder.
+  netsim::Simulator sim;
+  netsim::Network net{sim};
+  auto sw = std::make_shared<SwitchNode>("switch", SwitchNode::Config{});
+  auto client = std::make_shared<Sink>("client");
+  auto server = std::make_shared<Sink>("server");
+  net.attach(sw);
+  net.attach(client);
+  net.attach(server);
+  net.connect(*sw, 0, *client, 0);
+  net.connect(*sw, 1, *server, 0);
+  sw->bind(kClientMac, 0);
+  sw->bind(kServerMac, 1);
+  sim.set_metrics(&sw->metrics());
+  net.set_metrics(&sw->metrics());
+  for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
+    sw->pipeline().stage(s).install(1, 0, 4096, 0);
+  }
+  auto pkt = ActivePacket::make_program(1, ArgumentHeader{{10, 2, 3, 0}},
+                                        apps::cache_query_program());
+  pkt.ethernet.src = kClientMac;
+  pkt.ethernet.dst = kServerMac;
+  pkt.payload.assign(1400, 0x5a);
+  const auto frame = pkt.serialize();
+  const auto push = [&](int capsules) {
+    for (int i = 0; i < capsules; ++i) {
+      net.transmit(*client, 0, net.pool().copy(frame));
+      sim.run();
+    }
+  };
+  const auto steady_allocs = [&] {
+    push(16);  // warm up
+    const auto slabs = net.pool().stats().slabs_created;
+    const unsigned long long before = g_alloc_count;
+    push(1000);
+    EXPECT_EQ(net.pool().stats().slabs_created, slabs);
+    return g_alloc_count - before;
+  };
+
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(false);
+  EXPECT_EQ(steady_allocs(), 0u) << "recording off";
+  telemetry::set_enabled(true);
+  EXPECT_EQ(steady_allocs(), 0u) << "recording on";
+  telemetry::FlightRecorder flight;
+  telemetry::set_flight_recorder(&flight);
+  EXPECT_EQ(steady_allocs(), 0u) << "flight recorder armed";
+  telemetry::set_flight_recorder(nullptr);
+  telemetry::set_enabled(was_enabled);
+
+  EXPECT_GT(flight.recorded(), 0u);
+  EXPECT_EQ(server->received, 3u * 1016u);
+  EXPECT_EQ(sw->program_cache().stats().misses, 1u);
 }
 
 // ---------- telemetry-on parity ----------

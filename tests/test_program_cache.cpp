@@ -1,12 +1,14 @@
 // Tests for the digest-keyed program interner and the zero-mutation
 // execution path it feeds: collision safety, the LRU bound, cache-hit
-// execution equivalence with cold decoding, and kFlagNoShrink flowing
-// through the cursor into the synthesized wire reply.
+// ProgramView execution equivalence with the decoded-program reference,
+// and kFlagNoShrink flowing through the cursor into the synthesized wire
+// reply.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
 #include "active/program_cache.hpp"
 #include "packet/active_packet.hpp"
+#include "packet/program_view.hpp"
 #include "proto/wire.hpp"
 #include "runtime/runtime.hpp"
 
@@ -128,27 +130,47 @@ class CacheExecution : public ::testing::Test {
     }
   }
 
-  // Runs the same capsule through the cold mutating path and through the
-  // interned zero-mutation path and checks verdict/PHV/args/wire parity.
+  struct ViewRun {
+    runtime::ExecutionResult result;
+    packet::ProgramView view;
+    std::vector<u8> reply;
+  };
+
+  // Runs `frame` as the switch does: in-place parse (code interned
+  // through the cache), execute on the hot runtime, in-place reply.
+  ViewRun run_view(const std::vector<u8>& frame, ExecCursor& cursor) {
+    FrameBuf buf = pool_.copy(frame);
+    ViewRun run;
+    run.view = packet::ProgramView::parse(buf, cache_);
+    run.result = hot_runtime_.execute(run.view, cursor);
+    run.reply =
+        proto::encode_executed(run.view, cursor, std::move(buf), pool_)
+            .to_vector();
+    return run;
+  }
+
+  // Runs the same capsule through the decoded-program reference
+  // (ActivePacket::parse, execute(ActivePacket&), serialize) and through
+  // the interned ProgramView path and checks verdict/PHV/args/wire
+  // parity.
   void expect_parity(const std::string& text, const ArgumentHeader& args,
                      u8 extra_flags = 0) {
     const auto program = assemble_text(text);
 
-    auto cold_pkt = ActivePacket::make_program(1, args, program);
-    cold_pkt.initial.flags |= extra_flags;
-    const auto cold_frame_in = cold_pkt.serialize();
+    auto made = ActivePacket::make_program(1, args, program);
+    made.initial.flags |= extra_flags;
+    const auto cold_frame_in = made.serialize();
+    auto cold_pkt = ActivePacket::parse(cold_frame_in);
     const auto cold = cold_runtime_.execute(cold_pkt);
     const auto cold_frame_out = cold_pkt.serialize();
 
     // Parse through the cache twice so execution runs on a cache hit.
-    auto warm = ActivePacket::parse(cold_frame_in, cache_);
-    auto hot_pkt = ActivePacket::parse(cold_frame_in, cache_);
-    ASSERT_TRUE(hot_pkt.compiled);
-    EXPECT_EQ(warm.compiled.get(), hot_pkt.compiled.get());
-    EXPECT_GE(cache_.stats().hits, 1u);
+    const auto warm = packet::ProgramView::parse(cold_frame_in, cache_);
     ExecCursor cursor;
-    const auto hot =
-        hot_runtime_.execute(*hot_pkt.compiled, hot_pkt, cursor);
+    const ViewRun run = run_view(cold_frame_in, cursor);
+    const runtime::ExecutionResult& hot = run.result;
+    EXPECT_EQ(warm.compiled.get(), run.view.compiled.get());
+    EXPECT_GE(cache_.stats().hits, 1u);
 
     EXPECT_EQ(hot.verdict, cold.verdict);
     EXPECT_EQ(hot.fault, cold.fault);
@@ -157,12 +179,10 @@ class CacheExecution : public ::testing::Test {
     EXPECT_EQ(hot.phv.mar, cold.phv.mar);
     EXPECT_EQ(hot.phv.mbr, cold.phv.mbr);
     EXPECT_EQ(hot.phv.mbr2, cold.phv.mbr2);
-    ASSERT_TRUE(hot_pkt.arguments && cold_pkt.arguments);
-    for (std::size_t i = 0; i < cold_pkt.arguments->args.size(); ++i) {
-      EXPECT_EQ(hot_pkt.arguments->args[i], cold_pkt.arguments->args[i]);
-    }
+    ASSERT_TRUE(cold_pkt.arguments);
+    EXPECT_EQ(run.view.arguments, *cold_pkt.arguments);
     if (cold.verdict != runtime::Verdict::kDrop) {
-      EXPECT_EQ(proto::encode_executed(hot_pkt, cursor), cold_frame_out);
+      EXPECT_EQ(run.reply, cold_frame_out);
     }
 
     const auto& cs = cold_runtime_.stats();
@@ -180,6 +200,7 @@ class CacheExecution : public ::testing::Test {
   runtime::ActiveRuntime cold_runtime_;
   runtime::ActiveRuntime hot_runtime_;
   ProgramCache cache_;
+  FramePool pool_;
 };
 
 TEST_F(CacheExecution, StraightLineParity) {
@@ -232,26 +253,22 @@ TEST_F(CacheExecution, NoShrinkKeepsInstructionsOnTheWire) {
   auto pkt = ActivePacket::make_program(1, ArgumentHeader{{3, 0, 0, 0}},
                                         program);
   pkt.initial.flags |= packet::kFlagNoShrink;
-  const auto frame = pkt.serialize();
-  auto hot = ActivePacket::parse(frame, cache_);
-  ASSERT_TRUE(hot.compiled);
   ExecCursor cursor;
-  const auto res = hot_runtime_.execute(*hot.compiled, hot, cursor);
-  EXPECT_EQ(res.verdict, runtime::Verdict::kForward);
+  const ViewRun hot = run_view(pkt.serialize(), cursor);
+  EXPECT_EQ(hot.result.verdict, runtime::Verdict::kForward);
   EXPECT_FALSE(cursor.shrink);
-  for (u32 i = 0; i < hot.compiled->code().size(); ++i) {
+  for (u32 i = 0; i < hot.view.compiled->code().size(); ++i) {
     EXPECT_TRUE(cursor.done(i)) << i;
   }
   // The reply still carries all three instructions, done-flagged, and the
   // shared artifact itself is untouched.
-  const auto reply = proto::encode_executed(hot, cursor);
-  auto parsed = ActivePacket::parse(reply);
+  auto parsed = ActivePacket::parse(hot.reply);
   ASSERT_TRUE(parsed.program);
   ASSERT_EQ(parsed.program->size(), 3u);
   for (const auto& insn : parsed.program->code()) {
     EXPECT_TRUE(insn.done);
   }
-  for (const auto& insn : hot.compiled->code()) {
+  for (const auto& insn : hot.view.compiled->code()) {
     EXPECT_FALSE(insn.wire_done);
   }
 }
@@ -260,14 +277,10 @@ TEST_F(CacheExecution, ShrinkRemovesExecutedInstructionsFromTheWire) {
   const auto program = assemble_text("MBR_LOAD $0\nMBR_STORE $1\nRETURN");
   auto pkt = ActivePacket::make_program(1, ArgumentHeader{{3, 0, 0, 0}},
                                         program);
-  const auto frame = pkt.serialize();
-  auto hot = ActivePacket::parse(frame, cache_);
-  ASSERT_TRUE(hot.compiled);
   ExecCursor cursor;
-  hot_runtime_.execute(*hot.compiled, hot, cursor);
+  const ViewRun hot = run_view(pkt.serialize(), cursor);
   EXPECT_TRUE(cursor.shrink);
-  const auto reply = proto::encode_executed(hot, cursor);
-  auto parsed = ActivePacket::parse(reply);
+  auto parsed = ActivePacket::parse(hot.reply);
   ASSERT_TRUE(parsed.program);
   EXPECT_EQ(parsed.program->size(), 0u);
 }

@@ -19,15 +19,15 @@
 //         MBR_STORE $1
 //         RTS
 //         RETURN' | ./build/tools/artmt_trace --args 0,0,0,0
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "active/assembler.hpp"
-#include "active/compiled_program.hpp"
 #include "client/compiler.hpp"
 #include "controller/controller.hpp"
 #include "telemetry/trace.hpp"
@@ -76,23 +76,35 @@ int main(int argc, char** argv) {
   bool elastic = false;
   bool json = false;
   const char* path = nullptr;
+  const auto usage = [] {
+    std::fprintf(
+        stderr,
+        "usage: artmt_trace [--args a,b,c,d] [--elastic] [--json] [file]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--args") == 0 && i + 1 < argc) {
       std::stringstream ss(argv[++i]);
       std::string token;
       for (auto& word : args.args) {
         if (!std::getline(ss, token, ',')) break;
-        word = static_cast<Word>(std::stoul(token, nullptr, 0));
+        // Each word must be a whole number that fits 32 bits.
+        char* end = nullptr;
+        errno = 0;
+        const unsigned long long value =
+            std::strtoull(token.c_str(), &end, 0);
+        if (token.empty() || *end != '\0' || errno == ERANGE ||
+            value > 0xffffffffULL) {
+          return usage();
+        }
+        word = static_cast<Word>(value);
       }
     } else if (std::strcmp(argv[i], "--elastic") == 0) {
       elastic = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (argv[i][0] == '-') {
-      std::fprintf(
-          stderr,
-          "usage: artmt_trace [--args a,b,c,d] [--elastic] [--json] [file]\n");
-      return 2;
+      return usage();
     } else {
       path = argv[i];
     }
@@ -191,11 +203,8 @@ int main(int argc, char** argv) {
     });
   }
 
-  const auto compiled = std::make_shared<const active::CompiledProgram>(
-      active::CompiledProgram::compile(to_run));
-  auto capsule = packet::ActivePacket::make_program(fid, args, compiled);
-  active::ExecCursor cursor;
-  const auto result = runtime.execute(*compiled, capsule, cursor);
+  auto capsule = packet::ActivePacket::make_program(fid, args, to_run);
+  const auto result = runtime.execute(capsule);
 
   if (json) {
     sink.emit("runtime", "execute_done", fid,
@@ -215,11 +224,11 @@ int main(int argc, char** argv) {
               result.passes, static_cast<long long>(result.latency),
               result.instructions_executed);
   u32 remaining = 0;
-  for (u32 i = 0; i < compiled->code().size(); ++i) {
-    if (!(compiled->code()[i].wire_done || cursor.done(i))) ++remaining;
+  for (const auto& insn : capsule.program->code()) {
+    if (!insn.done) ++remaining;
   }
   std::printf("on-wire instructions after shrink: %u of %zu\n", remaining,
-              compiled->code().size());
+              to_run.size());
   std::printf("final args: %u %u %u %u\n", capsule.arguments->args[0],
               capsule.arguments->args[1], capsule.arguments->args[2],
               capsule.arguments->args[3]);
