@@ -4,8 +4,10 @@
 // place, executes it, and rewrites the shrunk reply into the inbound
 // pooled buffer on its way to a server sink. The rig runs with one piece
 // of instrumentation off and on in alternating blocks:
-//   telemetry      -- metric recording (per-FID counters, the latency
-//                     histogram, netsim counters) gated on vs off;
+//   telemetry      -- metric recording (per-FID counters, node counters,
+//                     the latency histogram) gated on vs off; the
+//                     components' totals are plain members that count
+//                     either way, so they are not part of this budget;
 //   spans          -- span emission into an armed FlightRecorder ring
 //                     (the always-on forensic setup) vs no recorder;
 //   idle_injector  -- a FaultInjector with an empty plan attached as the
@@ -62,16 +64,9 @@ struct E2eRig {
   std::shared_ptr<SinkNode> server;
   std::vector<u8> wire;  // the repeated capsule, serialized once
 
-  explicit E2eRig(bool telemetry = false) {
+  E2eRig() {
     sw = std::make_shared<controller::SwitchNode>(
         "switch", controller::SwitchNode::Config{});
-    if (telemetry) {
-      // Mirror the full artmt_stats wiring: netsim counters join the
-      // switch's (private) registry, so the instrumented measurement pays
-      // for every recording site the real deployment would.
-      sim.set_metrics(&sw->metrics());
-      net.set_metrics(&sw->metrics());
-    }
     client = std::make_shared<SinkNode>("client");
     server = std::make_shared<SinkNode>("server");
     net.attach(sw);
@@ -236,7 +231,7 @@ bool report(const char* name, const Overhead& o, const std::string& extra,
 }
 
 int run() {
-  E2eRig tel_rig(/*telemetry=*/true);
+  E2eRig tel_rig;
   E2eRig spans_rig;
   E2eRig hook_rig;
   // The production always-on tracing configuration: every span event is

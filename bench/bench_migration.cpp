@@ -366,8 +366,6 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   netsim::Simulator sim;
   netsim::Network net(sim);
   telemetry::MetricsRegistry registry;
-  sim.set_metrics(&registry);
-  net.set_metrics(&registry);
   std::unique_ptr<faults::FaultInjector> injector;
   if (knobs.plan != nullptr) {
     injector = std::make_unique<faults::FaultInjector>(*knobs.plan);
@@ -448,6 +446,9 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   for (const auto& t : tenants) combined.mix(t->replies.h);
   out.reply_digest = combined.h;
   out.completed_at = sim.now();
+  sim.export_metrics(registry);
+  net.export_metrics(registry);
+  sw->export_metrics(registry);
   std::ostringstream os;
   registry.snapshot_json(os);
   out.snapshot = os.str();

@@ -9,18 +9,11 @@ namespace artmt::active {
 ProgramCache::ProgramCache(std::size_t capacity, HashFn hash)
     : capacity_(std::max<std::size_t>(1, capacity)), hash_(hash) {}
 
-void ProgramCache::set_metrics(telemetry::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_hits_ = nullptr;
-    m_misses_ = nullptr;
-    m_evictions_ = nullptr;
-    m_collisions_ = nullptr;
-    return;
-  }
-  m_hits_ = &metrics->counter("program_cache", "hits");
-  m_misses_ = &metrics->counter("program_cache", "misses");
-  m_evictions_ = &metrics->counter("program_cache", "evictions");
-  m_collisions_ = &metrics->counter("program_cache", "collisions");
+void ProgramCache::export_metrics(telemetry::MetricsRegistry& metrics) const {
+  metrics.counter("program_cache", "hits").merge_add(stats_.hits);
+  metrics.counter("program_cache", "misses").merge_add(stats_.misses);
+  metrics.counter("program_cache", "evictions").merge_add(stats_.evictions);
+  metrics.counter("program_cache", "collisions").merge_add(stats_.collisions);
 }
 
 void ProgramCache::touch(Entry& entry) {
@@ -43,7 +36,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::insert(
     lru_.pop_back();
     entries_.erase(victim);
     ++stats_.evictions;
-    if (m_evictions_ != nullptr) m_evictions_->inc();
   }
   lru_.push_front(digest);
   entries_.emplace(digest, Entry{program, lru_.begin()});
@@ -62,15 +54,12 @@ std::shared_ptr<const CompiledProgram> ProgramCache::intern(
         std::equal(wire_code.begin(), wire_code.end(),
                    cached.wire_code().begin())) {
       ++stats_.hits;
-      if (m_hits_ != nullptr) m_hits_->inc();
       touch(it->second);
       return it->second.program;
     }
     ++stats_.collisions;
-    if (m_collisions_ != nullptr) m_collisions_->inc();
   }
   ++stats_.misses;
-  if (m_misses_ != nullptr) m_misses_->inc();
   auto compiled = std::make_shared<const CompiledProgram>(
       CompiledProgram::compile(wire_code, preload_mar, preload_mbr));
   return insert(digest, std::move(compiled));

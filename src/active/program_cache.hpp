@@ -19,7 +19,6 @@
 #include "active/compiled_program.hpp"
 
 namespace artmt::telemetry {
-class Counter;
 class MetricsRegistry;
 }  // namespace artmt::telemetry
 
@@ -59,10 +58,9 @@ class ProgramCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   void clear();
 
-  // Mirrors hit/miss/eviction/collision counts into `metrics` under
-  // component "program_cache" (nullptr detaches). The internal Stats
-  // struct keeps counting regardless.
-  void set_metrics(telemetry::MetricsRegistry* metrics);
+  // Adds the Stats totals to `metrics` as "program_cache" counters; call
+  // once per snapshot.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
   struct Entry {
@@ -77,10 +75,6 @@ class ProgramCache {
   std::size_t capacity_;
   HashFn hash_;
   Stats stats_;
-  telemetry::Counter* m_hits_ = nullptr;
-  telemetry::Counter* m_misses_ = nullptr;
-  telemetry::Counter* m_evictions_ = nullptr;
-  telemetry::Counter* m_collisions_ = nullptr;
   std::list<u64> lru_;  // front = most recently used
   std::unordered_map<u64, Entry> entries_;
 };

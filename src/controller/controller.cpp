@@ -8,39 +8,17 @@
 
 namespace artmt::controller {
 
-// Pre-registered handles; blocks_allocated is labeled per FID so occupancy
-// per service is visible in snapshots (the paper's Fig. 9 quantity).
+// Pre-registered handles for what has no typed home: blocks_allocated is
+// labeled per FID so occupancy per service is visible in snapshots (the
+// paper's Fig. 9 quantity), plus the admission histograms. The totals
+// live in ControllerStats and reach a registry through export_metrics.
 struct ControllerMetrics {
   explicit ControllerMetrics(telemetry::MetricsRegistry& r)
       : blocks_allocated(r, "controller", "blocks_allocated"),
-        admissions(&r.counter("controller", "admissions")),
-        rejections(&r.counter("controller", "rejections")),
-        tcam_rejections(&r.counter("controller", "tcam_rejections")),
-        releases(&r.counter("controller", "releases")),
-        reallocations(&r.counter("controller", "reallocations")),
-        table_entry_updates(&r.counter("controller", "table_entry_updates")),
-        table_update_batches(&r.counter("controller", "table_update_batches")),
-        blocks_snapshotted(&r.counter("controller", "blocks_snapshotted")),
-        extraction_timeouts(&r.counter("controller", "extraction_timeouts")),
-        migrations(&r.counter("controller", "migrations")),
-        migration_noops(&r.counter("controller", "migration_noops")),
-        blocks_migrated(&r.counter("controller", "blocks_migrated")),
         compute_us(&r.histogram("controller", "admit_compute_us")),
         provisioning_ns(&r.histogram("controller", "provisioning_ns")) {}
 
   telemetry::CounterFamily blocks_allocated;
-  telemetry::Counter* admissions;
-  telemetry::Counter* rejections;
-  telemetry::Counter* tcam_rejections;
-  telemetry::Counter* releases;
-  telemetry::Counter* reallocations;
-  telemetry::Counter* table_entry_updates;
-  telemetry::Counter* table_update_batches;
-  telemetry::Counter* blocks_snapshotted;
-  telemetry::Counter* extraction_timeouts;
-  telemetry::Counter* migrations;
-  telemetry::Counter* migration_noops;
-  telemetry::Counter* blocks_migrated;
   telemetry::Histogram* compute_us;
   telemetry::Histogram* provisioning_ns;
 };
@@ -61,6 +39,24 @@ void Controller::set_metrics(telemetry::MetricsRegistry* metrics) {
   alloc_.set_metrics(metrics);
   metrics_ = metrics == nullptr ? nullptr
                                 : std::make_unique<ControllerMetrics>(*metrics);
+}
+
+void Controller::export_metrics(telemetry::MetricsRegistry& metrics) const {
+  const auto add = [&metrics](const char* name, u64 value) {
+    metrics.counter("controller", name).merge_add(value);
+  };
+  add("admissions", stats_.admissions);
+  add("rejections", stats_.rejections);
+  add("tcam_rejections", stats_.tcam_rejections);
+  add("releases", stats_.releases);
+  add("reallocations", stats_.reallocations);
+  add("table_entry_updates", stats_.table_entry_updates);
+  add("table_update_batches", stats_.table_update_batches);
+  add("blocks_snapshotted", stats_.blocks_snapshotted);
+  add("extraction_timeouts", stats_.extraction_timeouts);
+  add("migrations", stats_.migrations);
+  add("migration_noops", stats_.migration_noops);
+  add("blocks_migrated", stats_.blocks_migrated);
 }
 
 std::map<u32, Interval> Controller::regions_of(Fid fid) const {
@@ -117,7 +113,6 @@ u64 Controller::take_snapshot(Fid fid) {
     }
   }
   stats_.blocks_snapshotted += blocks;
-  if (metrics_) metrics_->blocks_snapshotted->inc(blocks);
   return blocks;
 }
 
@@ -158,7 +153,6 @@ void Controller::install_with_advance(Fid fid) {
       throw UsageError("Controller: TCAM capacity exceeded at install");
     }
     ++stats_.table_entry_updates;
-    if (metrics_) metrics_->table_entry_updates->inc();
   }
 }
 
@@ -169,7 +163,6 @@ u32 Controller::remove_entries(Fid fid) {
       pipeline_->stage(s).remove(fid);
       ++ops;
       ++stats_.table_entry_updates;
-      if (metrics_) metrics_->table_entry_updates->inc();
     }
   }
   return ops;
@@ -193,7 +186,6 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
   result.compute_ms = result.outcome.search_ms + result.outcome.assign_ms;
   if (!result.outcome.success) {
     ++stats_.rejections;
-    if (metrics_) metrics_->rejections->inc();
     if (auto* sink = telemetry::trace_sink()) {
       sink->emit("controller", "rejection", telemetry::kNoFid,
                  {{"cause", "no_feasible_placement"},
@@ -214,10 +206,6 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
       result.outcome.success = false;
       ++stats_.rejections;
       ++stats_.tcam_rejections;
-      if (metrics_) {
-        metrics_->rejections->inc();
-        metrics_->tcam_rejections->inc();
-      }
       if (auto* sink = telemetry::trace_sink()) {
         sink->emit("controller", "rejection", telemetry::kNoFid,
                    {{"cause", "tcam_headroom"}, {"stage", stage}});
@@ -272,9 +260,6 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
       static_cast<SimTime>(blocks_cleared) * costs_.clear_per_block;
 
   if (metrics_) {
-    metrics_->admissions->inc();
-    metrics_->reallocations->inc(result.disturbed.size());
-    metrics_->table_update_batches->inc(result.table_update_batches);
     u64 fid_blocks = 0;
     for (const auto& [stage, region] :
          alloc_.regions_of(result.outcome.app)) {
@@ -321,7 +306,6 @@ bool Controller::extraction_complete(Fid fid) {
 void Controller::timeout_pending() {
   if (!pending_) return;
   stats_.extraction_timeouts += pending_->awaiting.size();
-  if (metrics_) metrics_->extraction_timeouts->inc(pending_->awaiting.size());
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("controller", "extraction_timeout", pending_->new_fid,
                {{"abandoned", pending_->awaiting.size()}});
@@ -439,7 +423,6 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
 
   if (changed.empty()) {
     ++stats_.migration_noops;
-    if (metrics_) metrics_->migration_noops->inc();
     if (auto* sink = telemetry::trace_sink()) {
       sink->emit("controller", "migration_noop", request.fid,
                  {{"kind", remap_kind_name(request.kind)},
@@ -464,10 +447,6 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
     result.disturbed.push_back(app_to_fid_.at(a));
   }
   stats_.reallocations += result.disturbed.size();
-  if (metrics_) {
-    metrics_->migrations->inc();
-    metrics_->reallocations->inc(result.disturbed.size());
-  }
 
   // Cost accounting (mirrors admit, minus a new app): removals are what
   // the tables still hold, installs and clears follow the new layout.
@@ -496,10 +475,6 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
       static_cast<SimTime>(blocks_cleared) * costs_.clear_per_block;
   result.blocks_moved = blocks_cleared;
   stats_.blocks_migrated += blocks_cleared;
-  if (metrics_) {
-    metrics_->table_update_batches->inc(result.table_update_batches);
-    metrics_->blocks_migrated->inc(blocks_cleared);
-  }
 
   // Handshake: quiesce every disturbed app, then wait for extraction like
   // any admission; new_fid = 0 marks the migration.
@@ -527,7 +502,6 @@ ReleaseResult Controller::release(Fid fid) {
   const auto it = fid_to_app_.find(fid);
   if (it == fid_to_app_.end()) throw UsageError("Controller: unknown FID");
   ++stats_.releases;
-  if (metrics_) metrics_->releases->inc();
 
   ReleaseResult result;
   const alloc::AppId app = it->second;
@@ -535,7 +509,6 @@ ReleaseResult Controller::release(Fid fid) {
   u64 entry_ops = remove_entries(fid);
   const auto disturbed_apps = alloc_.deallocate(app);
   stats_.reallocations += disturbed_apps.size();
-  if (metrics_) metrics_->reallocations->inc(disturbed_apps.size());
 
   const u32 block_words = pipeline_->config().block_words;
   u64 blocks_snapshotted = 0;
@@ -558,9 +531,6 @@ ReleaseResult Controller::release(Fid fid) {
   result.table_update_cost =
       costs_.table_update_time(entry_ops, result.table_update_batches);
   stats_.table_update_batches += result.table_update_batches;
-  if (metrics_) {
-    metrics_->table_update_batches->inc(result.table_update_batches);
-  }
   result.snapshot_cost =
       static_cast<SimTime>(blocks_snapshotted) * costs_.snapshot_per_block;
 

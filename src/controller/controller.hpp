@@ -191,12 +191,15 @@ class Controller {
   [[nodiscard]] const alloc::Mutant* mutant_of(Fid fid) const;
   [[nodiscard]] const CostModel& costs() const { return costs_; }
 
-  // Mirrors ControllerStats into `metrics` under component "controller"
-  // (blocks_allocated also per-FID) and cascades to the owned allocator;
-  // nullptr detaches. Admissions, rejections, releases, timeouts, and
-  // layout applications also emit trace events while a
-  // telemetry::TraceSink is installed.
+  // Records the per-FID blocks_allocated breakdown and the admission
+  // histograms into `metrics` under component "controller" and cascades
+  // to the owned allocator; nullptr detaches. Admissions, rejections,
+  // releases, timeouts, and layout applications also emit trace events
+  // while a telemetry::TraceSink is installed.
   void set_metrics(telemetry::MetricsRegistry* metrics);
+  // Adds the ControllerStats totals to `metrics` as "controller"
+  // counters; call once per snapshot.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
   struct PendingAdmission {

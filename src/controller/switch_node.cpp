@@ -11,38 +11,29 @@ namespace artmt::controller {
 using packet::ActivePacket;
 using packet::ActiveType;
 
-// The node's own counters ("switch" component); the embedded runtime,
-// controller, allocator, and program cache register theirs under their own
-// component names in the same registry.
+// The node's own counters ("switch" component) that have no typed home;
+// the embedded runtime, controller, and allocator register theirs under
+// their own component names in the same registry, and the typed totals
+// join at export_metrics.
 struct SwitchMetrics {
   explicit SwitchMetrics(telemetry::MetricsRegistry& r)
-      : packets(r, "switch", "packets"),
-        malformed(&r.counter("switch", "malformed")),
+      : malformed(&r.counter("switch", "malformed")),
         control_rejects(&r.counter("switch", "control_rejects")),
         unknown_destination(&r.counter("switch", "unknown_destination")),
         forwarded(&r.counter("switch", "forwarded")),
-        returned(&r.counter("switch", "returned")),
         dropped(&r.counter("switch", "dropped")),
-        zero_copy_frames(&r.counter("switch", "zero_copy_frames")),
         register_wipes(&r.counter("switch", "register_wipes")),
-        migration_ticks(&r.counter("switch", "migration_ticks")),
-        migration_deferred(&r.counter("switch", "migration_deferred")),
         transit_frames(&r.counter("switch", "transit_frames")),
         health_acks(&r.counter("switch", "health_acks")),
         admission_deferred(&r.counter("alloc", "admission_deferred")),
         exec_latency_ns(&r.histogram("switch", "exec_latency_ns")) {}
 
-  telemetry::CounterFamily packets;
   telemetry::Counter* malformed;
   telemetry::Counter* control_rejects;
   telemetry::Counter* unknown_destination;
   telemetry::Counter* forwarded;
-  telemetry::Counter* returned;
   telemetry::Counter* dropped;
-  telemetry::Counter* zero_copy_frames;
   telemetry::Counter* register_wipes;
-  telemetry::Counter* migration_ticks;
-  telemetry::Counter* migration_deferred;
   telemetry::Counter* transit_frames;   // fabric: forwarded through, unexecuted
   telemetry::Counter* health_acks;      // fabric: probes answered
   telemetry::Counter* admission_deferred;  // parked for a pending re-slide
@@ -55,7 +46,6 @@ SwitchNode::SwitchNode(std::string name, const Config& config)
       runtime_(pipeline_),
       controller_(pipeline_, runtime_, config.scheme, config.policy,
                   config.costs),
-      program_cache_(config.program_cache_entries),
       mac_(config.mac),
       l2_learning_(config.l2_learning),
       default_recirc_budget_(config.default_recirc_budget),
@@ -63,7 +53,6 @@ SwitchNode::SwitchNode(std::string name, const Config& config)
       migration_enabled_(config.migration.enabled),
       migration_interval_(config.migration.interval),
       hotness_(config.migration.hotness),
-      remap_queue_(config.migration.queue_depth),
       planner_(config.migration.policy) {
   if (migration_enabled_ && migration_interval_ <= 0) {
     throw UsageError("SwitchNode: migration interval must be positive");
@@ -83,7 +72,6 @@ SwitchNode::SwitchNode(std::string name, const Config& config)
   runtime_.set_metrics(metrics_registry_);
   runtime_.set_heatmap(&heatmap_);
   controller_.set_metrics(metrics_registry_);
-  program_cache_.set_metrics(metrics_registry_);
 }
 
 SwitchNode::~SwitchNode() = default;
@@ -94,10 +82,17 @@ SwitchNode::NodeStats SwitchNode::node_stats() const {
   s.control_rejects = metrics_->control_rejects->value();
   s.unknown_destination = metrics_->unknown_destination->value();
   s.forwarded = metrics_->forwarded->value();
-  s.returned = metrics_->returned->value();
+  s.returned = runtime_.stats().rts_packets;
   s.dropped = metrics_->dropped->value();
-  s.zero_copy_frames = metrics_->zero_copy_frames->value();
   return s;
+}
+
+void SwitchNode::export_metrics(telemetry::MetricsRegistry& metrics) const {
+  runtime_.export_metrics(metrics);
+  controller_.export_metrics(metrics);
+  program_cache_.export_metrics(metrics);
+  metrics.counter("switch", "migration_ticks").merge_add(mig_ticks_);
+  metrics.counter("switch", "migration_deferred").merge_add(mig_deferred_);
 }
 
 namespace {
@@ -353,20 +348,12 @@ void SwitchNode::handle_program(packet::ProgramView view,
                 attach_index(), pass);
     }
   }
-  metrics_->packets.at(view.initial.fid).inc();
   metrics_->exec_latency_ns->record(static_cast<u64>(result.latency));
-  switch (result.verdict) {
-    case runtime::Verdict::kDrop:
-      metrics_->dropped->inc();
-      return;
-    case runtime::Verdict::kReturnToSender:
-      metrics_->returned->inc();
-      break;
-    case runtime::Verdict::kForward:
-      metrics_->forwarded->inc();
-      break;
+  if (result.verdict == runtime::Verdict::kDrop) {
+    metrics_->dropped->inc();
+    return;
   }
-  metrics_->zero_copy_frames->inc();
+  if (result.verdict == runtime::Verdict::kForward) metrics_->forwarded->inc();
   // The reply is rewritten into the inbound buffer (the window slides
   // forward over the shrunk bytes): wire-in to wire-out without a copy.
   netsim::Frame out =
@@ -525,7 +512,6 @@ void SwitchNode::run_admission(const ControlOp& op) {
 
 void SwitchNode::migration_tick() {
   ++mig_ticks_;
-  metrics_->migration_ticks->inc();
   // Absorb the heatmap delta and decay every tick, busy or not: hotness
   // time advances with virtual time, not with control-plane luck.
   hotness_.tick(heatmap_);
@@ -533,7 +519,6 @@ void SwitchNode::migration_tick() {
   if (control_busy_ || txn_ || controller_.has_pending()) {
     // Admissions/releases own the control plane; migration yields.
     ++mig_deferred_;
-    metrics_->migration_deferred->inc();
     acted = true;  // a busy control plane is not an idle switch
   } else {
     acted = planner_.plan(controller_, hotness_, remap_queue_) > 0;

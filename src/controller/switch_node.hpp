@@ -46,13 +46,12 @@ class SwitchNode : public netsim::Node {
     bool enforce_privilege = false;
     // Applied to every admitted FID; zero rate = unlimited.
     runtime::RecircBudget default_recirc_budget;
-    // Bound on distinct interned programs (LRU beyond this).
-    std::size_t program_cache_entries = active::ProgramCache::kDefaultCapacity;
-    // Registry receiving this node's metrics (runtime, controller,
-    // allocator, program cache, and the node's own counters). nullptr =
-    // the node owns a private registry, so per-node counts stay exact no
-    // matter how many switches share the process; tools and benches pass
-    // &telemetry::registry() to aggregate into the process-wide snapshot.
+    // Registry receiving this node's live metrics (per-FID breakdowns,
+    // histograms, allocator and node counters); the typed totals join at
+    // export_metrics. nullptr = the node owns a private registry, so
+    // per-node counts stay exact no matter how many switches share the
+    // process; tools and benches pass &telemetry::registry() to aggregate
+    // into the process-wide snapshot.
     telemetry::MetricsRegistry* metrics = nullptr;
     // Background migration & defragmentation engine (ROADMAP item 2).
     // Every `interval` of virtual time the node folds the heatmap into
@@ -65,7 +64,6 @@ class SwitchNode : public netsim::Node {
       SimTime interval = 10 * kMillisecond;
       alloc::HotnessConfig hotness;
       MigrationPolicy policy;
-      u32 queue_depth = 64;
     };
     MigrationConfig migration;
     // --- fabric mode (src/fabric) ---
@@ -99,8 +97,8 @@ class SwitchNode : public netsim::Node {
     RemapQueueStats queue;
   };
 
-  // Snapshot view over the node's registry counters (built per call; the
-  // registry is the single source of truth).
+  // Snapshot view over the node's registry counters, built per call;
+  // `returned` is the runtime's RTS total.
   struct NodeStats {
     u64 malformed = 0;            // unparseable passive frames
     u64 control_rejects = 0;      // malformed/invalid control requests
@@ -108,7 +106,6 @@ class SwitchNode : public netsim::Node {
     u64 forwarded = 0;
     u64 returned = 0;  // RTS'd capsules
     u64 dropped = 0;
-    u64 zero_copy_frames = 0;  // program capsules replied in place
   };
 
   SwitchNode(std::string name, const Config& config);
@@ -145,6 +142,10 @@ class SwitchNode : public netsim::Node {
   [[nodiscard]] telemetry::MetricsRegistry& metrics() const {
     return *metrics_registry_;
   }
+  // Adds the typed totals of the runtime, controller and program cache,
+  // plus the migration engine's tick counts, to `metrics`; call once per
+  // snapshot.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
   // Per-(stage, FID) memory-access heatmap fed by the runtime's dispatch
   // path (recording gated by telemetry::enabled()).
   [[nodiscard]] telemetry::StageHeatmap& heatmap() { return heatmap_; }

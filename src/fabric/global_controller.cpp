@@ -32,19 +32,15 @@ bool board_feasible(const Scoreboard& board,
 
 }  // namespace
 
+// The fabric counters with no typed home; the FabricReport totals reach a
+// registry through export_metrics.
 struct FabricMetrics {
   telemetry::Counter* admissions;
-  telemetry::Counter* placements;
   telemetry::Counter* denials_retried;
   telemetry::Counter* denials_final;
-  telemetry::Counter* evacuations;
-  telemetry::Counter* replaced;
-  telemetry::Counter* state_loss;
   telemetry::Counter* parked_retries;
   telemetry::Counter* probes;
   telemetry::Counter* acks;
-  telemetry::Counter* deaths;
-  telemetry::Counter* revivals;
   telemetry::Counter* reconcile_deallocs;
   telemetry::Counter* forwarded;
   telemetry::Counter* resends;
@@ -56,17 +52,11 @@ struct FabricMetrics {
 
   explicit FabricMetrics(telemetry::MetricsRegistry& reg)
       : admissions(&reg.counter("fabric", "admissions")),
-        placements(&reg.counter("fabric", "placements")),
         denials_retried(&reg.counter("fabric", "denials_retried")),
         denials_final(&reg.counter("fabric", "denials_final")),
-        evacuations(&reg.counter("fabric", "evacuations")),
-        replaced(&reg.counter("fabric", "replaced")),
-        state_loss(&reg.counter("fabric", "state_loss_services")),
         parked_retries(&reg.counter("fabric", "parked_retries")),
         probes(&reg.counter("fabric", "probes")),
         acks(&reg.counter("fabric", "acks")),
-        deaths(&reg.counter("fabric", "switch_deaths")),
-        revivals(&reg.counter("fabric", "revivals")),
         reconcile_deallocs(&reg.counter("fabric", "reconcile_deallocs")),
         forwarded(&reg.counter("fabric", "forwarded")),
         resends(&reg.counter("fabric", "grant_resends")),
@@ -163,6 +153,19 @@ FabricReport GlobalController::report() const {
   rep.revivals = revivals_total_;
   rep.downtimes = downtimes_;
   return rep;
+}
+
+void GlobalController::export_metrics(
+    telemetry::MetricsRegistry& metrics) const {
+  const auto add = [&metrics](const char* name, u64 value) {
+    metrics.counter("fabric", name).merge_add(value);
+  };
+  add("placements", placements_total_);
+  add("evacuations", evacuated_total_);
+  add("replaced", replaced_total_);
+  add("state_loss_services", state_loss_total_);
+  add("switch_deaths", deaths_total_);
+  add("revivals", revivals_total_);
 }
 
 GlobalController::SwitchState* GlobalController::pick_switch(
@@ -276,7 +279,6 @@ void GlobalController::handle_response(packet::ActivePacket pkt) {
   placement.request = admit.request;
   placements_[fid] = std::move(placement);
   ++placements_total_;
-  metrics_->placements->inc();
   for (u32 i = 0; i < switches_.size(); ++i) {
     if (switches_[i].mac == placements_[fid].sw) {
       metrics_->placements_on.at(static_cast<i32>(i)).inc();
@@ -291,7 +293,6 @@ void GlobalController::handle_response(packet::ActivePacket pkt) {
     downtimes_.push_back(downtime);
     metrics_->downtime_ns->record(static_cast<u64>(downtime));
     ++replaced_total_;
-    metrics_->replaced->inc();
     if (config_.resend_epochs > 0) {
       Resend resend;
       resend.pkt = pkt;
@@ -322,7 +323,6 @@ void GlobalController::handle_health_ack(const packet::ActivePacket& pkt) {
   if (!sw->alive) {
     sw->alive = true;
     ++revivals_total_;
-    metrics_->revivals->inc();
     reconcile(*sw);
   }
 }
@@ -394,7 +394,6 @@ void GlobalController::epoch_tick() {
 void GlobalController::declare_dead(SwitchState& sw) {
   sw.alive = false;
   ++deaths_total_;
-  metrics_->deaths->inc();
   log(LogLevel::kInfo, name(), ": switch ", sw.name, " declared dead");
   evacuate(sw);
 }
@@ -416,7 +415,6 @@ void GlobalController::evacuate(SwitchState& dead) {
     Placement placement = std::move(placements_[fid]);
     placements_.erase(fid);
     ++evacuated_total_;
-    metrics_->evacuations->inc();
     replay(placement.client, placement.client_seq,
            std::move(placement.request), death_time);
   }
@@ -455,7 +453,6 @@ void GlobalController::park(PendingAdmit&& admit) {
   // and the flag rides every retry of the same evacuation afterwards.
   if (!admit.counted_loss) {
     ++state_loss_total_;
-    metrics_->state_loss->inc();
   }
   Parked parked;
   parked.client = admit.client;

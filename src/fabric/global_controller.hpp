@@ -123,6 +123,10 @@ class GlobalController : public netsim::Node {
     return static_cast<u32>(unplaced_.size());
   }
   [[nodiscard]] FabricReport report() const;
+  // Adds the report totals (placements, evacuations, replaced,
+  // state_loss_services, switch_deaths, revivals) to `metrics` as
+  // "fabric" counters; call once per snapshot.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
   struct SwitchState {

@@ -9,16 +9,10 @@
 
 namespace artmt::netsim {
 
-void Network::set_metrics(telemetry::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_delivered_ = nullptr;
-    m_bytes_ = nullptr;
-    m_dropped_ = nullptr;
-    return;
-  }
-  m_delivered_ = &metrics->counter("netsim", "frames_delivered");
-  m_bytes_ = &metrics->counter("netsim", "bytes_delivered");
-  m_dropped_ = &metrics->counter("netsim", "frames_dropped");
+void Network::export_metrics(telemetry::MetricsRegistry& metrics) const {
+  metrics.counter("netsim", "frames_delivered").merge_add(frames_delivered_);
+  metrics.counter("netsim", "bytes_delivered").merge_add(bytes_delivered_);
+  metrics.counter("netsim", "frames_dropped").merge_add(frames_dropped_);
 }
 
 void Network::attach(std::shared_ptr<Node> node) {
@@ -44,7 +38,6 @@ void Network::connect(Node& node_a, u32 port_a, Node& node_b, u32 port_b,
 
 void Network::count_drop(const Node& from, u32 port, std::size_t bytes) {
   ++frames_dropped_;
-  if (m_dropped_ != nullptr) m_dropped_->inc();
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("netsim", "frame_dropped", telemetry::kNoFid,
                {{"node", from.name()}, {"port", port}, {"bytes", bytes}});
@@ -62,10 +55,6 @@ void Network::dispatch(const Endpoint& dest, Node& from, u64 tx_seq,
         telemetry::SpanScope scope(span);
         ++frames_delivered_;
         bytes_delivered_ += f.size();
-        if (m_delivered_ != nullptr) {
-          m_delivered_->inc();
-          m_bytes_->inc(f.size());
-        }
         dest.node->on_frame(std::move(f), dest.port);
       });
 }

@@ -120,10 +120,10 @@ class Network {
   [[nodiscard]] u64 bytes_delivered() const { return bytes_delivered_; }
   [[nodiscard]] u64 frames_dropped() const { return frames_dropped_; }
 
-  // Mirrors delivery/drop counts into `metrics` under component "netsim"
-  // (nullptr detaches). Drops also emit a "frame_dropped" trace event
+  // Adds the delivery/drop counts to `metrics` under component "netsim";
+  // call once per snapshot. Drops also emit a "frame_dropped" trace event
   // while a telemetry::TraceSink is installed.
-  void set_metrics(telemetry::MetricsRegistry* metrics);
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
   // Installs (or with nullptr removes) the transmit hook. Install before
   // frames flow; the pointer is read on every transmit.
@@ -172,9 +172,6 @@ class Network {
   u64 frames_delivered_ = 0;
   u64 bytes_delivered_ = 0;
   u64 frames_dropped_ = 0;
-  telemetry::Counter* m_delivered_ = nullptr;
-  telemetry::Counter* m_bytes_ = nullptr;
-  telemetry::Counter* m_dropped_ = nullptr;
 };
 
 }  // namespace artmt::netsim

@@ -18,8 +18,6 @@
 #include "common/types.hpp"
 
 namespace artmt::telemetry {
-class Counter;
-class Gauge;
 class MetricsRegistry;
 }  // namespace artmt::telemetry
 
@@ -153,8 +151,6 @@ class Simulator {
   void run();
 
   // Executes at most one event; returns false if the queue was empty.
-  // Flushes the attached metrics registry (dispatch count, queue depth)
-  // so single-stepping callers never read stale values.
   bool step();
 
   [[nodiscard]] SimTime now() const { return now_; }
@@ -164,12 +160,9 @@ class Simulator {
   // cost a heap allocation); the frame fast path should keep this at zero.
   [[nodiscard]] u64 actions_spilled() const { return actions_spilled_; }
 
-  // Mirrors dispatch/spill counts and the queue-depth gauge into
-  // `metrics` under component "netsim" (nullptr detaches). Dispatch count
-  // and queue depth are flushed at run()/run_until()/step() boundaries
-  // rather than per event inside the run loops, keeping the per-event
-  // cost off the frame hot path.
-  void set_metrics(telemetry::MetricsRegistry* metrics);
+  // Adds the dispatch and spill counts and the current queue depth to
+  // `metrics` under component "netsim"; call once per snapshot.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
   // Sentinel src_index for non-delivery events: sorts them after any
@@ -201,17 +194,11 @@ class Simulator {
 
   void push_event(SimTime at, SimTime tie, u32 src_index, u64 tx_seq,
                   Action action);
-  bool dispatch_one();
-  void flush_metrics();
 
   SimTime now_ = 0;
   u64 next_seq_ = 0;
   u64 actions_spilled_ = 0;
   u64 events_dispatched_ = 0;
-  u64 dispatched_flushed_ = 0;
-  telemetry::Counter* m_dispatched_ = nullptr;
-  telemetry::Counter* m_spilled_ = nullptr;
-  telemetry::Gauge* m_queue_depth_ = nullptr;
   // Min-heap managed with std::push_heap/pop_heap (Later makes the earliest
   // event the front element) so step() can move the Event — and its inline
   // action — out of the container instead of copying it.

@@ -8,34 +8,17 @@
 
 namespace artmt::runtime {
 
-// Pre-registered handles so the per-packet path never touches the
-// registry mutex: per-FID families memoize, the rest are direct pointers.
+// The per-FID breakdowns, pre-registered so the per-packet path never
+// touches the registry mutex (each family memoizes its last fid). The
+// totals live in RuntimeStats and reach a registry through
+// export_metrics.
 struct RuntimeMetrics {
   explicit RuntimeMetrics(telemetry::MetricsRegistry& r)
       : packets(r, "runtime", "packets"),
-        recirculations(r, "runtime", "recirculations"),
-        instructions(&r.counter("runtime", "instructions")),
-        drops_protection(&r.counter("runtime", "drops_protection")),
-        drops_no_allocation(&r.counter("runtime", "drops_no_allocation")),
-        drops_recirc_limit(&r.counter("runtime", "drops_recirc_limit")),
-        drops_recirc_budget(&r.counter("runtime", "drops_recirc_budget")),
-        drops_privilege(&r.counter("runtime", "drops_privilege")),
-        drops_explicit(&r.counter("runtime", "drops_explicit")),
-        rts_packets(&r.counter("runtime", "rts_packets")),
-        forwarded_unprocessed(
-            &r.counter("runtime", "forwarded_unprocessed")) {}
+        recirculations(r, "runtime", "recirculations") {}
 
   telemetry::CounterFamily packets;
   telemetry::CounterFamily recirculations;
-  telemetry::Counter* instructions;
-  telemetry::Counter* drops_protection;
-  telemetry::Counter* drops_no_allocation;
-  telemetry::Counter* drops_recirc_limit;
-  telemetry::Counter* drops_recirc_budget;
-  telemetry::Counter* drops_privilege;
-  telemetry::Counter* drops_explicit;
-  telemetry::Counter* rts_packets;
-  telemetry::Counter* forwarded_unprocessed;
 };
 
 ActiveRuntime::ActiveRuntime(rmt::Pipeline& pipeline) : pipeline_(&pipeline) {}
@@ -45,6 +28,21 @@ ActiveRuntime::~ActiveRuntime() = default;
 void ActiveRuntime::set_metrics(telemetry::MetricsRegistry* metrics) {
   metrics_ =
       metrics == nullptr ? nullptr : std::make_unique<RuntimeMetrics>(*metrics);
+}
+
+void ActiveRuntime::export_metrics(telemetry::MetricsRegistry& metrics) const {
+  const auto add = [&metrics](const char* name, u64 value) {
+    metrics.counter("runtime", name).merge_add(value);
+  };
+  add("instructions", stats_.instructions);
+  add("drops_protection", stats_.drops_protection);
+  add("drops_no_allocation", stats_.drops_no_allocation);
+  add("drops_recirc_limit", stats_.drops_recirc_limit);
+  add("drops_recirc_budget", stats_.drops_recirc_budget);
+  add("drops_privilege", stats_.drops_privilege);
+  add("drops_explicit", stats_.drops_explicit);
+  add("rts_packets", stats_.rts_packets);
+  add("forwarded_unprocessed", stats_.forwarded_unprocessed);
 }
 
 using active::CompiledInsn;
@@ -92,7 +90,6 @@ bool ActiveRuntime::lane_begin(const CompiledProgram& program, ExecContext& ctx,
       (ctx.flags & packet::kFlagManagement) == 0) {
     lane.res.fault = Fault::kDeactivated;
     ++stats_.forwarded_unprocessed;
-    if (metrics_) metrics_->forwarded_unprocessed->inc();
     lane.halted = true;
     lane.bypassed = true;
     return false;
@@ -288,11 +285,8 @@ ExecutionResult ActiveRuntime::lane_finish(LaneState& lane) {
   }
   stats_.instructions += res.instructions_executed;
   stats_.recirculations += res.passes - 1;
-  if (metrics_) {
-    metrics_->instructions->inc(res.instructions_executed);
-    if (res.passes > 1) {
-      metrics_->recirculations.at(ctx.fid).inc(res.passes - 1);
-    }
+  if (metrics_ && res.passes > 1) {
+    metrics_->recirculations.at(ctx.fid).inc(res.passes - 1);
   }
 
   res.phv = phv;
@@ -301,36 +295,28 @@ ExecutionResult ActiveRuntime::lane_finish(LaneState& lane) {
 
   if (phv.drop) {
     res.verdict = Verdict::kDrop;
-    telemetry::Counter* drop_counter = nullptr;
     switch (lane.fault) {
       case Fault::kExplicitDrop:
         ++stats_.drops_explicit;
-        if (metrics_) drop_counter = metrics_->drops_explicit;
         break;
       case Fault::kProtectionViolation:
         ++stats_.drops_protection;
-        if (metrics_) drop_counter = metrics_->drops_protection;
         break;
       case Fault::kNoAllocation:
         ++stats_.drops_no_allocation;
-        if (metrics_) drop_counter = metrics_->drops_no_allocation;
         break;
       case Fault::kRecircLimit:
         ++stats_.drops_recirc_limit;
-        if (metrics_) drop_counter = metrics_->drops_recirc_limit;
         break;
       case Fault::kRecircBudget:
         ++stats_.drops_recirc_budget;
-        if (metrics_) drop_counter = metrics_->drops_recirc_budget;
         break;
       case Fault::kPrivilege:
         ++stats_.drops_privilege;
-        if (metrics_) drop_counter = metrics_->drops_privilege;
         break;
       default:
         break;
     }
-    if (drop_counter != nullptr) drop_counter->inc();
     return res;
   }
 
@@ -340,7 +326,6 @@ ExecutionResult ActiveRuntime::lane_finish(LaneState& lane) {
       std::swap(*ctx.eth_src, *ctx.eth_dst);
     }
     ++stats_.rts_packets;
-    if (metrics_) metrics_->rts_packets->inc();
   }
   return res;
 }

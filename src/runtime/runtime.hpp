@@ -70,7 +70,8 @@ struct ExecutionResult {
   bool forked = false;
 };
 
-// Aggregate data-plane counters.
+// Aggregate data-plane counters: the only home of these totals
+// (ActiveRuntime::export_metrics publishes them).
 struct RuntimeStats {
   u64 packets = 0;
   u64 instructions = 0;
@@ -184,9 +185,14 @@ class ActiveRuntime {
   [[nodiscard]] const RuntimeStats& stats() const { return stats_; }
   [[nodiscard]] rmt::Pipeline& pipeline() { return *pipeline_; }
 
-  // Mirrors RuntimeStats into `metrics` under component "runtime"
-  // (packets and recirculations also per-FID); nullptr detaches.
+  // Records the per-FID packet and recirculation breakdowns into
+  // `metrics` under component "runtime" (gated by telemetry::enabled());
+  // nullptr detaches.
   void set_metrics(telemetry::MetricsRegistry* metrics);
+  // Adds the RuntimeStats totals (instructions, drops by cause, RTS,
+  // forwarded-unprocessed) to `metrics` as "runtime" counters; call once
+  // per snapshot.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
   // Attaches a per-(stage, FID) memory-access heatmap; every memory op
   // records a read/write/collision cell (gated by telemetry::enabled(),

@@ -15,9 +15,17 @@
 // tools and benches; components can equally be wired to a private
 // instance (the tests do, so per-node counts stay exact).
 //
+// Component totals are not registry handles: they are plain members of
+// each component's typed stats, folded in by its export_metrics (via
+// merge_add) when a snapshot is written. The registry's live handles
+// carry only what has no typed home -- per-FID breakdowns, histograms,
+// gauges, and counters nothing reads through an accessor.
+//
 // Recording is globally gated by set_enabled(): when disabled, handles
 // drop updates after one relaxed load, which is what the overhead bench
-// measures the instrumented datapath against.
+// measures the instrumented datapath against. The gate covers the
+// per-FID breakdowns, histograms, heatmap and spans; the typed totals
+// always count.
 #pragma once
 
 #include <atomic>
@@ -65,8 +73,9 @@ class Counter {
   }
 
   // Snapshot-time accumulation of already-recorded totals (exporters fold
-  // their own books in here). Not gated by enabled(): the source already
-  // applied the gate when it recorded.
+  // their own books in here). Not gated by enabled(): the books decide
+  // what was recorded (typed totals count whether or not recording is
+  // on; the heatmap applies the gate when it records).
   void merge_add(u64 n) {
     value_.store(value_.load(std::memory_order_relaxed) + n,
                  std::memory_order_relaxed);

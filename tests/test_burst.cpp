@@ -192,7 +192,6 @@ RunResult run_scenario(const faults::FaultPlan* plan) {
     d.mix(ns.dropped);
     d.mix(ns.malformed);
     d.mix(ns.unknown_destination);
-    d.mix(ns.zero_copy_frames);
     out.drops += rs.drops_no_allocation;
     out.recirculations += rs.recirculations;
     out.rts += rs.rts_packets;

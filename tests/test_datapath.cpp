@@ -192,7 +192,7 @@ TEST(Datapath, ZeroCopyPathIsTaken) {
   Bed bed;
   bed.inject(program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
                            ArgumentHeader{{3, 0, 0, 0}}));
-  EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 1u);
+  EXPECT_EQ(bed.sw->runtime().stats().packets, 1u);
   EXPECT_EQ(bed.sw->node_stats().forwarded, 1u);
   ASSERT_EQ(bed.server->frames.size(), 1u);
   // The delivered reply rides the very slab the client's send acquired.
@@ -247,7 +247,7 @@ TEST(Datapath, PassiveFramesForwardByL2Address) {
   EXPECT_EQ(bed.server->frames[0].to_vector(), frame);  // untouched
   EXPECT_EQ(bed.sw->node_stats().forwarded, 1u);
   EXPECT_EQ(bed.sw->node_stats().malformed, 0u);
-  EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 0u);
+  EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
 }
 
 TEST(Datapath, PassiveUnknownDestinationCountsMalformed) {
@@ -282,7 +282,7 @@ TEST(Datapath, TruncatedProgramFrameFallsBackToL2Forward) {
   ASSERT_EQ(bed.server->frames.size(), 1u);
   EXPECT_EQ(bed.server->frames[0].to_vector(), frame);
   EXPECT_EQ(bed.sw->node_stats().forwarded, 1u);
-  EXPECT_EQ(bed.sw->node_stats().zero_copy_frames, 0u);
+  EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
 }
 
 TEST(Datapath, BadOpcodeProgramFrameToUnboundMacCountsMalformed) {
@@ -305,7 +305,6 @@ TEST(Datapath, BadOpcodeProgramFrameToUnboundMacCountsMalformed) {
   const auto ns = bed.sw->node_stats();
   EXPECT_EQ(ns.malformed, 1u);
   EXPECT_EQ(ns.forwarded, 0u);
-  EXPECT_EQ(ns.zero_copy_frames, 0u);
   EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
   // The code is interned once: the rejected frame is not parsed again.
   EXPECT_EQ(bed.sw->program_cache().stats().misses, 1u);
@@ -363,8 +362,8 @@ TEST(Datapath, ProgramCapsulesAllocateNothing) {
   // FID 1 granted the whole pipeline so nothing faults. Once the pool,
   // program cache, event queue and per-FID counters are warm, parse,
   // execute, in-place encode and the delayed send allocate nothing:
-  // with telemetry recording off, on (netsim counters included), and
-  // feeding an armed flight recorder.
+  // with telemetry recording off, on, and feeding an armed flight
+  // recorder.
   netsim::Simulator sim;
   netsim::Network net{sim};
   auto sw = std::make_shared<SwitchNode>("switch", SwitchNode::Config{});
@@ -377,8 +376,6 @@ TEST(Datapath, ProgramCapsulesAllocateNothing) {
   net.connect(*sw, 1, *server, 0);
   sw->bind(kClientMac, 0);
   sw->bind(kServerMac, 1);
-  sim.set_metrics(&sw->metrics());
-  net.set_metrics(&sw->metrics());
   for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
     sw->pipeline().stage(s).install(1, 0, 4096, 0);
   }
@@ -423,9 +420,9 @@ TEST(Datapath, ProgramCapsulesAllocateNothing) {
 
 TEST(Datapath, TelemetryCountsMatchOnBothPaths) {
   // The same capsule three times through a switch recording into a
-  // caller-owned registry: the switch's and the runtime's per-FID packet
-  // counters, the latency histogram, the in-place reply counter, and the
-  // NodeStats snapshot view all agree.
+  // caller-owned registry: the runtime's per-FID packet counter, the
+  // verdict counter, the latency histogram, and the NodeStats snapshot
+  // view all agree.
   telemetry::set_enabled(true);
   telemetry::MetricsRegistry reg;
   Bed bed(&reg);
@@ -433,10 +430,8 @@ TEST(Datapath, TelemetryCountsMatchOnBothPaths) {
                                    ArgumentHeader{{3, 0, 0, 0}});
   for (int i = 0; i < 3; ++i) bed.inject(frame);
 
-  EXPECT_EQ(reg.counter_value("switch", "packets", 1), 3u);
   EXPECT_EQ(reg.counter_value("runtime", "packets", 1), 3u);
   EXPECT_EQ(reg.counter_value("switch", "forwarded"), 3u);
-  EXPECT_EQ(reg.counter_value("switch", "zero_copy_frames"), 3u);
   const telemetry::Histogram* lat =
       reg.find_histogram("switch", "exec_latency_ns");
   ASSERT_NE(lat, nullptr);
@@ -446,9 +441,41 @@ TEST(Datapath, TelemetryCountsMatchOnBothPaths) {
   // The NodeStats snapshot is a view over the same registry.
   const auto ns = bed.sw->node_stats();
   EXPECT_EQ(ns.forwarded, 3u);
-  EXPECT_EQ(ns.zero_copy_frames, 3u);
   EXPECT_EQ(ns.malformed, 0u);
   EXPECT_EQ(ns.control_rejects, 0u);
+}
+
+TEST(Datapath, SnapshotTotalsMatchTypedStatsWithRecordingOff) {
+  // Totals live in the components' typed stats and reach a registry only
+  // through export_metrics, so they count with recording off; the gated
+  // per-FID breakdown does not.
+  telemetry::MetricsRegistry reg;
+  Bed bed(&reg);
+  const auto frame = program_frame("MBR_LOAD $0\nMBR_STORE $1\nRETURN",
+                                   ArgumentHeader{{3, 0, 0, 0}});
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(false);
+  for (int i = 0; i < 3; ++i) bed.inject(frame);
+  telemetry::set_enabled(was_enabled);
+  bed.sim.export_metrics(reg);
+  bed.net.export_metrics(reg);
+  bed.sw->export_metrics(reg);
+
+  const auto& cache = bed.sw->program_cache().stats();
+  const std::pair<u64, u64> exported_and_typed[] = {
+      {reg.counter_value("runtime", "instructions"),
+       bed.sw->runtime().stats().instructions},
+      {reg.counter_value("program_cache", "hits"), cache.hits},
+      {reg.counter_value("program_cache", "misses"), cache.misses},
+      {reg.counter_value("netsim", "frames_delivered"),
+       bed.net.frames_delivered()},
+      {reg.counter_value("netsim", "events_dispatched"),
+       bed.sim.events_dispatched()}};
+  for (const auto& [exported, typed] : exported_and_typed) {
+    EXPECT_GT(typed, 0u);
+    EXPECT_EQ(exported, typed);
+  }
+  EXPECT_EQ(reg.counter_value("runtime", "packets", 1), 0u);
 }
 
 TEST(Datapath, MalformedControlTrafficSplitsFromMalformedData) {

@@ -474,8 +474,6 @@ ScenarioResult run_cache_and_monitor(u32 requests) {
   netsim::Simulator sim;
   netsim::Network net(sim);
   telemetry::MetricsRegistry registry;
-  sim.set_metrics(&registry);
-  net.set_metrics(&registry);
 
   SwitchNode::Config cfg;
   cfg.costs.table_entry_update = 100 * kMicrosecond;
@@ -561,6 +559,9 @@ ScenarioResult run_cache_and_monitor(u32 requests) {
   ScenarioResult out;
   out.reply_digest = replies.h;
   out.completed_at = sim.now();
+  sim.export_metrics(registry);
+  net.export_metrics(registry);
+  sw->export_metrics(registry);
   std::ostringstream os;
   registry.snapshot_json(os);
   out.snapshot = os.str();
@@ -572,9 +573,17 @@ ScenarioResult run_cache_and_monitor(u32 requests) {
 TEST(E2E, CacheAndHeavyHitterRunsAreByteIdentical) {
   const ScenarioResult first = run_cache_and_monitor(80);
   ASSERT_GT(first.completed_at, kSecond);
-  // Sanity: the scenario really exercised the datapath.
+  // Sanity: the scenario really exercised the datapath, and every
+  // exporter reached the snapshot with a nonzero total.
   ASSERT_NE(first.snapshot.find("\"netsim.frames_delivered\""),
             std::string::npos);
+  for (const std::string key :
+       {"netsim.events_dispatched", "runtime.instructions",
+        "controller.admissions", "program_cache.hits"}) {
+    const auto at = first.snapshot.find("\"" + key + "\": ");
+    ASSERT_NE(at, std::string::npos) << key;
+    EXPECT_NE(first.snapshot[at + key.size() + 4], '0') << key;
+  }
   const ScenarioResult second = run_cache_and_monitor(80);
   EXPECT_EQ(second.snapshot, first.snapshot);
   EXPECT_EQ(second.reply_digest, first.reply_digest);

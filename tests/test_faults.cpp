@@ -429,9 +429,6 @@ struct RingRun {
 RingRun run_ring(FaultInjector* injector) {
   Simulator sim;
   Network net(sim);
-  telemetry::MetricsRegistry metrics;
-  sim.set_metrics(&metrics);
-  net.set_metrics(&metrics);
   std::vector<std::shared_ptr<RelayNode>> nodes;
   for (u32 i = 0; i < 6; ++i) {
     nodes.push_back(std::make_shared<RelayNode>("n" + std::to_string(i)));
@@ -466,6 +463,9 @@ RingRun run_ring(FaultInjector* injector) {
   out.digest = d.h;
   out.completed_at = sim.now();
   out.delivered = net.frames_delivered();
+  telemetry::MetricsRegistry metrics;
+  sim.export_metrics(metrics);
+  net.export_metrics(metrics);
   std::ostringstream os;
   metrics.snapshot_json(os);
   out.snapshot = os.str();

@@ -569,8 +569,6 @@ MigScenarioOut run_mig_scenario(const faults::FaultPlan* plan) {
   netsim::Simulator sim;
   netsim::Network net(sim);
   telemetry::MetricsRegistry registry;
-  sim.set_metrics(&registry);
-  net.set_metrics(&registry);
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan != nullptr) {
     injector = std::make_unique<faults::FaultInjector>(*plan);
@@ -702,6 +700,9 @@ MigScenarioOut run_mig_scenario(const faults::FaultPlan* plan) {
   out.reply_digest = combined.h;
   out.completed_at = sim.now();
   out.engine = sw->migration_stats();
+  sim.export_metrics(registry);
+  net.export_metrics(registry);
+  sw->export_metrics(registry);
   std::ostringstream os;
   registry.snapshot_json(os);
   out.snapshot = os.str();

@@ -111,30 +111,29 @@ TEST(Simulator, NestedSchedulingWithinRun) {
   EXPECT_EQ(sim.now(), 4);
 }
 
-// Regression: step() used to leave the attached registry stale (dispatch
-// count and queue depth were only flushed by the run loops), so
-// single-stepping tools read counts from the previous drain.
+// Single-stepping callers read counts between events: an export after
+// any step() reports the live dispatch count and queue depth, not those
+// of the previous drain.
 TEST(Simulator, StepFlushesMetrics) {
   Simulator sim;
-  telemetry::MetricsRegistry metrics;
-  sim.set_metrics(&metrics);
-  auto& dispatched = metrics.counter("netsim", "events_dispatched");
-  auto& depth = metrics.gauge("netsim", "queue_depth");
   sim.schedule_at(10, [] {});
   sim.schedule_at(20, [] {});
   sim.schedule_at(30, [] {});
+  const auto exported = [&sim] {
+    telemetry::MetricsRegistry metrics;
+    sim.export_metrics(metrics);
+    return std::pair(metrics.counter_value("netsim", "events_dispatched"),
+                     metrics.gauge_value("netsim", "queue_depth"));
+  };
 
   ASSERT_TRUE(sim.step());
-  EXPECT_EQ(dispatched.value(), 1u);
-  EXPECT_EQ(depth.value(), 2);
+  EXPECT_EQ(exported(), std::pair(u64{1}, i64{2}));
   ASSERT_TRUE(sim.step());
-  EXPECT_EQ(dispatched.value(), 2u);
-  EXPECT_EQ(depth.value(), 1);
+  EXPECT_EQ(exported(), std::pair(u64{2}, i64{1}));
   sim.run();
-  EXPECT_EQ(dispatched.value(), 3u);
-  EXPECT_EQ(depth.value(), 0);
-  EXPECT_FALSE(sim.step());  // empty queue: still flushes, returns false
-  EXPECT_EQ(dispatched.value(), 3u);
+  EXPECT_EQ(exported(), std::pair(u64{3}, i64{0}));
+  EXPECT_FALSE(sim.step());  // empty queue: nothing dispatched
+  EXPECT_EQ(exported(), std::pair(u64{3}, i64{0}));
 }
 
 // ---------- network ----------

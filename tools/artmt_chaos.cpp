@@ -49,6 +49,8 @@
 //                     dumps the wiped switch's final events to DIR, and a
 //                     digest mismatch or gate failure dumps the offending
 //                     run's ring
+//   A numeric flag whose value does not parse or does not fit (N or H
+//   above 32 bits, P outside [0, 1]) prints the usage line and exits 2.
 //
 // stdout: one JSON summary object (digests, injected counts, retransmit /
 // recovered / give-up totals, verdict). Exit 0 iff every chaos digest
@@ -61,6 +63,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -69,6 +72,7 @@
 #include "apps/hh_service.hpp"
 #include "apps/lb_service.hpp"
 #include "apps/server_node.hpp"
+#include "cli.hpp"
 #include "client/client_node.hpp"
 #include "controller/switch_node.hpp"
 #include "fabric/topology.hpp"
@@ -166,8 +170,6 @@ RunResult run_scenario(const faults::FaultPlan* plan,
   netsim::Simulator sim;
   netsim::Network net(sim);
   telemetry::MetricsRegistry registry;
-  sim.set_metrics(&registry);
-  net.set_metrics(&registry);
   if (sink != nullptr) {
     sink->set_clock([&sim] { return sim.now(); });
     telemetry::set_trace_sink(sink);
@@ -422,6 +424,9 @@ RunResult run_scenario(const faults::FaultPlan* plan,
   out.digest = digest.h;
 
   // --- telemetry: engine + faults.* + reliability.* ---
+  sim.export_metrics(registry);
+  net.export_metrics(registry);
+  if (sw) sw->export_metrics(registry);
   if (injector) {
     injector->export_metrics(registry);
     out.injected_total = injector->injected_total();
@@ -470,6 +475,14 @@ int main(int argc, char** argv) {
   const char* trace_path = nullptr;
   const char* snapshot_path = nullptr;
   const char* flight_dir = nullptr;
+  const auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: artmt_chaos [--topology single|leaf-spine] "
+                 "[--requests N] [--seed S] [--loss P] "
+                 "[--hot H] [--trace FILE] "
+                 "[--snapshot FILE] [--flight-dir DIR]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--topology") == 0 && i + 1 < argc) {
       const std::string value = argv[++i];
@@ -483,13 +496,21 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      config.requests = static_cast<u32>(std::stoul(argv[++i]));
+      const std::optional<u32> value = cli::parse_u32(argv[++i]);
+      if (!value) return usage();
+      config.requests = *value;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      config.fault_seed = std::stoull(argv[++i]);
+      const std::optional<u64> value = cli::parse_u64(argv[++i]);
+      if (!value) return usage();
+      config.fault_seed = *value;
     } else if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
-      config.loss = std::stod(argv[++i]);
+      const std::optional<double> value = cli::parse_probability(argv[++i]);
+      if (!value) return usage();
+      config.loss = *value;
     } else if (std::strcmp(argv[i], "--hot") == 0 && i + 1 < argc) {
-      config.hot = static_cast<u32>(std::stoul(argv[++i]));
+      const std::optional<u32> value = cli::parse_u32(argv[++i]);
+      if (!value) return usage();
+      config.hot = *value;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
@@ -497,12 +518,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--flight-dir") == 0 && i + 1 < argc) {
       flight_dir = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: artmt_chaos [--topology single|leaf-spine] "
-                   "[--requests N] [--seed S] [--loss P] "
-                   "[--hot H] [--trace FILE] "
-                   "[--snapshot FILE] [--flight-dir DIR]\n");
-      return 2;
+      return usage();
     }
   }
   if (config.requests < 100) {

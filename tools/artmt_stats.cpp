@@ -44,6 +44,9 @@
 //                    evacuations, downtime percentiles, state loss) plus
 //                    the fabric.* metrics snapshot as JSON.
 //
+// A numeric flag whose value does not parse or does not fit (N above 32
+// bits, P outside [0, 1]) prints the usage line and exits 2.
+//
 // Every output is a function of the flags alone: two runs with the same
 // flags print the same bytes. The snapshot goes to stdout; a human
 // summary goes to stderr.
@@ -54,6 +57,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,6 +65,7 @@
 #include "apps/cache_service.hpp"
 #include "apps/hh_service.hpp"
 #include "apps/server_node.hpp"
+#include "cli.hpp"
 #include "client/client_node.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -376,6 +381,7 @@ int run_fabric_report() {
                 leaf_of(topo.controller().owner_of(fid)).c_str());
   }
   std::printf("],\n");
+  topo.controller().export_metrics(fabric_registry);
   std::ostringstream metrics;
   fabric_registry.snapshot_json(metrics);
   std::printf("  \"metrics\": %s}\n", metrics.str().c_str());
@@ -395,15 +401,29 @@ int main(int argc, char** argv) {
   const char* trace_path = nullptr;
   const char* spans_path = nullptr;
   const char* span_dump_path = nullptr;
+  const auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: artmt_stats [--requests N] [--trace FILE] "
+                 "[--loss P] [--fault-seed S] [--alloc] "
+                 "[--heatmap] [--migration] [--fabric] [--spans FILE] "
+                 "[--span-dump FILE]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = static_cast<u32>(std::stoul(argv[++i]));
+      const std::optional<u32> value = cli::parse_u32(argv[++i]);
+      if (!value) return usage();
+      requests = *value;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
-      loss = std::stod(argv[++i]);
+      const std::optional<double> value = cli::parse_probability(argv[++i]);
+      if (!value) return usage();
+      loss = *value;
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      fault_seed = std::stoull(argv[++i]);
+      const std::optional<u64> value = cli::parse_u64(argv[++i]);
+      if (!value) return usage();
+      fault_seed = *value;
     } else if (std::strcmp(argv[i], "--alloc") == 0) {
       alloc_report = true;
     } else if (std::strcmp(argv[i], "--heatmap") == 0) {
@@ -417,12 +437,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--span-dump") == 0 && i + 1 < argc) {
       span_dump_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: artmt_stats [--requests N] [--trace FILE] "
-                   "[--loss P] [--fault-seed S] [--alloc] "
-                   "[--heatmap] [--migration] [--fabric] [--spans FILE] "
-                   "[--span-dump FILE]\n");
-      return 2;
+      return usage();
     }
   }
 
@@ -451,8 +466,6 @@ int main(int argc, char** argv) {
   // Everything records into the process-wide registry and the snapshot
   // at the end is the union of every component's counters.
   telemetry::MetricsRegistry& registry = telemetry::registry();
-  sim.set_metrics(&registry);
-  net.set_metrics(&registry);
 
   // Span capture: the canonical sorted dump is byte-identical across runs.
   std::unique_ptr<telemetry::SpanSink> span_sink;
@@ -563,8 +576,6 @@ int main(int argc, char** argv) {
                end_time / 1e9, static_cast<unsigned long long>(hits),
                static_cast<unsigned long long>(misses), heavy_hitters,
                static_cast<unsigned long long>(sw->runtime().stats().packets));
-  // Fault and reliability metrics live outside the registry: mirror them
-  // into the snapshot.
   if (span_sink != nullptr) {
     telemetry::set_span_sink(nullptr);
     std::ofstream out(span_dump_path);
@@ -578,16 +589,6 @@ int main(int argc, char** argv) {
                  span_dump_path);
   }
 
-  auto export_extras = [&](telemetry::MetricsRegistry& reg) {
-    if (injector) injector->export_metrics(reg);
-    sw->heatmap().export_metrics(reg);
-    const auto cache_fid = static_cast<i32>(cache->fid());
-    const auto monitor_fid = static_cast<i32>(monitor->fid());
-    cache->populate_reliability().export_metrics(reg, cache_fid);
-    cache->handshake_reliability().export_metrics(reg, cache_fid);
-    monitor->extract_reliability().export_metrics(reg, monitor_fid);
-    monitor->handshake_reliability().export_metrics(reg, monitor_fid);
-  };
   if (alloc_report) {
     print_alloc_report(sw->controller().allocator());
   } else if (migration_report) {
@@ -595,7 +596,19 @@ int main(int argc, char** argv) {
   } else if (heatmap_report) {
     print_heatmap_report(sw->heatmap());
   } else {
-    export_extras(registry);
+    // Every component's typed totals join the live registry counters
+    // once, here.
+    sim.export_metrics(registry);
+    net.export_metrics(registry);
+    sw->export_metrics(registry);
+    if (injector) injector->export_metrics(registry);
+    sw->heatmap().export_metrics(registry);
+    const auto cache_fid = static_cast<i32>(cache->fid());
+    const auto monitor_fid = static_cast<i32>(monitor->fid());
+    cache->populate_reliability().export_metrics(registry, cache_fid);
+    cache->handshake_reliability().export_metrics(registry, cache_fid);
+    monitor->extract_reliability().export_metrics(registry, monitor_fid);
+    monitor->handshake_reliability().export_metrics(registry, monitor_fid);
     telemetry::snapshot_json(std::cout);
   }
 

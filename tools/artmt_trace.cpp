@@ -19,15 +19,15 @@
 //         MBR_STORE $1
 //         RTS
 //         RETURN' | ./build/tools/artmt_trace --args 0,0,0,0
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "active/assembler.hpp"
+#include "cli.hpp"
 #include "client/compiler.hpp"
 #include "controller/controller.hpp"
 #include "telemetry/trace.hpp"
@@ -89,15 +89,9 @@ int main(int argc, char** argv) {
       for (auto& word : args.args) {
         if (!std::getline(ss, token, ',')) break;
         // Each word must be a whole number that fits 32 bits.
-        char* end = nullptr;
-        errno = 0;
-        const unsigned long long value =
-            std::strtoull(token.c_str(), &end, 0);
-        if (token.empty() || *end != '\0' || errno == ERANGE ||
-            value > 0xffffffffULL) {
-          return usage();
-        }
-        word = static_cast<Word>(value);
+        const std::optional<u32> value = cli::parse_u32(token.c_str());
+        if (!value) return usage();
+        word = *value;
       }
     } else if (std::strcmp(argv[i], "--elastic") == 0) {
       elastic = true;
