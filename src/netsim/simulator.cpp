@@ -15,13 +15,19 @@ void Simulator::export_metrics(telemetry::MetricsRegistry& metrics) const {
 }
 
 void Simulator::push_event(SimTime at, SimTime tie, u32 src_index, u64 tx_seq,
-                           Action action) {
+                           Action&& action) {
   if (at < now_) {
     throw UsageError("Simulator::schedule_at: time is in the past");
   }
   if (action.heap_allocated()) ++actions_spilled_;
-  queue_.push_back(Event{at, tie, src_index, tx_seq, next_seq_++,
-                         std::move(action)});
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<u32>(actions_.size()));
+    actions_.emplace_back();
+  }
+  const u32 slot = free_slots_.back();
+  free_slots_.pop_back();
+  actions_[slot] = std::move(action);
+  queue_.push_back(Key{at, tie, tx_seq, next_seq_++, src_index, slot});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
@@ -46,11 +52,13 @@ void Simulator::schedule_after(SimTime delay, Action action) {
 bool Simulator::step() {
   if (queue_.empty()) return false;
   std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  Event ev = std::move(queue_.back());
+  const Key key = queue_.back();
   queue_.pop_back();
-  now_ = ev.at;
+  Action action = std::move(actions_[key.slot]);
+  free_slots_.push_back(key.slot);
+  now_ = key.at;
   ++events_dispatched_;
-  ev.action();
+  action();
   return true;
 }
 

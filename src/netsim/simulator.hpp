@@ -122,6 +122,9 @@ class InlineAction {
   const VTable* vt_ = nullptr;
 };
 
+// The event queue is split in two: a binary min-heap of 40-byte ordering
+// keys and a slot array holding the actions. Sifting moves only keys; an
+// action stays in its slot until step() moves it out, once, to run it.
 class Simulator {
  public:
   using Action = InlineAction;
@@ -170,20 +173,22 @@ class Simulator {
   // runs before a frame that was already in flight toward t.
   static constexpr u32 kNoSrc = 0xffff'ffffu;
 
-  struct Event {
+  // Heap entry for one pending event; its action waits in actions_[slot].
+  struct Key {
     SimTime at;
     // Canonical tie-break chain below `at`. Plain events carry tie = the
     // clock when they were scheduled (non-decreasing with seq, so FIFO
     // order among them is unchanged); deliveries carry tie = send time
     // plus the (src_index, tx_seq) transmission identity.
     SimTime tie;
-    u32 src_index;
     u64 tx_seq;
     u64 seq;  // final tie-break: FIFO in scheduling order
-    Action action;
+    u32 src_index;
+    u32 slot;
   };
+  static_assert(sizeof(Key) == 40 && std::is_trivially_copyable_v<Key>);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       if (a.tie != b.tie) return a.tie > b.tie;
       if (a.src_index != b.src_index) return a.src_index > b.src_index;
@@ -193,16 +198,20 @@ class Simulator {
   };
 
   void push_event(SimTime at, SimTime tie, u32 src_index, u64 tx_seq,
-                  Action action);
+                  Action&& action);
 
   SimTime now_ = 0;
   u64 next_seq_ = 0;
   u64 actions_spilled_ = 0;
   u64 events_dispatched_ = 0;
-  // Min-heap managed with std::push_heap/pop_heap (Later makes the earliest
-  // event the front element) so step() can move the Event — and its inline
-  // action — out of the container instead of copying it.
-  std::vector<Event> queue_;
+  // Min-heap of keys managed with std::push_heap/pop_heap (Later makes the
+  // earliest event the front element). Keys are trivially copyable, so a
+  // sift never touches an action.
+  std::vector<Key> queue_;
+  // Pending actions by slot; step() moves one out before running it, since
+  // the action may schedule events that grow (and so move) this array.
+  std::vector<Action> actions_;
+  std::vector<u32> free_slots_;  // LIFO free list of empty slots
 };
 
 }  // namespace artmt::netsim

@@ -1,7 +1,6 @@
 #include "rmt/hash.hpp"
 
 #include <array>
-#include <vector>
 
 namespace artmt::rmt {
 
@@ -36,22 +35,19 @@ u32 crc32c(std::span<const u8> data) {
 }
 
 u32 hash_words(std::span<const Word> words, u32 engine) {
-  std::vector<u8> bytes;
-  bytes.reserve(words.size() * 4 + 4);
-  // Engine selection is modeled as a distinct seed word; real hardware
-  // uses differently configured CRC units.
-  const Word seed = 0x9e3779b9u * (engine + 1);
-  bytes.push_back(static_cast<u8>(seed >> 24));
-  bytes.push_back(static_cast<u8>(seed >> 16));
-  bytes.push_back(static_cast<u8>(seed >> 8));
-  bytes.push_back(static_cast<u8>(seed));
-  for (Word w : words) {
-    bytes.push_back(static_cast<u8>(w >> 24));
-    bytes.push_back(static_cast<u8>(w >> 16));
-    bytes.push_back(static_cast<u8>(w >> 8));
-    bytes.push_back(static_cast<u8>(w));
-  }
-  return crc32c(bytes);
+  // The CRC of the big-endian bytes of a seed word and then each word, fed
+  // one byte at a time with no buffer. Engine selection is modeled as a
+  // distinct seed word; real hardware uses differently configured CRC units.
+  const auto& table = crc32c_table();
+  u32 crc = 0xffffffffu;
+  const auto feed = [&](Word w) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      crc = (crc >> 8) ^ table[(crc ^ (w >> shift)) & 0xffu];
+    }
+  };
+  feed(0x9e3779b9u * (engine + 1));
+  for (Word w : words) feed(w);
+  return crc ^ 0xffffffffu;
 }
 
 }  // namespace artmt::rmt

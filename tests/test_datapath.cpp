@@ -357,63 +357,91 @@ class Sink : public netsim::Node {
   u64 received = 0;
 };
 
-TEST(Datapath, ProgramCapsulesAllocateNothing) {
-  // The cache query with a 1400-byte payload, client -> switch -> server,
-  // FID 1 granted the whole pipeline so nothing faults. Once the pool,
-  // program cache, event queue and per-FID counters are warm, parse,
-  // execute, in-place encode and the delayed send allocate nothing:
-  // with telemetry recording off, on, and feeding an armed flight
-  // recorder.
+// The heap-cost rig for program capsules: client -> switch -> server, FID
+// 1 granted the whole pipeline so nothing faults. Once the pool, program
+// cache, event queue and per-FID counters are warm, a capsule's parse,
+// execute, in-place encode and delayed send allocate nothing: with
+// telemetry recording off, on, and feeding an armed flight recorder.
+struct AllocRig {
+  AllocRig() {
+    net.attach(sw);
+    net.attach(client);
+    net.attach(server);
+    net.connect(*sw, 0, *client, 0);
+    net.connect(*sw, 1, *server, 0);
+    sw->bind(kClientMac, 0);
+    sw->bind(kServerMac, 1);
+    for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
+      sw->pipeline().stage(s).install(1, 0, 4096, 0);
+    }
+  }
+
+  // Sends 16 warm-up capsules, then checks that the next 1,000 allocate
+  // nothing, in each of the three recording modes.
+  void expect_steady_state_allocates_nothing(const std::vector<u8>& frame) {
+    const auto push = [&](int capsules) {
+      for (int i = 0; i < capsules; ++i) {
+        net.transmit(*client, 0, net.pool().copy(frame));
+        sim.run();
+      }
+    };
+    const auto steady_allocs = [&] {
+      push(16);  // warm up
+      const auto slabs = net.pool().stats().slabs_created;
+      const unsigned long long before = g_alloc_count;
+      push(1000);
+      EXPECT_EQ(net.pool().stats().slabs_created, slabs);
+      return g_alloc_count - before;
+    };
+
+    const bool was_enabled = telemetry::enabled();
+    telemetry::set_enabled(false);
+    EXPECT_EQ(steady_allocs(), 0u) << "recording off";
+    telemetry::set_enabled(true);
+    EXPECT_EQ(steady_allocs(), 0u) << "recording on";
+    telemetry::FlightRecorder flight;
+    telemetry::set_flight_recorder(&flight);
+    EXPECT_EQ(steady_allocs(), 0u) << "flight recorder armed";
+    telemetry::set_flight_recorder(nullptr);
+    telemetry::set_enabled(was_enabled);
+    EXPECT_GT(flight.recorded(), 0u);
+  }
+
   netsim::Simulator sim;
   netsim::Network net{sim};
-  auto sw = std::make_shared<SwitchNode>("switch", SwitchNode::Config{});
-  auto client = std::make_shared<Sink>("client");
-  auto server = std::make_shared<Sink>("server");
-  net.attach(sw);
-  net.attach(client);
-  net.attach(server);
-  net.connect(*sw, 0, *client, 0);
-  net.connect(*sw, 1, *server, 0);
-  sw->bind(kClientMac, 0);
-  sw->bind(kServerMac, 1);
-  for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
-    sw->pipeline().stage(s).install(1, 0, 4096, 0);
-  }
+  std::shared_ptr<SwitchNode> sw =
+      std::make_shared<SwitchNode>("switch", SwitchNode::Config{});
+  std::shared_ptr<Sink> client = std::make_shared<Sink>("client");
+  std::shared_ptr<Sink> server = std::make_shared<Sink>("server");
+};
+
+TEST(Datapath, ProgramCapsulesAllocateNothing) {
+  // The cache query with a 1400-byte payload.
+  AllocRig rig;
   auto pkt = ActivePacket::make_program(1, ArgumentHeader{{10, 2, 3, 0}},
                                         apps::cache_query_program());
   pkt.ethernet.src = kClientMac;
   pkt.ethernet.dst = kServerMac;
   pkt.payload.assign(1400, 0x5a);
-  const auto frame = pkt.serialize();
-  const auto push = [&](int capsules) {
-    for (int i = 0; i < capsules; ++i) {
-      net.transmit(*client, 0, net.pool().copy(frame));
-      sim.run();
-    }
-  };
-  const auto steady_allocs = [&] {
-    push(16);  // warm up
-    const auto slabs = net.pool().stats().slabs_created;
-    const unsigned long long before = g_alloc_count;
-    push(1000);
-    EXPECT_EQ(net.pool().stats().slabs_created, slabs);
-    return g_alloc_count - before;
-  };
+  rig.expect_steady_state_allocates_nothing(pkt.serialize());
+  EXPECT_EQ(rig.server->received, 3u * 1016u);
+  EXPECT_EQ(rig.sw->program_cache().stats().misses, 1u);
+}
 
-  const bool was_enabled = telemetry::enabled();
-  telemetry::set_enabled(false);
-  EXPECT_EQ(steady_allocs(), 0u) << "recording off";
-  telemetry::set_enabled(true);
-  EXPECT_EQ(steady_allocs(), 0u) << "recording on";
-  telemetry::FlightRecorder flight;
-  telemetry::set_flight_recorder(&flight);
-  EXPECT_EQ(steady_allocs(), 0u) << "flight recorder armed";
-  telemetry::set_flight_recorder(nullptr);
-  telemetry::set_enabled(was_enabled);
-
-  EXPECT_GT(flight.recorded(), 0u);
-  EXPECT_EQ(server->received, 3u * 1016u);
-  EXPECT_EQ(sw->program_cache().stats().misses, 1u);
+TEST(Datapath, HashCapsulesAllocateNothing) {
+  // The heavy-hitter monitor (Listing 2) runs HASH six times over its two
+  // passes; a hash over the PHV's hash-metadata words needs no buffer.
+  AllocRig rig;
+  auto pkt = ActivePacket::make_program(
+      1, ArgumentHeader{{0xbeef, 0xcafe, 0, 0}}, apps::hh_monitor_program());
+  pkt.ethernet.src = kClientMac;
+  pkt.ethernet.dst = kServerMac;
+  rig.expect_steady_state_allocates_nothing(pkt.serialize());
+  EXPECT_EQ(rig.server->received, 3u * 1016u);
+  EXPECT_EQ(rig.sw->program_cache().stats().misses, 1u);
+  // Every capsule is a heavy hitter (its sketch always tops the stored
+  // threshold), so each one takes the second pass and all six HASHes.
+  EXPECT_EQ(rig.sw->runtime().stats().recirculations, 3u * 1016u);
 }
 
 // ---------- telemetry-on parity ----------

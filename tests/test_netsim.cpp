@@ -1,6 +1,12 @@
 // Tests for the discrete-event engine and the frame-level network model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+
+#include "common/rng.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
 #include "telemetry/metrics.hpp"
@@ -109,6 +115,129 @@ TEST(Simulator, NestedSchedulingWithinRun) {
   sim.run();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(sim.now(), 4);
+}
+
+// A capture that counts how often it is moved: InlineAction moves its
+// captures through their move constructors, so this reads how often the
+// queue relocated a pending closure.
+struct MoveCounter {
+  explicit MoveCounter(u64* moves) : moves(moves) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) { ++*moves; }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  u64* moves;
+};
+
+// Moves per event of `events` closures scheduled at seeded pseudo-random
+// times on a fresh simulator and then run.
+double moves_per_event(int events) {
+  Simulator sim;
+  Rng rng(0x5eed'0000 + static_cast<u64>(events));
+  u64 moves = 0;
+  int ran = 0;
+  for (int i = 0; i < events; ++i) {
+    sim.schedule_at(static_cast<SimTime>(rng.uniform(1'000'000)),
+                    [c = MoveCounter(&moves), &ran] { ++ran; });
+  }
+  sim.run();
+  EXPECT_EQ(ran, events);
+  EXPECT_EQ(sim.actions_spilled(), 0u);
+  return static_cast<double>(moves) / events;
+}
+
+// Sifting reorders the heap, not the closures: a pending action costs a
+// fixed handful of moves (into the queue, out to run, amortized slot-array
+// growth) whatever the queue depth, instead of one per heap level.
+TEST(Simulator, PendingActionsAreNotMovedBySifting) {
+  const double shallow = moves_per_event(16);
+  const double deep = moves_per_event(4096);
+  EXPECT_LE(deep, 6.0);
+  EXPECT_NEAR(deep, shallow, 0.5);
+}
+
+// Every dispatch is the smallest pending (at, tie, src_index, tx_seq, seq)
+// tuple, checked against a reference set rather than against the queue's
+// own structure. Plain events carry tie = the clock when scheduled,
+// src_index = 0xffffffff and tx_seq = 0; deliveries carry their send time
+// and transmission identity. Times, send times and sources are drawn from
+// small ranges so most comparisons go deep into the tie-break chain, and a
+// third of the events are scheduled from inside running actions.
+TEST(Simulator, DispatchOrderMatchesCanonicalKey) {
+  using CanonicalKey = std::tuple<SimTime, SimTime, u32, u64, u64>;
+  struct Harness {
+    Simulator sim;
+    Rng rng{0x0d15'7a7c};
+    std::set<CanonicalKey> pending;
+    u64 next_seq = 0;
+    u64 dispatched = 0;
+    int nested_left = 500;
+
+    void schedule() {
+      const SimTime now = sim.now();
+      const SimTime at = now + static_cast<SimTime>(rng.uniform(3)) * 10;
+      const u64 kind = rng.uniform(3);  // schedule_at, _after, _delivery
+      CanonicalKey key{at, now, 0xffff'ffffu, 0, next_seq++};
+      if (kind == 2) {
+        std::get<1>(key) =
+            std::max<SimTime>(0, now - static_cast<SimTime>(rng.uniform(2)) * 10);
+        std::get<2>(key) = static_cast<u32>(rng.uniform(3));
+        std::get<3>(key) = rng.uniform(4);
+      }
+      pending.insert(key);
+      const auto run = [this, key] { dispatch(key); };
+      if (kind == 0) {
+        sim.schedule_at(at, run);
+      } else if (kind == 1) {
+        sim.schedule_after(at - now, run);
+      } else {
+        sim.schedule_delivery(at, std::get<1>(key), std::get<2>(key),
+                              std::get<3>(key), run);
+      }
+    }
+
+    void dispatch(const CanonicalKey& key) {
+      ASSERT_FALSE(pending.empty());
+      EXPECT_EQ(*pending.begin(), key) << "dispatch " << dispatched;
+      EXPECT_EQ(sim.now(), std::get<0>(key));
+      pending.erase(key);
+      ++dispatched;
+      if (nested_left > 0 && rng.uniform(3) != 0) {
+        --nested_left;
+        schedule();
+      }
+    }
+  };
+
+  Harness h;
+  for (int i = 0; i < 1000; ++i) h.schedule();
+  h.sim.run();
+  EXPECT_EQ(h.nested_left, 0);
+  EXPECT_EQ(h.dispatched, 1500u);
+  EXPECT_TRUE(h.pending.empty());
+}
+
+// An action that grows the queue far past its capacity from inside itself
+// still reads intact captures afterwards: the queue must not run an action
+// where later scheduling can move or free it.
+TEST(Simulator, ActionSchedulingPastCapacityKeepsItsCaptures) {
+  Simulator sim;
+  Frame frame(64, 0xab);
+  std::string label(48, 'q');  // longer than the small-string buffer
+  int ran = 0;
+  bool intact = false;
+  sim.schedule_at(1, [&sim, &ran, &intact, f = std::move(frame),
+                      s = std::move(label)] {
+    for (int i = 0; i < 10'000; ++i) {
+      sim.schedule_after(i, [&ran] { ++ran; });
+    }
+    intact = f.size() == 64 && f[0] == 0xab && f[63] == 0xab &&
+             s == std::string(48, 'q');
+  });
+  EXPECT_EQ(sim.actions_spilled(), 0u);  // the captures live in the queue
+  sim.run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(ran, 10'000);
 }
 
 // Single-stepping callers read counts between events: an export after

@@ -290,6 +290,28 @@ TEST(Hash, SensitiveToInput) {
             hash_words(std::vector<Word>{2, 1}));
 }
 
+// hash_words is CRC32C over the big-endian bytes of the engine's seed word
+// followed by each word, built here as an explicit buffer.
+TEST(Rmt, HashWordsMatchesCrcOfBigEndianBytes) {
+  std::mt19937 gen(0x4a5b);
+  for (u32 engine = 0; engine < 8; ++engine) {
+    for (std::size_t n = 0; n <= 8; ++n) {
+      std::vector<Word> words(n);
+      for (Word& w : words) w = gen();
+      std::vector<u8> bytes;
+      const auto append = [&bytes](Word w) {
+        for (int shift = 24; shift >= 0; shift -= 8) {
+          bytes.push_back(static_cast<u8>(w >> shift));
+        }
+      };
+      append(0x9e3779b9u * (engine + 1));
+      for (Word w : words) append(w);
+      EXPECT_EQ(hash_words(words, engine), crc32c(bytes))
+          << "engine " << engine << ", " << n << " words";
+    }
+  }
+}
+
 TEST(Hash, ReasonablyUniform) {
   // Bucket 10k hashes into 16 bins; no bin should be wildly off 625.
   std::array<int, 16> bins{};
