@@ -1,5 +1,7 @@
 #include "apps/server_node.hpp"
 
+#include <bit>
+
 #include "common/logging.hpp"
 
 namespace artmt::apps {
@@ -7,9 +9,44 @@ namespace artmt::apps {
 ServerNode::ServerNode(std::string name, packet::MacAddr mac)
     : netsim::Node(std::move(name)), mac_(mac) {}
 
+std::size_t ServerNode::find(u64 key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;
+  while (slots_[i].key() != key && slots_[i].key() != 0) i = (i + 1) & mask;
+  return i;
+}
+
+void ServerNode::grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  shift_ = 64 - static_cast<u32>(std::countr_zero(slots_.size()));
+  for (const Slot& slot : old) {
+    if (slot.key() != 0) slots_[find(slot.key())] = slot;
+  }
+}
+
+void ServerNode::put(u64 key, u32 value) {
+  if (key == 0) {
+    zero_value_ = value;
+    return;
+  }
+  std::size_t i = find(key);
+  if (slots_[i].key() == 0) {
+    if (4 * (used_ + 1) > 3 * slots_.size()) {
+      grow();
+      i = find(key);
+    }
+    ++used_;
+    slots_[i].key_hi = static_cast<u32>(key >> 32);
+    slots_[i].key_lo = static_cast<u32>(key);
+  }
+  slots_[i].value = value;
+}
+
 std::optional<u32> ServerNode::get(u64 key) const {
-  const auto it = store_.find(key);
-  return it == store_.end() ? std::nullopt : std::optional<u32>(it->second);
+  if (key == 0) return zero_value_;
+  const Slot& slot = slots_[find(key)];
+  return slot.key() == 0 ? std::nullopt : std::optional<u32>(slot.value);
 }
 
 void ServerNode::reply(packet::MacAddr dst, const KvMessage& msg) {

@@ -1,13 +1,19 @@
 // Integration tests for the exemplar services' active programs executed
 // against a real pipeline + runtime + controller (no network): the cache
 // query/populate pair, the frequent-item monitor, and the Cheetah LB.
-// Also the application server's passive request path over a network.
+// Also the application server's passive request path over a network, and
+// its key-value store against a std::unordered_map reference.
 #include <gtest/gtest.h>
+
+#include <unordered_map>
+
+#include "alloc_counter.hpp"
 
 #include "apps/kv.hpp"
 #include "apps/programs.hpp"
 #include "apps/server_node.hpp"
 #include "client/compiler.hpp"
+#include "common/rng.hpp"
 #include "controller/controller.hpp"
 #include "netsim/network.hpp"
 #include "rmt/hash.hpp"
@@ -487,6 +493,88 @@ TEST(ServerNodePassive, AnswersPassiveGetAndIgnoresBareHeaders) {
   EXPECT_EQ(msg->request_id, 5u);
   EXPECT_EQ(msg->key, 42u);
   EXPECT_EQ(msg->value, 777u);
+}
+
+// ---------- the server's store ----------
+
+// What ZipfGenerator::key_for_rank makes: a splitmix64 scramble.
+u64 scrambled(u64 i) {
+  u64 x = i + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Key i of one of four sets: key 0 alone, small sequential integers,
+// scrambled ranks, and keys that differ only above bit 40 (the tenant
+// part of perfbench's keys).
+u64 key_in_set(u64 set, u64 i) {
+  switch (set) {
+    case 0: return 0;
+    case 1: return i + 1;
+    case 2: return scrambled(i);
+    default: return (i + 1) << 40;
+  }
+}
+
+TEST(ServerNode, StoreMatchesUnorderedMap) {
+  ServerNode server("server", 0xbb);
+  std::unordered_map<u64, u32> reference;
+  std::vector<u64> present;
+  u64 next[4] = {};
+  Rng rng(0x5e12);
+  const auto check = [&](u64 key) {
+    const auto it = reference.find(key);
+    const std::optional<u32> got = server.get(key);
+    ASSERT_EQ(got.has_value(), it != reference.end()) << "key " << key;
+    if (got) {
+      ASSERT_EQ(*got, it->second) << "key " << key;
+    }
+  };
+  for (int op = 0; op < 200'000; ++op) {
+    const u64 roll = rng.uniform(100);
+    const u64 set = rng.uniform(4);
+    const auto value = static_cast<u32>(rng.next_u64());
+    if (roll < 45 || present.empty()) {  // put a new key (key 0 overwrites)
+      const u64 key = key_in_set(set, next[set]++);
+      if (!reference.contains(key)) present.push_back(key);
+      reference[key] = value;
+      server.put(key, value);
+    } else if (roll < 65) {  // overwrite a present key
+      const u64 key = present[rng.uniform(present.size())];
+      reference[key] = value;
+      server.put(key, value);
+    } else if (roll < 85) {  // get a present key
+      check(present[rng.uniform(present.size())]);
+    } else {  // get a key not put yet (key 0 only before its first put)
+      check(key_in_set(set, next[set]));
+    }
+    if (HasFatalFailure()) return;
+  }
+  // ~67,000 keys: the table doubled from 16 to 131,072 slots.
+  EXPECT_GT(reference.size(), 60'000u);
+  for (const auto& [key, value] : reference) check(key);
+}
+
+TEST(ServerNode, PutsAllocateOnlyWhenTheTableGrows) {
+  ServerNode server("server", 0xbb);
+  const auto allocs_before = g_alloc_count;
+  const auto bytes_before = g_alloc_bytes;
+  // serve_mix's store: 64 tenants x 4,096 keys, each tenant above bit 40.
+  for (u64 tenant = 1; tenant <= 64; ++tenant) {
+    for (u32 rank = 0; rank < 4096; ++rank) {
+      server.put((tenant << 40) ^ scrambled(rank), rank);
+    }
+  }
+  const auto allocs = g_alloc_count - allocs_before;
+  const auto bytes = g_alloc_bytes - bytes_before;
+  // A node per key makes 262,144 allocations. The table of 12-byte slots
+  // doubles 15 times from its initial 16 slots and requests 12 MiB in all
+  // (16-byte slots would request 16 MiB).
+  EXPECT_LE(allocs, 20u);
+  EXPECT_LE(bytes, 13u << 20);
+  EXPECT_EQ(server.get((64ULL << 40) ^ scrambled(4095)), 4095u);
+  EXPECT_FALSE(server.get((65ULL << 40) ^ scrambled(0)).has_value());
 }
 
 }  // namespace
