@@ -115,7 +115,7 @@ class Allocator {
   // expected under churn and must not wedge the control plane.
   std::vector<AppId> deallocate(AppId id);
 
-  // --- background migration primitives (ROADMAP item 2) ---
+  // --- background migration primitives ---
   // Demotion: squeezes a resident elastic app to its minimum share in
   // every stage it occupies (cap := min) so the freed share flows to hot
   // members; promotion restores the request's cap. Both return every

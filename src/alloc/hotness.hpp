@@ -1,10 +1,10 @@
 // Decayed per-(FID, stage) access scores driving the background migration
-// engine (ROADMAP item 2). Where telemetry::HotnessTable ranks FIDs by
-// total traffic, this table keeps the per-stage resolution the planner
-// needs (a re-slide candidate is judged by the activity in the stage being
-// compacted) plus hysteretic coldness detection: a FID is cold only after
-// `cold_ticks` consecutive epochs below `cold_threshold`, so one quiet
-// interval does not demote a bursty service.
+// engine, and the ranking `artmt_stats --heatmap` prints. The table keeps
+// the per-stage resolution the planner needs (a re-slide candidate is
+// judged by the activity in the stage being compacted) plus hysteretic
+// coldness detection: a FID is cold only after `cold_ticks` consecutive
+// epochs below `cold_threshold`, so one quiet interval does not demote a
+// bursty service.
 //
 // Feeding follows the heatmap idiom: observe() absorbs the per-cell
 // read/write delta since the previous observation (collisions are faults,

@@ -58,16 +58,29 @@ SimTime ReliabilityTracker::jittered(SimTime rto) {
       static_cast<SimTime>(static_cast<double>(rto) * factor), 1);
 }
 
+void ReliabilityTracker::set_deadline(u32 id, Entry& entry,
+                                      SimTime deadline) {
+  deadlines_.erase({entry.deadline, id});
+  entry.deadline = deadline;
+  deadlines_.emplace(deadline, id);
+}
+
+void ReliabilityTracker::erase(std::map<u32, Entry>::iterator it) {
+  deadlines_.erase({it->second.deadline, it->first});
+  entries_.erase(it);
+}
+
 void ReliabilityTracker::track(u32 id, ResendFn resend) {
-  Entry entry;
+  const SimTime deadline = sim_().now() + jittered(opts_.rto);
+  Entry& entry = entries_[id];  // re-tracking restarts the schedule
+  set_deadline(id, entry, deadline);
   entry.rto = opts_.rto;
-  entry.deadline = sim_().now() + jittered(opts_.rto);
+  entry.attempts = 0;
   // The repo's idiom is send-then-track within one event handler, so the
   // thread's latest transmit span is the capsule this entry guards;
   // retransmits chain off it. (0 when spans are off or nothing was sent.)
   entry.span = telemetry::spans_active() ? telemetry::last_tx_span() : 0;
   entry.resend = std::move(resend);
-  entries_[id] = std::move(entry);
   ++stats_.tracked;
   arm();
 }
@@ -77,20 +90,23 @@ bool ReliabilityTracker::ack(u32 id) {
   if (it == entries_.end()) return false;
   ++stats_.acked;
   if (it->second.attempts > 0) ++stats_.recovered;
-  entries_.erase(it);
+  erase(it);
   return true;
 }
 
-void ReliabilityTracker::cancel(u32 id) { entries_.erase(id); }
+void ReliabilityTracker::cancel(u32 id) {
+  const auto it = entries_.find(id);
+  if (it != entries_.end()) erase(it);
+}
 
-void ReliabilityTracker::cancel_all() { entries_.clear(); }
+void ReliabilityTracker::cancel_all() {
+  entries_.clear();
+  deadlines_.clear();
+}
 
 void ReliabilityTracker::arm() {
-  if (entries_.empty()) return;
-  SimTime earliest = entries_.begin()->second.deadline;
-  for (const auto& [id, entry] : entries_) {
-    earliest = std::min(earliest, entry.deadline);
-  }
+  if (deadlines_.empty()) return;
+  const SimTime earliest = deadlines_.begin()->first;
   if (timer_armed_ && timer_at_ <= earliest) return;
   timer_armed_ = true;
   timer_at_ = earliest;
@@ -105,12 +121,15 @@ void ReliabilityTracker::on_timer(u64 generation) {
   const SimTime now = sim_().now();
   const bool gate = paused != nullptr && paused();
 
-  // Expired ids snapshotted first: resend/give-up callbacks may track,
-  // ack, or cancel entries, so each id is re-looked-up before use.
+  // Expired ids snapshotted first, in id order: resend/give-up callbacks
+  // may track, ack, or cancel entries, so each id is re-looked-up before
+  // use.
   std::vector<u32> expired;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.deadline <= now) expired.push_back(id);
+  for (auto it = deadlines_.begin();
+       it != deadlines_.end() && it->first <= now; ++it) {
+    expired.push_back(it->second);
   }
+  std::sort(expired.begin(), expired.end());
   for (const u32 id : expired) {
     const auto it = entries_.find(id);
     if (it == entries_.end()) continue;
@@ -118,14 +137,14 @@ void ReliabilityTracker::on_timer(u64 generation) {
     if (gate) {
       // Transmissions are paused; hold the capsule without charging the
       // retry budget.
-      entry.deadline = now + jittered(entry.rto);
+      set_deadline(id, entry, now + jittered(entry.rto));
       continue;
     }
     if (entry.attempts >= opts_.retry_budget) {
       ++stats_.give_ups;
       const u64 span = entry.span;
       const u32 attempts = entry.attempts;
-      entries_.erase(it);
+      erase(it);
       if (span != 0 && telemetry::spans_active()) {
         telemetry::SpanEvent event;
         event.ts = now;
@@ -145,7 +164,7 @@ void ReliabilityTracker::on_timer(u64 generation) {
     entry.rto = std::min<SimTime>(
         opts_.max_rto,
         static_cast<SimTime>(static_cast<double>(entry.rto) * opts_.backoff));
-    entry.deadline = now + jittered(entry.rto);
+    set_deadline(id, entry, now + jittered(entry.rto));
     const u32 attempt = entry.attempts;
     ResendFn resend = entry.resend;  // copy: the callback may erase `id`
     {

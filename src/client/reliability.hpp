@@ -16,7 +16,9 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -101,6 +103,9 @@ class ReliabilityTracker {
   };
 
   [[nodiscard]] SimTime jittered(SimTime rto);
+  // Moves `id`'s deadline (and its key in deadlines_) to `deadline`.
+  void set_deadline(u32 id, Entry& entry, SimTime deadline);
+  void erase(std::map<u32, Entry>::iterator it);
   void arm();
   void on_timer(u64 generation);
 
@@ -109,6 +114,8 @@ class ReliabilityTracker {
   Options opts_;
   Rng rng_;
   std::map<u32, Entry> entries_;
+  // (deadline, id) of every entry: the earliest is begin().
+  std::set<std::pair<SimTime, u32>> deadlines_;
   Stats stats_;
   std::vector<u64> backoff_samples_;  // rto of each retransmit, ns
   bool timer_armed_ = false;

@@ -168,13 +168,69 @@ u32 Controller::remove_entries(Fid fid) {
   return ops;
 }
 
-u32 Controller::sync_entries(Fid fid) {
-  const u32 removed = remove_entries(fid);
-  install_with_advance(fid);
-  const auto it = fid_to_app_.find(fid);
-  const u32 installed =
-      static_cast<u32>(alloc_.regions_of(it->second).size());
-  return removed + installed;
+void Controller::clear_regions(Fid fid) {
+  const u32 block_words = pipeline_->config().block_words;
+  for (const auto& [stage, region] : alloc_.regions_of(fid_to_app_.at(fid))) {
+    pipeline_->stage(stage).memory().fill(region.begin * block_words,
+                                          region.size() * block_words, 0);
+  }
+}
+
+u64 Controller::charge(Reallocation& r, u64 entries, u64 batches,
+                       u64 cleared) {
+  stats_.reallocations += r.disturbed.size();
+  u64 snapshotted = 0;
+  for (const Fid fid : r.disturbed) {
+    for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
+      // One removal per entry the old layout still holds.
+      if (pipeline_->stage(s).lookup(fid) != nullptr) ++entries;
+    }
+    snapshotted += take_snapshot(fid);
+    for (const auto& [stage, region] :
+         alloc_.regions_of(fid_to_app_.at(fid))) {
+      ++entries;  // install
+      cleared += region.size();
+    }
+  }
+  // One coalesced driver batch per application whose entries change.
+  r.table_update_batches = batches + r.disturbed.size();
+  r.table_update_cost =
+      costs_.table_update_time(entries, r.table_update_batches);
+  stats_.table_update_batches += r.table_update_batches;
+  r.snapshot_cost =
+      static_cast<SimTime>(snapshotted) * costs_.snapshot_per_block;
+  r.clear_cost = static_cast<SimTime>(cleared) * costs_.clear_per_block;
+  return cleared;
+}
+
+void Controller::begin(Reallocation& r, Fid new_fid) {
+  pending_ = PendingTxn{new_fid, r.disturbed,
+                        {r.disturbed.begin(), r.disturbed.end()}};
+  if (r.disturbed.empty()) {
+    finalize();
+    return;
+  }
+  // Handshake: quiesce the disturbed apps, then wait for their clients to
+  // extract from the old regions.
+  for (const Fid fid : r.disturbed) runtime_->deactivate(fid);
+  r.pending = true;
+}
+
+void Controller::apply(Fid new_fid, const std::vector<Fid>& moved) {
+  for (const Fid fid : moved) {
+    remove_entries(fid);
+    install_with_advance(fid);
+  }
+  // Content migration is the clients' job: they have extracted from the
+  // old regions by now and re-populate the zeroed new ones.
+  if (new_fid != 0) {
+    install_with_advance(new_fid);
+    clear_regions(new_fid);
+  }
+  for (const Fid fid : moved) {
+    clear_regions(fid);
+    runtime_->reactivate(fid);
+  }
 }
 
 AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
@@ -225,46 +281,15 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
   for (const alloc::AppId app : result.outcome.reallocated) {
     result.disturbed.push_back(app_to_fid_.at(app));
   }
-  stats_.reallocations += result.disturbed.size();
 
-  // Cost accounting (performed work happens at finalize, but the totals
-  // are deterministic now).
-  u64 entry_ops = alloc_.regions_of(result.outcome.app).size();
-  u64 blocks_cleared = 0;
-  u64 blocks_snapshotted = 0;
-  for (const auto& [stage, region] :
-       alloc_.regions_of(result.outcome.app)) {
-    blocks_cleared += region.size();
-  }
-  for (const Fid disturbed : result.disturbed) {
-    const alloc::AppId app = fid_to_app_.at(disturbed);
-    for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
-      // One removal per entry the old layout still holds.
-      if (pipeline_->stage(s).lookup(disturbed) != nullptr) ++entry_ops;
-    }
-    blocks_snapshotted += take_snapshot(disturbed);
-    for (const auto& [stage, region] : alloc_.regions_of(app)) {
-      ++entry_ops;  // install
-      blocks_cleared += region.size();
-    }
-  }
-  // One coalesced driver batch per application whose entries change: the
-  // new app's contiguous installs plus each disturbed app's replace.
-  result.table_update_batches = 1 + result.disturbed.size();
-  result.table_update_cost =
-      costs_.table_update_time(entry_ops, result.table_update_batches);
-  stats_.table_update_batches += result.table_update_batches;
-  result.snapshot_cost =
-      static_cast<SimTime>(blocks_snapshotted) * costs_.snapshot_per_block;
-  result.clear_cost =
-      static_cast<SimTime>(blocks_cleared) * costs_.clear_per_block;
+  // Cost accounting (the work happens at finalize, but the totals are
+  // deterministic now): the new app's installs and clears in one batch.
+  const auto regions = alloc_.regions_of(result.outcome.app);
+  u64 fid_blocks = 0;
+  for (const auto& [stage, region] : regions) fid_blocks += region.size();
+  charge(result, regions.size(), 1, fid_blocks);
 
   if (metrics_) {
-    u64 fid_blocks = 0;
-    for (const auto& [stage, region] :
-         alloc_.regions_of(result.outcome.app)) {
-      fid_blocks += region.size();
-    }
     metrics_->blocks_allocated.at(fid).inc(fid_blocks);
     metrics_->compute_us->record(
         static_cast<u64>(result.compute_ms * 1000.0));
@@ -278,22 +303,7 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
                 {"provisioning_ns", result.provisioning_time()}});
   }
 
-  if (result.disturbed.empty()) {
-    pending_ = PendingAdmission{fid, {}};
-    finalize();
-    return result;
-  }
-
-  // Handshake: quiesce the disturbed apps, then wait for their clients to
-  // extract from the old regions.
-  PendingAdmission pending;
-  pending.new_fid = fid;
-  for (const Fid disturbed : result.disturbed) {
-    runtime_->deactivate(disturbed);
-    pending.awaiting.insert(disturbed);
-  }
-  pending_ = pending;
-  result.pending = true;
+  begin(result, fid);
   return result;
 }
 
@@ -328,38 +338,10 @@ void Controller::apply_pending() {
 }
 
 void Controller::finalize() {
-  if (!pending_) throw UsageError("Controller: nothing to finalize");
-  // new_fid == 0 is the background-migration sentinel: no admission rides
-  // this transaction, only the disturbed apps re-sync.
-  const Fid new_fid = pending_->new_fid;
-
-  // Re-sync entries for every app whose layout changed, then the new app.
-  std::vector<Fid> disturbed;
-  for (const auto& [fid, app] : fid_to_app_) {
-    if (fid == new_fid) continue;
-    if (runtime_->is_deactivated(fid)) disturbed.push_back(fid);
-  }
-  for (const Fid fid : disturbed) sync_entries(fid);
-  if (new_fid != 0) install_with_advance(new_fid);
-
-  // Zero the regions that changed hands: the new app's and the disturbed
-  // apps' new regions (content migration is the clients' job: they have
-  // extracted from the old regions by now and re-populate the new ones).
-  const u32 block_words = pipeline_->config().block_words;
-  auto clear_regions = [&](Fid fid) {
-    for (const auto& [stage, region] :
-         alloc_.regions_of(fid_to_app_.at(fid))) {
-      pipeline_->stage(stage).memory().fill(region.begin * block_words,
-                                            region.size() * block_words, 0);
-    }
-  };
-  if (new_fid != 0) clear_regions(new_fid);
-  for (const Fid fid : disturbed) clear_regions(fid);
-
-  for (const Fid fid : disturbed) runtime_->reactivate(fid);
+  apply(pending_->new_fid, pending_->disturbed);
   if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("controller", "apply", new_fid,
-               {{"reactivated", disturbed.size()}});
+    sink->emit("controller", "apply", pending_->new_fid,
+               {{"reactivated", pending_->disturbed.size()}});
   }
   pending_.reset();
 }
@@ -446,56 +428,19 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
   for (const alloc::AppId a : changed) {
     result.disturbed.push_back(app_to_fid_.at(a));
   }
-  stats_.reallocations += result.disturbed.size();
-
-  // Cost accounting (mirrors admit, minus a new app): removals are what
-  // the tables still hold, installs and clears follow the new layout.
-  u64 entry_ops = 0;
-  u64 blocks_cleared = 0;
-  u64 blocks_snapshotted = 0;
-  for (const Fid dfid : result.disturbed) {
-    for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
-      // One removal per entry the old layout still holds.
-      if (pipeline_->stage(s).lookup(dfid) != nullptr) ++entry_ops;
-    }
-    blocks_snapshotted += take_snapshot(dfid);
-    for (const auto& [stage, region] :
-         alloc_.regions_of(fid_to_app_.at(dfid))) {
-      ++entry_ops;  // install
-      blocks_cleared += region.size();
-    }
-  }
-  result.table_update_batches = result.disturbed.size();
-  result.table_update_cost =
-      costs_.table_update_time(entry_ops, result.table_update_batches);
-  stats_.table_update_batches += result.table_update_batches;
-  result.snapshot_cost =
-      static_cast<SimTime>(blocks_snapshotted) * costs_.snapshot_per_block;
-  result.clear_cost =
-      static_cast<SimTime>(blocks_cleared) * costs_.clear_per_block;
-  result.blocks_moved = blocks_cleared;
-  stats_.blocks_migrated += blocks_cleared;
-
-  // Handshake: quiesce every disturbed app, then wait for extraction like
-  // any admission; new_fid = 0 marks the migration.
-  PendingAdmission pending;
-  pending.new_fid = 0;
-  for (const Fid dfid : result.disturbed) {
-    runtime_->deactivate(dfid);
-    pending.awaiting.insert(dfid);
-  }
-  pending_ = pending;
-  result.pending = true;
+  result.blocks_moved = charge(result, 0, 0, 0);
+  stats_.blocks_migrated += result.blocks_moved;
+  begin(result, 0);
   if (auto* sink = telemetry::trace_sink()) {
     sink->emit("controller", "migration", request.fid,
                {{"kind", remap_kind_name(request.kind)},
                 {"disturbed", result.disturbed.size()},
-                {"blocks", blocks_cleared}});
+                {"blocks", result.blocks_moved}});
   }
   return result;
 }
 
-ReleaseResult Controller::release(Fid fid) {
+Reallocation Controller::release(Fid fid) {
   if (pending_) {
     throw UsageError("Controller: cannot release while admission pending");
   }
@@ -503,36 +448,15 @@ ReleaseResult Controller::release(Fid fid) {
   if (it == fid_to_app_.end()) throw UsageError("Controller: unknown FID");
   ++stats_.releases;
 
-  ReleaseResult result;
+  Reallocation result;
   const alloc::AppId app = it->second;
-
-  u64 entry_ops = remove_entries(fid);
-  const auto disturbed_apps = alloc_.deallocate(app);
-  stats_.reallocations += disturbed_apps.size();
-
-  const u32 block_words = pipeline_->config().block_words;
-  u64 blocks_snapshotted = 0;
-  for (const alloc::AppId disturbed : disturbed_apps) {
-    const Fid dfid = app_to_fid_.at(disturbed);
-    result.disturbed.push_back(dfid);
-    blocks_snapshotted += take_snapshot(dfid);  // before its entries move
-    entry_ops += sync_entries(dfid);
-    // Departure-triggered moves also hand apps fresh (zeroed) regions.
-    for (const auto& [stage, region] :
-         alloc_.regions_of(fid_to_app_.at(dfid))) {
-      pipeline_->stage(stage).memory().fill(region.begin * block_words,
-                                            region.size() * block_words, 0);
-    }
+  // The departing app's removals are one batch of their own.
+  const u32 removed = remove_entries(fid);
+  for (const alloc::AppId moved : alloc_.deallocate(app)) {
+    result.disturbed.push_back(app_to_fid_.at(moved));
   }
-
-  // Coalesced batches: the departing app's removals plus one ranged
-  // replace per disturbed app.
-  result.table_update_batches = 1 + result.disturbed.size();
-  result.table_update_cost =
-      costs_.table_update_time(entry_ops, result.table_update_batches);
-  stats_.table_update_batches += result.table_update_batches;
-  result.snapshot_cost =
-      static_cast<SimTime>(blocks_snapshotted) * costs_.snapshot_per_block;
+  charge(result, removed, 1, 0);
+  apply(0, result.disturbed);
 
   fid_to_app_.erase(fid);
   app_to_fid_.erase(app);

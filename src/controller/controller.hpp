@@ -3,16 +3,19 @@
 // models the provisioning costs a Tofino controller would incur (table
 // updates, snapshotting, register clears).
 //
-// Admissions that disturb resident applications follow the paper's
-// handshake: the disturbed FIDs are deactivated (program packets forwarded
-// unprocessed) and the new layout is applied only after every disturbed
-// client reports extraction complete (or times out). Clients extract their
-// state with management capsules from the old regions, which stay
-// untouched in pipeline memory until the layout is applied; the
-// controller's snapshot of a disturbed app is only the count of its old
-// blocks, which the cost model charges. `admit` finalizes immediately when
-// nothing is disturbed; otherwise the caller drives `extraction_complete` /
-// `force_finalize`.
+// Admission, background migration and departure run as one reallocation
+// transaction: one charge step prices every moved FID, and one apply step
+// re-syncs their entries, zeroes their new regions and reactivates them.
+// Admissions and migrations that disturb resident applications follow the
+// paper's handshake: the disturbed FIDs are deactivated (program packets
+// forwarded unprocessed) and the new layout is applied only after every
+// disturbed client reports extraction complete (or times out). Clients
+// extract their state with management capsules from the old regions,
+// which stay untouched in pipeline memory until the layout is applied;
+// the controller's snapshot of a disturbed app is only the count of its
+// old blocks, which the cost model charges. `admit` finalizes immediately
+// when nothing is disturbed; otherwise the caller drives
+// `extraction_complete` / `force_finalize`. A departure applies at once.
 #pragma once
 
 #include <map>
@@ -34,34 +37,39 @@ namespace artmt::controller {
 
 struct ControllerMetrics;  // telemetry handle bundle (controller.cpp)
 
-struct AdmissionResult {
-  bool admitted = false;
-  Fid fid = 0;
-  alloc::AllocationOutcome outcome;
-  std::vector<Fid> disturbed;  // FIDs that must extract before finalize
-  bool pending = false;        // true while the handshake is outstanding
-
-  // Cost breakdown (Fig. 8a): allocator compute is measured wall-clock;
-  // the rest is modeled from the cost model.
-  double compute_ms = 0.0;
+// One reallocation transaction (Section 4.3), the shape admission,
+// background migration and departure share: the resident FIDs whose
+// layout changes, whether their clients must extract first, and what the
+// control plane pays (Fig. 8a; allocator compute is modeled or measured,
+// the rest comes from the cost model).
+struct Reallocation {
+  std::vector<Fid> disturbed;  // resident FIDs whose layout changes
+  bool pending = false;        // extraction handshake outstanding
+  double compute_ms = 0.0;     // allocator search + assign
   SimTime table_update_cost = 0;
   SimTime snapshot_cost = 0;
   SimTime clear_cost = 0;
-  // Coalesced driver batches behind table_update_cost: one for the new
-  // app plus one per disturbed app (see CostModel::batched_updates).
+  // Coalesced driver batches behind table_update_cost: one per
+  // application whose entries change (see CostModel::batched_updates).
   u64 table_update_batches = 0;
 
-  [[nodiscard]] SimTime provisioning_time() const {
-    return static_cast<SimTime>(compute_ms * kMillisecond) +
-           table_update_cost + snapshot_cost + clear_cost;
+  [[nodiscard]] SimTime compute_time() const {
+    return static_cast<SimTime>(compute_ms * kMillisecond);
+  }
+  // Driver time to install the new layout once extraction is over.
+  [[nodiscard]] SimTime apply_time() const {
+    return table_update_cost + clear_cost;
   }
 };
 
-struct ReleaseResult {
-  std::vector<Fid> disturbed;  // apps rebalanced by the departure
-  SimTime table_update_cost = 0;
-  SimTime snapshot_cost = 0;
-  u64 table_update_batches = 0;  // see AdmissionResult::table_update_batches
+struct AdmissionResult : Reallocation {
+  bool admitted = false;
+  Fid fid = 0;
+  alloc::AllocationOutcome outcome;
+
+  [[nodiscard]] SimTime provisioning_time() const {
+    return compute_time() + table_update_cost + snapshot_cost + clear_cost;
+  }
 };
 
 // Aggregate control-plane counters.
@@ -75,7 +83,7 @@ struct ControllerStats {
   u64 blocks_snapshotted = 0;
   u64 extraction_timeouts = 0;
   u64 tcam_rejections = 0;  // admissions denied for range-entry headroom
-  // --- background migration (ROADMAP item 2) ---
+  // --- background migration ---
   u64 migrations = 0;            // migrate() calls that changed a layout
   u64 migration_noops = 0;       // plans that resolved to no layout change
   u64 migration_demotions = 0;   // by kind, among `migrations`
@@ -85,24 +93,14 @@ struct ControllerStats {
   u64 blocks_migrated = 0;       // blocks handed to new regions by migration
 };
 
-// Outcome of one background-migration step (Controller::migrate).
-struct MigrationResult {
+// Outcome of one background-migration step (Controller::migrate); its
+// `disturbed` includes the target whenever the target's layout changed.
+struct MigrationResult : Reallocation {
   bool applied = false;  // the allocator operation took effect
-  bool pending = false;  // extraction handshake outstanding (finalize later)
   Fid fid = 0;
   RemapKind kind = RemapKind::kReslide;
-  bool moved = false;          // re-slide changed the target's regions
-  std::vector<Fid> disturbed;  // every FID whose layout changed (target incl.)
-  double compute_ms = 0.0;     // allocator search + assign (re-slides)
-  SimTime table_update_cost = 0;
-  SimTime snapshot_cost = 0;
-  SimTime clear_cost = 0;
-  u64 table_update_batches = 0;
+  bool moved = false;    // re-slide changed the target's regions
   u64 blocks_moved = 0;
-
-  [[nodiscard]] SimTime apply_time() const {
-    return table_update_cost + clear_cost;
-  }
 };
 
 class Controller {
@@ -116,15 +114,15 @@ class Controller {
   // --- admission / release ---
   AdmissionResult admit(const alloc::AllocationRequest& request);
   // Marks one disturbed FID as done extracting. Returns true when every
-  // disturbed app has reported in (the admission is ready to apply).
+  // disturbed app has reported in (the transaction is ready to apply).
   bool extraction_complete(Fid fid);
   // Timeout path: stop waiting for the remaining extractions (counted in
-  // stats); the admission becomes ready to apply.
+  // stats); the transaction becomes ready to apply.
   void timeout_pending();
-  // Installs the pending admission's new layout (table updates + clears)
-  // and reactivates the disturbed apps. Call once ready; synchronous
-  // callers use it right after the handshake, event-driven callers after
-  // the modeled table-update delay has elapsed.
+  // Installs the pending transaction's new layout (table updates +
+  // clears) and reactivates the disturbed apps. Call once ready;
+  // synchronous callers use it right after the handshake, event-driven
+  // callers after the modeled table-update delay has elapsed.
   void apply_pending();
   // Deadline path in one step: gives up on the remaining extractions and
   // applies the layout immediately (timeout_pending + apply_pending).
@@ -136,15 +134,18 @@ class Controller {
     return pending_.has_value() && pending_->awaiting.empty();
   }
 
-  ReleaseResult release(Fid fid);
+  // Removes `fid` and applies the grown neighbours' layout at once: no
+  // deactivation and no extraction handshake (`disturbed` lists the apps
+  // whose regions changed; the result is never pending).
+  Reallocation release(Fid fid);
 
-  // --- background migration (ROADMAP item 2) ---
+  // --- background migration ---
   // Executes one remap request as a live state migration: the allocator
   // op runs immediately, every FID whose layout changed is deactivated
   // (its old blocks counted as snapshotted), and the new layout is applied
   // through the same extraction handshake admissions use
-  // (extraction_complete / force_finalize), with PendingAdmission::new_fid
-  // == 0 as the no-admission sentinel. A request whose FID departed, or
+  // (extraction_complete / force_finalize), a transaction that admits no
+  // new FID. A request whose FID departed, or
   // whose plan resolves to no layout change, is a graceful no-op
   // (!pending). Throws while an admission or another migration is pending
   // (the engine serializes). Re-slides are skipped (counted, !applied)
@@ -202,19 +203,35 @@ class Controller {
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
-  struct PendingAdmission {
+  // The transaction awaiting extraction: the admitted FID (0 for a
+  // migration) and the deactivated FIDs it moves.
+  struct PendingTxn {
     Fid new_fid = 0;
+    std::vector<Fid> disturbed;
     std::set<Fid> awaiting;  // disturbed FIDs not yet done extracting
   };
 
-  // Reinstalls table entries for `fid` from the allocator's current state
-  // and returns the number of entry operations performed.
-  u32 sync_entries(Fid fid);
+  // Removes every entry `fid` holds and returns how many there were.
   u32 remove_entries(Fid fid);
   // Snapshot of a disturbed app: the blocks its installed (old) entries
   // cover. Counts them in stats and returns them for the cost model.
   u64 take_snapshot(Fid fid);
+  // Prices `r.disturbed` on top of the requester's own `entries` entry
+  // operations, `batches` driver batches and `cleared` blocks: each moved
+  // FID's old entries are removed, its old blocks snapshotted, its new
+  // regions installed and cleared, in one batch per FID. Returns the
+  // blocks cleared.
+  u64 charge(Reallocation& r, u64 entries, u64 batches, u64 cleared);
+  // Admits `new_fid` (0: none) and moves `r.disturbed`: applies at once
+  // when nothing is disturbed, otherwise deactivates them and waits for
+  // their extraction.
+  void begin(Reallocation& r, Fid new_fid);
   void finalize();
+  // Installs the new layout: re-syncs every moved FID's entries, installs
+  // `new_fid`'s (0: none), zeroes the regions that changed hands and
+  // reactivates the moved FIDs.
+  void apply(Fid new_fid, const std::vector<Fid>& moved);
+  void clear_regions(Fid fid);
 
   // MAR auto-advance per access chain (Section 3.4): the entry installed at
   // each of the app's memory stages re-targets MAR at the next one.
@@ -230,7 +247,7 @@ class Controller {
   std::unordered_map<Fid, alloc::AppId> fid_to_app_;
   std::unordered_map<alloc::AppId, Fid> app_to_fid_;
   std::unordered_map<Fid, alloc::Mutant> mutants_;
-  std::optional<PendingAdmission> pending_;
+  std::optional<PendingTxn> pending_;
   Fid next_fid_ = 1;
 };
 

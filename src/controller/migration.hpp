@@ -1,4 +1,4 @@
-// Background migration & defragmentation (ROADMAP item 2). The planner
+// Background migration & defragmentation. The planner
 // turns the runtime's heatmap-fed hotness scores plus the allocator's
 // fragmentation accounting into asynchronous remap requests; the queue
 // decouples planning from execution with bounded depth (congestion

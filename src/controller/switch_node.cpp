@@ -427,8 +427,7 @@ void SwitchNode::run_admission(const ControlOp& op) {
     finish_control();
     return;
   }
-  const auto compute_delay =
-      static_cast<SimTime>(result.compute_ms * kMillisecond);
+  const SimTime compute_delay = result.compute_time();
 
   if (!result.admitted) {
     if (migration_enabled_ && !op.deferred && reslide_may_unblock(request)) {
@@ -464,35 +463,33 @@ void SwitchNode::run_admission(const ControlOp& op) {
     runtime_.set_recirc_budget(result.fid, default_recirc_budget_);
   }
 
+  // The regions are final once admitted, so the grant is built now.
   PendingTxn txn;
-  txn.id = ++txn_counter_;
-  txn.new_fid = result.fid;
-  txn.seq = op.pkt.initial.seq;
   txn.requester = op.requester;
+  txn.reply = proto::encode_response(
+      result.fid, controller_.response_for(result.fid),
+      *controller_.mutant_of(result.fid), op.pkt.initial.seq);
   txn.disturbed = result.disturbed;
-  txn.apply_cost = result.table_update_cost + result.clear_cost;
-  txn_ = txn;
+  txn.apply_cost = result.apply_time();
+  start_txn(std::move(txn), compute_delay, result.pending);
+}
 
-  if (!result.pending) {
-    // Nothing to extract; the layout is already applied. Answer after the
-    // modeled compute + install costs.
-    txn_->applying = true;
-    network().simulator().schedule_after(
-        compute_delay + txn_->apply_cost, [this] {
-          send_to_mac(txn_->requester,
-                      proto::encode_response(
-                          txn_->new_fid,
-                          controller_.response_for(txn_->new_fid),
-                          *controller_.mutant_of(txn_->new_fid), txn_->seq));
-          txn_.reset();
-          finish_control();
-        });
+void SwitchNode::start_txn(PendingTxn txn, SimTime compute_delay,
+                           bool pending) {
+  txn.id = ++txn_counter_;
+  txn.applying = !pending;
+  txn_ = std::move(txn);
+  netsim::Simulator& sim = network().simulator();
+  if (!pending) {
+    // The layout is already applied: answer after the modeled compute +
+    // install costs.
+    sim.schedule_after(compute_delay + txn_->apply_cost,
+                       [this] { finish_txn(); });
     return;
   }
-
   // Handshake: notify the disturbed apps, arm the extraction timeout.
-  const u64 txn_id = txn.id;
-  network().simulator().schedule_after(compute_delay, [this, txn_id] {
+  const u64 txn_id = txn_->id;
+  sim.schedule_after(compute_delay, [this, txn_id] {
     if (!txn_ || txn_->id != txn_id) return;
     for (const Fid fid : txn_->disturbed) {
       const auto it = client_of_.find(fid);
@@ -501,7 +498,7 @@ void SwitchNode::run_admission(const ControlOp& op) {
                   ActivePacket::make_control(fid, ActiveType::kReallocNotice));
     }
   });
-  network().simulator().schedule_after(
+  sim.schedule_after(
       compute_delay + controller_.costs().extraction_timeout,
       [this, txn_id] {
         if (!txn_ || txn_->id != txn_id || txn_->applying) return;
@@ -587,35 +584,12 @@ bool SwitchNode::start_migration(const RemapRequest& request) {
   ++mig_executed_;
   // The handshake occupies the control plane exactly like an admission:
   // arriving control ops queue behind it, kExtractComplete jumps the queue.
+  // A migration has no requester, so nothing answers it.
   control_busy_ = true;
   PendingTxn txn;
-  txn.id = ++txn_counter_;
-  txn.new_fid = 0;
-  txn.requester = 0;
   txn.disturbed = result.disturbed;
   txn.apply_cost = result.apply_time();
-  txn.migration = true;
-  txn_ = txn;
-
-  const auto compute_delay =
-      static_cast<SimTime>(result.compute_ms * kMillisecond);
-  const u64 txn_id = txn.id;
-  network().simulator().schedule_after(compute_delay, [this, txn_id] {
-    if (!txn_ || txn_->id != txn_id) return;
-    for (const Fid fid : txn_->disturbed) {
-      const auto it = client_of_.find(fid);
-      if (it == client_of_.end()) continue;
-      send_to_mac(it->second,
-                  ActivePacket::make_control(fid, ActiveType::kReallocNotice));
-    }
-  });
-  network().simulator().schedule_after(
-      compute_delay + controller_.costs().extraction_timeout,
-      [this, txn_id] {
-        if (!txn_ || txn_->id != txn_id || txn_->applying) return;
-        controller_.timeout_pending();
-        ready_to_apply();
-      });
+  start_txn(std::move(txn), result.compute_time(), result.pending);
   return true;
 }
 
@@ -636,25 +610,22 @@ void SwitchNode::ready_to_apply() {
   txn_->applying = true;
   network().simulator().schedule_after(txn_->apply_cost, [this] {
     controller_.apply_pending();
-    // New allocations for the requester and every moved app. A migration
-    // has no requester (and FID 0 has no mutant); only the disturbed
-    // responses go out.
-    if (!txn_->migration) {
-      send_to_mac(txn_->requester,
-                  proto::encode_response(
-                      txn_->new_fid, controller_.response_for(txn_->new_fid),
-                      *controller_.mutant_of(txn_->new_fid), txn_->seq));
-    }
-    for (const Fid fid : txn_->disturbed) {
-      const auto it = client_of_.find(fid);
-      if (it == client_of_.end()) continue;
-      send_to_mac(it->second,
-                  proto::encode_response(fid, controller_.response_for(fid),
-                                         *controller_.mutant_of(fid), 0));
-    }
-    txn_.reset();
-    finish_control();
+    finish_txn();
   });
+}
+
+void SwitchNode::finish_txn() {
+  if (txn_->reply) send_to_mac(txn_->requester, std::move(*txn_->reply));
+  // Every moved app learns its new layout.
+  for (const Fid fid : txn_->disturbed) {
+    const auto it = client_of_.find(fid);
+    if (it == client_of_.end()) continue;
+    send_to_mac(it->second,
+                proto::encode_response(fid, controller_.response_for(fid),
+                                       *controller_.mutant_of(fid), 0));
+  }
+  txn_.reset();
+  finish_control();
 }
 
 void SwitchNode::run_release(const ControlOp& op) {
@@ -663,8 +634,7 @@ void SwitchNode::run_release(const ControlOp& op) {
     finish_control();
     return;
   }
-  const ReleaseResult result = controller_.release(fid);
-  const SimTime delay = result.table_update_cost + result.snapshot_cost;
+  const Reallocation result = controller_.release(fid);
   client_of_.erase(fid);
   runtime_.clear_recirc_budget(fid);
   if (migration_enabled_) {
@@ -674,23 +644,14 @@ void SwitchNode::run_release(const ControlOp& op) {
     hotness_.forget(static_cast<i32>(fid));
   }
 
-  // Capture only what the continuation needs (requester MAC + fid), not
-  // the whole ControlOp: copying the embedded ActivePacket would drag its
-  // headers, payload, and program vectors into the closure for nothing.
-  network().simulator().schedule_after(
-      delay, [this, requester = op.requester, fid, result] {
-    send_to_mac(requester,
-                ActivePacket::make_control(fid, ActiveType::kDeallocAck));
-    // Departure-triggered moves: tell the affected apps their new layout.
-    for (const Fid moved : result.disturbed) {
-      const auto it = client_of_.find(moved);
-      if (it == client_of_.end()) continue;
-      send_to_mac(it->second,
-                  proto::encode_response(moved, controller_.response_for(moved),
-                                         *controller_.mutant_of(moved), 0));
-    }
-    finish_control();
-  });
+  // The controller has already applied the grown neighbours' layout: no
+  // notice, and the ack goes out after the table updates and snapshots.
+  PendingTxn txn;
+  txn.requester = op.requester;
+  txn.reply = ActivePacket::make_control(fid, ActiveType::kDeallocAck);
+  txn.disturbed = result.disturbed;
+  txn.apply_cost = result.table_update_cost + result.snapshot_cost;
+  start_txn(std::move(txn), 0, /*pending=*/false);
 }
 
 void SwitchNode::finish_control() { process_next_control(); }

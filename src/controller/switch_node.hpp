@@ -53,7 +53,7 @@ class SwitchNode : public netsim::Node {
     // process; tools and benches pass &telemetry::registry() to aggregate
     // into the process-wide snapshot.
     telemetry::MetricsRegistry* metrics = nullptr;
-    // Background migration & defragmentation engine (ROADMAP item 2).
+    // Background migration & defragmentation engine.
     // Every `interval` of virtual time the node folds the heatmap into
     // the hotness table, runs one planning cycle, and drives at most one
     // migration through the extraction handshake -- only while the
@@ -186,7 +186,27 @@ class SwitchNode : public netsim::Node {
   void process_next_control();
   void run_admission(const ControlOp& op);
   void run_release(const ControlOp& op);
+  // The transaction the control plane is running: the requester's reply
+  // (an AllocResponse, a kDeallocAck, or none for a migration), the apps
+  // it moves, and the modeled delay of applying their layout.
+  struct PendingTxn {
+    u64 id = 0;
+    packet::MacAddr requester = 0;
+    std::optional<packet::ActivePacket> reply;
+    std::vector<Fid> disturbed;
+    SimTime apply_cost = 0;
+    bool applying = false;
+  };
+  // Schedules one admission, migration or departure the controller has
+  // begun. Unless `pending`, the layout is already applied and
+  // finish_txn runs after compute_delay + apply_cost; otherwise the
+  // disturbed apps get kReallocNotice after compute_delay and the
+  // extraction timeout is armed.
+  void start_txn(PendingTxn txn, SimTime compute_delay, bool pending);
   void ready_to_apply();  // handshake complete or timed out
+  // Sends the reply and every moved app its new layout, then frees the
+  // control plane.
+  void finish_txn();
   // Background engine: the periodic tick (armed lazily from the first
   // frame, once the node is attached), and the step that
   // turns one remap request into a live handshake. Returns true when a
@@ -225,17 +245,6 @@ class SwitchNode : public netsim::Node {
   std::deque<ControlOp> control_queue_;
   bool control_busy_ = false;
 
-  // Pending-admission bookkeeping for the handshake.
-  struct PendingTxn {
-    u64 id = 0;
-    Fid new_fid = 0;
-    u32 seq = 0;
-    packet::MacAddr requester = 0;
-    std::vector<Fid> disturbed;
-    SimTime apply_cost = 0;
-    bool applying = false;
-    bool migration = false;  // no requester response on apply
-  };
   std::optional<PendingTxn> txn_;
   u64 txn_counter_ = 0;
   runtime::RecircBudget default_recirc_budget_;

@@ -1,6 +1,5 @@
 #include "telemetry/heatmap.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <string>
 
@@ -94,37 +93,6 @@ void StageHeatmap::snapshot_json(std::ostream& out) const {
     out << '}';
   }
   out << "}\n";
-}
-
-void HotnessTable::observe(const StageHeatmap& heatmap) {
-  for (const i32 fid : heatmap.fids()) {
-    const u64 total = heatmap.total_accesses(fid);
-    State& state = states_[fid];
-    const u64 delta = total >= state.last_total ? total - state.last_total
-                                                : total;  // heatmap cleared
-    state.score += delta;
-    state.last_total = total;
-  }
-}
-
-void HotnessTable::decay() {
-  for (auto& [fid, state] : states_) state.score >>= shift_;
-}
-
-u64 HotnessTable::score(i32 fid) const {
-  const auto it = states_.find(fid);
-  return it == states_.end() ? 0 : it->second.score;
-}
-
-std::vector<std::pair<i32, u64>> HotnessTable::ranked() const {
-  std::vector<std::pair<i32, u64>> out;
-  out.reserve(states_.size());
-  for (const auto& [fid, state] : states_) out.emplace_back(fid, state.score);
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  return out;
 }
 
 }  // namespace artmt::telemetry

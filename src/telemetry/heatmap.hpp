@@ -1,6 +1,6 @@
 // Per-(stage, FID) memory-access heatmaps for the runtime's dispatch hot
-// path, plus the decaying-counter hotness table the migration engine
-// (ROADMAP item 2) will consume.
+// path; the background migration engine folds them into decayed scores
+// (alloc::HotnessTable).
 //
 // Recording is plain-u64: the owning runtime increments cells, gated
 // behind telemetry::enabled() like every other hot-path recording site,
@@ -11,7 +11,6 @@
 #include <iosfwd>
 #include <limits>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -69,31 +68,6 @@ class StageHeatmap {
   std::map<i32, std::vector<Cell>> rows_;  // fid -> per-stage cells
   i32 memo_fid_ = std::numeric_limits<i32>::min();
   std::vector<Cell>* memo_row_ = nullptr;
-};
-
-// Decaying per-FID access counters: observe() absorbs the delta of each
-// FID's total accesses since the previous observation, decay() halves
-// every score (a classic aging counter). ranked() yields hottest-first --
-// the input the elastic-memory migration engine needs to pick promotion /
-// demotion candidates.
-class HotnessTable {
- public:
-  explicit HotnessTable(u32 decay_shift = 1) : shift_(decay_shift) {}
-
-  void observe(const StageHeatmap& heatmap);
-  void decay();
-
-  [[nodiscard]] u64 score(i32 fid) const;
-  // (fid, score) hottest first; equal scores order by ascending fid.
-  [[nodiscard]] std::vector<std::pair<i32, u64>> ranked() const;
-
- private:
-  struct State {
-    u64 score = 0;
-    u64 last_total = 0;
-  };
-  u32 shift_;
-  std::map<i32, State> states_;
 };
 
 }  // namespace artmt::telemetry

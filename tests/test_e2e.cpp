@@ -1,20 +1,24 @@
 // End-to-end tests over the discrete-event network: allocation
 // negotiation, cache populate/query traffic, the reallocation handshake
 // between tenants, heavy-hitter extraction, and Cheetah flows -- the full
-// capsule life cycle of Sections 3-5 -- plus determinism: the default
+// capsule life cycle of Sections 3-5 -- plus the switch's control-frame
+// timeline for each kind of reallocation, and determinism: the default
 // configuration, run twice, yields byte-identical results.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <sstream>
 
 #include "apps/cache_service.hpp"
 #include "apps/hh_service.hpp"
 #include "apps/lb_service.hpp"
+#include "apps/programs.hpp"
 #include "apps/server_node.hpp"
 #include "client/client_node.hpp"
 #include "common/rng.hpp"
 #include "controller/switch_node.hpp"
+#include "proto/wire.hpp"
 #include "telemetry/metrics.hpp"
 #include "workload/zipf.hpp"
 
@@ -36,10 +40,12 @@ constexpr packet::MacAddr kClientMacBase = 0x000100;
 class Testbed {
  public:
   explicit Testbed(u32 clients = 1,
-                   alloc::Scheme scheme = alloc::Scheme::kWorstFit)
+                   alloc::Scheme scheme = alloc::Scheme::kWorstFit,
+                   SwitchNode::Config::MigrationConfig migration = {})
       : net_(sim_) {
     SwitchNode::Config cfg;
     cfg.scheme = scheme;
+    cfg.migration = migration;
     // Shrink control-plane costs so tests converge quickly; ratios stay
     // realistic (table updates dominate).
     cfg.costs.table_entry_update = 100 * kMicrosecond;
@@ -448,6 +454,175 @@ TEST(E2E, DefaultConfigGrantTimesIdenticalAcrossRuns) {
   const std::vector<SimTime> first = grant_times();
   ASSERT_EQ(first.size(), 3u);
   EXPECT_EQ(grant_times(), first);
+}
+
+// --- control-plane timeline ------------------------------------------------
+
+// One control frame the switch sent: when, to which node, what, for which
+// FID.
+struct ControlFrame {
+  SimTime at = 0;
+  std::string to;
+  packet::ActiveType type = packet::ActiveType::kProgram;
+  Fid fid = 0;
+  friend bool operator==(const ControlFrame&, const ControlFrame&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ControlFrame& f) {
+  static constexpr const char* kNames[] = {
+      "kProgram",         "kAllocRequest", "kAllocResponse",
+      "kDealloc",         "kDeallocAck",   "kReallocNotice",
+      "kExtractComplete", "kReactivated",  "kHealthProbe",
+      "kHealthAck"};
+  return os << "{" << f.at << ", \"" << f.to << "\", ActiveType::"
+            << kNames[static_cast<u8>(f.type)] << ", " << f.fid << "}";
+}
+
+// Records every control frame the switch transmits.
+class ControlRecorder : public netsim::TransmitHook {
+ public:
+  explicit ControlRecorder(const netsim::Node& sw) : switch_(&sw) {}
+
+  Verdict on_transmit(const netsim::Node& from, const netsim::Node& to,
+                      SimTime now, u64, netsim::Frame& frame,
+                      FramePool&) override {
+    if (&from == switch_ &&
+        packet::classify(frame) == packet::FrameClass::kControl) {
+      const auto pkt = packet::ActivePacket::parse(frame);
+      frames.push_back({now, to.name(), pkt.initial.type, pkt.initial.fid});
+    }
+    return {};
+  }
+
+  std::vector<ControlFrame> frames;
+
+ private:
+  const netsim::Node* switch_;
+};
+
+using packet::ActiveType;
+
+// The switch's control frames, to the nanosecond, for each kind of
+// reallocation transaction. A change to the transaction path must keep
+// every notice, grant and ack where these constants put it.
+TEST(E2E, ControlPlaneTimelineIsPinned) {
+  // An admission that disturbs nobody: one grant.
+  {
+    Testbed bed;
+    ControlRecorder recorder(*bed.switch_);
+    bed.net_.set_transmit_hook(&recorder);
+    auto cache = std::make_shared<CacheService>("cache", kServerMac);
+    bed.clients_[0]->register_service(cache);
+    cache->request_allocation();
+    bed.run_for(2 * kSecond);
+    ASSERT_TRUE(cache->operational());
+    const std::vector<ControlFrame> expected = {
+        {2'067'412, "client0", ActiveType::kAllocResponse, 1}};
+    EXPECT_EQ(recorder.frames, expected) << "undisturbed admission";
+  }
+  // An admission that disturbs a cache, which extracts and reports in.
+  {
+    Testbed bed(2, alloc::Scheme::kFirstFit);
+    ControlRecorder recorder(*bed.switch_);
+    bed.net_.set_transmit_hook(&recorder);
+    auto cache0 = std::make_shared<CacheService>("cache0", kServerMac);
+    auto cache1 = std::make_shared<CacheService>("cache1", kServerMac);
+    bed.clients_[0]->register_service(cache0);
+    bed.clients_[1]->register_service(cache1);
+    cache0->request_allocation();
+    bed.run_for(2 * kSecond);
+    cache1->request_allocation();
+    bed.run_for(3 * kSecond);
+    ASSERT_TRUE(cache0->operational());
+    ASSERT_TRUE(cache1->operational());
+    const std::vector<ControlFrame> expected = {
+        {2'057'212, "client0", ActiveType::kAllocResponse, 1},
+        {2'000'653'212, "client0", ActiveType::kReallocNotice, 1},
+        {2'002'659'220, "client1", ActiveType::kAllocResponse, 2},
+        {2'002'659'220, "client0", ActiveType::kAllocResponse, 1}};
+    EXPECT_EQ(recorder.frames, expected) << "admission, extraction done";
+  }
+  // The same disturbance, but the disturbed FID belongs to a bare node
+  // that never extracts: the extraction timeout applies the layout.
+  {
+    Testbed bed(2, alloc::Scheme::kFirstFit);
+    ControlRecorder recorder(*bed.switch_);
+    bed.net_.set_transmit_hook(&recorder);
+    packet::ActivePacket request =
+        proto::encode_request(apps::cache_request(), 7);
+    request.ethernet.src = kClientMacBase;
+    request.ethernet.dst = kSwitchMac;
+    bed.net_.transmit(*bed.clients_[0], 0, request.serialize());
+    bed.run_for(2 * kSecond);
+    auto cache = std::make_shared<CacheService>("cache", kServerMac);
+    bed.clients_[1]->register_service(cache);
+    cache->request_allocation();
+    bed.run_for(3 * kSecond);
+    ASSERT_TRUE(cache->operational());
+    // Notice + 200 ms extraction timeout + apply.
+    const std::vector<ControlFrame> expected = {
+        {2'057'212, "client0", ActiveType::kAllocResponse, 1},
+        {2'000'653'212, "client0", ActiveType::kReallocNotice, 1},
+        {2'202'657'212, "client1", ActiveType::kAllocResponse, 2},
+        {2'202'657'212, "client0", ActiveType::kAllocResponse, 1}};
+    EXPECT_EQ(recorder.frames, expected) << "admission, extraction timeout";
+  }
+  // A departure whose freed memory grows the elastic neighbour.
+  {
+    Testbed bed(2, alloc::Scheme::kFirstFit);
+    ControlRecorder recorder(*bed.switch_);
+    auto cache0 = std::make_shared<CacheService>("cache0", kServerMac);
+    auto cache1 = std::make_shared<CacheService>("cache1", kServerMac);
+    bed.clients_[0]->register_service(cache0);
+    bed.clients_[1]->register_service(cache1);
+    cache0->request_allocation();
+    bed.run_for(2 * kSecond);
+    cache1->request_allocation();
+    bed.run_for(3 * kSecond);
+    bed.net_.set_transmit_hook(&recorder);
+    cache1->release();
+    bed.run_for(2 * kSecond);
+    ASSERT_EQ(cache1->state(), client::Service::State::kReleased);
+    // No notice: the neighbour's new layout goes out with the ack.
+    const std::vector<ControlFrame> expected = {
+        {5'001'553'004, "client1", ActiveType::kDeallocAck, 2},
+        {5'001'553'004, "client0", ActiveType::kAllocResponse, 1}};
+    EXPECT_EQ(recorder.frames, expected) << "departure";
+  }
+  // A background demotion: cache1 goes quiet while cache0 keeps serving.
+  {
+    SwitchNode::Config::MigrationConfig migration;
+    migration.enabled = true;
+    migration.interval = 50 * kMillisecond;
+    Testbed bed(2, alloc::Scheme::kFirstFit, migration);
+    auto cache0 = std::make_shared<CacheService>("cache0", kServerMac);
+    auto cache1 = std::make_shared<CacheService>("cache1", kServerMac);
+    bed.clients_[0]->register_service(cache0);
+    bed.clients_[1]->register_service(cache1);
+    cache0->request_allocation();
+    bed.run_for(500 * kMillisecond);
+    cache1->request_allocation();
+    bed.run_for(500 * kMillisecond);
+    ASSERT_TRUE(cache1->operational());
+    cache1->populate({{0x1111, 1}, {0x2222, 2}});
+    ControlRecorder recorder(*bed.switch_);
+    bed.net_.set_transmit_hook(&recorder);
+    std::function<void()> drive = [&] {
+      if (bed.sim_.now() >= 2 * kSecond) return;
+      cache0->get(0x3333);
+      bed.sim_.schedule_after(kMillisecond, [&drive] { drive(); });
+    };
+    drive();
+    bed.run_for(1000 * kMillisecond);
+    ASSERT_EQ(bed.switch_->migration_stats().planner.demotions_planned, 1u);
+    // Demoting cache1 grows cache0: both extract, then both get layouts.
+    const std::vector<ControlFrame> expected = {
+        {1'150'001'016, "client0", ActiveType::kReallocNotice, 1},
+        {1'150'001'016, "client1", ActiveType::kReallocNotice, 2},
+        {1'152'307'024, "client0", ActiveType::kAllocResponse, 1},
+        {1'152'307'024, "client1", ActiveType::kAllocResponse, 2}};
+    EXPECT_EQ(recorder.frames, expected) << "background demotion";
+  }
 }
 
 // FNV-1a over 64-bit words: order-sensitive, so equal digests mean equal

@@ -699,6 +699,66 @@ TEST(Reliability, ExportMetricsPublishesStatsAndBackoffHistogram) {
   sim.run();
 }
 
+// Thousands of outstanding ids under the default jittered schedule: a
+// seeded third are acked at staggered times, some are re-tracked or
+// cancelled while outstanding, a pause window pushes deadlines out, and
+// the rest resend until they give up. The (virtual time, id, attempt)
+// sequence of resends and the give-ups are pinned, so the order expiries
+// are processed in, and every jitter draw, stay fixed.
+TEST(ReliabilityTracker, ManyOutstandingKeepTheirSchedule) {
+  Simulator sim;
+  ReliabilityTracker tracker("many", [&sim]() -> Simulator& { return sim; });
+  tracker.paused = [&sim] {
+    return sim.now() >= 50 * kMillisecond && sim.now() < 60 * kMillisecond;
+  };
+  Digest resends;
+  u64 resend_count = 0;
+  Digest give_ups;
+  u64 give_up_count = 0;
+  tracker.on_give_up = [&](u32 id) {
+    give_ups.mix(static_cast<u64>(sim.now()));
+    give_ups.mix(id);
+    ++give_up_count;
+  };
+  const ReliabilityTracker::ResendFn resend = [&](u32 id, u32 attempt) {
+    resends.mix(static_cast<u64>(sim.now()));
+    resends.mix(id);
+    resends.mix(attempt);
+    ++resend_count;
+  };
+
+  constexpr u32 kIds = 3000;
+  Rng rng(2024);
+  for (u32 id = 0; id < kIds; ++id) {
+    const SimTime start = id * 7 * kMicrosecond;
+    sim.schedule_at(start, [&, id] { tracker.track(id, resend); });
+    if (rng.uniform(3) == 0) {
+      const SimTime ack_at = start + static_cast<SimTime>(rng.uniform(
+                                         static_cast<u64>(40 * kMillisecond)));
+      sim.schedule_at(ack_at, [&tracker, id] { tracker.ack(id); });
+    } else if (id % 10 == 0) {
+      sim.schedule_at(start + 2 * kMillisecond,
+                      [&, id] { tracker.track(id, resend); });
+    } else if (id % 97 == 0) {
+      sim.schedule_at(start + 30 * kMillisecond,
+                      [&tracker, id] { tracker.cancel(id); });
+    }
+  }
+  sim.run();
+
+  EXPECT_EQ(tracker.outstanding(), 0u);
+  EXPECT_EQ(resend_count, 25'550u);
+  EXPECT_EQ(resends.h, 10314742446138050366ull);
+  EXPECT_EQ(give_up_count, 1'996u);
+  EXPECT_EQ(give_ups.h, 6020361266355597890ull);
+  EXPECT_EQ(tracker.stats().tracked, 3'203u);
+  EXPECT_EQ(tracker.stats().acked, 985u);
+  EXPECT_EQ(tracker.stats().recovered, 850u);
+  EXPECT_EQ(tracker.stats().retransmits, 25'550u);
+  EXPECT_EQ(tracker.stats().give_ups, 1'996u);
+  EXPECT_EQ(sim.now(), 875'300'114);
+}
+
 // --- switch brownout state loss -------------------------------------------
 
 TEST(SwitchWipe, WipeRegistersZeroesEveryStage) {

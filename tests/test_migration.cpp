@@ -1,10 +1,11 @@
-// Tests for the background migration & defragmentation engine (ROADMAP
-// item 2): the decayed hotness table (half-life, coldness hysteresis,
-// observation clamping), the bounded remap queue, planner determinism,
-// the allocator's demote / promote / re-slide primitives,
-// Controller::migrate's sentinel handshake, and the end-to-end SwitchNode
-// engine -- post-migration register state must be byte-identical across
-// two runs with the same seed, fault-free and under a FaultPlan.
+// Tests for the background migration & defragmentation engine: the
+// decayed hotness table (half-life, coldness hysteresis, observation
+// clamping), the bounded remap queue, planner determinism, the
+// allocator's demote / promote / re-slide primitives, Controller::migrate's
+// handshake (a reallocation transaction that admits no FID), and the
+// end-to-end SwitchNode engine -- post-migration register state must be
+// byte-identical across two runs with the same seed, fault-free and under
+// a FaultPlan.
 #include <gtest/gtest.h>
 
 #include <map>

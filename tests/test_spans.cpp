@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "active/assembler.hpp"
+#include "alloc/hotness.hpp"
 #include "apps/programs.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
@@ -193,7 +194,7 @@ TEST(Heatmap, HotnessTableDecaysAndRanks) {
   telemetry::StageHeatmap heat(2);
   for (u32 i = 0; i < 10; ++i) heat.record_read(0, 1);
   for (u32 i = 0; i < 4; ++i) heat.record_read(1, 2);
-  telemetry::HotnessTable hotness;
+  alloc::HotnessTable hotness;
   hotness.observe(heat);
   EXPECT_EQ(hotness.score(1), 10u);
   EXPECT_EQ(hotness.score(2), 4u);

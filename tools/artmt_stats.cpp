@@ -62,6 +62,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc/hotness.hpp"
 #include "apps/cache_service.hpp"
 #include "apps/hh_service.hpp"
 #include "apps/server_node.hpp"
@@ -118,7 +119,7 @@ void print_heatmap_report(const telemetry::StageHeatmap& heatmap) {
   std::printf("%-6s", "fid");
   for (u32 s = 0; s < heatmap.stages(); ++s) std::printf("  s%-2u r/w/c       ", s);
   std::printf("  total\n");
-  telemetry::HotnessTable hotness;
+  alloc::HotnessTable hotness;
   hotness.observe(heatmap);
   for (const i32 fid : heatmap.fids()) {
     std::printf("%-6d", fid);
