@@ -30,8 +30,12 @@ run_perfbench_smoke() {
   # reports "correct": false on duplicate or unmatched results, a wrong
   # cache value, digest drift between repetitions, or fabric state loss,
   # and "failed" counts requests that never completed. Any of them fails
-  # the job. Wall-clock numbers are printed but not gated here.
-  for workload in serve_mix churn fabric_failover; do
+  # the job. Wall-clock numbers are printed but not gated here. The
+  # workloads are the ones BENCHMARK.json lists.
+  local workloads
+  workloads="$(cd scripts && python3 -c \
+      'from perf_pairs import workloads; print(" ".join(workloads()))')"
+  for workload in $workloads; do
     echo "-- perfbench: $workload"
     result="$(python3 perfbench/run.py --workload "$workload" --seed 2 \
         --seconds 5 --trace 0 | tail -n 1)"

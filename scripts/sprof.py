@@ -3,7 +3,7 @@
 timer wraps.
 
     scripts/sprof.py CHECKOUT --workload W [--seed 1] [--seconds 10]
-        [--within FUNC] [--top 30]
+        [--within FUNC] [--callers FUNC [--depth 3]] [--top 30]
 
 perfbench's traced breakdown times the simulator's layers; calls that the
 workload makes from its own code (filling the origin server, checking a
@@ -24,6 +24,13 @@ the samples, largest inclusive first. --within FUNC keeps only samples
 whose stack has a function whose name contains FUNC, for example
 `Churn::measure` for churn's measured phase; shares are then of those
 samples. Samples in code without symbols count under the library's name.
+
+--callers FUNC prints, instead of that table, the distinct caller chains
+above FUNC: for each sample whose stack has a frame matching FUNC, the
+--depth frames just outside the innermost run of matching frames, nearest
+caller first. Each chain comes with its share of the samples (of those
+--within keeps), so a cost inside a shared function (a map lookup, a
+container's hash) can be split by the code that calls it.
 
 Standard library only; needs cmake, a C compiler and addr2line. It builds
 and runs perfbench with scripts/perf_pairs.py's helpers.
@@ -150,19 +157,51 @@ def stacks(maps_lines, samples):
     return [[name for a in call for name in frames(a)] for call in calls]
 
 
-def report(all_stacks, within, top):
+def within(all_stacks, func):
+    """The stacks with a frame matching func (all if None), and a label."""
     kept = [s for s in all_stacks
-            if within is None or any(within in name for name in s)]
+            if func is None or any(func in name for name in s)]
     if not kept:
-        fail(f"no sample has a frame matching {within!r}")
+        fail(f"no sample has a frame matching {func!r}")
+    scope = f" within {func}" if func else ""
+    return kept, f"{len(kept)} of {len(all_stacks)} samples{scope}"
+
+
+def report(kept, scope, top):
     self_count = collections.Counter(s[0] for s in kept)
     inclusive = collections.Counter(name for s in kept for name in set(s))
-    scope = f" within {within}" if within else ""
-    print(f"{len(kept)} of {len(all_stacks)} samples{scope}")
+    print(scope)
     print(f"{'incl %':>7s} {'self %':>7s}  function")
     for name, count in inclusive.most_common(top):
         print(f"{100 * count / len(kept):7.1f} "
               f"{100 * self_count[name] / len(kept):7.1f}  {name}")
+
+
+def caller_chains(kept, func, depth):
+    """Counts of the depth frames above each sample's innermost func run."""
+    chains = collections.Counter()
+    for s in kept:
+        i = next((k for k, name in enumerate(s) if func in name), None)
+        if i is None:
+            continue
+        while i + 1 < len(s) and func in s[i + 1]:
+            i += 1  # a run of matching frames is one call
+        chains[tuple(s[i + 1:i + 1 + depth]) or ("[no caller]",)] += 1
+    return chains
+
+
+def report_callers(kept, scope, func, depth, top):
+    chains = caller_chains(kept, func, depth)
+    if not chains:
+        fail(f"no sample has a frame matching {func!r}")
+    total = sum(chains.values())
+    print(f"{scope}; {total} ({100 * total / len(kept):.1f}%) have {func}")
+    print(f"{'share %':>7s}  callers of {func}, nearest first")
+    ranked = sorted(chains.items(), key=lambda item: (-item[1], item[0]))
+    for chain, count in ranked[:top]:
+        print(f"{100 * count / len(kept):7.1f}  {chain[0]}")
+        for name in chain[1:]:
+            print(f"{'':7s}    <- {name}")
 
 
 def main():
@@ -173,13 +212,19 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--within")
+    parser.add_argument("--callers", metavar="FUNC")
+    parser.add_argument("--depth", type=int, default=3)
     parser.add_argument("--top", type=int, default=30)
     args = parser.parse_args()
-    if args.seconds <= 0 or args.top <= 0:
-        parser.error("--seconds and --top must be positive")
+    if args.seconds <= 0 or args.top <= 0 or args.depth <= 0:
+        parser.error("--seconds, --depth and --top must be positive")
     binary, library = build_sampled(args.checkout)
     maps_lines, samples = record(binary, library, args)
-    report(stacks(maps_lines, samples), args.within, args.top)
+    kept, scope = within(stacks(maps_lines, samples), args.within)
+    if args.callers is None:
+        report(kept, scope, args.top)
+    else:
+        report_callers(kept, scope, args.callers, args.depth, args.top)
 
 
 if __name__ == "__main__":

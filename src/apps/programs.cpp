@@ -10,7 +10,7 @@ active::Program cache_query_program() {
   // Listing 1: bucket walk via the per-entry MAR advance; a mismatching
   // key half is a miss (forward to the server), a full match RTSes the
   // value back to the client in args[0].
-  return active::assemble(R"(
+  static const active::Program program = active::assemble(R"(
       MAR_LOAD $0          // locate bucket
       MEM_READ             // first 4 key bytes
       MBR_EQUALS_DATA $1   // compare
@@ -23,12 +23,14 @@ active::Program cache_query_program() {
       MBR_STORE $0         // write to packet
       RETURN               // fin.
   )");
+  return program;
 }
 
 active::Program cache_populate_program() {
   // Writes (key0, key1, value) into the bucket at args[0]. Preloading
   // (Appendix C) aligns its accesses with the query program's stages.
-  active::Program p = active::assemble(R"(
+  static const active::Program program = [] {
+    active::Program p = active::assemble(R"(
       MAR_LOAD $0    // bucket address
       MBR_LOAD $1    // key half 0
       MEM_WRITE
@@ -39,8 +41,10 @@ active::Program cache_populate_program() {
       RTS            // ack to the client
       RETURN
   )");
-  client::apply_preload(p);
-  return p;
+    client::apply_preload(p);
+    return p;
+  }();
+  return program;
 }
 
 ServiceSpec cache_service_spec() {
@@ -55,7 +59,7 @@ active::Program hh_monitor_program() {
   // Listing 2: two CMS rows sketch the key's count; if the sketch exceeds
   // the bucket's running threshold, store the key and raise the threshold
   // (the same-stage update rides the second pass).
-  return active::assemble(R"(
+  static const active::Program program = active::assemble(R"(
       MBR_LOAD $0            // key half 0
       MBR2_LOAD $1           // key half 1
       COPY_HASHDATA_MBR $0
@@ -97,6 +101,7 @@ active::Program hh_monitor_program() {
       NOP                    // program has exactly one compact placement
       RETURN
   )");
+  return program;
 }
 
 ServiceSpec hh_service_spec(u32 cms_blocks, u32 table_blocks) {
@@ -114,7 +119,7 @@ active::Program lb_select_program() {
   // Listing 3 (adapted): round-robin pick from the VIP pool, route the
   // SYN there, and stamp hash(5-tuple) ^ server into the cookie field.
   // The pool size is stored as a power-of-two mask (size - 1).
-  return active::assemble(R"(
+  static const active::Program program = active::assemble(R"(
       COPY_HASHDATA_5TUPLE
       MAR_LOAD $0          // pool-size address
       MEM_READ             // MBR = pool mask
@@ -136,11 +141,12 @@ active::Program lb_select_program() {
       MBR_STORE $3         // cookie into the packet
       RETURN
   )");
+  return program;
 }
 
 active::Program lb_route_program() {
   // Listing 4: stateless routing; server = hash(5-tuple) ^ cookie.
-  return active::assemble(R"(
+  static const active::Program program = active::assemble(R"(
       COPY_HASHDATA_5TUPLE
       HASH $3
       MBR2_LOAD $0         // cookie
@@ -149,6 +155,7 @@ active::Program lb_route_program() {
       SET_DST
       RETURN
   )");
+  return program;
 }
 
 ServiceSpec lb_service_spec(u32 pool_blocks) {

@@ -2,7 +2,9 @@
 
 #include <bit>
 
+#include "common/error.hpp"
 #include "common/logging.hpp"
+#include "packet/program_view.hpp"
 
 namespace artmt::apps {
 
@@ -67,25 +69,42 @@ void ServerNode::reply(packet::MacAddr dst, const KvMessage& msg) {
 
 void ServerNode::on_frame(netsim::Frame frame, u32 port) {
   (void)port;
-  const std::optional<packet::ActivePacket> parsed = packet::try_parse(frame);
-  std::span<const u8> payload;
-  if (parsed) {
-    payload = parsed->payload;
-  } else {
-    // Passive request: payload follows the Ethernet header directly.
-    if (frame.size() <= packet::EthernetHeader::kWireSize) {
-      ++stats_.ignored;
+  switch (packet::classify(frame)) {
+    case packet::FrameClass::kProgram: {
+      std::optional<packet::ProgramView> view;
+      try {
+        view = packet::ProgramView::parse(frame, program_cache_);
+      } catch (const ParseError&) {
+        break;  // a malformed capsule is read as passive traffic
+      }
+      serve(view->ethernet.src, view->payload(frame), view->arguments.args[3]);
       return;
     }
-    payload = std::span<const u8>(frame).subspan(
-        packet::EthernetHeader::kWireSize);
+    case packet::FrameClass::kControl:
+      if (const auto parsed = packet::try_parse(frame)) {
+        std::optional<Word> cookie;
+        if (parsed->arguments) cookie = parsed->arguments->args[3];
+        serve(parsed->ethernet.src, parsed->payload, cookie);
+        return;
+      }
+      break;
+    case packet::FrameClass::kPassive:
+      break;
   }
-  const packet::MacAddr requester =
-      parsed ? parsed->ethernet.src : [&frame] {
-        ByteReader in(frame);
-        return packet::EthernetHeader::parse(in).src;
-      }();
+  // Passive request: payload follows the Ethernet header directly.
+  if (frame.size() <= packet::EthernetHeader::kWireSize) {
+    ++stats_.ignored;
+    return;
+  }
+  ByteReader in(frame);
+  const packet::MacAddr requester = packet::EthernetHeader::parse(in).src;
+  serve(requester,
+        std::span<const u8>(frame).subspan(packet::EthernetHeader::kWireSize),
+        std::nullopt);
+}
 
+void ServerNode::serve(packet::MacAddr requester, std::span<const u8> payload,
+                       std::optional<Word> cookie) {
   const auto msg = KvMessage::parse(payload);
   if (!msg) {
     ++stats_.ignored;
@@ -105,9 +124,7 @@ void ServerNode::on_frame(netsim::Frame frame, u32 port) {
       KvMessage response = *msg;
       response.type = KvMessage::Type::kLbCookie;
       // The cookie was stamped into args[3] by the select program.
-      if (parsed && parsed->arguments) {
-        response.value = parsed->arguments->args[3];
-      }
+      if (cookie) response.value = *cookie;
       reply(requester, response);
       return;
     }

@@ -10,11 +10,18 @@
 // consecutive slots instead of chasing a heap node per key, an insert
 // allocates only when the array doubles, and 12-byte slots at <= 3/4 load
 // keep the resident set below a node map's.
+//
+// Requests arrive as passive frames or inside active capsules. A program
+// capsule is read in place (ProgramView, through the server's own program
+// cache), so serving one copies and allocates nothing; only control
+// capsules are materialized.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "active/program_cache.hpp"
 #include "apps/kv.hpp"
 #include "netsim/network.hpp"
 #include "packet/active_packet.hpp"
@@ -51,6 +58,10 @@ class ServerNode : public netsim::Node {
   // The slot holding `key` (nonzero), or the empty slot its probe ends at.
   [[nodiscard]] std::size_t find(u64 key) const;
   void grow();
+  // Answers the request in `payload`; `cookie` is the capsule's args[3],
+  // which the load balancer's select program stamps.
+  void serve(packet::MacAddr requester, std::span<const u8> payload,
+             std::optional<Word> cookie);
   void reply(packet::MacAddr dst, const KvMessage& msg);
 
   packet::MacAddr mac_;
@@ -58,6 +69,7 @@ class ServerNode : public netsim::Node {
   std::size_t used_ = 0;                              // slots holding a key
   u32 shift_ = 60;  // 64 - log2(slots_.size()), for the Fibonacci hash
   std::optional<u32> zero_value_;  // the value stored under key 0
+  active::ProgramCache program_cache_;
   Stats stats_;
 };
 

@@ -136,12 +136,11 @@ void emit_span(telemetry::SpanPhase phase, SimTime ts, u64 span, u64 parent,
 }  // namespace
 
 void SwitchNode::bind(packet::MacAddr mac, u32 port) {
-  l2_table_[mac] = port;
+  l2_table_[mac].port = port;  // a pinned entry stays pinned
 }
 
 void SwitchNode::bind_pinned(packet::MacAddr mac, u32 port) {
-  l2_table_[mac] = port;
-  l2_pinned_.insert(mac);
+  l2_table_[mac] = L2Entry{port, /*pinned=*/true};
 }
 
 u64 SwitchNode::wipe_registers() {
@@ -187,7 +186,7 @@ void SwitchNode::send_frame_to_mac(packet::MacAddr dst, netsim::Frame frame,
     metrics_->unknown_destination->inc();
     return;
   }
-  const u32 port = it->second;
+  const u32 port = it->second.port;
   if (delay == 0) {
     network().transmit(*this, port, std::move(frame));
     return;
@@ -207,8 +206,9 @@ void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
       frame.size() >= packet::EthernetHeader::kWireSize) {
     ByteReader in(frame);
     const auto eth = packet::EthernetHeader::parse(in);
-    if (eth.src != 0 && eth.src != mac_ && !l2_pinned_.contains(eth.src)) {
-      l2_table_[eth.src] = port;
+    if (eth.src != 0 && eth.src != mac_) {
+      L2Entry& entry = l2_table_[eth.src];
+      if (!entry.pinned) entry.port = port;
     }
   }
   if (migration_enabled_ && !migration_armed_) {
@@ -242,7 +242,7 @@ void SwitchNode::forward_passive(netsim::Frame frame) {
     const auto it = l2_table_.find(eth.dst);
     if (it != l2_table_.end()) {
       metrics_->forwarded->inc();
-      network().transmit(*this, it->second, std::move(frame));
+      network().transmit(*this, it->second.port, std::move(frame));
       return;
     }
   }

@@ -8,9 +8,9 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "alloc/hotness.hpp"
@@ -233,8 +233,11 @@ class SwitchNode : public netsim::Node {
   telemetry::MetricsRegistry* metrics_registry_ = nullptr;
   std::unique_ptr<SwitchMetrics> metrics_;
 
-  std::map<packet::MacAddr, u32> l2_table_;
-  std::set<packet::MacAddr> l2_pinned_;  // learning may not move these
+  struct L2Entry {
+    u32 port = 0;
+    bool pinned = false;  // learning may not move it
+  };
+  std::unordered_map<packet::MacAddr, L2Entry> l2_table_;
   std::map<Fid, packet::MacAddr> client_of_;
 
   // Fabric mode (Config::mac != 0).

@@ -3,12 +3,22 @@
 // micro-program is selected per packet; here each action is a method. All
 // arithmetic is 32-bit wrap-around, as on the hardware.
 //
-// The array keeps one dirty byte per kChunkWords-word chunk, set by every
-// mutator. A clean chunk holds only zeros, so a zero fill skips it: the
-// controller's region clears then cost what tenants actually wrote, not the
-// size of the regions that changed hands.
+// Storage follows the lines tenants write. The array is split into
+// kLineWords-word lines, one 64-byte cache line each. A line gets storage on
+// its first write and reads as zeros until then. `slots_` maps each line to
+// its storage in `lines_`, whose slot 0 is a line of zeros that no mutator
+// writes, so a read is a bounds check and two loads, with no branch on
+// whether the line is stored and no allocation. A zero fill zeroes the
+// covered words of stored lines and releases each line it covers whole to a
+// free list, which first writes reuse before the store grows; it skips every
+// kChunkWords-word chunk with no stored line. So a stage holds what its
+// tenants wrote (a 94,208-word stage nobody writes costs a 23 KiB slot
+// table, not 368 KiB of zeros), and the controller's region clears cost what
+// tenants wrote, not the size of the regions that changed hands.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/types.hpp"
@@ -22,30 +32,63 @@ class RegisterArray {
   explicit RegisterArray(u32 size);
 
   // Plain read/write.
-  [[nodiscard]] Word read(u32 index) const;
-  void write(u32 index, Word value);
+  [[nodiscard]] Word read(u32 index) const {
+    check(index);
+    return lines_[slots_[index / kLineWords]].words[index % kLineWords];
+  }
+  void write(u32 index, Word value) { cell(index) = value; }
 
   // mem[index] += inc; returns the post-increment value.
-  Word increment(u32 index, Word inc);
+  Word increment(u32 index, Word inc) {
+    Word& word = cell(index);
+    word += inc;  // u32 wrap-around, as on hardware
+    return word;
+  }
 
   // Returns min(mem[index], operand) without modifying memory.
-  [[nodiscard]] Word min_read(u32 index, Word operand) const;
+  [[nodiscard]] Word min_read(u32 index, Word operand) const {
+    return std::min(read(index), operand);
+  }
 
   // mem[index] += inc; returns the post-increment value (the caller combines
   // it with the PHV min, per the MEM_MINREADINC semantics).
   Word min_read_increment(u32 index, Word inc) { return increment(index, inc); }
 
-  [[nodiscard]] u32 size() const { return static_cast<u32>(cells_.size()); }
+  [[nodiscard]] u32 size() const { return size_; }
 
   // Bulk access for memory digests and controller-driven clears.
   [[nodiscard]] std::vector<Word> dump(u32 start, u32 count) const;
   void fill(u32 start, u32 count, Word value);
 
  private:
-  void check(u32 index) const;
+  static constexpr u32 kLineWords = 16;
+  static constexpr u32 kLinesPerChunk = kChunkWords / kLineWords;
+  static_assert(kLinesPerChunk == 16, "one u16 bit per line of a chunk");
 
-  std::vector<Word> cells_;
-  std::vector<u8> dirty_;  // per chunk; 0 means every word is zero
+  struct alignas(64) Line {
+    std::array<Word, kLineWords> words{};
+  };
+
+  void check(u32 index) const {
+    if (index >= size_) [[unlikely]] out_of_range(index);
+  }
+  [[noreturn]] void out_of_range(u32 index) const;
+
+  // The word at `index`, giving its line storage first if it has none.
+  Word& cell(u32 index) {
+    check(index);
+    u32 slot = slots_[index / kLineWords];
+    if (slot == 0) [[unlikely]] slot = attach(index / kLineWords);
+    return lines_[slot].words[index % kLineWords];
+  }
+  u32 attach(u32 line);  // stores `line` (which has no storage); its slot
+  void release(u32 line);
+
+  u32 size_;
+  std::vector<u32> slots_;   // per line; 0 = no storage, reads as zeros
+  std::vector<Line> lines_;  // [0] stays zero; others by first write
+  std::vector<u16> stored_;  // per chunk: bit j set = line j has storage
+  u32 free_head_ = 0;  // released slots, linked through their words[0]
 };
 
 }  // namespace artmt::rmt

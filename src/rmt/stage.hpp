@@ -2,11 +2,12 @@
 // per-FID match-table state the control plane installs at allocation time.
 // Each installed entry consumes one TCAM range entry (memory protection is
 // range matching on MAR, Section 3.1); TCAM capacity is the admission
-// bottleneck the paper calls out.
+// bottleneck the paper calls out. The installed FIDs are one sorted vector
+// (at most the TCAM capacity, 512 by default) beside their entries, so a
+// lookup is a binary search over at most 1 KiB of consecutive memory.
 #pragma once
 
-#include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 #include "rmt/register_array.hpp"
@@ -46,16 +47,23 @@ class Stage {
 
   [[nodiscard]] const FidEntry* lookup(Fid fid) const;
 
-  [[nodiscard]] u32 tcam_used() const { return static_cast<u32>(entries_.size()); }
+  [[nodiscard]] u32 tcam_used() const {
+    return static_cast<u32>(fids_.size());
+  }
   [[nodiscard]] u32 tcam_capacity() const { return tcam_capacity_; }
 
   [[nodiscard]] RegisterArray& memory() { return memory_; }
   [[nodiscard]] const RegisterArray& memory() const { return memory_; }
 
  private:
+  // The lower bound of `fid` in fids_: the index of the first FID not
+  // below it, or fids_.size().
+  [[nodiscard]] std::size_t lower_bound(Fid fid) const;
+
   RegisterArray memory_;
   u32 tcam_capacity_;
-  std::unordered_map<Fid, FidEntry> entries_;
+  std::vector<Fid> fids_;          // sorted
+  std::vector<FidEntry> entries_;  // entries_[i] is fids_[i]'s
 };
 
 // Largest mask of the form 2^k - 1 that keeps start + mask < limit (i.e.

@@ -2,8 +2,9 @@
 // that pin the heap cost of an operation. Include this header in exactly
 // one source file of a test executable (it defines the replacements), then
 // read deltas of g_alloc_count / g_alloc_bytes around the code measured.
-// The deletes are kept out of line so the compiler does not pair an
-// inlined free() with the replaced new.
+// The replacements are kept out of line so the compiler pairs neither an
+// inlined malloc() with a delete nor an inlined free() with a new (GCC
+// warns -Wmismatched-new-delete when it sees either).
 #pragma once
 
 #include <cstdlib>
@@ -14,14 +15,15 @@ unsigned long long g_alloc_count = 0;  // allocations
 unsigned long long g_alloc_bytes = 0;  // bytes requested
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_alloc_count;
   g_alloc_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t align) {
   ++g_alloc_count;
   g_alloc_bytes += size;
   const std::size_t a = static_cast<std::size_t>(align);

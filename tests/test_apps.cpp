@@ -1,8 +1,8 @@
 // Integration tests for the exemplar services' active programs executed
 // against a real pipeline + runtime + controller (no network): the cache
 // query/populate pair, the frequent-item monitor, and the Cheetah LB.
-// Also the application server's passive request path over a network, and
-// its key-value store against a std::unordered_map reference.
+// Also the application server's passive and capsule request paths over a
+// network, and its key-value store against a std::unordered_map reference.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -493,6 +493,65 @@ TEST(ServerNodePassive, AnswersPassiveGetAndIgnoresBareHeaders) {
   EXPECT_EQ(msg->request_id, 5u);
   EXPECT_EQ(msg->key, 42u);
   EXPECT_EQ(msg->value, 777u);
+}
+
+// A cache miss reaches the origin as the query capsule itself, its code
+// still on the wire; a load-balancer SYN carries its cookie in args[3].
+// The server reads both in place, so with a warm pool and event queue
+// answering them allocates nothing.
+TEST(ServerNode, ProgramCapsulesAllocateNothing) {
+  constexpr packet::MacAddr kPeerMac = 0xcc;
+  constexpr packet::MacAddr kServerMac = 0xbb;
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  auto peer = std::make_shared<Peer>();
+  auto server = std::make_shared<ServerNode>("server", kServerMac);
+  net.attach(peer);
+  net.attach(server);
+  net.connect(*peer, 0, *server, 0);
+  server->put(42, 777);
+
+  const auto capsule = [](const active::Program& program, Word cookie,
+                          const KvMessage& msg) {
+    auto pkt = ActivePacket::make_program(
+        1, ArgumentHeader{{10, 2, 3, cookie}}, program);
+    pkt.ethernet.src = kPeerMac;
+    pkt.ethernet.dst = kServerMac;
+    pkt.payload = msg.serialize();
+    return pkt.serialize();
+  };
+  const auto get = capsule(cache_query_program(), 0,
+                           KvMessage{KvMessage::Type::kGet, 5, 42, 0});
+  const auto syn = capsule(lb_select_program(), 0xc00c1e,
+                           KvMessage{KvMessage::Type::kLbSyn, 6, 9, 0});
+  const auto push = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      peer->frames.clear();
+      net.transmit(*peer, 0, net.pool().copy(get));
+      net.transmit(*peer, 0, net.pool().copy(syn));
+      sim.run();
+    }
+  };
+  push(16);  // warm the pool, the event queue and the program cache
+  const unsigned long long before = g_alloc_count;
+  push(1000);
+  EXPECT_EQ(g_alloc_count - before, 0u);
+
+  EXPECT_EQ(server->stats().gets_served, 1016u);
+  EXPECT_EQ(server->stats().syns_answered, 1016u);
+  EXPECT_EQ(server->stats().ignored, 0u);
+  ASSERT_EQ(peer->frames.size(), 2u);
+  for (const netsim::Frame& frame : peer->frames) {
+    const auto msg = KvMessage::parse(
+        std::span<const u8>(frame).subspan(packet::EthernetHeader::kWireSize));
+    ASSERT_TRUE(msg.has_value());
+    if (msg->type == KvMessage::Type::kReply) {
+      EXPECT_EQ(msg->value, 777u);
+    } else {
+      EXPECT_EQ(msg->type, KvMessage::Type::kLbCookie);
+      EXPECT_EQ(msg->value, 0xc00c1eu);
+    }
+  }
 }
 
 // ---------- the server's store ----------

@@ -2,8 +2,8 @@
 // encode checked against the decoded-program reference (ActivePacket::
 // parse, execute, serialize), passive L2 forwarding, unknown-destination
 // accounting, the per-capsule event budget, pool recycling across a full
-// wire-in/wire-out exchange, and the heap cost of passive and program
-// traffic.
+// wire-in/wire-out exchange, the heap cost of passive and program
+// traffic, and L2 learning around pinned routes.
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
@@ -269,6 +269,70 @@ TEST(Datapath, CapsuleToUnboundMacCountsUnknownDestination) {
   EXPECT_TRUE(bed.server->frames.empty());
   EXPECT_EQ(bed.sw->node_stats().unknown_destination, 1u);
   EXPECT_EQ(bed.sw->node_stats().forwarded, 1u);  // verdict was forward
+}
+
+// A learning fabric switch with a host on each of three ports. Learning
+// moves a plainly bound MAC to the port its frames arrive on, but never a
+// pinned one; a plain bind on a pinned MAC changes its port and keeps it
+// pinned. A capsule in transit toward a MAC nothing bound or taught counts
+// unknown_destination.
+TEST(SwitchNode, L2LearningNeverMovesPinnedRoutes) {
+  SwitchNode::Config cfg;
+  cfg.mac = 0xaa00;
+  cfg.l2_learning = true;
+  netsim::Simulator sim;
+  netsim::Network net{sim};
+  auto sw = std::make_shared<SwitchNode>("switch", cfg);
+  net.attach(sw);
+  std::vector<std::shared_ptr<Recorder>> hosts;
+  for (u32 port = 0; port < 3; ++port) {
+    hosts.push_back(std::make_shared<Recorder>("host" + std::to_string(port)));
+    net.attach(hosts.back());
+    net.connect(*sw, port, *hosts.back(), 0);
+  }
+  constexpr packet::MacAddr kLearned = 0x11;
+  constexpr packet::MacAddr kPinned = 0x22;
+  constexpr packet::MacAddr kProbe = 0x33;  // host 2's own MAC
+  sw->bind(kLearned, 0);
+  sw->bind_pinned(kPinned, 0);
+  sw->bind(kProbe, 2);
+
+  const auto send = [&](u32 port, packet::MacAddr src, packet::MacAddr dst) {
+    net.transmit(*hosts[port], 0,
+                 net.pool().copy(passive_frame(dst, src, {1, 2, 3})));
+    sim.run();
+  };
+  // The port a frame to `dst` leaves the switch by, or -1.
+  const auto port_of = [&](packet::MacAddr dst) {
+    std::vector<std::size_t> before;
+    for (const auto& host : hosts) before.push_back(host->frames.size());
+    send(2, kProbe, dst);
+    for (u32 port = 0; port < hosts.size(); ++port) {
+      if (hosts[port]->frames.size() != before[port]) return int(port);
+    }
+    return -1;
+  };
+  EXPECT_EQ(port_of(kLearned), 0);
+  EXPECT_EQ(port_of(kPinned), 0);
+
+  send(1, kLearned, kProbe);
+  send(1, kPinned, kProbe);
+  EXPECT_EQ(port_of(kLearned), 1);  // learned from its frame
+  EXPECT_EQ(port_of(kPinned), 0);   // pinned: learning left it
+
+  sw->bind(kPinned, 2);
+  EXPECT_EQ(port_of(kPinned), 2);
+  send(1, kPinned, kProbe);
+  EXPECT_EQ(port_of(kPinned), 2);  // still pinned after the plain bind
+
+  auto transit = ActivePacket::make_program(
+      /*fid=*/9, ArgumentHeader{}, active::assemble("RETURN"));
+  transit.ethernet.src = kProbe;
+  transit.ethernet.dst = 0xdead;
+  net.transmit(*hosts[2], 0, net.pool().copy(transit.serialize()));
+  sim.run();
+  EXPECT_EQ(sw->node_stats().unknown_destination, 1u);
+  EXPECT_EQ(sw->node_stats().malformed, 0u);
 }
 
 TEST(Datapath, TruncatedProgramFrameFallsBackToL2Forward) {

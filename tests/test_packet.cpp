@@ -1,11 +1,15 @@
-// Tests for the active packet wire formats of Section 3.3 and the
-// header-peek frame classifier.
+// Tests for the active packet wire formats of Section 3.3, the
+// header-peek frame classifier, and the in-place program view against the
+// materializing parser.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "active/assembler.hpp"
+#include "active/program_cache.hpp"
 #include "packet/active_packet.hpp"
+#include "packet/program_view.hpp"
 
 namespace artmt::packet {
 namespace {
@@ -281,6 +285,74 @@ TEST(TryParse, PassiveAndMalformedFramesAreNullopt) {
   ASSERT_EQ(classify(truncated), FrameClass::kProgram);
   EXPECT_THROW((void)ActivePacket::parse(truncated), ParseError);
   EXPECT_FALSE(try_parse(truncated).has_value());
+}
+
+// The origin server parses program capsules in place with
+// ProgramView::parse and reads a frame it rejects as passive traffic, as it
+// did try_parse's nullopt. So the two must reject the same frames: every
+// truncation of a few capsules, a bad opcode inside and after the code, and
+// a type byte no active type has.
+TEST(TryParse, ProgramViewRejectsExactlyWhatTryParseRejects) {
+  const auto capsule = [](const char* text, u8 flags,
+                          std::vector<u8> payload) {
+    auto pkt = ActivePacket::make_program(
+        5, ArgumentHeader{{1, 2, 3, 4}}, active::assemble(text));
+    pkt.initial.flags |= flags;
+    pkt.ethernet.src = 0xcc;
+    pkt.ethernet.dst = 0xbb;
+    pkt.payload = std::move(payload);
+    return pkt.serialize();
+  };
+  const std::vector<std::vector<u8>> capsules = {
+      capsule("RETURN", 0, {}),
+      capsule("MAR_LOAD $0\nMEM_READ\nMBR_STORE $1\nRETURN", kFlagPreloadMar,
+              {0x11, 0x22, 0x33}),
+      capsule("MBR_LOAD $0\nCJUMP L1\nMBR_STORE $2\nL1: RETURN", 0,
+              std::vector<u8>(40, 0x5a)),
+  };
+  const std::size_t payload_bytes = 0 + 3 + 40;
+  constexpr std::size_t kCode = EthernetHeader::kWireSize +
+                                InitialHeader::kWireSize +
+                                ArgumentHeader::kWireSize;
+  std::vector<std::pair<std::string, std::vector<u8>>> frames;
+  for (std::size_t c = 0; c < capsules.size(); ++c) {
+    for (std::size_t size = 0; size <= capsules[c].size(); ++size) {
+      frames.emplace_back(
+          "capsule " + std::to_string(c) + " cut to " + std::to_string(size),
+          std::vector<u8>(capsules[c].begin(), capsules[c].begin() + size));
+    }
+    auto bad_opcode = capsules[c];
+    bad_opcode[kCode] = 0xee;
+    frames.emplace_back("capsule " + std::to_string(c) + ", bad opcode",
+                        bad_opcode);
+    auto bad_type = capsules[c];
+    bad_type[16] = static_cast<u8>(kLastActiveType) + 1;
+    frames.emplace_back("capsule " + std::to_string(c) + ", bad type",
+                        bad_type);
+  }
+  // Past the EOF marker the bytes are payload, whatever they hold.
+  auto payload_bad_opcode = capsules[1];
+  payload_bad_opcode.back() = 0xee;
+  frames.emplace_back("bad opcode in the payload", payload_bad_opcode);
+
+  active::ProgramCache cache;
+  std::size_t accepted = 0;
+  for (const auto& [name, frame] : frames) {
+    ASSERT_NE(classify(frame), FrameClass::kControl) << name;
+    bool view_accepts = false;
+    if (classify(frame) == FrameClass::kProgram) {
+      try {
+        (void)ProgramView::parse(frame, cache);
+        view_accepts = true;
+      } catch (const ParseError&) {
+      }
+    }
+    EXPECT_EQ(view_accepts, try_parse(frame).has_value()) << name;
+    accepted += view_accepts ? 1 : 0;
+  }
+  // A cut is accepted only while it keeps the EOF marker (it shortens the
+  // payload), plus the payload case.
+  EXPECT_EQ(accepted, capsules.size() + payload_bytes + 1);
 }
 
 }  // namespace

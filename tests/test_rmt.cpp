@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <random>
+#include <unordered_set>
 
+#include "alloc_counter.hpp"
 #include "rmt/hash.hpp"
 #include "rmt/pipeline.hpp"
 
@@ -55,32 +57,36 @@ TEST(RegisterArray, DumpLoadFill) {
   EXPECT_THROW(arr.fill(9, 2, 0), UsageError);
 }
 
-// A zero fill skips chunks no mutator has touched since they were last
-// cleared whole. A word written in chunk k must survive a zero fill that
-// covers only part of chunk k, and the next fill over the rest of chunk k
-// must still clear it (the partial fill left the chunk dirty).
+// A zero fill skips chunks with no stored line and releases only the lines
+// it covers whole. A word written in chunk k must survive a zero fill that
+// covers only part of chunk k, or only part of the word's own 16-word line,
+// and the next fill over the word must still clear it (a partly covered
+// line keeps its storage).
 TEST(RegisterArray, PartialZeroFillKeepsChunkDirty) {
   constexpr u32 kChunk = RegisterArray::kChunkWords;
   RegisterArray arr(4 * kChunk);
   const u32 k = 2;
-  const u32 word = k * kChunk + 200;
+  const u32 word = k * kChunk + 200;  // line [192, 208) of chunk k
   arr.write(word, 0xabcd);
   arr.fill(k * kChunk, 100, 0);  // chunk k, words [0, 100)
   EXPECT_EQ(arr.read(word), 0xabcdu);
+  arr.fill(k * kChunk + 192, 8, 0);  // the line, up to the word
+  arr.fill(word + 1, 7, 0);          // the line, after the word
+  EXPECT_EQ(arr.read(word), 0xabcdu);
   arr.fill(k * kChunk + 100, kChunk - 100, 0);  // the rest of chunk k
   EXPECT_EQ(arr.read(word), 0u);
-  // A fill over all of chunk k turns it clean; an increment dirties it
-  // again, so the next zero fill still clears the word.
+  // A fill over all of chunk k releases its lines; an increment stores the
+  // word's line again, so the next zero fill still clears the word.
   arr.fill(k * kChunk, kChunk, 0);
   arr.increment(word, 5);
   arr.fill(0, arr.size(), 0);
   EXPECT_EQ(arr.read(word), 0u);
 }
 
-// Differential check of the dirty-chunk fill against a plain vector: a
-// seeded mix of every mutator, with fills over ranges that start and end
-// mid-chunk, span several chunks, reach the final partial chunk, or are
-// empty. Every word is compared after every op.
+// Differential check of the line store against a plain vector: a seeded
+// mix of every mutator, with fills over ranges that start and end mid-line
+// and mid-chunk, span several chunks, reach the final partial chunk and
+// line, or are empty. Every word is compared after every op.
 void run_fill_differential(u32 size, u64 seed) {
   constexpr u32 kChunk = RegisterArray::kChunkWords;
   RegisterArray arr(size);
@@ -150,6 +156,60 @@ void run_fill_differential(u32 size, u64 seed) {
 TEST(RegisterArray, DirtyChunkFillMatchesPlainVector) {
   run_fill_differential(1'000, 1);   // final chunk is partial (232 words)
   run_fill_differential(94'208, 2);  // one stage: 368 whole chunks
+}
+
+// Register memory stores only the 64-byte lines tenants write: a default
+// pipeline's 20 stages of 94,208 zero words would request 7.2 MiB. Reads
+// never allocate; writes store their lines in a store that doubles as it
+// grows; a zero fill over the whole array gives every line back, and later
+// first writes reuse them.
+TEST(RegisterArray, StorageFollowsWrittenLines) {
+  const unsigned long long construct_before = g_alloc_bytes;
+  Pipeline pipeline(PipelineConfig{});
+  EXPECT_LE(g_alloc_bytes - construct_before, 1u << 20);
+
+  const unsigned long long read_before = g_alloc_count;
+  Word seen = 0;
+  for (u32 s = 0; s < pipeline.stage_count(); ++s) {
+    const RegisterArray& memory = pipeline.stage(s).memory();
+    for (u32 i = 0; i < memory.size(); ++i) seen |= memory.read(i);
+  }
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(g_alloc_count - read_before, 0u);
+
+  // 512 writes store at most 512 lines (32 KiB); doubling requests at most
+  // as much again on the way.
+  RegisterArray& memory = pipeline.stage(3).memory();
+  std::mt19937_64 rng(27);
+  std::vector<u32> written;
+  written.reserve(512);
+  std::unordered_set<u32> written_lines;
+  const unsigned long long write_before = g_alloc_bytes;
+  for (u32 i = 0; i < 512; ++i) {
+    written.push_back(static_cast<u32>(rng() % memory.size()));
+    memory.write(written.back(), i + 1);
+  }
+  EXPECT_LE(g_alloc_bytes - write_before, 64u << 10);
+  for (const u32 index : written) written_lines.insert(index / 16);
+  for (u32 i = 0; i < 512; ++i) {
+    // The last write to a word wins.
+    const auto last = std::find(written.rbegin(), written.rend(), written[i]);
+    EXPECT_EQ(memory.read(written[i]),
+              static_cast<Word>(written.rend() - last));
+  }
+
+  memory.fill(0, memory.size(), 0);
+  for (const u32 index : written) EXPECT_EQ(memory.read(index), 0u);
+  const unsigned long long reuse_before = g_alloc_count;
+  for (u32 i = 0; i < 512; ++i) {
+    u32 index = 0;
+    do {
+      index = static_cast<u32>(rng() % memory.size());
+    } while (written_lines.contains(index / 16));
+    memory.write(index, 0xbeef);
+    EXPECT_EQ(memory.read(index), 0xbeefu);
+  }
+  EXPECT_EQ(g_alloc_count - reuse_before, 0u);
 }
 
 // ---------- translation mask ----------
