@@ -14,58 +14,6 @@ u64 fnv1a(u64 hash, u8 byte) { return (hash ^ byte) * kFnvPrime; }
 
 }  // namespace
 
-FlatKind flat_kind(Opcode op) {
-  switch (op) {
-    case Opcode::kEof: return FlatKind::kEof;
-    case Opcode::kNop: return FlatKind::kNop;
-    case Opcode::kAddrMask: return FlatKind::kAddrMask;
-    case Opcode::kAddrOffset: return FlatKind::kAddrOffset;
-    case Opcode::kHash: return FlatKind::kHash;
-    case Opcode::kMbrLoad: return FlatKind::kMbrLoad;
-    case Opcode::kMbrStore: return FlatKind::kMbrStore;
-    case Opcode::kMbr2Load: return FlatKind::kMbr2Load;
-    case Opcode::kMarLoad: return FlatKind::kMarLoad;
-    case Opcode::kCopyMbr2Mbr: return FlatKind::kCopyMbr2Mbr;
-    case Opcode::kCopyMbrMbr2: return FlatKind::kCopyMbrMbr2;
-    case Opcode::kCopyMbrMar: return FlatKind::kCopyMbrMar;
-    case Opcode::kCopyMarMbr: return FlatKind::kCopyMarMbr;
-    case Opcode::kCopyHashdataMbr: return FlatKind::kCopyHashdataMbr;
-    case Opcode::kCopyHashdataMbr2: return FlatKind::kCopyHashdataMbr2;
-    case Opcode::kCopyHashdata5Tuple: return FlatKind::kCopyHashdata5Tuple;
-    case Opcode::kMbrAddMbr2: return FlatKind::kMbrAddMbr2;
-    case Opcode::kMarAddMbr: return FlatKind::kMarAddMbr;
-    case Opcode::kMarAddMbr2: return FlatKind::kMarAddMbr2;
-    case Opcode::kMarMbrAddMbr2: return FlatKind::kMarMbrAddMbr2;
-    case Opcode::kMbrSubtractMbr2: return FlatKind::kMbrSubtractMbr2;
-    case Opcode::kBitAndMarMbr: return FlatKind::kBitAndMarMbr;
-    case Opcode::kBitOrMbrMbr2: return FlatKind::kBitOrMbrMbr2;
-    case Opcode::kMbrEqualsMbr2: return FlatKind::kMbrEqualsMbr2;
-    case Opcode::kMax: return FlatKind::kMax;
-    case Opcode::kMin: return FlatKind::kMin;
-    case Opcode::kRevMin: return FlatKind::kRevMin;
-    case Opcode::kSwapMbrMbr2: return FlatKind::kSwapMbrMbr2;
-    case Opcode::kMbrNot: return FlatKind::kMbrNot;
-    case Opcode::kMbrEqualsData: return FlatKind::kMbrEqualsData;
-    case Opcode::kReturn: return FlatKind::kReturn;
-    case Opcode::kCret: return FlatKind::kCret;
-    case Opcode::kCreti: return FlatKind::kCreti;
-    case Opcode::kCjump: return FlatKind::kCjump;
-    case Opcode::kCjumpi: return FlatKind::kCjumpi;
-    case Opcode::kUjump: return FlatKind::kUjump;
-    case Opcode::kMemWrite: return FlatKind::kMemWrite;
-    case Opcode::kMemRead: return FlatKind::kMemRead;
-    case Opcode::kMemIncrement: return FlatKind::kMemIncrement;
-    case Opcode::kMemMinread: return FlatKind::kMemMinread;
-    case Opcode::kMemMinreadinc: return FlatKind::kMemMinreadinc;
-    case Opcode::kDrop: return FlatKind::kDrop;
-    case Opcode::kFork: return FlatKind::kFork;
-    case Opcode::kSetDst: return FlatKind::kSetDst;
-    case Opcode::kRts: return FlatKind::kRts;
-    case Opcode::kCrts: return FlatKind::kCrts;
-  }
-  return FlatKind::kNop;  // unreachable: compile() rejects unknown bytes
-}
-
 u64 CompiledProgram::compute_digest(std::span<const u8> wire_code,
                                     bool preload_mar, bool preload_mbr) {
   u64 hash = kFnvOffset;
@@ -85,6 +33,10 @@ CompiledProgram CompiledProgram::compile(const Program& source) {
     const OpcodeInfo* info = opcode_info(insn.op);
     if (info == nullptr) {
       throw ParseError("CompiledProgram: unknown opcode in program");
+    }
+    if (!operand_in_range(*info, insn.operand)) {
+      throw ParseError("CompiledProgram: argument operand " +
+                       std::to_string(insn.operand) + " out of range");
     }
     CompiledInsn compiled;
     compiled.op = insn.op;
@@ -118,6 +70,10 @@ CompiledProgram CompiledProgram::compile(std::span<const u8> wire_code,
                        std::to_string(op));
     }
     const Instruction insn = Instruction::from_bytes(op, wire_code[i + 1]);
+    if (!operand_in_range(*info, insn.operand)) {
+      throw ParseError("CompiledProgram: argument operand " +
+                       std::to_string(insn.operand) + " out of range");
+    }
     CompiledInsn compiled;
     compiled.op = insn.op;
     compiled.operand = insn.operand;
@@ -150,36 +106,7 @@ void CompiledProgram::link() {
       }
     }
   }
-  // Lower into the flat-dispatch array the runtime loop consumes: dense
-  // opcode index plus the fields resolved above, index-parallel with
-  // code_ so wire-facing passes (replies, tracing) keep using code_.
-  flat_.resize(code_.size());
-  for (u32 i = 0; i < code_.size(); ++i) {
-    const CompiledInsn& insn = code_[i];
-    FlatOp& op = flat_[i];
-    op.kind = flat_kind(insn.op);
-    op.operand = insn.operand;
-    op.label = insn.label;
-    op.memory_access = insn.memory_access;
-    op.next_access = insn.next_access;
-    op.branch_target = insn.branch_target;
-  }
   digest_ = compute_digest(wire_, preload_mar_, preload_mbr_);
-}
-
-Program CompiledProgram::to_program() const {
-  Program out;
-  for (const CompiledInsn& insn : code_) {
-    Instruction decoded;
-    decoded.op = insn.op;
-    decoded.operand = insn.operand;
-    decoded.label = insn.label;
-    decoded.done = insn.wire_done;
-    out.push(decoded);
-  }
-  out.preload_mar = preload_mar_;
-  out.preload_mbr = preload_mbr_;
-  return out;
 }
 
 }  // namespace artmt::active

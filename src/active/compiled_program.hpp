@@ -1,15 +1,17 @@
 // Immutable, pre-resolved execution form of an active program plus the
 // small per-packet cursor that carries all mutable execution state.
 //
-// The interpreter used to re-derive everything per packet: `OpcodeInfo`
-// lookups per instruction, forward scans for the next memory access
-// (ADDR_MASK / ADDR_OFFSET), label scans on branch resume, and in-place
-// `done` mutation of the instruction stream for the packet-shrink reply.
-// `CompiledProgram` hoists all of that into a one-time compile so the
-// runtime's hot loop touches only read-only storage, and `ExecCursor`
-// holds the done-bits and branch-resume state that used to be written
-// into the program itself. One compiled artifact can therefore be shared
-// by every packet of a recurring program (see program_cache.hpp).
+// `CompiledProgram` decodes an instruction stream once into one array of
+// `CompiledInsn`: each wire opcode with its operand, plus what the
+// interpreter would otherwise re-derive per packet -- the memory-access
+// flag, the next memory access that ADDR_MASK / ADDR_OFFSET translate
+// for, and each branch's resume index. The runtime's loop dispatches on
+// the wire opcode straight from this array, and replies, digests and
+// traces read the same array. Decoding rejects what cannot execute: an
+// unknown opcode, or an argument operand naming no argument word.
+// `ExecCursor` holds the done-bits and branch-resume state, so the
+// program is never written and one compiled artifact is shared by every
+// packet of a recurring program (see program_cache.hpp).
 #pragma once
 
 #include <algorithm>
@@ -40,94 +42,21 @@ struct CompiledInsn {
 
 inline constexpr u32 kNoIndex = 0xffff'ffffu;
 
-// Dense renumbering of the sparse wire Opcode space (0x00..0x54 with
-// gaps), so the runtime's dispatch switch covers a gap-free 0..N-1 range
-// and compiles to a single indexed jump table.
-enum class FlatKind : u8 {
-  kNop = 0,
-  kAddrMask,
-  kAddrOffset,
-  kHash,
-  kMbrLoad,
-  kMbrStore,
-  kMbr2Load,
-  kMarLoad,
-  kCopyMbr2Mbr,
-  kCopyMbrMbr2,
-  kCopyMbrMar,
-  kCopyMarMbr,
-  kCopyHashdataMbr,
-  kCopyHashdataMbr2,
-  kCopyHashdata5Tuple,
-  kMbrAddMbr2,
-  kMarAddMbr,
-  kMarAddMbr2,
-  kMarMbrAddMbr2,
-  kMbrSubtractMbr2,
-  kBitAndMarMbr,
-  kBitOrMbrMbr2,
-  kMbrEqualsMbr2,
-  kMax,
-  kMin,
-  kRevMin,
-  kSwapMbrMbr2,
-  kMbrNot,
-  kMbrEqualsData,
-  kReturn,
-  kCret,
-  kCreti,
-  kCjump,
-  kCjumpi,
-  kUjump,
-  kMemWrite,
-  kMemRead,
-  kMemIncrement,
-  kMemMinread,
-  kMemMinreadinc,
-  kDrop,
-  kFork,
-  kSetDst,
-  kRts,
-  kCrts,
-  kEof,
-};
-
-// Maps a wire opcode onto its dense dispatch index.
-[[nodiscard]] FlatKind flat_kind(Opcode op);
-
-// One instruction lowered for flat dispatch: a plain 12-byte struct with
-// the dense opcode index and every statically resolvable property
-// (memory-access flag, pre-resolved next memory access for ADDR_MASK /
-// ADDR_OFFSET, precompiled branch target). The runtime's hot loop and the
-// batch engine's stage sweep both consume this array; the parallel
-// CompiledInsn array keeps the wire-facing fields (original opcode,
-// wire_done) for replies, digests, and tracing.
-struct FlatOp {
-  FlatKind kind = FlatKind::kNop;
-  u8 operand = 0;
-  u8 label = 0;
-  bool memory_access = false;
-  u32 next_access = kNoIndex;
-  u32 branch_target = kNoIndex;
-};
-
 class CompiledProgram {
  public:
   // Compiles a decoded program (wire `done` flags are taken from each
-  // instruction's `done` member).
+  // instruction's `done` member); throws ParseError on an unknown opcode
+  // or an out-of-range argument operand.
   static CompiledProgram compile(const Program& source);
 
   // Compiles directly from the on-wire instruction stream (2 bytes per
-  // instruction, EOF excluded); throws ParseError on an unknown opcode or
-  // an odd-length stream. This is the parse-side fast path: no
+  // instruction, EOF excluded); throws ParseError on an unknown opcode, an
+  // out-of-range argument operand or an odd-length stream. This is the parse-side fast path: no
   // intermediate Program is materialized.
   static CompiledProgram compile(std::span<const u8> wire_code,
                                  bool preload_mar, bool preload_mbr);
 
   [[nodiscard]] const std::vector<CompiledInsn>& code() const { return code_; }
-  // Flat decoded-op array, index-parallel with code(); what the runtime's
-  // dispatch loop actually executes.
-  [[nodiscard]] const std::vector<FlatOp>& flat() const { return flat_; }
   [[nodiscard]] std::size_t size() const { return code_.size(); }
   [[nodiscard]] bool empty() const { return code_.empty(); }
   [[nodiscard]] bool preload_mar() const { return preload_mar_; }
@@ -141,20 +70,15 @@ class CompiledProgram {
   // FNV-1a digest over (preload flags, wire_code); the ProgramCache key.
   [[nodiscard]] u64 digest() const { return digest_; }
 
-  // Decodes back to a mutable Program (diagnostics, compat paths).
-  [[nodiscard]] Program to_program() const;
-
   static u64 compute_digest(std::span<const u8> wire_code, bool preload_mar,
                             bool preload_mbr);
 
  private:
   CompiledProgram() = default;
-  // Fills next_access / branch_target, lowers the flat-dispatch array,
-  // and computes the digest.
+  // Fills next_access / branch_target and computes the digest.
   void link();
 
   std::vector<CompiledInsn> code_;
-  std::vector<FlatOp> flat_;
   std::vector<u8> wire_;
   bool preload_mar_ = false;
   bool preload_mbr_ = false;

@@ -106,6 +106,14 @@ std::string_view mnemonic(Opcode op);
 // argument header is 16 bytes, four fields).
 inline constexpr u32 kArgFields = 4;
 
+// The operand rule every decoder applies, as the assembler does: an
+// argument-index operand must name one of the kArgFields argument words.
+// The wire's three operand bits can also say 4..7.
+[[nodiscard]] constexpr bool operand_in_range(const OpcodeInfo& info,
+                                              u8 operand) {
+  return info.operand != OperandKind::kArgIndex || operand < kArgFields;
+}
+
 // Hash metadata width in words (enough for a TCP 5-tuple plus salt).
 inline constexpr u32 kHashdataWords = 4;
 

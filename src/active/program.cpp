@@ -37,12 +37,18 @@ Program Program::parse(ByteReader& in) {
   for (;;) {
     const u8 op = in.get_u8();
     const u8 flags = in.get_u8();
-    if (opcode_info(op) == nullptr) {
+    const OpcodeInfo* info = opcode_info(op);
+    if (info == nullptr) {
       throw ParseError("Program::parse: unknown opcode byte " +
                        std::to_string(op));
     }
     if (static_cast<Opcode>(op) == Opcode::kEof) return program;
-    program.push(Instruction::from_bytes(op, flags));
+    const Instruction insn = Instruction::from_bytes(op, flags);
+    if (!operand_in_range(*info, insn.operand)) {
+      throw ParseError("Program::parse: argument operand " +
+                       std::to_string(insn.operand) + " out of range");
+    }
+    program.push(insn);
   }
 }
 

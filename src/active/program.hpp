@@ -4,7 +4,8 @@
 //   bit 7       `done` -- set once executed so the parser can discard the
 //               field (the packet-shrink optimization of Section 3.1)
 //   bits 3..6   label id (1..15; 0 = unlabeled / no target)
-//   bits 0..2   operand (argument-field index for loads/stores)
+//   bits 0..2   operand (argument-field index for loads/stores; the
+//               decoders reject 4..7 where it indexes the argument header)
 #pragma once
 
 #include <string>
@@ -53,7 +54,8 @@ class Program {
   void serialize(ByteWriter& out) const;
 
   // Parses up to and including the EOF marker; throws ParseError if EOF is
-  // missing or an opcode byte is unknown.
+  // missing, an opcode byte is unknown or an argument operand is out of
+  // range (operand_in_range).
   static Program parse(ByteReader& in);
 
   // Disassembly for diagnostics ("MAR_LOAD $0\nMEM_READ\n...").

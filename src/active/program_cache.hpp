@@ -38,7 +38,8 @@ class ProgramCache {
 
   // Returns the interned artifact for the given wire instruction stream
   // (2 bytes per instruction, EOF excluded), compiling on first sight.
-  // Throws ParseError when the stream contains an unknown opcode.
+  // Throws ParseError when the stream contains an unknown opcode or an
+  // out-of-range argument operand.
   std::shared_ptr<const CompiledProgram> intern(std::span<const u8> wire_code,
                                                 bool preload_mar,
                                                 bool preload_mbr);

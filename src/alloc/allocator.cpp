@@ -47,7 +47,6 @@ Allocator::Allocator(const StageGeometry& geometry, u32 blocks_per_stage,
   for (u32 i = 0; i < geometry_.logical_stages; ++i) {
     stages_.emplace_back(blocks_per_stage);
   }
-  index_.reset(stages_);
   scratch_demand_.assign(geometry_.logical_stages, 0);
   scratch_stamp_.assign(geometry_.logical_stages, 0);
   scratch_stages_.reserve(geometry_.logical_stages);
@@ -194,8 +193,11 @@ bool Allocator::search_placement(const AllocationRequest& request, Mutant& best,
   for (const auto& access : request.accesses) {
     max_demand = std::max(max_demand, access.demand_blocks);
   }
-  if (max_demand > 0 &&
-      !index_.feasible_anywhere(request.elastic, max_demand)) {
+  const auto admits = [&](const StageState& stage) {
+    return (request.elastic ? stage.elastic_headroom()
+                            : stage.max_inelastic_fit()) >= max_demand;
+  };
+  if (max_demand > 0 && std::none_of(stages_.begin(), stages_.end(), admits)) {
     pruned = true;
     if (m_search_pruned_ != nullptr) m_search_pruned_->inc();
     return false;
@@ -293,7 +295,6 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
     } else {
       stages_[stage].add_inelastic(id, demand);
     }
-    index_.refresh(stage, stages_[stage]);
   }
 
   AppRecord record;
@@ -355,7 +356,6 @@ std::vector<AppId> Allocator::deallocate(AppId id) {
     } else {
       stages_[stage].remove_inelastic(id);
     }
-    index_.refresh(stage, stages_[stage]);
   }
   const auto changed = collect_changed(it->second.stage_demand, id);
   apps_.erase(it);
@@ -376,7 +376,6 @@ std::vector<AppId> Allocator::demote_elastic(AppId id) {
   if (it == apps_.end() || !it->second.elastic || it->second.demoted) return {};
   for (const auto& [stage, demand] : it->second.stage_demand) {
     stages_[stage].set_elastic_cap(id, demand);  // cap = minimum share
-    index_.refresh(stage, stages_[stage]);
   }
   it->second.demoted = true;
   // Exclude nothing (AppId 0 is never issued): a demotion that shrinks the
@@ -398,7 +397,6 @@ std::vector<AppId> Allocator::promote_elastic(AppId id) {
   }
   for (const auto& [stage, demand] : it->second.stage_demand) {
     stages_[stage].set_elastic_cap(id, it->second.request.elastic_cap_blocks);
-    index_.refresh(stage, stages_[stage]);
   }
   it->second.demoted = false;
   auto changed = collect_changed(it->second.stage_demand, 0);
@@ -449,7 +447,6 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
     } else {
       stages_[stage].remove_inelastic(id);
     }
-    index_.refresh(stage, stages_[stage]);
   }
 
   // 2) Re-run the admission search; the vacated placement keeps it
@@ -480,7 +477,6 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
     } else {
       stages_[stage].add_inelastic(id, demand);
     }
-    index_.refresh(stage, stages_[stage]);
   }
   record.chosen = best;
   record.stage_demand = demands;

@@ -5,10 +5,10 @@
 // instance. Existing applications are never moved across stages.
 //
 // The search is incremental: per-stage feasibility and scores are O(1)
-// reads of the StageState accounting and the StageScoreIndex, per-mutant
-// demands collapse into epoch-stamped scratch arrays (no allocation per
-// candidate), hopeless requests are rejected against the index's global
-// bound before enumerating a single mutant, and disturbed apps are
+// reads of the StageState accounting, per-mutant demands collapse into
+// epoch-stamped scratch arrays (no allocation per candidate), hopeless
+// requests -- a bottleneck demand no single stage can admit -- are
+// rejected before enumerating a single mutant, and disturbed apps are
 // collected from per-stage rebalance change lists. tests/test_alloc_golden
 // checks every decision against a brute-force oracle built on the public
 // StageState queries.
@@ -20,7 +20,6 @@
 
 #include "alloc/mutant.hpp"
 #include "alloc/request.hpp"
-#include "alloc/stage_index.hpp"
 #include "alloc/stage_state.hpp"
 #include "common/types.hpp"
 
@@ -147,7 +146,6 @@ class Allocator {
   // Total blocks currently held by each elastic app (fairness input).
   [[nodiscard]] std::vector<double> elastic_totals() const;
   [[nodiscard]] const StageState& stage(u32 index) const;
-  [[nodiscard]] const StageScoreIndex& stage_index() const { return index_; }
   [[nodiscard]] const StageGeometry& geometry() const { return geometry_; }
   [[nodiscard]] u32 blocks_per_stage() const { return blocks_per_stage_; }
   [[nodiscard]] Scheme scheme() const { return scheme_; }
@@ -216,7 +214,6 @@ class Allocator {
   Scheme scheme_;
   MutantPolicy policy_;
   std::vector<StageState> stages_;
-  StageScoreIndex index_;
   ComputeModel compute_model_;
   std::vector<u64> stage_bias_;
   std::unordered_map<AppId, AppRecord> apps_;

@@ -47,7 +47,6 @@ SwitchNode::SwitchNode(std::string name, const Config& config)
       controller_(pipeline_, runtime_, config.scheme, config.policy,
                   config.costs),
       mac_(config.mac),
-      l2_learning_(config.l2_learning),
       default_recirc_budget_(config.default_recirc_budget),
       heatmap_(pipeline_.stage_count()),
       migration_enabled_(config.migration.enabled),
@@ -202,8 +201,7 @@ void SwitchNode::send_frame_to_mac(packet::MacAddr dst, netsim::Frame frame,
 }
 
 void SwitchNode::on_frame(netsim::Frame frame, u32 port) {
-  if (l2_learning_ && mac_ != 0 &&
-      frame.size() >= packet::EthernetHeader::kWireSize) {
+  if (mac_ != 0 && frame.size() >= packet::EthernetHeader::kWireSize) {
     ByteReader in(frame);
     const auto eth = packet::EthernetHeader::parse(in);
     if (eth.src != 0 && eth.src != mac_) {

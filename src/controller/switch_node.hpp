@@ -73,13 +73,12 @@ class SwitchNode : public netsim::Node {
     // transit forwarding (control frames addressed elsewhere, and program
     // capsules whose FID is not resident here, follow the L2 table),
     // health-probe acks, and src-stamping of control replies -- which is
-    // how clients and the global controller learn steering.
+    // how clients and the global controller learn steering. A fabric
+    // switch also learns src MAC -> ingress port from every arriving
+    // frame (overriding plain binds, never pinned ones), so a dual-homed
+    // client's uplink failover re-teaches the fabric with its first
+    // frame, no controller involvement. Deterministic.
     packet::MacAddr mac = 0;
-    // Learn src MAC -> ingress port from every arriving frame (overrides
-    // plain binds, never pinned ones). A dual-homed client's uplink
-    // failover then re-teaches the fabric with its first frame, no
-    // controller involvement. Deterministic; fabric mode only.
-    bool l2_learning = false;
     // First FID this switch mints (0 keeps the default base of 1). Fabric
     // topologies hand each switch a disjoint range so a FID names its
     // owning switch unambiguously.
@@ -242,7 +241,6 @@ class SwitchNode : public netsim::Node {
 
   // Fabric mode (Config::mac != 0).
   packet::MacAddr mac_ = 0;
-  bool l2_learning_ = false;
   std::function<std::vector<u8>()> scoreboard_provider_;
 
   std::deque<ControlOp> control_queue_;

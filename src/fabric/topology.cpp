@@ -24,7 +24,6 @@ Topology::Topology(netsim::Network& net, const TopologyConfig& config)
                          Fid fid_base) {
     controller::SwitchNode::Config cfg = config.switch_config;
     cfg.mac = mac;
-    cfg.l2_learning = true;
     cfg.fid_base = fid_base;
     auto node = std::make_shared<controller::SwitchNode>(name, cfg);
     net.attach(node);

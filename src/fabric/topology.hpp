@@ -36,8 +36,8 @@ namespace artmt::fabric {
 struct TopologyConfig {
   u32 leaves = 4;
   u32 spines = 2;
-  // Template for every switch; mac, fid_base and l2_learning are
-  // overridden per switch (leaf i -> MAC 0xAA00+i, FID base (i+1)*256;
+  // Template for every switch; mac and fid_base are overridden per
+  // switch (leaf i -> MAC 0xAA00+i, FID base (i+1)*256;
   // spine j -> MAC 0xBB00+j, FID base (leaves+j+1)*256).
   controller::SwitchNode::Config switch_config;
   GlobalController::Config controller;

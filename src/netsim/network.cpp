@@ -28,12 +28,18 @@ void Network::attach(std::shared_ptr<Node> node) {
 
 void Network::connect(Node& node_a, u32 port_a, Node& node_b, u32 port_b,
                       const LinkSpec& spec) {
-  if (egress_.contains({&node_a, port_a}) ||
-      egress_.contains({&node_b, port_b})) {
+  const auto connected = [](const Node& node, u32 port) {
+    return port < node.egress_.size() && node.egress_[port].peer != nullptr;
+  };
+  if (connected(node_a, port_a) || connected(node_b, port_b)) {
     throw UsageError("Network::connect: port already connected");
   }
-  egress_.emplace(PortKey{&node_a, port_a}, Egress{{&node_b, port_b}, spec});
-  egress_.emplace(PortKey{&node_b, port_b}, Egress{{&node_a, port_a}, spec});
+  const auto plug = [&spec](Node& node, u32 port, Node& peer, u32 peer_port) {
+    if (port >= node.egress_.size()) node.egress_.resize(std::size_t{port} + 1);
+    node.egress_[port] = {&peer, peer_port, spec};
+  };
+  plug(node_a, port_a, node_b, port_b);
+  plug(node_b, port_b, node_a, port_a);
 }
 
 void Network::count_drop(const Node& from, u32 port, std::size_t bytes) {
@@ -44,29 +50,28 @@ void Network::count_drop(const Node& from, u32 port, std::size_t bytes) {
   }
 }
 
-void Network::dispatch(const Endpoint& dest, Node& from, u64 tx_seq,
+void Network::dispatch(Node& to, u32 to_port, Node& from, u64 tx_seq,
                        SimTime send, SimTime arrival, Frame frame) {
   sim_->schedule_delivery(
       arrival, send, from.attach_index_, tx_seq,
-      [this, dest, span = telemetry::span_id(from.attach_index_, tx_seq),
+      [this, to = &to, to_port,
+       span = telemetry::span_id(from.attach_index_, tx_seq),
        f = std::move(frame)]() mutable {
         // Delivery runs under the transmission's span, so anything the
         // handler sends is causally parented to this frame.
         telemetry::SpanScope scope(span);
         ++frames_delivered_;
         bytes_delivered_ += f.size();
-        dest.node->on_frame(std::move(f), dest.port);
+        to->on_frame(std::move(f), to_port);
       });
 }
 
 void Network::transmit(Node& from, u32 port, Frame frame) {
-  const auto it = egress_.find({&from, port});
-  if (it == egress_.end()) {
+  if (port >= from.egress_.size() || from.egress_[port].peer == nullptr) {
     count_drop(from, port, frame.size());  // unplugged port: frame is lost
     return;
   }
-  const Egress& out = it->second;
-  const Endpoint dest = out.peer;
+  const Node::Egress out = from.egress_[port];
   // Consumed unconditionally, hook or not: the pair (attach_index,
   // tx_seq) names this transmission from simulation state alone, which is
   // what keeps injected faults identical across runs.
@@ -86,7 +91,7 @@ void Network::transmit(Node& from, u32 port, Frame frame) {
 
   TransmitHook::Verdict verdict;
   if (hook_ != nullptr) {
-    verdict = hook_->on_transmit(from, *dest.node, send, tx_seq, frame, pool());
+    verdict = hook_->on_transmit(from, *out.peer, send, tx_seq, frame, pool());
     if (verdict.drop || verdict.copies == 0) {
       if (spans) {
         telemetry::span_emit_with([&](telemetry::SpanEvent& event) {
@@ -132,7 +137,8 @@ void Network::transmit(Node& from, u32 port, Frame frame) {
     for (u32 i = 1; i < verdict.copies; ++i) dups.push_back(pool().clone(frame));
     const SimTime arrival = nominal + verdict.extra_delay;
     if (spans) emit_send(span, telemetry::current_span(), arrival, frame.size());
-    dispatch(dest, from, tx_seq, send, arrival, std::move(frame));
+    dispatch(*out.peer, out.peer_port, from, tx_seq, send, arrival,
+             std::move(frame));
     for (auto& dup : dups) {
       const u64 dup_seq = from.tx_seq_++;
       const SimTime dup_arrival = nominal + verdict.dup_delay;
@@ -142,13 +148,15 @@ void Network::transmit(Node& from, u32 port, Frame frame) {
         emit_send(telemetry::span_id(from.attach_index_, dup_seq), span,
                   dup_arrival, dup.size());
       }
-      dispatch(dest, from, dup_seq, send, dup_arrival, std::move(dup));
+      dispatch(*out.peer, out.peer_port, from, dup_seq, send, dup_arrival,
+               std::move(dup));
     }
     return;
   }
   const SimTime arrival = nominal + verdict.extra_delay;
   if (spans) emit_send(span, telemetry::current_span(), arrival, frame.size());
-  dispatch(dest, from, tx_seq, send, arrival, std::move(frame));
+  dispatch(*out.peer, out.peer_port, from, tx_seq, send, arrival,
+             std::move(frame));
 }
 
 }  // namespace artmt::netsim

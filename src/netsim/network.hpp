@@ -6,7 +6,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/frame_buf.hpp"
@@ -18,6 +17,12 @@ namespace artmt::netsim {
 using Frame = FrameBuf;
 
 class Network;
+
+// Characteristics of one direction of a link.
+struct LinkSpec {
+  SimTime latency = 1 * kMicrosecond;  // propagation delay
+  double gbps = 40.0;                  // line rate (paper testbed: 40 Gbps)
+};
 
 // A device attached to the network. Subclasses implement frame handling;
 // the switch, clients, and servers are all Nodes.
@@ -53,12 +58,15 @@ class Node {
   Network* network_ = nullptr;
   u32 attach_index_ = 0;  // attach order; delivery tie-break
   u64 tx_seq_ = 0;        // per-node transmit sequence (delivery tie-break)
-};
-
-// Characteristics of one direction of a link.
-struct LinkSpec {
-  SimTime latency = 1 * kMicrosecond;  // propagation delay
-  double gbps = 40.0;                  // line rate (paper testbed: 40 Gbps)
+  // One direction of a link: where frames sent out of a port arrive.
+  struct Egress {
+    Node* peer = nullptr;  // nullptr: the port is not connected
+    u32 peer_port = 0;
+    LinkSpec spec;
+  };
+  // Indexed by port and filled by Network::connect, so a transmit
+  // resolves its link with one bounds-checked index.
+  std::vector<Egress> egress_;
 };
 
 // Consulted on every transmit after egress resolution (see
@@ -101,7 +109,9 @@ class Network {
   // the node alive for the network's lifetime, enforced by shared_ptr).
   void attach(std::shared_ptr<Node> node);
 
-  // Connects node_a's port_a to node_b's port_b bidirectionally.
+  // Connects node_a's port_a to node_b's port_b bidirectionally; throws
+  // UsageError when either port is already connected. A node's ports
+  // index a dense table, so number them from 0.
   void connect(Node& node_a, u32 port_a, Node& node_b, u32 port_b,
                const LinkSpec& spec = {});
 
@@ -131,34 +141,8 @@ class Network {
   [[nodiscard]] TransmitHook* transmit_hook() const { return hook_; }
 
  private:
-
-  struct Endpoint {
-    Node* node = nullptr;
-    u32 port = 0;
-  };
-  // One direction of a link: where frames leaving (node, port) arrive.
-  struct Egress {
-    Endpoint peer;
-    LinkSpec spec;
-  };
-  struct PortKey {
-    const Node* node = nullptr;
-    u32 port = 0;
-    friend bool operator==(const PortKey&, const PortKey&) = default;
-  };
-  struct PortKeyHash {
-    std::size_t operator()(const PortKey& key) const {
-      // Splitmix-style scramble of the pointer, folded with the port.
-      u64 x = reinterpret_cast<std::uintptr_t>(key.node) + key.port +
-              0x9e3779b97f4a7c15ull;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
-
   // Schedules one copy of a frame for delivery.
-  void dispatch(const Endpoint& dest, Node& from, u64 tx_seq, SimTime send,
+  void dispatch(Node& to, u32 to_port, Node& from, u64 tx_seq, SimTime send,
                 SimTime arrival, Frame frame);
   void count_drop(const Node& from, u32 port, std::size_t bytes);
 
@@ -166,9 +150,6 @@ class Network {
   TransmitHook* hook_ = nullptr;
   FramePool pool_;
   std::vector<std::shared_ptr<Node>> nodes_;
-  // (node, port) -> egress direction; built in connect() so transmit()
-  // resolves the peer in O(1) instead of scanning every link.
-  std::unordered_map<PortKey, Egress, PortKeyHash> egress_;
   u64 frames_delivered_ = 0;
   u64 bytes_delivered_ = 0;
   u64 frames_dropped_ = 0;

@@ -32,7 +32,7 @@ struct ProgramView {
 
   // Parses the capsule headers in place and interns the code through
   // `cache`. Performs no heap allocation on a cache hit. Throws ParseError
-  // on truncation, a non-program capsule, or an invalid opcode; a frame
+  // on truncation, a non-program capsule, or an invalid instruction; a frame
   // that classify() calls kProgram can fail only on its body.
   static ProgramView parse(std::span<const u8> frame,
                            active::ProgramCache& cache);

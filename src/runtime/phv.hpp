@@ -20,8 +20,8 @@ struct Phv {
 
   // Control flags (Section 3.1).
   bool complete = false;  // RETURN/CRET executed; skip remaining stages
-  bool disabled = false;  // branch taken; skip until pending_label matches
-  u8 pending_label = 0;
+  bool disabled = false;  // branch taken; skip until the cursor's resume
+                          // index (active::ExecCursor::resume_index)
 
   // Forwarding intent accumulated during execution.
   bool rts = false;           // return-to-sender requested

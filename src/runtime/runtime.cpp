@@ -1,8 +1,10 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
-#include "runtime/exec_core.hpp"
+#include "rmt/hash.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -66,202 +68,328 @@ void shrink(active::Program& program) {
              code.end());
 }
 
+// Applies one instruction to the PHV (ADDR_MASK / ADDR_OFFSET are no-ops
+// here: execute() translates MAR for them before dispatch). For a memory
+// op, `entry` is the FID's protection entry for `stage`, already
+// checked to cover phv.mar. Returns false when the packet faulted
+// (`fault` recorded, phv.drop set).
+bool dispatch_op(const CompiledInsn& insn, Phv& phv,
+                 std::array<Word, active::kArgFields>& args,
+                 const PacketMeta& meta, rmt::Stage& stage,
+                 const rmt::FidEntry* entry, bool unprivileged,
+                 u32 logical_stage, Fault& fault) {
+  const auto advance_mar = [&] {
+    phv.mar = static_cast<Word>(static_cast<i64>(phv.mar) + entry->advance);
+  };
+  const auto privilege_fault = [&] {
+    fault = Fault::kPrivilege;
+    phv.drop = true;
+    return false;
+  };
+  switch (insn.op) {
+    case Opcode::kEof:
+    case Opcode::kNop:
+    case Opcode::kAddrMask:
+    case Opcode::kAddrOffset:
+      break;
+    case Opcode::kHash:
+      phv.mar = rmt::hash_words(phv.hashdata, insn.operand);
+      break;
+    // --- data copying ---
+    case Opcode::kMbrLoad:
+      phv.mbr = args[insn.operand];
+      break;
+    case Opcode::kMbrStore:
+      args[insn.operand] = phv.mbr;
+      break;
+    case Opcode::kMbr2Load:
+      phv.mbr2 = args[insn.operand];
+      break;
+    case Opcode::kMarLoad:
+      phv.mar = args[insn.operand];
+      break;
+    case Opcode::kCopyMbr2Mbr:
+      phv.mbr2 = phv.mbr;
+      break;
+    case Opcode::kCopyMbrMbr2:
+      phv.mbr = phv.mbr2;
+      break;
+    case Opcode::kCopyMbrMar:
+      phv.mbr = phv.mar;
+      break;
+    case Opcode::kCopyMarMbr:
+      phv.mar = phv.mbr;
+      break;
+    case Opcode::kCopyHashdataMbr:
+      phv.hashdata[insn.operand % active::kHashdataWords] = phv.mbr;
+      break;
+    case Opcode::kCopyHashdataMbr2:
+      phv.hashdata[insn.operand % active::kHashdataWords] = phv.mbr2;
+      break;
+    case Opcode::kCopyHashdata5Tuple:
+      phv.hashdata = meta.five_tuple;
+      break;
+    // --- data manipulation ---
+    case Opcode::kMbrAddMbr2:
+      phv.mbr += phv.mbr2;
+      break;
+    case Opcode::kMarAddMbr:
+      phv.mar += phv.mbr;
+      break;
+    case Opcode::kMarAddMbr2:
+      phv.mar += phv.mbr2;
+      break;
+    case Opcode::kMarMbrAddMbr2:
+      phv.mar = phv.mbr + phv.mbr2;
+      break;
+    case Opcode::kMbrSubtractMbr2:
+      phv.mbr -= phv.mbr2;
+      break;
+    case Opcode::kBitAndMarMbr:
+      phv.mar &= phv.mbr;
+      break;
+    case Opcode::kBitOrMbrMbr2:
+      phv.mbr |= phv.mbr2;
+      break;
+    case Opcode::kMbrEqualsMbr2:
+      phv.mbr ^= phv.mbr2;
+      break;
+    case Opcode::kMbrEqualsData:
+      phv.mbr ^= args[insn.operand];
+      break;
+    case Opcode::kMax:
+      phv.mbr = std::max(phv.mbr, phv.mbr2);
+      break;
+    case Opcode::kMin:
+      phv.mbr = std::min(phv.mbr, phv.mbr2);
+      break;
+    case Opcode::kRevMin:
+      phv.mbr2 = std::min(phv.mbr, phv.mbr2);
+      break;
+    case Opcode::kSwapMbrMbr2:
+      std::swap(phv.mbr, phv.mbr2);
+      break;
+    case Opcode::kMbrNot:
+      phv.mbr = ~phv.mbr;
+      break;
+    // --- control flow ---
+    case Opcode::kReturn:
+      phv.complete = true;
+      break;
+    case Opcode::kCret:
+      if (phv.mbr != 0) phv.complete = true;
+      break;
+    case Opcode::kCreti:
+      if (phv.mbr == 0) phv.complete = true;
+      break;
+    case Opcode::kCjump:
+      if (phv.mbr != 0) phv.disabled = true;
+      break;
+    case Opcode::kCjumpi:
+      if (phv.mbr == 0) phv.disabled = true;
+      break;
+    case Opcode::kUjump:
+      phv.disabled = true;
+      break;
+    // --- memory access (entry checked by the caller) ---
+    case Opcode::kMemWrite:
+      stage.memory().write(phv.mar, phv.mbr);
+      advance_mar();
+      break;
+    case Opcode::kMemRead:
+      phv.mbr = stage.memory().read(phv.mar);
+      advance_mar();
+      break;
+    case Opcode::kMemIncrement:
+      phv.mbr = stage.memory().increment(phv.mar, phv.inc);
+      advance_mar();
+      break;
+    case Opcode::kMemMinread:
+      phv.mbr = stage.memory().min_read(phv.mar, phv.mbr);
+      advance_mar();
+      break;
+    case Opcode::kMemMinreadinc:
+      phv.mbr = stage.memory().increment(phv.mar, phv.inc);
+      phv.mbr2 = std::min(phv.mbr, phv.mbr2);
+      advance_mar();
+      break;
+    // --- packet forwarding ---
+    // FORK, SET_DST, and DROP can affect other tenants' traffic; under
+    // privilege enforcement (Section 7.2) they require a trusted shim's
+    // flag.
+    case Opcode::kDrop:
+      if (unprivileged) return privilege_fault();
+      fault = Fault::kExplicitDrop;
+      phv.drop = true;
+      return false;
+    case Opcode::kFork:
+      if (unprivileged) return privilege_fault();
+      phv.fork = true;
+      break;
+    case Opcode::kSetDst:
+      if (unprivileged) return privilege_fault();
+      phv.dst_overridden = true;
+      phv.dst_value = phv.mbr;
+      break;
+    case Opcode::kRts:
+      phv.rts = true;
+      phv.rts_stage = logical_stage;
+      break;
+    case Opcode::kCrts:
+      if (phv.mbr != 0) {
+        phv.rts = true;
+        phv.rts_stage = logical_stage;
+      }
+      break;
+  }
+  return true;
+}
+
 }  // namespace
 
-bool ActiveRuntime::lane_begin(const CompiledProgram& program, ExecContext& ctx,
-                               ExecCursor& cursor, const PacketMeta& meta,
-                               SimTime now, LaneState& lane) {
+ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
+                                       ExecContext& ctx, ExecCursor& cursor,
+                                       const PacketMeta& meta, SimTime now) {
   const auto& cfg = pipeline_->config();
-  lane = LaneState{};
-  lane.program = &program;
-  lane.ctx = &ctx;
-  lane.cursor = &cursor;
-  lane.meta = &meta;
-  lane.now = now;
-
+  ExecutionResult res;
+  res.latency = cfg.pass_latency;
   ++stats_.packets;
   if (metrics_) metrics_->packets.at(ctx.fid).inc();
-  lane.res.latency = cfg.pass_latency;
 
   cursor.reset(program.size());
   cursor.shrink = (ctx.flags & packet::kFlagNoShrink) == 0;
 
   if (is_deactivated(ctx.fid) &&
       (ctx.flags & packet::kFlagManagement) == 0) {
-    lane.res.fault = Fault::kDeactivated;
+    res.fault = Fault::kDeactivated;
     ++stats_.forwarded_unprocessed;
-    lane.halted = true;
-    lane.bypassed = true;
-    return false;
+    return res;
   }
+  res.executed = true;
 
-  if (program.preload_mar()) lane.phv.mar = (*ctx.args)[0];
-  if (program.preload_mbr()) lane.phv.mbr = (*ctx.args)[1];
-  lane.res.executed = true;
-  lane.halted = program.empty();
-  return true;
-}
+  Phv phv;
+  if (program.preload_mar()) phv.mar = (*ctx.args)[0];
+  if (program.preload_mbr()) phv.mbr = (*ctx.args)[1];
+  const bool unprivileged =
+      enforce_privilege_ && (ctx.flags & packet::kFlagPrivileged) == 0;
+  const auto& code = program.code();
+  const u32 size = static_cast<u32>(code.size());
+  Fault fault = Fault::kNone;
+  u32 pc = 0;             // instruction index == stages consumed so far
+  u32 pass = 0;           // pc / logical_stages, carried incrementally
+  u32 logical_stage = 0;  // pc % logical_stages, carried incrementally
 
-// Consumes exactly one logical stage of the lane's program (or halts it):
-// the body of the interpreter loop, flat-dispatched.
-void ActiveRuntime::lane_step(LaneState& lane) {
-  const auto& cfg = pipeline_->config();
-  Phv& phv = lane.phv;
-  ExecCursor& cursor = *lane.cursor;
-  ExecContext& ctx = *lane.ctx;
-  const auto& flat = lane.program->flat();
-
-  if (phv.complete) {
-    lane.halted = true;
-    return;
-  }
-  if (lane.pass_index >= cfg.max_recirculations + 1) {
-    lane.fault = Fault::kRecircLimit;
-    phv.drop = true;
-    lane.halted = true;
-    return;
-  }
-  const active::FlatOp& op = flat[lane.pc];
-
-  const auto emit_trace = [&](bool skipped) {
+  const auto trace = [&](bool skipped) {
     if (!trace_) return;
     TraceEvent event;
-    event.index = lane.pc;
-    event.logical_stage = lane.logical_stage;
-    event.pass = lane.pass_index;
-    event.op = lane.program->code()[lane.pc].op;
+    event.index = pc;
+    event.logical_stage = logical_stage;
+    event.pass = pass;
+    event.op = code[pc].op;
     event.skipped = skipped;
     event.phv = phv;
     trace_(event);
   };
-  const auto advance = [&] {
-    ++lane.pc;
-    if (++lane.logical_stage == cfg.logical_stages) {
-      lane.logical_stage = 0;
-      ++lane.pass_index;
-    }
-    if (lane.pc >= flat.size()) lane.halted = true;
-  };
 
-  if (phv.disabled) {
-    // Skipped instructions still consume their stage; execution resumes
-    // at the branch's precompiled target index.
-    if (lane.pc == cursor.resume_index) {
-      phv.disabled = false;
-      phv.pending_label = 0;
-      cursor.resume_index = kNoIndex;
-    } else {
-      cursor.mark_done(lane.pc);
-      ++lane.res.stages_consumed;
-      emit_trace(/*skipped=*/true);
-      advance();
-      return;
-    }
-  }
-
-  // Resolve ADDR_MASK / ADDR_OFFSET via the compiled next-access table:
-  // they translate MAR for the stage of the NEXT memory access.
-  if (op.kind == active::FlatKind::kAddrMask ||
-      op.kind == active::FlatKind::kAddrOffset) {
-    const rmt::FidEntry* target =
-        op.next_access == kNoIndex
-            ? nullptr
-            : pipeline_->stage(op.next_access % cfg.logical_stages)
-                  .lookup(ctx.fid);
-    if (target == nullptr) {
-      lane.fault = Fault::kNoAllocation;
+  // One logical stage per iteration. A fault leaves the loop before pc
+  // advances: the epilogue bills passes and latency up to the faulting
+  // index.
+  while (pc < size && !phv.complete) {
+    if (pass >= cfg.max_recirculations + 1) {
+      fault = Fault::kRecircLimit;
       phv.drop = true;
-      if (heatmap_ != nullptr && telemetry::enabled()) {
-        heatmap_->record_collision(op.next_access == kNoIndex
-                                       ? lane.logical_stage
-                                       : op.next_access % cfg.logical_stages,
-                                   ctx.fid);
+      break;
+    }
+    const CompiledInsn& insn = code[pc];
+    if (phv.disabled && pc != cursor.resume_index) {
+      // A skipped instruction still consumes its stage; execution resumes
+      // at the taken branch's precompiled target index.
+      cursor.mark_done(pc);
+      ++res.stages_consumed;
+      trace(/*skipped=*/true);
+    } else {
+      if (phv.disabled) {
+        phv.disabled = false;
+        cursor.resume_index = kNoIndex;
       }
-      cursor.mark_done(lane.pc);
-      lane.halted = true;
-      return;
-    }
-    if (op.kind == active::FlatKind::kAddrMask) {
-      phv.mar &= target->mask;
-    } else {
-      phv.mar += target->offset;
-    }
-    cursor.mark_done(lane.pc);
-    ++lane.res.stages_consumed;
-    ++lane.res.instructions_executed;
-    emit_trace(/*skipped=*/false);
-    advance();
-    return;
-  }
-
-  // Memory instructions: protection check first (range match on MAR).
-  rmt::Stage& stage = pipeline_->stage(lane.logical_stage);
-  const rmt::FidEntry* entry = nullptr;
-  bool ok = true;
-  if (op.memory_access) {
-    entry = stage.lookup(ctx.fid);
-    if (entry == nullptr) {
-      lane.fault = Fault::kNoAllocation;
-      phv.drop = true;
-      ok = false;
-    } else if (!entry->covers(phv.mar)) {
-      lane.fault = Fault::kProtectionViolation;
-      phv.drop = true;
-      ok = false;
-    }
-    if (heatmap_ != nullptr && telemetry::enabled()) {
-      if (!ok) {
-        heatmap_->record_collision(lane.logical_stage, ctx.fid);
-      } else {
-        switch (op.kind) {
-          case active::FlatKind::kMemWrite:
-            heatmap_->record_write(lane.logical_stage, ctx.fid);
-            break;
-          case active::FlatKind::kMemIncrement:
-          case active::FlatKind::kMemMinreadinc:
-            heatmap_->record_read_write(lane.logical_stage, ctx.fid);
-            break;
-          default:  // kMemRead / kMemMinread and any future read-only op
-            heatmap_->record_read(lane.logical_stage, ctx.fid);
+      bool ok = true;
+      if (insn.op == Opcode::kAddrMask || insn.op == Opcode::kAddrOffset) {
+        // Translate MAR for the stage of the NEXT memory access, through
+        // the compiled next-access table. With no later access, or no
+        // entry for the FID in that stage, the op faults before consuming
+        // its stage.
+        const bool has_next = insn.next_access != kNoIndex;
+        const u32 target_stage =
+            has_next ? insn.next_access % cfg.logical_stages : logical_stage;
+        const rmt::FidEntry* target =
+            has_next ? pipeline_->stage(target_stage).lookup(ctx.fid)
+                     : nullptr;
+        if (target == nullptr) {
+          fault = Fault::kNoAllocation;
+          phv.drop = true;
+          if (heatmap_ != nullptr && telemetry::enabled()) {
+            heatmap_->record_collision(target_stage, ctx.fid);
+          }
+          cursor.mark_done(pc);
+          break;
         }
+        if (insn.op == Opcode::kAddrMask) {
+          phv.mar &= target->mask;
+        } else {
+          phv.mar += target->offset;
+        }
+      } else {
+        rmt::Stage& stage = pipeline_->stage(logical_stage);
+        const rmt::FidEntry* entry = nullptr;
+        if (insn.memory_access) {
+          // Protection check first: a range match on MAR.
+          entry = stage.lookup(ctx.fid);
+          if (entry == nullptr) {
+            fault = Fault::kNoAllocation;
+          } else if (!entry->covers(phv.mar)) {
+            fault = Fault::kProtectionViolation;
+          }
+          ok = fault == Fault::kNone;
+          if (!ok) phv.drop = true;
+          if (heatmap_ != nullptr && telemetry::enabled()) {
+            if (!ok) {
+              heatmap_->record_collision(logical_stage, ctx.fid);
+            } else if (insn.op == Opcode::kMemWrite) {
+              heatmap_->record_write(logical_stage, ctx.fid);
+            } else if (insn.op == Opcode::kMemIncrement ||
+                       insn.op == Opcode::kMemMinreadinc) {
+              heatmap_->record_read_write(logical_stage, ctx.fid);
+            } else {
+              heatmap_->record_read(logical_stage, ctx.fid);
+            }
+          }
+        }
+        ok = ok && dispatch_op(insn, phv, *ctx.args, meta, stage, entry,
+                               unprivileged, logical_stage, fault);
+        // A taken branch arms its precompiled resume point (kNoIndex for a
+        // missing target disables to the end of the program).
+        if (phv.disabled) cursor.resume_index = insn.branch_target;
       }
+      cursor.mark_done(pc);
+      ++res.stages_consumed;
+      ++res.instructions_executed;
+      trace(/*skipped=*/false);
+      if (!ok) break;
+    }
+    ++pc;
+    if (++logical_stage == cfg.logical_stages) {
+      logical_stage = 0;
+      ++pass;
     }
   }
-  if (ok) {
-    ok = core::dispatch_op(op, phv, *ctx.args, *lane.meta, stage, entry,
-                           ctx.flags, enforce_privilege_, lane.logical_stage,
-                           lane.fault);
-  }
-  if (phv.disabled) {
-    // This instruction took a branch: arm its precompiled resume point
-    // (kNoIndex for a missing target disables to the end, as before).
-    cursor.resume_index = op.branch_target;
-  }
-  cursor.mark_done(lane.pc);
-  ++lane.res.stages_consumed;
-  ++lane.res.instructions_executed;
-  emit_trace(/*skipped=*/false);
-  if (!ok) {
-    lane.halted = true;
-    return;
-  }
-  advance();
-}
 
-ExecutionResult ActiveRuntime::lane_finish(LaneState& lane) {
-  if (lane.bypassed) return lane.res;
-  const auto& cfg = pipeline_->config();
-  Phv& phv = lane.phv;
-  ExecutionResult& res = lane.res;
-  ExecContext& ctx = *lane.ctx;
-
-  const u32 consumed = std::max<u32>(1, lane.pc);
-  res.passes = (consumed - 1) / cfg.logical_stages + 1;
-
+  const u32 consumed = std::max<u32>(1, pc);
   // RTS from an egress stage cannot change ports on this pass; it costs one
   // extra recirculation (Section 3.1). FORK likewise recirculates.
-  if (phv.rts && !pipeline_->is_ingress(phv.rts_stage)) ++res.passes;
-  if (phv.fork) ++res.passes;
+  const u32 extra_loops =
+      (phv.rts && !pipeline_->is_ingress(phv.rts_stage) ? 1 : 0) +
+      (phv.fork ? 1 : 0);
+  res.passes = (consumed - 1) / cfg.logical_stages + 1 + extra_loops;
 
   // Latency: ~pass_latency per 10-stage pipeline engaged (Fig. 8b measures
   // +0.5 us from 10 to 20 to 30 instructions); a port-change or FORK
@@ -269,18 +397,15 @@ ExecutionResult ActiveRuntime::lane_finish(LaneState& lane) {
   const u32 pipelines_engaged =
       std::max<u32>(1, (consumed + cfg.ingress_stages - 1) /
                            cfg.ingress_stages);
-  u32 penalty_pipelines = 0;
-  if (phv.rts && !pipeline_->is_ingress(phv.rts_stage)) penalty_pipelines += 2;
-  if (phv.fork) penalty_pipelines += 2;
-  res.latency = static_cast<SimTime>(pipelines_engaged + penalty_pipelines) *
+  res.latency = static_cast<SimTime>(pipelines_engaged + 2 * extra_loops) *
                 cfg.pass_latency;
 
   // Recirculation-bandwidth governor: packets whose extra passes exceed
   // the FID's remaining budget are dropped (side effects of completed
   // stages persist, as on hardware).
-  if (res.passes > 1 && lane.fault == Fault::kNone &&
-      !charge_recirculation(ctx.fid, res.passes - 1, lane.now)) {
-    lane.fault = Fault::kRecircBudget;
+  if (res.passes > 1 && fault == Fault::kNone &&
+      !charge_recirculation(ctx.fid, res.passes - 1, now)) {
+    fault = Fault::kRecircBudget;
     phv.drop = true;
   }
   stats_.instructions += res.instructions_executed;
@@ -290,12 +415,12 @@ ExecutionResult ActiveRuntime::lane_finish(LaneState& lane) {
   }
 
   res.phv = phv;
-  res.fault = lane.fault;
+  res.fault = fault;
   res.forked = phv.fork;
 
   if (phv.drop) {
     res.verdict = Verdict::kDrop;
-    switch (lane.fault) {
+    switch (fault) {
       case Fault::kExplicitDrop:
         ++stats_.drops_explicit;
         break;
@@ -364,16 +489,6 @@ bool ActiveRuntime::charge_recirculation(Fid fid, u32 extra_passes,
   if (state.tokens < static_cast<double>(extra_passes)) return false;
   state.tokens -= static_cast<double>(extra_passes);
   return true;
-}
-
-ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
-                                       ExecContext& ctx, ExecCursor& cursor,
-                                       const PacketMeta& meta, SimTime now) {
-  LaneState lane;
-  if (lane_begin(program, ctx, cursor, meta, now, lane)) {
-    while (!lane.halted) lane_step(lane);
-  }
-  return lane_finish(lane);
 }
 
 ExecutionResult ActiveRuntime::execute(packet::ProgramView& view,

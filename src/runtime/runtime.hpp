@@ -34,7 +34,6 @@ class StageHeatmap;
 namespace artmt::runtime {
 
 struct RuntimeMetrics;  // telemetry handle bundle (runtime.cpp)
-struct LaneState;       // per-packet execution state (exec_core.hpp)
 
 // What the switch should do with the packet after execution.
 enum class Verdict {
@@ -202,18 +201,6 @@ class ActiveRuntime {
   [[nodiscard]] telemetry::StageHeatmap* heatmap() const { return heatmap_; }
 
  private:
-  // The three phases of execute() (lane state in exec_core.hpp).
-  // lane_begin runs the prologue (accounting, cursor reset, deactivation
-  // early-out, preload); returns false when the lane finished there.
-  // lane_step consumes exactly one logical stage (or marks the lane
-  // halted). lane_finish runs the epilogue (passes, latency,
-  // recirculation charge, verdict) and returns the result.
-  bool lane_begin(const active::CompiledProgram& program, ExecContext& ctx,
-                  active::ExecCursor& cursor, const PacketMeta& meta,
-                  SimTime now, LaneState& lane);
-  void lane_step(LaneState& lane);
-  ExecutionResult lane_finish(LaneState& lane);
-
   // Charges `extra_passes` against the FID's token bucket at time `now`;
   // false when the budget is exhausted.
   bool charge_recirculation(Fid fid, u32 extra_passes, SimTime now);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "active/assembler.hpp"
+#include "active/compiled_program.hpp"
 #include "active/isa.hpp"
 #include "active/program.hpp"
 #include "common/error.hpp"
@@ -75,6 +76,41 @@ TEST(Program, ParseUnknownOpcodeThrows) {
   w.put_u8(0);
   ByteReader r(w.bytes());
   EXPECT_THROW((void)Program::parse(r), ParseError);
+}
+
+// The flag byte's three operand bits can name argument words 4..7, which
+// the four-word argument header does not have. Every decoder rejects them
+// on an argument-index opcode, as the assembler does; other opcodes keep
+// ignoring their operand bits.
+TEST(Program, DecodersRejectOutOfRangeArgumentOperands) {
+  u32 arg_opcodes = 0;
+  for (u32 raw = 1; raw < 256; ++raw) {  // 0 is EOF
+    const OpcodeInfo* info = opcode_info(static_cast<u8>(raw));
+    if (info == nullptr) continue;
+    const bool arg = info->operand == OperandKind::kArgIndex;
+    if (arg) ++arg_opcodes;
+    for (u8 operand = 0; operand < 8; ++operand) {
+      SCOPED_TRACE(std::string(info->mnemonic) + " $" +
+                   std::to_string(operand));
+      const Instruction insn{info->op, operand};
+      const std::vector<u8> bytes{static_cast<u8>(raw), insn.flag_byte(),
+                                  static_cast<u8>(Opcode::kEof), 0};
+      const auto wire = std::span(bytes).first(2);  // EOF excluded
+      ByteReader r(bytes);
+      const Program program({insn});
+      if (arg && operand >= kArgFields) {
+        EXPECT_THROW((void)Program::parse(r), ParseError);
+        EXPECT_THROW((void)CompiledProgram::compile(wire, false, false),
+                     ParseError);
+        EXPECT_THROW((void)CompiledProgram::compile(program), ParseError);
+      } else {
+        EXPECT_EQ(Program::parse(r), program);
+        EXPECT_EQ(CompiledProgram::compile(wire, false, false).size(), 1u);
+        EXPECT_EQ(CompiledProgram::compile(program).size(), 1u);
+      }
+    }
+  }
+  EXPECT_EQ(arg_opcodes, 8u);
 }
 
 // ---------- assembler ----------

@@ -3,7 +3,7 @@
 // mutants_considered, disturbance counts) under every scheme, and under
 // churn every allocate, deallocate, demotion, promotion and re-slide must
 // match a brute-force oracle built on the public StageState queries. Any
-// drift here means the incremental indexes changed an allocation
+// drift here means the incremental search changed an allocation
 // decision, which invalidates every calibrated figure downstream.
 #include <gtest/gtest.h>
 
@@ -514,7 +514,7 @@ TEST(AllocPrune, HopelessRequestFailsWithoutEnumeration) {
   const OracleChoice brute = oracle_search(alloc, hopeless);
   const auto out = alloc.allocate(hopeless);
   EXPECT_FALSE(out.success);
-  EXPECT_EQ(out.mutants_considered, 0u);  // rejected against the index bound
+  EXPECT_EQ(out.mutants_considered, 0u);  // rejected by the stage scan
   EXPECT_GT(brute.enumerated, 0u);        // brute force walks the space...
   EXPECT_FALSE(brute.found);              // ...and finds nothing feasible
   EXPECT_EQ(metrics.counter("alloc", "search_pruned").value(), 1u);
@@ -522,47 +522,6 @@ TEST(AllocPrune, HopelessRequestFailsWithoutEnumeration) {
 
   // A feasible request still succeeds afterwards: the prune is stateless.
   EXPECT_TRUE(alloc.allocate(apps::cache_request()).success);
-}
-
-TEST(AllocPrune, IndexTracksOccupancyThroughChurn) {
-  // The prune bound is only sound if the index aggregates stay equal to a
-  // fresh rescan of the stage states after arbitrary alloc/dealloc churn.
-  Allocator alloc(kGeom, kBlocks);
-  workload::ChurnConfig churn;
-  churn.arrival_rate = 4.0;
-  churn.mean_lifetime = 15.0;
-  churn.seed = 21;
-  workload::PoissonChurn gen(churn);
-  std::map<u64, AppId> ids;
-  for (int i = 0; i < 400; ++i) {
-    const auto event = gen.next();
-    if (event.type == workload::ChurnEvent::Type::kArrival) {
-      const auto out = alloc.allocate(paper_request(event.kind));
-      if (out.success) ids[event.service] = out.app;
-    } else if (const auto it = ids.find(event.service); it != ids.end()) {
-      alloc.deallocate(it->second);
-      ids.erase(it);
-    }
-
-    u32 max_fung = 0;
-    u32 min_fung = kBlocks;
-    u32 max_headroom = 0;
-    u32 max_fit = 0;
-    for (u32 s = 0; s < kGeom.logical_stages; ++s) {
-      const auto& stage = alloc.stage(s);
-      max_fung = std::max(max_fung, stage.fungible_blocks());
-      min_fung = std::min(min_fung, stage.fungible_blocks());
-      max_headroom = std::max(max_headroom, stage.elastic_headroom());
-      max_fit = std::max(max_fit, stage.max_inelastic_fit());
-    }
-    ASSERT_EQ(alloc.stage_index().max_fungible(), max_fung) << "event " << i;
-    ASSERT_EQ(alloc.stage_index().min_fungible(), min_fung) << "event " << i;
-    ASSERT_EQ(alloc.stage_index().max_elastic_headroom(), max_headroom)
-        << "event " << i;
-    ASSERT_EQ(alloc.stage_index().max_inelastic_fit(), max_fit)
-        << "event " << i;
-  }
-  EXPECT_GT(alloc.resident_count(), 0u);
 }
 
 }  // namespace

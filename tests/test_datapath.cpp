@@ -279,7 +279,6 @@ TEST(Datapath, CapsuleToUnboundMacCountsUnknownDestination) {
 TEST(SwitchNode, L2LearningNeverMovesPinnedRoutes) {
   SwitchNode::Config cfg;
   cfg.mac = 0xaa00;
-  cfg.l2_learning = true;
   netsim::Simulator sim;
   netsim::Network net{sim};
   auto sw = std::make_shared<SwitchNode>("switch", cfg);
@@ -372,6 +371,34 @@ TEST(Datapath, BadOpcodeProgramFrameToUnboundMacCountsMalformed) {
   EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
   // The code is interned once: the rejected frame is not parsed again.
   EXPECT_EQ(bed.sw->program_cache().stats().misses, 1u);
+}
+
+// The wire's three operand bits can name argument words 4..7, which the
+// four-word argument header does not have. Executed, MBR_STORE $4 would
+// write past the view's argument words into the rest of the ProgramView
+// (its compiled-program pointer first). The decoder rejects the capsule
+// before anything runs, and it takes the malformed path of an unknown
+// opcode: L2-forwarded unchanged to its bound destination.
+TEST(Datapath, OutOfRangeArgumentOperandNeverExecutes) {
+  for (u8 operand = 4; operand < 8; ++operand) {
+    SCOPED_TRACE(static_cast<int>(operand));
+    Bed bed;
+    active::Program program;
+    program.push({active::Opcode::kMbrLoad, 0});
+    program.push({active::Opcode::kMbrStore, operand});
+    program.push({active::Opcode::kReturn});
+    auto pkt = ActivePacket::make_program(
+        1, ArgumentHeader{{0x41414141, 0, 0, 0}}, program);
+    pkt.ethernet.src = kClientMac;
+    pkt.ethernet.dst = kServerMac;
+    const auto frame = pkt.serialize();
+    ASSERT_EQ(frame.size(), 48u);
+    bed.inject(frame);
+    EXPECT_EQ(bed.sw->runtime().stats().packets, 0u);
+    ASSERT_EQ(bed.server->frames.size(), 1u);
+    EXPECT_EQ(bed.server->frames[0].to_vector(), frame);
+    EXPECT_TRUE(bed.client->frames.empty());
+  }
 }
 
 TEST(Datapath, PassiveFramesAllocateNothing) {

@@ -1,7 +1,10 @@
 // Randomized property tests: arbitrary byte-valid programs must never
 // crash the runtime, violate memory protection, or corrupt another
 // tenant's state; random request shapes must never corrupt the
-// allocator; random frames must never crash the parser.
+// allocator; random frames must never crash the parser. Operands span the
+// wire's whole 3-bit range, so some programs name argument words the
+// header does not have: the decoder rejects those (ParseError), and each
+// runtime test keeps drawing until its quota of programs has executed.
 #include <gtest/gtest.h>
 
 #include "active/isa.hpp"
@@ -35,7 +38,7 @@ active::Program random_program(Rng& rng, u32 max_length) {
   for (u32 i = 0; i < length; ++i) {
     Instruction insn;
     insn.op = opcodes[rng.uniform(opcodes.size())];
-    insn.operand = static_cast<u8>(rng.uniform(active::kArgFields));
+    insn.operand = static_cast<u8>(rng.uniform(8));  // the wire's 3 bits
     insn.label = static_cast<u8>(rng.uniform(4));  // labels 0..3
     program.push(insn);
   }
@@ -85,26 +88,43 @@ TEST_F(FuzzRuntime, RandomProgramsNeverEscapeProtection) {
     pipeline_.stage(s).memory().write(200, 0xa5a5a5a5);
   }
   const auto before = outside_fid1();
-  for (int trial = 0; trial < 2000; ++trial) {
+  u32 executed = 0;
+  u32 rejected = 0;
+  while (executed < 2000) {
     ArgumentHeader args;
     for (auto& a : args.args) a = static_cast<Word>(rng.next_u64());
     auto pkt =
         ActivePacket::make_program(1, args, random_program(rng, 48));
-    ASSERT_NO_THROW((void)runtime_.execute(pkt)) << "trial " << trial;
+    try {
+      (void)runtime_.execute(pkt);
+      ++executed;
+    } catch (const ParseError&) {
+      ++rejected;
+    }
   }
+  EXPECT_GT(rejected, 0u);
   // Whatever those 2000 programs did, fid 1 never wrote outside [64,128).
   EXPECT_EQ(outside_fid1(), before);
 }
 
 TEST_F(FuzzRuntime, ResultsAreInternallyConsistent) {
   Rng rng(777);
-  for (int trial = 0; trial < 2000; ++trial) {
+  u32 executed = 0;
+  u32 rejected = 0;
+  while (executed < 2000) {
     ArgumentHeader args;
     args.args[0] = 64 + static_cast<Word>(rng.uniform(64));
     auto program = random_program(rng, 48);
     const u32 length = static_cast<u32>(program.size());
     auto pkt = ActivePacket::make_program(1, args, std::move(program));
-    const auto res = runtime_.execute(pkt);
+    runtime::ExecutionResult res;
+    try {
+      res = runtime_.execute(pkt);
+      ++executed;
+    } catch (const ParseError&) {
+      ++rejected;
+      continue;
+    }
     EXPECT_LE(res.instructions_executed, length);
     EXPECT_LE(res.stages_consumed, length);
     EXPECT_GE(res.passes, 1u);
@@ -115,21 +135,32 @@ TEST_F(FuzzRuntime, ResultsAreInternallyConsistent) {
       EXPECT_TRUE(res.phv.rts);
     }
   }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST_F(FuzzRuntime, WireRoundTripAfterExecution) {
   Rng rng(31337);
-  for (int trial = 0; trial < 500; ++trial) {
+  u32 executed = 0;
+  u32 rejected = 0;
+  while (executed < 500) {
     ArgumentHeader args;
     auto pkt =
         ActivePacket::make_program(1, args, random_program(rng, 30));
-    const auto res = runtime_.execute(pkt);
+    runtime::ExecutionResult res;
+    try {
+      res = runtime_.execute(pkt);
+      ++executed;
+    } catch (const ParseError&) {
+      ++rejected;
+      continue;
+    }
     if (res.verdict == runtime::Verdict::kDrop) continue;
     // Post-execution packets must still serialize and re-parse cleanly.
     std::vector<u8> frame;
     ASSERT_NO_THROW(frame = pkt.serialize());
     ASSERT_NO_THROW((void)ActivePacket::parse(frame));
   }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(FuzzParser, RandomFramesNeverCrash) {

@@ -333,12 +333,17 @@ TEST(Network, CountsDropsPerUnpluggedTransmit) {
   net.attach(a);
   net.attach(b);
   net.connect(*a, 0, *b, 0);
+  net.connect(*a, 2, *b, 3);
   net.transmit(*a, 0, Frame(10));  // delivered
-  net.transmit(*a, 1, Frame(10));  // no link on port 1
-  net.transmit(*b, 7, Frame(10));  // no link on port 7
+  net.transmit(*a, 1, Frame(10));  // hole between connected ports 0 and 2
+  net.transmit(*b, 7, Frame(10));  // past b's highest connected port
+  net.transmit(*a, 0xffffffffu, Frame(10));  // SET_DST can name any u32
+  net.transmit(*a, 2, Frame(10));  // delivered on b's port 3
   sim.run();
-  EXPECT_EQ(net.frames_delivered(), 1u);
-  EXPECT_EQ(net.frames_dropped(), 2u);
+  EXPECT_EQ(net.frames_delivered(), 2u);
+  EXPECT_EQ(net.frames_dropped(), 3u);
+  ASSERT_EQ(b->frames.size(), 2u);
+  EXPECT_EQ(b->frames[1].port, 3u);
 }
 
 TEST(Network, PooledFramesRoundTrip) {
@@ -372,6 +377,14 @@ TEST(Network, DoubleConnectThrows) {
   net.attach(c);
   net.connect(*a, 0, *b, 0);
   EXPECT_THROW(net.connect(*a, 0, *c, 0), UsageError);
+  EXPECT_THROW(net.connect(*c, 0, *b, 0), UsageError);  // only b's end
+  // A refused connect leaves both ends as they were: c's port 0 is still
+  // free, and a's port 0 still reaches b.
+  net.connect(*c, 0, *a, 1);
+  net.transmit(*a, 0, Frame(10));
+  sim.run();
+  ASSERT_EQ(b->frames.size(), 1u);
+  EXPECT_EQ(b->frames[0].port, 0u);
 }
 
 TEST(Network, DoubleAttachThrows) {

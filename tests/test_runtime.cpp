@@ -709,6 +709,122 @@ TEST_F(RuntimeTest, RecircBudgetZeroElapsedCallsStillCharge) {
   EXPECT_EQ(runtime_.execute(exhausted, {}, at).verdict, Verdict::kDrop);
 }
 
+// ---------- how execution stops ----------
+
+// Every way the interpreter loop can end, pinned field by field through
+// the core entry point (so the cursor's done-bits are visible): a return
+// after a taken branch, a protection fault on the first instruction of
+// the second pass, an ADDR_MASK with no later access, the recirculation
+// cap, and a deactivated FID. A fault stops the loop without advancing
+// the instruction index, and that index sets passes and latency: the
+// fault at index 20 is billed as one pass engaging two pipelines.
+TEST_F(RuntimeTest, ExecutionStopsArePinned) {
+  struct Want {
+    Verdict verdict;
+    Fault fault;
+    u32 passes;
+    SimTime latency;
+    u32 stages_consumed;
+    u32 instructions_executed;
+    bool executed;
+    std::vector<u32> done;  // instruction indices with a done-bit
+    u64 instructions;       // RuntimeStats deltas
+    u64 recirculations;
+    u64 drops_protection;
+    u64 drops_no_allocation;
+    u64 drops_recirc_limit;
+    u64 forwarded_unprocessed;
+    u32 trace_events;
+  };
+  const auto range = [](u32 n) {
+    std::vector<u32> out(n);
+    for (u32 i = 0; i < n; ++i) out[i] = i;
+    return out;
+  };
+  const auto nops = [](int n) {
+    std::string text;
+    for (int i = 0; i < n; ++i) text += "NOP\n";
+    return text;
+  };
+  u32 trace_events = 0;
+  runtime_.set_trace([&](const TraceEvent&) { ++trace_events; });
+
+  const auto check = [&](const std::string& name, const std::string& text,
+                         const Want& want) {
+    SCOPED_TRACE(name);
+    const auto program =
+        active::CompiledProgram::compile(active::assemble(text));
+    std::array<Word, active::kArgFields> args{99, 9, 0, 0};
+    ExecContext ctx;
+    ctx.args = &args;
+    ctx.fid = 1;
+    active::ExecCursor cursor;
+    const RuntimeStats before = runtime_.stats();
+    trace_events = 0;
+    const ExecutionResult res = runtime_.execute(program, ctx, cursor);
+    const RuntimeStats& after = runtime_.stats();
+
+    EXPECT_EQ(res.verdict, want.verdict);
+    EXPECT_EQ(res.fault, want.fault);
+    EXPECT_EQ(res.passes, want.passes);
+    EXPECT_EQ(res.latency, want.latency);
+    EXPECT_EQ(res.stages_consumed, want.stages_consumed);
+    EXPECT_EQ(res.instructions_executed, want.instructions_executed);
+    EXPECT_EQ(res.executed, want.executed);
+    std::vector<u32> done;
+    for (u32 i = 0; i < program.size(); ++i) {
+      if (cursor.done(i)) done.push_back(i);
+    }
+    EXPECT_EQ(done, want.done);
+    EXPECT_EQ(trace_events, want.trace_events);
+
+    EXPECT_EQ(after.packets - before.packets, 1u);
+    EXPECT_EQ(after.instructions - before.instructions, want.instructions);
+    EXPECT_EQ(after.recirculations - before.recirculations,
+              want.recirculations);
+    EXPECT_EQ(after.drops_protection - before.drops_protection,
+              want.drops_protection);
+    EXPECT_EQ(after.drops_no_allocation - before.drops_no_allocation,
+              want.drops_no_allocation);
+    EXPECT_EQ(after.drops_recirc_limit - before.drops_recirc_limit,
+              want.drops_recirc_limit);
+    EXPECT_EQ(after.drops_recirc_budget, before.drops_recirc_budget);
+    EXPECT_EQ(after.drops_privilege, before.drops_privilege);
+    EXPECT_EQ(after.drops_explicit, before.drops_explicit);
+    EXPECT_EQ(after.rts_packets, before.rts_packets);
+    EXPECT_EQ(after.forwarded_unprocessed - before.forwarded_unprocessed,
+              want.forwarded_unprocessed);
+  };
+  const SimTime pass = config().pass_latency;
+
+  // Index 2 is skipped under the taken branch (a stage, not an
+  // instruction); RETURN at index 3 leaves index 4 untouched.
+  check("return",
+        "MBR_LOAD $0\nCJUMP L1\nMBR_LOAD $1\nL1: RETURN\nMBR_STORE $2",
+        {Verdict::kForward, Fault::kNone, 1, pass, 4, 3, true, {0, 1, 2, 3},
+         3, 0, 0, 0, 0, 0, 4});
+  // MEM_READ at index 20 (stage 0 of pass 2) reads MAR 99, below the
+  // region: the faulting instruction consumes its stage, but pc stays 20.
+  check("protection fault in pass 2",
+        "MAR_LOAD $0\n" + nops(19) + "MEM_READ\nRETURN",
+        {Verdict::kDrop, Fault::kProtectionViolation, 1, 2 * pass, 21, 21,
+         true, range(21), 21, 0, 1, 0, 0, 0, 21});
+  // ADDR_MASK with no later access faults before consuming its stage, but
+  // still sets its done-bit.
+  check("ADDR_MASK without a later access", "MBR_LOAD $0\nADDR_MASK\nRETURN",
+        {Verdict::kDrop, Fault::kNoAllocation, 1, pass, 1, 1, true, {0, 1}, 1,
+         0, 0, 1, 0, 0, 1});
+  // The cap stops the loop at the start of pass 9 (index 180): eight
+  // recirculations are billed.
+  check("recirculation limit", nops(200) + "RETURN",
+        {Verdict::kDrop, Fault::kRecircLimit, 9, 18 * pass, 180, 180, true,
+         range(180), 180, 8, 0, 0, 1, 0, 180});
+  runtime_.deactivate(1);
+  check("deactivated", "MBR_LOAD $0\nRETURN",
+        {Verdict::kForward, Fault::kDeactivated, 1, pass, 0, 0, false, {}, 0,
+         0, 0, 0, 0, 1, 0});
+}
+
 // ---------- trace observer ----------
 
 TEST_F(RuntimeTest, TraceReportsEveryConsumedStage) {
