@@ -113,7 +113,6 @@ ScenarioOut run_scenario(const ScenarioKnobs& knobs) {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
 

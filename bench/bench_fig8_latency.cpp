@@ -93,7 +93,7 @@ ProvisioningBreakdown provisioning_time(bool batched_updates) {
   std::printf("steady-state provisioning (mean of last 50): %.3f s\n",
               steady);
   const double p4_compile =
-      static_cast<double>(ctrl.costs().p4_compile_baseline) / kSecond;
+      static_cast<double>(controller::CostModel::kP4CompileBaseline) / kSecond;
   std::printf(
       "P4 recompilation baseline (paper, 22-instance image): %.2f s -> "
       "ActiveRMT is %.0fx faster at steady state\n",
@@ -191,8 +191,7 @@ void rtt_vs_program_length() {
                 rtt, rtt - echo);
   }
   std::printf("per-pass latency model: %.1f us\n",
-              static_cast<double>(rmt::PipelineConfig{}.pass_latency) /
-                  1000.0);
+              static_cast<double>(rmt::PipelineConfig::kPassLatency) / 1000.0);
 }
 
 }  // namespace

@@ -92,7 +92,7 @@ class ExecCursor {
  public:
   // Done-bits are tracked for the first kMaxTracked instructions. The
   // recirculation cap bounds how far execution can advance
-  // ((max_recirculations + 1) * logical_stages, 180 with the defaults),
+  // ((kMaxRecirculations + 1) * logical_stages, 180 with the defaults),
   // so this is never reached in practice; marks beyond the window are
   // ignored and the corresponding instructions simply never shrink.
   static constexpr u32 kMaxTracked = 2048;

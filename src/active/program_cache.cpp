@@ -65,16 +65,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::intern(
   return insert(digest, std::move(compiled));
 }
 
-std::shared_ptr<const CompiledProgram> ProgramCache::intern(
-    const Program& program) {
-  ByteWriter wire(program.size() * 2);
-  for (const Instruction& insn : program.code()) {
-    wire.put_u8(static_cast<u8>(insn.op));
-    wire.put_u8(insn.flag_byte());
-  }
-  return intern(wire.bytes(), program.preload_mar, program.preload_mbr);
-}
-
 void ProgramCache::clear() {
   lru_.clear();
   entries_.clear();

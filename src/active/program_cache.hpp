@@ -44,9 +44,6 @@ class ProgramCache {
                                                 bool preload_mar,
                                                 bool preload_mbr);
 
-  // Convenience for already-decoded programs (client/tool paths).
-  std::shared_ptr<const CompiledProgram> intern(const Program& program);
-
   struct Stats {
     u64 hits = 0;
     u64 misses = 0;

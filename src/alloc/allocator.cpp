@@ -267,7 +267,7 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
   outcome.search_ms =
       compute_model_.modeled
           ? static_cast<double>(outcome.mutants_considered) *
-                compute_model_.search_us_per_mutant / 1000.0
+                ComputeModel::kSearchUsPerMutant / 1000.0
           : watch.elapsed_ms();
   if (m_search_us_ != nullptr) {
     m_search_us_->record(static_cast<u64>(outcome.search_ms * 1000.0));
@@ -317,7 +317,7 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
       moved += region_blocks(regions_of(other));
     }
     outcome.assign_ms =
-        static_cast<double>(moved) * compute_model_.assign_us_per_block / 1000.0;
+        static_cast<double>(moved) * ComputeModel::kAssignUsPerBlock / 1000.0;
   } else {
     outcome.assign_ms = watch.elapsed_ms();
   }
@@ -459,7 +459,7 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
   }
   out.search_ms = compute_model_.modeled
                       ? static_cast<double>(out.mutants_considered) *
-                            compute_model_.search_us_per_mutant / 1000.0
+                            ComputeModel::kSearchUsPerMutant / 1000.0
                       : watch.elapsed_ms();
   if (m_search_us_ != nullptr) {
     m_search_us_->record(static_cast<u64>(out.search_ms * 1000.0));
@@ -503,7 +503,7 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
       moved += region_blocks(regions_of(other));
     }
     out.assign_ms = static_cast<double>(moved) *
-                    compute_model_.assign_us_per_block / 1000.0;
+                    ComputeModel::kAssignUsPerBlock / 1000.0;
   } else {
     out.assign_ms = watch.elapsed_ms();
   }

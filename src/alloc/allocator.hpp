@@ -51,9 +51,10 @@ const char* scheme_name(Scheme scheme);
 // reproductions that compose measured compute (Fig. 8a) opt into
 // wall_clock().
 struct ComputeModel {
+  static constexpr double kSearchUsPerMutant = 0.2;  // feasibility check
+  static constexpr double kAssignUsPerBlock = 0.5;   // per block moved
+
   bool modeled = false;
-  double search_us_per_mutant = 0.2;  // feasibility check cost per mutant
-  double assign_us_per_block = 0.5;   // assignment cost per block moved
 
   static ComputeModel wall_clock() { return {}; }
   static ComputeModel deterministic() {
@@ -171,9 +172,6 @@ class Allocator {
   // first-in-enumeration-order tie-break, and kFirstFit never compares
   // scores at all. Must be empty or logical_stages long.
   void set_stage_bias(std::vector<u64> bias);
-  [[nodiscard]] const std::vector<u64>& stage_bias() const {
-    return stage_bias_;
-  }
 
  private:
   // Per-stage demand of a request under a mutant (accesses in the same

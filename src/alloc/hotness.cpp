@@ -2,16 +2,9 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
 #include "telemetry/heatmap.hpp"
 
 namespace artmt::alloc {
-
-HotnessTable::HotnessTable(HotnessConfig config) : config_(config) {
-  if (config_.decay_shift == 0 || config_.decay_shift >= 64) {
-    throw UsageError("HotnessTable: decay_shift must be in [1, 63]");
-  }
-}
 
 HotnessTable::Row& HotnessTable::row(i32 fid, u32 stages) {
   Row& r = rows_[fid];
@@ -47,11 +40,11 @@ void HotnessTable::decay() {
   for (auto& [fid, r] : rows_) {
     u64 total = 0;
     for (u64& s : r.score) {
-      s >>= config_.decay_shift;
+      s >>= kDecayShift;
       total += s;
     }
     r.total = total;
-    if (total <= config_.cold_threshold) {
+    if (total <= kColdThreshold) {
       ++r.cold_streak;
     } else {
       r.cold_streak = 0;
@@ -66,12 +59,6 @@ u64 HotnessTable::score(i32 fid) const {
   return it == rows_.end() ? 0 : it->second.total;
 }
 
-u64 HotnessTable::stage_score(i32 fid, u32 stage) const {
-  const auto it = rows_.find(fid);
-  if (it == rows_.end() || stage >= it->second.score.size()) return 0;
-  return it->second.score[stage];
-}
-
 u32 HotnessTable::cold_streak(i32 fid) const {
   const auto it = rows_.find(fid);
   return it == rows_.end() ? 0 : it->second.cold_streak;
@@ -79,7 +66,7 @@ u32 HotnessTable::cold_streak(i32 fid) const {
 
 bool HotnessTable::is_cold(i32 fid) const {
   const auto it = rows_.find(fid);
-  return it != rows_.end() && it->second.cold_streak >= config_.cold_ticks;
+  return it != rows_.end() && it->second.cold_streak >= kColdTicks;
 }
 
 std::vector<std::pair<i32, u64>> HotnessTable::ranked() const {

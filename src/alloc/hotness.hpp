@@ -2,19 +2,18 @@
 // engine, and the ranking `artmt_stats --heatmap` prints. The table keeps
 // the per-stage resolution the planner needs (a re-slide candidate is
 // judged by the activity in the stage being compacted) plus hysteretic
-// coldness detection: a FID is cold only after `cold_ticks` consecutive
-// epochs below `cold_threshold`, so one quiet interval does not demote a
-// bursty service.
+// coldness detection: a FID is cold only after kColdTicks consecutive
+// epochs at or below kColdThreshold, so one quiet interval does not demote
+// a bursty service.
 //
 // Feeding follows the heatmap idiom: observe() absorbs the per-cell
 // read/write delta since the previous observation (collisions are faults,
-// not demand, and stay out of the score), decay() ages every cell by
-// `decay_shift` (shift 1 = one-tick half-life under silence). tick() is
-// one migration epoch: observe, then age, then advance cold streaks.
+// not demand, and stay out of the score), decay() halves every cell (a
+// one-tick half-life under silence). tick() is one migration epoch:
+// observe, then age, then advance cold streaks.
 // Deterministic: plain maps, no clocks, no randomness.
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <utility>
 #include <vector>
@@ -27,15 +26,11 @@ class StageHeatmap;
 
 namespace artmt::alloc {
 
-struct HotnessConfig {
-  u32 decay_shift = 1;     // per-tick aging: score >>= decay_shift
-  u64 cold_threshold = 8;  // total score at/below this marks a cold epoch
-  u32 cold_ticks = 3;      // consecutive cold epochs before is_cold()
-};
-
 class HotnessTable {
  public:
-  explicit HotnessTable(HotnessConfig config = {});
+  static constexpr u32 kDecayShift = 1;     // per-tick aging: score >>= 1
+  static constexpr u64 kColdThreshold = 8;  // total at/below: a cold epoch
+  static constexpr u32 kColdTicks = 3;      // cold epochs before is_cold()
 
   // Absorbs each cell's read+write delta since the previous observation.
   void observe(const telemetry::StageHeatmap& heatmap);
@@ -50,14 +45,12 @@ class HotnessTable {
   void forget(i32 fid);
 
   [[nodiscard]] u64 score(i32 fid) const;  // sum across stages
-  [[nodiscard]] u64 stage_score(i32 fid, u32 stage) const;
   [[nodiscard]] u32 cold_streak(i32 fid) const;
   // Only FIDs with observed traffic are ever cold: a row is created by
   // activity, so a service that never sent a packet is not demoted on the
   // strength of an empty table.
   [[nodiscard]] bool is_cold(i32 fid) const;
   [[nodiscard]] bool tracked(i32 fid) const { return rows_.contains(fid); }
-  [[nodiscard]] std::size_t tracked_count() const { return rows_.size(); }
   // (fid, total score) hottest first; equal scores order by ascending fid.
   [[nodiscard]] std::vector<std::pair<i32, u64>> ranked() const;
   // Aggregate per-stage pressure across every tracked FID: the
@@ -66,7 +59,6 @@ class HotnessTable {
   [[nodiscard]] std::vector<u64> stage_totals(u32 stages) const;
   // Sum of every tracked FID's score (whole-switch pressure).
   [[nodiscard]] u64 total_score() const;
-  [[nodiscard]] const HotnessConfig& config() const { return config_; }
 
  private:
   struct Row {
@@ -79,7 +71,6 @@ class HotnessTable {
 
   Row& row(i32 fid, u32 stages);
 
-  HotnessConfig config_;
   std::map<i32, Row> rows_;
 };
 

@@ -58,7 +58,6 @@ class StageState {
   [[nodiscard]] const std::map<AppId, Interval>& regions() const {
     return regions_;
   }
-  [[nodiscard]] bool has_app(AppId id) const { return regions_.contains(id); }
   [[nodiscard]] u32 capacity() const { return capacity_; }
   // O(1): inelastic totals and elastic share totals update incrementally.
   [[nodiscard]] u32 allocated_blocks() const {
@@ -107,8 +106,6 @@ class StageState {
     u32 min_blocks;
     u32 cap_blocks;  // 0 = uncapped
   };
-
-  [[nodiscard]] u32 elastic_min_total() const { return elastic_min_total_; }
 
   u32 capacity_;
   u32 frontier_ = 0;  // elastic pool is [frontier_, capacity_)

@@ -37,17 +37,6 @@ ReliabilityTracker::ReliabilityTracker(
   if (sim_ == nullptr) {
     throw UsageError("ReliabilityTracker: null simulator resolver");
   }
-  if (opts_.backoff < 1.0) {
-    throw UsageError("ReliabilityTracker: backoff multiplier must be >= 1");
-  }
-}
-
-void ReliabilityTracker::set_options(Options opts) {
-  if (opts.backoff < 1.0) {
-    throw UsageError("ReliabilityTracker: backoff multiplier must be >= 1");
-  }
-  opts_ = opts;
-  rng_ = Rng::substream(opts.seed, fnv1a(name_));
 }
 
 SimTime ReliabilityTracker::jittered(SimTime rto) {
@@ -162,8 +151,8 @@ void ReliabilityTracker::on_timer(u64 generation) {
     const SimTime expired_rto = entry.rto;
     const u64 prev_span = entry.span;
     entry.rto = std::min<SimTime>(
-        opts_.max_rto,
-        static_cast<SimTime>(static_cast<double>(entry.rto) * opts_.backoff));
+        opts_.max_rto, static_cast<SimTime>(static_cast<double>(entry.rto) *
+                                            Options::kBackoff));
     set_deadline(id, entry, now + jittered(entry.rto));
     const u32 attempt = entry.attempts;
     ResendFn resend = entry.resend;  // copy: the callback may erase `id`

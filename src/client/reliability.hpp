@@ -34,8 +34,9 @@ namespace artmt::client {
 class ReliabilityTracker {
  public:
   struct Options {
+    static constexpr double kBackoff = 2.0;  // rto multiplier per attempt
+
     SimTime rto = 5 * kMillisecond;        // first retransmit timeout
-    double backoff = 2.0;                  // rto multiplier per attempt
     SimTime max_rto = 80 * kMillisecond;   // backoff ceiling
     u32 retry_budget = 12;                 // resends before giving up
     double jitter = 0.1;                   // deadline *= 1 + U(-j, +j)
@@ -73,10 +74,6 @@ class ReliabilityTracker {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-
-  // Replaces the schedule parameters (and reseeds the jitter stream);
-  // applies to entries tracked afterwards.
-  void set_options(Options opts);
 
   // Fires after the retry budget is exhausted (the entry is already
   // forgotten when this runs; it may re-track).

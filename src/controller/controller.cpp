@@ -156,6 +156,15 @@ void Controller::install_with_advance(Fid fid) {
   }
 }
 
+Fid Controller::mint_fid() {
+  for (u32 left = fid_last_ - fid_first_ + 1; left > 0; --left) {
+    const Fid fid = next_fid_;
+    next_fid_ = fid == fid_last_ ? fid_first_ : static_cast<Fid>(fid + 1);
+    if (!fid_to_app_.contains(fid)) return fid;
+  }
+  return 0;
+}
+
 u32 Controller::remove_entries(Fid fid) {
   u32 ops = 0;
   for (u32 s = 0; s < pipeline_->stage_count(); ++s) {
@@ -250,17 +259,21 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
     return result;
   }
 
+  // Denials past this point roll the placement back.
+  const auto deny = [&] {
+    alloc_.deallocate(result.outcome.app);
+    result.outcome.success = false;
+    ++stats_.rejections;
+  };
   // TCAM admission control: protection costs one range entry per occupied
   // stage, and the paper identifies these entries as the bottleneck for
-  // the number of distinct address ranges. Reject (and roll back) when a
-  // chosen stage has no headroom -- reallocated apps replace entries, so
-  // only the new app consumes slots.
+  // the number of distinct address ranges. Reject when a chosen stage has
+  // no headroom -- reallocated apps replace entries, so only the new app
+  // consumes slots.
   for (const auto& [stage, region] : result.outcome.regions) {
     const rmt::Stage& s = pipeline_->stage(stage);
     if (s.tcam_used() >= s.tcam_capacity()) {
-      alloc_.deallocate(result.outcome.app);
-      result.outcome.success = false;
-      ++stats_.rejections;
+      deny();
       ++stats_.tcam_rejections;
       if (auto* sink = telemetry::trace_sink()) {
         sink->emit("controller", "rejection", telemetry::kNoFid,
@@ -269,9 +282,18 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
       return result;
     }
   }
+  // A FID names one tenant: never reissue a resident one.
+  const Fid fid = mint_fid();
+  if (fid == 0) {
+    deny();
+    if (auto* sink = telemetry::trace_sink()) {
+      sink->emit("controller", "rejection", telemetry::kNoFid,
+                 {{"cause", "fid_range_full"}});
+    }
+    return result;
+  }
   ++stats_.admissions;
 
-  const Fid fid = next_fid_++;
   result.admitted = true;
   result.fid = fid;
   fid_to_app_[fid] = result.outcome.app;

@@ -105,6 +105,9 @@ struct MigrationResult : Reallocation {
 
 class Controller {
  public:
+  // FIDs one switch of a multi-switch fabric mints (see set_fid_base).
+  static constexpr Fid kFidRange = 256;
+
   Controller(rmt::Pipeline& pipeline, runtime::ActiveRuntime& runtime,
              alloc::Scheme scheme = alloc::Scheme::kWorstFit,
              alloc::MutantPolicy policy = alloc::MutantPolicy::most_constrained(),
@@ -130,9 +133,6 @@ class Controller {
   // when the extraction timeout fires on simulated time.
   void force_finalize();
   [[nodiscard]] bool has_pending() const { return pending_.has_value(); }
-  [[nodiscard]] bool pending_ready() const {
-    return pending_.has_value() && pending_->awaiting.empty();
-  }
 
   // Removes `fid` and applies the grown neighbours' layout at once: no
   // deactivation and no extraction handshake (`disturbed` lists the apps
@@ -160,13 +160,18 @@ class Controller {
     alloc_.set_compute_model(model);
   }
 
-  // Fabric support: start FID assignment at `base` so every switch in a
-  // multi-switch topology mints from a disjoint range (a capsule's FID
-  // then names its owning switch unambiguously). Call before the first
-  // admission.
+  // FIDs are minted in ascending order from [1, 0xFFFF], wrapping at the
+  // end to the first FID that is not resident; an admission that finds
+  // every FID resident is denied. Fabric support: mint from [base, base +
+  // kFidRange) instead, so every switch in a multi-switch topology mints
+  // from a disjoint range (a capsule's FID then names its owning switch
+  // unambiguously). Call before the first admission.
   void set_fid_base(Fid base) {
-    if (base == 0) throw UsageError("Controller::set_fid_base: zero base");
-    next_fid_ = base;
+    if (base == 0 || base > 0x10000 - kFidRange) {
+      throw UsageError("Controller::set_fid_base: base outside [1, 0xFF00]");
+    }
+    fid_first_ = next_fid_ = base;
+    fid_last_ = static_cast<Fid>(base + kFidRange - 1);
   }
 
   // Hotness-directed placement: forwards a per-stage tie-break bias to
@@ -211,6 +216,8 @@ class Controller {
     std::set<Fid> awaiting;  // disturbed FIDs not yet done extracting
   };
 
+  // The next FID in range that is not resident (0: every one is).
+  Fid mint_fid();
   // Removes every entry `fid` holds and returns how many there were.
   u32 remove_entries(Fid fid);
   // Snapshot of a disturbed app: the blocks its installed (old) entries
@@ -248,6 +255,8 @@ class Controller {
   std::unordered_map<alloc::AppId, Fid> app_to_fid_;
   std::unordered_map<Fid, alloc::Mutant> mutants_;
   std::optional<PendingTxn> pending_;
+  Fid fid_first_ = 1;  // this switch mints from [fid_first_, fid_last_]
+  Fid fid_last_ = 0xFFFF;
   Fid next_fid_ = 1;
 };
 

@@ -10,19 +10,28 @@
 namespace artmt::controller {
 
 struct CostModel {
-  // One match-table entry install or remove via the driver.
-  SimTime table_entry_update = 15 * kMillisecond;
   // --- batched + coalesced table updates ---
   // With batching on, all entry operations belonging to one application
   // (the contiguous per-stage installs of a new or rebalanced app)
-  // coalesce into a single ranged driver call: one batch_setup round-trip
+  // coalesce into a single ranged driver call: one kBatchSetup round-trip
   // plus a small marginal cost per entry, instead of a full driver
-  // operation each. Off by default so the Fig. 8a composition (and every
+  // operation each.
+  static constexpr SimTime kBatchSetup = 20 * kMillisecond;  // per batch
+  static constexpr SimTime kBatchedEntryUpdate = 1 * kMillisecond;
+  // Digest delivery + client poll interval (Section 5: ~100 us polling).
+  static constexpr SimTime kDigestLatency = 100 * kMicrosecond;
+  // Reference point reported in Section 6.2: compiling a monolithic P4
+  // program with 22 cache instances takes 28.79 s on the paper's hardware.
+  // Used by the provisioning-time comparison bench.
+  static constexpr SimTime kP4CompileBaseline =
+      static_cast<SimTime>(28.79 * kSecond);
+
+  // One match-table entry install or remove via the driver.
+  SimTime table_entry_update = 15 * kMillisecond;
+  // Batching is off by default so the Fig. 8a composition (and every
   // calibrated provisioning figure) is reproduced bit-for-bit; turning it
   // on makes provisioning sub-linear in the number of disturbed apps.
   bool batched_updates = false;
-  SimTime batch_setup = 20 * kMillisecond;         // per-batch driver call
-  SimTime batched_entry_update = 1 * kMillisecond;  // marginal entry cost
 
   // Total driver time for `entries` entry operations spread over
   // `batches` coalesced application updates.
@@ -31,22 +40,15 @@ struct CostModel {
       return static_cast<SimTime>(entries) * table_entry_update;
     }
     if (entries == 0) return 0;
-    return static_cast<SimTime>(batches) * batch_setup +
-           static_cast<SimTime>(entries) * batched_entry_update;
+    return static_cast<SimTime>(batches) * kBatchSetup +
+           static_cast<SimTime>(entries) * kBatchedEntryUpdate;
   }
   // Snapshotting one block of register memory to the CPU.
   SimTime snapshot_per_block = 50 * kMicrosecond;
   // Zeroing one block of register memory at (re)install.
   SimTime clear_per_block = 20 * kMicrosecond;
-  // Digest delivery + client poll interval (Section 5: ~100 us polling).
-  SimTime digest_latency = 100 * kMicrosecond;
   // Reallocation handshake timeout for unresponsive applications.
   SimTime extraction_timeout = 1 * kSecond;
-
-  // Reference point reported in Section 6.2: compiling a monolithic P4
-  // program with 22 cache instances takes 28.79 s on the paper's hardware.
-  // Used by the provisioning-time comparison bench.
-  SimTime p4_compile_baseline = static_cast<SimTime>(28.79 * kSecond);
 };
 
 }  // namespace artmt::controller

@@ -108,7 +108,7 @@ u32 MigrationPlanner::plan(const Controller& controller,
     if (it == records.end() || !it->second.elastic) continue;
     const i32 hfid = static_cast<i32>(fid);
     if (it->second.demoted) {
-      if (hotness.score(hfid) < policy_.promote_score) continue;
+      if (hotness.score(hfid) < MigrationPolicy::kPromoteScore) continue;
       flips.push_back({fid, hotness.score(hfid), true});
     } else if (hotness.is_cold(hfid)) {
       flips.push_back({fid, hotness.score(hfid), false});

@@ -86,7 +86,8 @@ class RemapQueue {
 // Planner knobs; defaults favor stability over aggressiveness.
 struct MigrationPolicy {
   // A demoted FID is promoted once its decayed score recovers to this.
-  u64 promote_score = 64;
+  static constexpr u64 kPromoteScore = 64;
+
   // A stage is fragmented when its largest free run covers less than this
   // fraction of its free blocks (and at least min_frag_blocks are free).
   double frag_threshold = 0.5;

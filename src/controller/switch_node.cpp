@@ -51,12 +51,11 @@ SwitchNode::SwitchNode(std::string name, const Config& config)
       heatmap_(pipeline_.stage_count()),
       migration_enabled_(config.migration.enabled),
       migration_interval_(config.migration.interval),
-      hotness_(config.migration.hotness),
       planner_(config.migration.policy) {
   if (migration_enabled_ && migration_interval_ <= 0) {
     throw UsageError("SwitchNode: migration interval must be positive");
   }
-  mig_quiesce_ticks_ = config.migration.hotness.cold_ticks +
+  mig_quiesce_ticks_ = alloc::HotnessTable::kColdTicks +
                        config.migration.policy.cooldown_cycles + 1;
   runtime_.set_enforce_privilege(config.enforce_privilege);
   controller_.set_compute_model(config.compute_model);
@@ -395,7 +394,7 @@ void SwitchNode::process_next_control() {
   control_queue_.pop_front();
   // Digest delivery to the switch CPU.
   network().simulator().schedule_after(
-      controller_.costs().digest_latency, [this, op = std::move(op)]() {
+      CostModel::kDigestLatency, [this, op = std::move(op)]() {
         if (op.pkt.initial.type == ActiveType::kAllocRequest) {
           run_admission(op);
         } else {

@@ -62,7 +62,6 @@ class SwitchNode : public netsim::Node {
     struct MigrationConfig {
       bool enabled = false;
       SimTime interval = 10 * kMillisecond;
-      alloc::HotnessConfig hotness;
       MigrationPolicy policy;
     };
     MigrationConfig migration;
@@ -79,9 +78,10 @@ class SwitchNode : public netsim::Node {
     // client's uplink failover re-teaches the fabric with its first
     // frame, no controller involvement. Deterministic.
     packet::MacAddr mac = 0;
-    // First FID this switch mints (0 keeps the default base of 1). Fabric
-    // topologies hand each switch a disjoint range so a FID names its
-    // owning switch unambiguously.
+    // Nonzero: this switch mints FIDs from [fid_base, fid_base +
+    // Controller::kFidRange) (0 keeps the default range, [1, 0xFFFF]).
+    // Fabric topologies hand each switch a disjoint range so a FID names
+    // its owning switch unambiguously.
     Fid fid_base = 0;
   };
 

@@ -14,6 +14,9 @@ namespace {
 // sequence numbers, so a forwarded response is unambiguous.
 constexpr u32 kFseqBase = 0x40000000;
 
+// The controller's one port: its uplink into the fabric.
+constexpr u32 kUplink = 0;
+
 // Scoreboard-level feasibility heuristic (ranking only; the switch's
 // allocator has the final word).
 bool board_feasible(const Scoreboard& board,
@@ -73,7 +76,6 @@ GlobalController::GlobalController(std::string name, const Config& config)
       config_(config),
       next_fseq_(kFseqBase) {
   if (mac_ == 0) throw UsageError("GlobalController: zero MAC");
-  if (config_.epoch == 0) throw UsageError("GlobalController: zero epoch");
   if (config_.miss_threshold == 0)
     throw UsageError("GlobalController: zero miss_threshold");
   telemetry::MetricsRegistry* reg = config.metrics;
@@ -86,8 +88,7 @@ GlobalController::GlobalController(std::string name, const Config& config)
 
 GlobalController::~GlobalController() = default;
 
-void GlobalController::add_switch(packet::MacAddr mac, std::string name,
-                                  u32 port) {
+void GlobalController::add_switch(packet::MacAddr mac, std::string name) {
   if (mac == 0 || mac == mac_)
     throw UsageError("add_switch: bad switch MAC");
   if (find_switch(mac) != nullptr)
@@ -95,7 +96,6 @@ void GlobalController::add_switch(packet::MacAddr mac, std::string name,
   SwitchState sw;
   sw.mac = mac;
   sw.name = std::move(name);
-  sw.port = port;
   switches_.push_back(std::move(sw));
 }
 
@@ -130,11 +130,6 @@ const GlobalController::SwitchState* GlobalController::find_switch(
 bool GlobalController::alive(packet::MacAddr sw) const {
   const SwitchState* state = find_switch(sw);
   return state != nullptr && state->alive;
-}
-
-const Scoreboard* GlobalController::scoreboard_of(packet::MacAddr sw) const {
-  const SwitchState* state = find_switch(sw);
-  return state == nullptr ? nullptr : &state->board;
 }
 
 packet::MacAddr GlobalController::owner_of(Fid fid) const {
@@ -293,13 +288,11 @@ void GlobalController::handle_response(packet::ActivePacket pkt) {
     downtimes_.push_back(downtime);
     metrics_->downtime_ns->record(static_cast<u64>(downtime));
     ++replaced_total_;
-    if (config_.resend_epochs > 0) {
-      Resend resend;
-      resend.pkt = pkt;
-      resend.pkt.ethernet.dst = admit.client;
-      resend.epochs_left = config_.resend_epochs;
-      resends_.push_back(std::move(resend));
-    }
+    Resend resend;
+    resend.pkt = pkt;
+    resend.pkt.ethernet.dst = admit.client;
+    resend.epochs_left = Config::kResendEpochs;
+    resends_.push_back(std::move(resend));
   }
   forward(admit.client, std::move(pkt));  // src stays the owning switch
   pending_.erase(it);
@@ -370,7 +363,7 @@ void GlobalController::epoch_tick() {
   // failover when the first copy went out; duplicates are idempotent).
   for (auto& resend : resends_) {
     metrics_->resends->inc();
-    network().transmit(*this, port_,
+    network().transmit(*this, kUplink,
                        network().pool().copy(resend.pkt.serialize()));
     --resend.epochs_left;
   }
@@ -385,8 +378,8 @@ void GlobalController::epoch_tick() {
     send_control(sw.mac, std::move(probe));
   }
 
-  if (now + config_.epoch <= until_) {
-    network().simulator().schedule_after(config_.epoch,
+  if (now + Config::kEpoch <= until_) {
+    network().simulator().schedule_after(Config::kEpoch,
                                          [this] { epoch_tick(); });
   }
 }
@@ -467,7 +460,7 @@ void GlobalController::send_control(packet::MacAddr dst,
                                     packet::ActivePacket pkt) {
   pkt.ethernet.src = mac_;
   pkt.ethernet.dst = dst;
-  network().transmit(*this, port_, network().pool().copy(pkt.serialize()));
+  network().transmit(*this, kUplink, network().pool().copy(pkt.serialize()));
 }
 
 void GlobalController::relay(packet::MacAddr dst, packet::ActivePacket pkt) {
@@ -479,7 +472,7 @@ void GlobalController::forward(packet::MacAddr dst, packet::ActivePacket pkt) {
   if (pkt.ethernet.src == 0) pkt.ethernet.src = mac_;
   pkt.ethernet.dst = dst;
   metrics_->forwarded->inc();
-  network().transmit(*this, port_, network().pool().copy(pkt.serialize()));
+  network().transmit(*this, kUplink, network().pool().copy(pkt.serialize()));
 }
 
 void GlobalController::on_frame(netsim::Frame frame, u32 port) {

@@ -16,7 +16,7 @@
 //    the client sits behind the controller's port -- and the switch's
 //    kDeallocAck comes back through the controller to the client.
 //
-//  * Health epochs -- every `epoch` of virtual time the controller
+//  * Health epochs -- every Config::kEpoch of virtual time the controller
 //    probes each placement switch (kHealthProbe); the ack carries a
 //    fabric::Scoreboard. `miss_threshold` consecutive silent epochs
 //    declare the switch dead.
@@ -73,13 +73,14 @@ struct FabricReport {
 class GlobalController : public netsim::Node {
  public:
   struct Config {
-    packet::MacAddr mac = 0xCC00;
-    SimTime epoch = 2 * kMillisecond;   // health-probe period
-    u32 miss_threshold = 3;             // silent epochs before "dead"
+    static constexpr SimTime kEpoch = 2 * kMillisecond;  // probe period
     // Re-send a re-placement grant for this many epochs after the
     // evacuation: the client may itself be mid-failover when the first
     // copy goes out. Accepting a duplicate grant is idempotent.
-    u32 resend_epochs = 1;
+    static constexpr u32 kResendEpochs = 1;
+
+    packet::MacAddr mac = 0xCC00;
+    u32 miss_threshold = 3;  // silent epochs before "dead"
     // Evacuation admissions that draw no response within this many
     // epochs (the target died too) are retried on the next candidate.
     u32 evac_timeout_epochs = 2;
@@ -90,9 +91,8 @@ class GlobalController : public netsim::Node {
   ~GlobalController() override;
 
   // Registers a placement-capable switch (transit-only spines are not
-  // registered). Order defines the deterministic scan order. `port` is
-  // this node's egress port toward the fabric (one uplink: always 0).
-  void add_switch(packet::MacAddr mac, std::string name, u32 port = 0);
+  // registered). Order defines the deterministic scan order.
+  void add_switch(packet::MacAddr mac, std::string name);
 
   // Seeds a switch's scoreboard before any ack has arrived, so the very
   // first admissions already rank by real capacity instead of piling
@@ -109,19 +109,9 @@ class GlobalController : public netsim::Node {
 
   // --- queries (quiescent) ---
   [[nodiscard]] packet::MacAddr mac() const { return mac_; }
-  [[nodiscard]] u32 switch_count() const {
-    return static_cast<u32>(switches_.size());
-  }
   [[nodiscard]] bool alive(packet::MacAddr sw) const;
-  [[nodiscard]] const Scoreboard* scoreboard_of(packet::MacAddr sw) const;
   // Owning switch of a placed FID (0 = unknown/parked).
   [[nodiscard]] packet::MacAddr owner_of(Fid fid) const;
-  [[nodiscard]] u32 placed_count() const {
-    return static_cast<u32>(placements_.size());
-  }
-  [[nodiscard]] u32 unplaced_count() const {
-    return static_cast<u32>(unplaced_.size());
-  }
   [[nodiscard]] FabricReport report() const;
   // Adds the report totals (placements, evacuations, replaced,
   // state_loss_services, switch_deaths, revivals) to `metrics` as
@@ -132,7 +122,6 @@ class GlobalController : public netsim::Node {
   struct SwitchState {
     packet::MacAddr mac = 0;
     std::string name;
-    u32 port = 0;
     bool alive = true;
     bool seen = false;  // acked at least once
     bool acked_this_epoch = false;
@@ -207,7 +196,6 @@ class GlobalController : public netsim::Node {
 
   packet::MacAddr mac_;
   Config config_;
-  u32 port_ = 0;  // fabric uplink
   SimTime until_ = 0;
   bool started_ = false;
   u64 epoch_count_ = 0;

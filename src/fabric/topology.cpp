@@ -11,7 +11,7 @@ packet::MacAddr Topology::spine_mac(u32 j) const {
 }
 
 Topology::Topology(netsim::Network& net, const TopologyConfig& config)
-    : net_(&net), config_(config) {
+    : net_(&net) {
   if (config.leaves < 2) throw UsageError("Topology: need >= 2 leaves");
   if (config.spines < 1) throw UsageError("Topology: need >= 1 spine");
   if (config.leaves + config.spines > 200)
@@ -44,7 +44,7 @@ Topology::Topology(netsim::Network& net, const TopologyConfig& config)
   // Physical links: leaf i port j <-> spine j port i.
   for (u32 i = 0; i < leaves; ++i) {
     for (u32 j = 0; j < spines; ++j) {
-      net.connect(*leaves_[i], j, *spines_[j], i, config.fabric_link);
+      net.connect(*leaves_[i], j, *spines_[j], i);
     }
   }
 
@@ -73,7 +73,7 @@ Topology::Topology(netsim::Network& net, const TopologyConfig& config)
   controller_ =
       std::make_shared<GlobalController>("fabric-gc", config.controller);
   net.attach(controller_);
-  net.connect(*controller_, 0, *spines_[0], leaves, config.fabric_link);
+  net.connect(*controller_, 0, *spines_[0], leaves);
   spines_[0]->bind_pinned(controller_->mac(), leaves);
   for (u32 j = 1; j < spines; ++j)
     spines_[j]->bind_pinned(controller_->mac(), 0);  // via leaf 0 -> spine 0
@@ -102,7 +102,7 @@ void Topology::attach_host(netsim::Node& host, u32 host_port, u32 leaf,
   if (leaf >= leaves_.size()) throw UsageError("attach_host: bad leaf");
   if (mac == 0) throw UsageError("attach_host: zero host MAC");
   const u32 port = next_host_port_[leaf]++;
-  net_->connect(host, host_port, *leaves_[leaf], port, config_.host_link);
+  net_->connect(host, host_port, *leaves_[leaf], port);
   leaves_[leaf]->bind(mac, port);
   for (u32 i = 0; i < leaves_.size(); ++i) {
     if (i != leaf) leaves_[i]->bind(mac, 0);  // via spine 0

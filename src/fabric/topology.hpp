@@ -38,11 +38,10 @@ struct TopologyConfig {
   u32 spines = 2;
   // Template for every switch; mac and fid_base are overridden per
   // switch (leaf i -> MAC 0xAA00+i, FID base (i+1)*256;
-  // spine j -> MAC 0xBB00+j, FID base (leaves+j+1)*256).
+  // spine j -> MAC 0xBB00+j, FID base (leaves+j+1)*256). Every link
+  // is a default netsim::LinkSpec.
   controller::SwitchNode::Config switch_config;
   GlobalController::Config controller;
-  netsim::LinkSpec fabric_link;  // leaf <-> spine and spine <-> controller
-  netsim::LinkSpec host_link;    // host <-> leaf
 };
 
 class Topology {
@@ -74,11 +73,10 @@ class Topology {
 
   static constexpr packet::MacAddr kLeafMacBase = 0xAA00;
   static constexpr packet::MacAddr kSpineMacBase = 0xBB00;
-  static constexpr Fid kFidRange = 256;
+  static constexpr Fid kFidRange = controller::Controller::kFidRange;
 
  private:
   netsim::Network* net_;
-  TopologyConfig config_;
   std::vector<std::shared_ptr<controller::SwitchNode>> leaves_;
   std::vector<std::shared_ptr<controller::SwitchNode>> spines_;
   std::shared_ptr<GlobalController> controller_;

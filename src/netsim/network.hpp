@@ -138,7 +138,6 @@ class Network {
   // Installs (or with nullptr removes) the transmit hook. Install before
   // frames flow; the pointer is read on every transmit.
   void set_transmit_hook(TransmitHook* hook) { hook_ = hook; }
-  [[nodiscard]] TransmitHook* transmit_hook() const { return hook_; }
 
  private:
   // Schedules one copy of a frame for delivery.

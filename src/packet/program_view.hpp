@@ -40,9 +40,6 @@ struct ProgramView {
   [[nodiscard]] std::span<const u8> payload(std::span<const u8> frame) const {
     return frame.subspan(payload_begin);
   }
-  [[nodiscard]] std::size_t payload_size(std::span<const u8> frame) const {
-    return frame.size() - payload_begin;
-  }
 };
 
 }  // namespace artmt::packet

@@ -50,10 +50,6 @@ class RegisterArray {
     return std::min(read(index), operand);
   }
 
-  // mem[index] += inc; returns the post-increment value (the caller combines
-  // it with the PHV min, per the MEM_MINREADINC semantics).
-  Word min_read_increment(u32 index, Word inc) { return increment(index, inc); }
-
   [[nodiscard]] u32 size() const { return size_; }
 
   // Bulk access for memory digests and controller-driven clears.

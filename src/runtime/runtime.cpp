@@ -252,7 +252,7 @@ ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
                                        const PacketMeta& meta, SimTime now) {
   const auto& cfg = pipeline_->config();
   ExecutionResult res;
-  res.latency = cfg.pass_latency;
+  res.latency = rmt::PipelineConfig::kPassLatency;
   ++stats_.packets;
   if (metrics_) metrics_->packets.at(ctx.fid).inc();
 
@@ -295,7 +295,7 @@ ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
   // advances: the epilogue bills passes and latency up to the faulting
   // index.
   while (pc < size && !phv.complete) {
-    if (pass >= cfg.max_recirculations + 1) {
+    if (pass >= rmt::PipelineConfig::kMaxRecirculations + 1) {
       fault = Fault::kRecircLimit;
       phv.drop = true;
       break;
@@ -391,14 +391,14 @@ ExecutionResult ActiveRuntime::execute(const CompiledProgram& program,
       (phv.fork ? 1 : 0);
   res.passes = (consumed - 1) / cfg.logical_stages + 1 + extra_loops;
 
-  // Latency: ~pass_latency per 10-stage pipeline engaged (Fig. 8b measures
+  // Latency: ~kPassLatency per 10-stage pipeline engaged (Fig. 8b measures
   // +0.5 us from 10 to 20 to 30 instructions); a port-change or FORK
   // recirculation loops through both pipelines once more.
   const u32 pipelines_engaged =
       std::max<u32>(1, (consumed + cfg.ingress_stages - 1) /
                            cfg.ingress_stages);
   res.latency = static_cast<SimTime>(pipelines_engaged + 2 * extra_loops) *
-                cfg.pass_latency;
+                rmt::PipelineConfig::kPassLatency;
 
   // Recirculation-bandwidth governor: packets whose extra passes exceed
   // the FID's remaining budget are dropped (side effects of completed
@@ -511,7 +511,7 @@ ExecutionResult ActiveRuntime::execute(ActivePacket& pkt,
     ExecutionResult res;
     ++stats_.packets;
     if (metrics_) metrics_->packets.at(telemetry::kNoFid).inc();
-    res.latency = pipeline_->config().pass_latency;
+    res.latency = rmt::PipelineConfig::kPassLatency;
     return res;
   }
 

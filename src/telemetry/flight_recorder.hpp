@@ -35,7 +35,6 @@ class FlightRecorder {
   // Directory dump files land in ("" disables dumping; recording still
   // runs so tests can inspect events()).
   void set_dump_dir(std::string dir) { dir_ = std::move(dir); }
-  [[nodiscard]] const std::string& dump_dir() const { return dir_; }
 
   // Hot path: overwrites the oldest slot once the ring is full. No
   // allocation, no synchronization.

@@ -1,6 +1,5 @@
 #include "telemetry/heatmap.hpp"
 
-#include <ostream>
 #include <string>
 
 namespace artmt::telemetry {
@@ -61,38 +60,6 @@ void StageHeatmap::export_metrics(MetricsRegistry& out) const {
       }
     }
   }
-}
-
-void StageHeatmap::snapshot_json(std::ostream& out) const {
-  // {"<fid>":{"<stage>":{"r":..,"w":..,"c":..},...},...} with ascending
-  // keys and zero-activity cells elided -- deterministic bytes for a given
-  // cell multiset, which is all the engine-equivalence tests compare.
-  out << '{';
-  bool first_fid = true;
-  for (const auto& [fid, row] : rows_) {
-    bool any = false;
-    for (const Cell& cell : row) {
-      if (cell != Cell{}) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
-    if (!first_fid) out << ',';
-    first_fid = false;
-    out << '"' << fid << "\":{";
-    bool first_stage = true;
-    for (u32 s = 0; s < row.size(); ++s) {
-      const Cell& cell = row[s];
-      if (cell == Cell{}) continue;
-      if (!first_stage) out << ',';
-      first_stage = false;
-      out << '"' << s << "\":{\"r\":" << cell.reads
-          << ",\"w\":" << cell.writes << ",\"c\":" << cell.collisions << '}';
-    }
-    out << '}';
-  }
-  out << "}\n";
 }
 
 }  // namespace artmt::telemetry

@@ -8,7 +8,6 @@
 // pointer compare plus an increment.
 #pragma once
 
-#include <iosfwd>
 #include <limits>
 #include <map>
 #include <vector>
@@ -25,7 +24,6 @@ class StageHeatmap {
     u64 writes = 0;
     u64 collisions = 0;  // protection faults on memory ops (kNoAllocation /
                          // kProtectionViolation)
-    friend bool operator==(const Cell&, const Cell&) = default;
   };
 
   explicit StageHeatmap(u32 stages) : stages_(stages == 0 ? 1 : stages) {}
@@ -53,9 +51,6 @@ class StageHeatmap {
   // Exports every cell as heatmap.* counters:
   //   heatmap.s<stage>_reads{fid=N} / _writes / _collisions
   void export_metrics(MetricsRegistry& out) const;
-  // Deterministic JSON object {"fid":{"stage":{r,w,c},...},...} with keys
-  // ascending -- byte-comparable across runs.
-  void snapshot_json(std::ostream& out) const;
 
  private:
   Cell& cell(u32 stage, i32 fid) {

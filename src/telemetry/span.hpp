@@ -70,9 +70,10 @@ struct SpanEvent {
 };
 static_assert(sizeof(SpanEvent) == 48);
 
-// Total order over all fields: the event multiset of a run is
-// simulation-determined, so sorting with this yields the same sequence --
-// hence the same dump bytes -- no matter how events were spread over lanes.
+// Total order over all fields, virtual time first. Sorting with it makes
+// a dump's bytes a function of its event multiset alone, not of the order
+// the events were emitted or loaded in, so a dump read back and
+// re-emitted (artmt_stats --span-events) reproduces itself byte for byte.
 [[nodiscard]] bool span_event_before(const SpanEvent& a, const SpanEvent& b);
 
 // A transmission's span id: attach order (biased by 1 so the id can never

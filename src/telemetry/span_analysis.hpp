@@ -4,8 +4,8 @@
 // recirculation children back together -- and reduces the records to
 // per-FID, per-phase latency breakdowns (queue vs execute vs wire vs
 // retry). Lives in the telemetry library (not the tools) so the
-// round-trip is unit-testable; artmt_spans and artmt_stats --spans are
-// thin wrappers over these functions.
+// round-trip is unit-testable; artmt_stats --spans, --span-requests and
+// --span-events are thin wrappers over these functions.
 #pragma once
 
 #include <iosfwd>
@@ -47,8 +47,8 @@ struct SpanRequest {
     const std::vector<SpanEvent>& events);
 
 // Per-FID p50/p90/p99 tables over total/queue/exec/wire/retry_wait,
-// via telemetry::Histogram so the quantiles are deterministic. Shared by
-// artmt_spans and artmt_stats --spans.
+// via telemetry::Histogram so the quantiles are deterministic. Printed by
+// artmt_stats --spans.
 void print_span_breakdown(std::ostream& out,
                           const std::vector<SpanRequest>& requests);
 

@@ -54,7 +54,6 @@ class PoissonChurn {
   [[nodiscard]] u32 resident() const {
     return static_cast<u32>(departures_.size());
   }
-  [[nodiscard]] u64 arrivals_emitted() const { return next_service_ - 1; }
   [[nodiscard]] const ChurnConfig& config() const { return config_; }
 
   // Convenience for tests and benches: the first `count` events.

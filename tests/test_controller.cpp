@@ -1,6 +1,7 @@
 // Tests for the control plane: admission, table installation (including
 // the MAR advance chain), snapshots, the reallocation handshake, zeroing,
-// release, cost accounting, and the heap cost of a reallocation.
+// release, cost accounting, FID minting within a switch's range, and the
+// heap cost of a reallocation.
 #include <gtest/gtest.h>
 
 #include "alloc_counter.hpp"
@@ -19,6 +20,14 @@ u64 installed_blocks(const rmt::Pipeline& pipe, Fid fid) {
     }
   }
   return blocks;
+}
+
+// A one-block inelastic tenant.
+alloc::AllocationRequest one_block_request() {
+  alloc::AllocationRequest request;
+  request.accesses = {alloc::AccessDemand{0, 1, -1}};
+  request.program_length = 2;
+  return request;
 }
 
 class ControllerTest : public ::testing::Test {
@@ -171,8 +180,8 @@ TEST_F(ControllerTest, TimeoutPathFinalizes) {
   const auto second = ctrl.admit(apps::cache_request());
   ASSERT_TRUE(second.pending);
   ctrl.timeout_pending();
-  EXPECT_TRUE(ctrl.pending_ready());
-  ctrl.apply_pending();
+  // apply_pending throws unless no extraction is still awaited.
+  EXPECT_NO_THROW(ctrl.apply_pending());
   EXPECT_FALSE(ctrl.has_pending());
   EXPECT_EQ(ctrl.stats().extraction_timeouts, 1u);
   EXPECT_FALSE(rt.is_deactivated(first.fid));
@@ -285,9 +294,9 @@ TEST(CostModel, TableUpdateTimeBatchedVsUnbatched) {
   costs.batched_updates = true;
   // One coalesced batch: setup + per-entry streaming cost.
   EXPECT_EQ(costs.table_update_time(10, 1),
-            costs.batch_setup + 10 * costs.batched_entry_update);
+            CostModel::kBatchSetup + 10 * CostModel::kBatchedEntryUpdate);
   EXPECT_EQ(costs.table_update_time(10, 3),
-            3 * costs.batch_setup + 10 * costs.batched_entry_update);
+            3 * CostModel::kBatchSetup + 10 * CostModel::kBatchedEntryUpdate);
   EXPECT_EQ(costs.table_update_time(0, 3), 0);  // nothing to install
   // At the defaults, batching wins whenever a batch has >1 entry.
   EXPECT_LT(costs.table_update_time(10, 1),
@@ -369,6 +378,52 @@ TEST_F(ControllerTest, FidsAreUniqueAcrossLifetime) {
   controller_.release(a.fid);
   const auto b = controller_.admit(apps::cache_request());
   EXPECT_NE(a.fid, b.fid);
+
+  // A fabric switch mints only from its own range, and its wrap skips the
+  // FIDs still resident.
+  rmt::Pipeline pipe(config());
+  runtime::ActiveRuntime rt(pipe);
+  Controller ctrl(pipe, rt);
+  ctrl.set_fid_base(256);
+  const auto kept = ctrl.admit(one_block_request());
+  ASSERT_EQ(kept.fid, 256);
+  for (int i = 0; i < 300; ++i) {
+    const auto result = ctrl.admit(one_block_request());
+    ASSERT_TRUE(result.admitted);
+    ASSERT_GT(result.fid, 256) << "cycle " << i;
+    ASSERT_LT(result.fid, 512) << "cycle " << i;
+    ctrl.release(result.fid);
+  }
+}
+
+TEST_F(ControllerTest, FidWrapSkipsZeroAndResidentFids) {
+  const auto kept = controller_.admit(one_block_request());
+  ASSERT_EQ(kept.fid, 1);
+  const auto regions = controller_.regions_of(kept.fid);
+  // One full pass over [1, 0xFFFF] and past its end.
+  for (u32 i = 0; i < 0x10000; ++i) {
+    const auto result = controller_.admit(one_block_request());
+    ASSERT_TRUE(result.admitted);
+    ASSERT_NE(result.fid, 0) << "cycle " << i;
+    ASSERT_NE(result.fid, kept.fid) << "cycle " << i;
+    controller_.release(result.fid);
+  }
+  EXPECT_EQ(controller_.regions_of(kept.fid), regions);
+  EXPECT_EQ(controller_.resident_fids(), std::vector<Fid>{kept.fid});
+}
+
+TEST_F(ControllerTest, FullFidRangeDeniesAdmission) {
+  controller_.set_fid_base(256);
+  for (u32 i = 0; i < Controller::kFidRange; ++i) {
+    ASSERT_TRUE(controller_.admit(one_block_request()).admitted);
+  }
+  const u32 residents = controller_.allocator().resident_count();
+  const u64 rejections = controller_.stats().rejections;
+  const auto denied = controller_.admit(one_block_request());
+  EXPECT_FALSE(denied.admitted);
+  EXPECT_EQ(controller_.stats().rejections, rejections + 1);
+  EXPECT_EQ(controller_.stats().admissions, Controller::kFidRange);
+  EXPECT_EQ(controller_.allocator().resident_count(), residents);
 }
 
 TEST_F(ControllerTest, HeavyHitterAliasSharesOneEntry) {

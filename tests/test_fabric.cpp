@@ -176,7 +176,6 @@ FabricOut run_fabric(const FabricOpts& opts) {
     tcfg.switch_config.migration.enabled = true;
     tcfg.switch_config.migration.interval = 20 * kMillisecond;
   }
-  tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
 
@@ -495,7 +494,6 @@ TEST(FabricFailover, DualHomedClientSwingsToBackupUplink) {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.miss_threshold = 3;
   Topology topo(net, tcfg);
 
@@ -602,7 +600,6 @@ TEST(FabricRelay, ClientControlRelaysKeepHostRoutes) {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.metrics = &gc_metrics;
   Topology topo(net, tcfg);
 

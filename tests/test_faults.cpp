@@ -538,7 +538,6 @@ TEST(FaultDeterminism, InjectorRejectsShardCountOtherThanOne) {
 ReliabilityTracker::Options tight_schedule() {
   ReliabilityTracker::Options opts;
   opts.rto = 1 * kMillisecond;
-  opts.backoff = 2.0;
   opts.max_rto = 8 * kMillisecond;
   opts.retry_budget = 4;
   opts.jitter = 0.0;
@@ -669,17 +668,6 @@ TEST(Reliability, JitteredSchedulesAreSeedDeterministic) {
   EXPECT_EQ(a, resend_times("x", 1));          // reproducible
   EXPECT_NE(a, resend_times("x", 2));          // seed moves the schedule
   EXPECT_NE(a, resend_times("y", 1));          // name isolates the stream
-}
-
-TEST(Reliability, BadBackoffThrows) {
-  Simulator sim;
-  auto opts = tight_schedule();
-  opts.backoff = 0.5;
-  EXPECT_THROW(ReliabilityTracker(
-                   "t", [&sim]() -> Simulator& { return sim; }, opts),
-               UsageError);
-  ReliabilityTracker tracker("t", [&sim]() -> Simulator& { return sim; });
-  EXPECT_THROW(tracker.set_options(opts), UsageError);
 }
 
 TEST(Reliability, ExportMetricsPublishesStatsAndBackoffHistogram) {

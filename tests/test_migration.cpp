@@ -41,7 +41,7 @@ using controller::RemapRequest;
 
 TEST(Hotness, DecayShiftOneIsOneTickHalfLife) {
   telemetry::StageHeatmap heatmap(4);
-  alloc::HotnessTable table;  // decay_shift 1
+  alloc::HotnessTable table;  // kDecayShift 1
   for (int i = 0; i < 64; ++i) heatmap.record_read(0, 7);
 
   table.tick(heatmap);  // observe 64, then one decay
@@ -54,14 +54,14 @@ TEST(Hotness, DecayShiftOneIsOneTickHalfLife) {
 
 TEST(Hotness, ColdOnlyAfterConsecutiveQuietTicks) {
   telemetry::StageHeatmap heatmap(4);
-  alloc::HotnessTable table;  // threshold 8, cold_ticks 3
+  alloc::HotnessTable table;  // kColdThreshold 8, kColdTicks 3
   for (int i = 0; i < 64; ++i) heatmap.record_read(0, 7);
 
   // 64 -> 32 -> 16 are warm; 8 is the first cold epoch; cold on the third.
   table.tick(heatmap);
   table.tick(heatmap);
   EXPECT_EQ(table.cold_streak(7), 0u);
-  table.tick(heatmap);  // 8 <= threshold
+  table.tick(heatmap);  // 8 <= kColdThreshold
   EXPECT_EQ(table.cold_streak(7), 1u);
   table.tick(heatmap);
   EXPECT_FALSE(table.is_cold(7));
@@ -320,7 +320,7 @@ TEST_F(PlannerTest, ColdElasticServiceIsDemotedThenPromotedOnRecovery) {
   EXPECT_EQ(request->kind, RemapKind::kDemote);
 
   // Execute the demotion, then let the traffic recover: the planner
-  // proposes the promotion once the decayed score crosses promote_score.
+  // proposes the promotion once the decayed score crosses kPromoteScore.
   const auto result = controller_.migrate(*request);
   ASSERT_TRUE(result.applied);
   if (result.pending) controller_.force_finalize();
@@ -330,7 +330,7 @@ TEST_F(PlannerTest, ColdElasticServiceIsDemotedThenPromotedOnRecovery) {
   }
   hotness_.tick(heatmap_);
   ASSERT_GE(hotness_.score(static_cast<i32>(cache.fid)),
-            planner.policy().promote_score);
+            MigrationPolicy::kPromoteScore);
   ASSERT_EQ(planner.plan(controller_, hotness_, queue), 1u);
   request = queue.pop();
   ASSERT_TRUE(request.has_value());

@@ -24,13 +24,21 @@ std::vector<u8> wire_of(const Program& program) {
   return CompiledProgram::compile(program).wire_code();
 }
 
+// Interns a decoded program by its wire instruction stream, as the switch
+// parser does.
+std::shared_ptr<const CompiledProgram> intern(ProgramCache& cache,
+                                              const Program& program) {
+  return cache.intern(wire_of(program), program.preload_mar,
+                      program.preload_mbr);
+}
+
 // ---------- interning basics ----------
 
 TEST(ProgramCache, RepeatInternHitsAndShares) {
   ProgramCache cache;
   const auto program = assemble_text("MBR_LOAD $0\nMBR_STORE $1\nRETURN");
-  const auto first = cache.intern(program);
-  const auto second = cache.intern(program);
+  const auto first = intern(cache, program);
+  const auto second = intern(cache, program);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -40,9 +48,9 @@ TEST(ProgramCache, RepeatInternHitsAndShares) {
 TEST(ProgramCache, PreloadFlagsArePartOfTheKey) {
   ProgramCache cache;
   auto program = assemble_text("MEM_READ\nRETURN");
-  const auto plain = cache.intern(program);
+  const auto plain = intern(cache, program);
   program.preload_mar = true;
-  const auto preloaded = cache.intern(program);
+  const auto preloaded = intern(cache, program);
   EXPECT_NE(plain.get(), preloaded.get());
   EXPECT_TRUE(preloaded->preload_mar());
   EXPECT_EQ(cache.size(), 2u);
@@ -82,15 +90,15 @@ TEST(ProgramCache, CapacityBoundsEntriesWithLruEviction) {
   const auto p0 = assemble_text("MBR_LOAD $0\nRETURN");
   const auto p1 = assemble_text("MBR_LOAD $1\nRETURN");
   const auto p2 = assemble_text("MBR_LOAD $2\nRETURN");
-  const auto held = cache.intern(p0);  // oldest; evicted below
-  cache.intern(p1);
-  cache.intern(p2);
+  const auto held = intern(cache, p0);  // oldest; evicted below
+  intern(cache, p1);
+  intern(cache, p2);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   // The evicted artifact survives for as long as someone holds it.
   EXPECT_EQ(held->wire_code(), wire_of(p0));
   // Re-interning the evicted program is a miss, not a hit.
-  cache.intern(p0);
+  intern(cache, p0);
   EXPECT_EQ(cache.stats().misses, 4u);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
@@ -100,11 +108,11 @@ TEST(ProgramCache, TouchOnHitProtectsHotEntries) {
   const auto hot = assemble_text("MBR_LOAD $0\nRETURN");
   const auto cold = assemble_text("MBR_LOAD $1\nRETURN");
   const auto next = assemble_text("MBR_LOAD $2\nRETURN");
-  cache.intern(hot);
-  cache.intern(cold);
-  cache.intern(hot);   // refresh: cold is now LRU
-  cache.intern(next);  // evicts cold
-  EXPECT_EQ(cache.intern(hot)->wire_code(), wire_of(hot));
+  intern(cache, hot);
+  intern(cache, cold);
+  intern(cache, hot);   // refresh: cold is now LRU
+  intern(cache, next);  // evicts cold
+  EXPECT_EQ(intern(cache, hot)->wire_code(), wire_of(hot));
   EXPECT_EQ(cache.stats().hits, 2u);
 }
 

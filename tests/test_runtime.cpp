@@ -464,7 +464,7 @@ TEST_F(RuntimeTest, LongProgramRecirculates) {
   const auto res = run(pkt);
   EXPECT_EQ(res.passes, 2u);
   // 26 instructions engage three 10-stage pipelines.
-  EXPECT_EQ(res.latency, 3 * config().pass_latency);
+  EXPECT_EQ(res.latency, 3 * rmt::PipelineConfig::kPassLatency);
   EXPECT_EQ(runtime_.stats().recirculations, 1u);
 }
 
@@ -795,7 +795,7 @@ TEST_F(RuntimeTest, ExecutionStopsArePinned) {
     EXPECT_EQ(after.forwarded_unprocessed - before.forwarded_unprocessed,
               want.forwarded_unprocessed);
   };
-  const SimTime pass = config().pass_latency;
+  const SimTime pass = rmt::PipelineConfig::kPassLatency;
 
   // Index 2 is skipped under the taken branch (a stage, not an
   // instruction); RETURN at index 3 leaves index 4 untouched.
@@ -894,7 +894,7 @@ TEST_P(ProgramLengthSweep, PassAndLatencyArithmetic) {
   EXPECT_EQ(res.passes, (length - 1) / 20 + 1);
   EXPECT_EQ(res.latency,
             static_cast<SimTime>((length + 9) / 10) *
-                config().pass_latency);
+                rmt::PipelineConfig::kPassLatency);
   EXPECT_EQ(pkt.program->size(), 0u);  // everything executed and shrunk
 }
 

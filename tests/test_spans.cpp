@@ -98,7 +98,7 @@ struct WaveInjector {
 
 struct SpanRun {
   std::string span_dump;    // canonical sorted JSON-lines dump
-  std::string heatmap;      // the switch's heatmap snapshot
+  std::string heatmap;      // registry snapshot of the switch's heatmap
   u64 span_events = 0;
   u64 replies = 0;
 };
@@ -145,8 +145,10 @@ SpanRun run_scenario(const faults::FaultPlan* plan, bool wipe_after = false) {
   sink.dump(dump);
   out.span_dump = dump.str();
   out.span_events = sink.recorded();
+  telemetry::MetricsRegistry heat_registry;
+  sw->heatmap().export_metrics(heat_registry);
   std::ostringstream heat;
-  sw->heatmap().snapshot_json(heat);
+  heat_registry.snapshot_json(heat);
   out.heatmap = heat.str();
   out.replies = client->received + server->received;
   return out;
@@ -159,7 +161,7 @@ TEST(SpanTrace, DumpBytesIdenticalAcrossRuns) {
   // The scenario exercised execution, recirculation and collisions.
   EXPECT_NE(first.span_dump.find("\"exec\""), std::string::npos);
   EXPECT_NE(first.span_dump.find("\"recirc\""), std::string::npos);
-  EXPECT_NE(first.heatmap.find("\"c\""), std::string::npos);
+  EXPECT_NE(first.heatmap.find("_collisions"), std::string::npos);
   const SpanRun second = run_scenario(nullptr);
   EXPECT_EQ(first.span_dump, second.span_dump);
   EXPECT_EQ(first.heatmap, second.heatmap);

@@ -194,12 +194,13 @@ RunResult run_scenario(const faults::FaultPlan* plan,
     tcfg.leaves = 2;
     tcfg.spines = 1;
     tcfg.switch_config = cfg;  // each switch keeps a private registry
-    tcfg.controller.epoch = 2 * kMillisecond;
     // The leaf0 brownout silences its health acks for its whole duration.
     // This soak gates digest convergence, not re-placement (bench_fabric
     // owns that), so the death threshold must outlast the brownout.
     tcfg.controller.miss_threshold =
-        static_cast<u32>((window / 16) / tcfg.controller.epoch) + 4;
+        static_cast<u32>((window / 16) /
+                         fabric::GlobalController::Config::kEpoch) +
+        4;
     topo = std::make_unique<fabric::Topology>(net, tcfg);
     control_target = topo->controller_mac();
   } else {

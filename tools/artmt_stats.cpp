@@ -29,9 +29,17 @@
 //                    snapshot: tick/plan/execute counters, remap-queue
 //                    stats, the controller's per-kind migration totals,
 //                    and the live hotness table with cold streaks
-//     --spans FILE   no scenario: load a span dump (artmt_spans format /
-//                    --span-dump output) and print the per-FID
+//     --spans FILE   no scenario: load a span dump (--span-dump output
+//                    or a flight-recorder dump) and print the per-FID
 //                    p50/p90/p99 phase latency breakdown
+//     --span-requests FILE
+//                    like --spans, but one line per reconstructed
+//                    request: root span, fid, attempts, recirculations,
+//                    and the phase durations
+//     --span-events FILE
+//                    like --spans, but re-emit the events canonically
+//                    sorted (normalizes a dump for byte comparison; also
+//                    a validity check)
 //     --span-dump F  record causal spans during the scenario and write
 //                    the canonical sorted dump to F (byte-identical
 //                    across runs)
@@ -45,7 +53,9 @@
 //                    the fabric.* metrics snapshot as JSON.
 //
 // A numeric flag whose value does not parse or does not fit (N above 32
-// bits, P outside [0, 1]) prints the usage line and exits 2.
+// bits, P outside [0, 1]) prints the usage line and exits 2. Every span
+// dump line carries the trace schema version, so a dump written by an
+// incompatible build is rejected (exit 1), not misread.
 //
 // Every output is a function of the flags alone: two runs with the same
 // flags print the same bytes. The snapshot goes to stdout; a human
@@ -235,7 +245,6 @@ int run_fabric_report() {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.controller.epoch = 2 * kMillisecond;
   tcfg.controller.metrics = &fabric_registry;
   fabric::Topology topo(net, tcfg);
 
@@ -389,6 +398,50 @@ int run_fabric_report() {
   return 0;
 }
 
+enum class SpanMode { kBreakdown, kRequests, kEvents };
+
+// --spans / --span-requests / --span-events: read a span dump back.
+int analyze_spans(const char* path, SpanMode mode) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "artmt_stats: cannot open %s\n", path);
+    return 1;
+  }
+  std::vector<telemetry::SpanEvent> events;
+  std::string error;
+  if (!telemetry::load_span_events(in, &events, &error)) {
+    std::fprintf(stderr, "artmt_stats: %s: %s\n", path, error.c_str());
+    return 1;
+  }
+  if (mode == SpanMode::kEvents) {
+    std::sort(events.begin(), events.end(), telemetry::span_event_before);
+    telemetry::write_span_events(std::cout, events);
+    return 0;
+  }
+  const std::vector<telemetry::SpanRequest> requests =
+      telemetry::reconstruct_requests(events);
+  if (mode == SpanMode::kBreakdown) {
+    telemetry::print_span_breakdown(std::cout, requests);
+  } else {
+    std::printf(
+        "root              fid  att  rec  done  total      queue      exec"
+        "       wire       retry\n");
+    for (const auto& req : requests) {
+      std::printf(
+          "%016llx  %-3d  %-3u  %-3u  %-4s  %-9lld  %-9lld  %-9lld  %-9lld"
+          "  %lld\n",
+          static_cast<unsigned long long>(req.root), req.fid, req.attempts,
+          req.recircs, req.gave_up ? "gave" : (req.completed ? "yes" : "no"),
+          static_cast<long long>(req.total), static_cast<long long>(req.queue),
+          static_cast<long long>(req.exec), static_cast<long long>(req.wire),
+          static_cast<long long>(req.retry_wait));
+    }
+  }
+  std::fprintf(stderr, "%zu events, %zu requests\n", events.size(),
+               requests.size());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -401,12 +454,14 @@ int main(int argc, char** argv) {
   u64 fault_seed = 1;
   const char* trace_path = nullptr;
   const char* spans_path = nullptr;
+  SpanMode span_mode = SpanMode::kBreakdown;
   const char* span_dump_path = nullptr;
   const auto usage = [] {
     std::fprintf(stderr,
                  "usage: artmt_stats [--requests N] [--trace FILE] "
                  "[--loss P] [--fault-seed S] [--alloc] "
                  "[--heatmap] [--migration] [--fabric] [--spans FILE] "
+                 "[--span-requests FILE] [--span-events FILE] "
                  "[--span-dump FILE]\n");
     return 2;
   };
@@ -435,6 +490,13 @@ int main(int argc, char** argv) {
       fabric_report = true;
     } else if (std::strcmp(argv[i], "--spans") == 0 && i + 1 < argc) {
       spans_path = argv[++i];
+      span_mode = SpanMode::kBreakdown;
+    } else if (std::strcmp(argv[i], "--span-requests") == 0 && i + 1 < argc) {
+      spans_path = argv[++i];
+      span_mode = SpanMode::kRequests;
+    } else if (std::strcmp(argv[i], "--span-events") == 0 && i + 1 < argc) {
+      spans_path = argv[++i];
+      span_mode = SpanMode::kEvents;
     } else if (std::strcmp(argv[i], "--span-dump") == 0 && i + 1 < argc) {
       span_dump_path = argv[++i];
     } else {
@@ -442,23 +504,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (spans_path != nullptr) {
-    // Pure analysis mode: no scenario, just the phase breakdown.
-    std::ifstream in(spans_path);
-    if (!in) {
-      std::fprintf(stderr, "artmt_stats: cannot open %s\n", spans_path);
-      return 1;
-    }
-    std::vector<telemetry::SpanEvent> events;
-    std::string error;
-    if (!telemetry::load_span_events(in, &events, &error)) {
-      std::fprintf(stderr, "artmt_stats: %s: %s\n", spans_path, error.c_str());
-      return 1;
-    }
-    telemetry::print_span_breakdown(
-        std::cout, telemetry::reconstruct_requests(events));
-    return 0;
-  }
+  if (spans_path != nullptr) return analyze_spans(spans_path, span_mode);
   if (fabric_report) return run_fabric_report();
 
   netsim::Simulator sim;
