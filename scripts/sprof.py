@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sampling profile of one perfbench workload, including the time no layer
-timer wraps.
+timer wraps, or (--heap) where its live heap stands at its peak.
 
     scripts/sprof.py CHECKOUT --workload W [--seed 1] [--seconds 10]
-        [--within FUNC] [--callers FUNC [--depth 3]] [--top 30]
+        [--heap] [--within FUNC] [--callers FUNC [--depth 3]] [--top 30]
 
 perfbench's traced breakdown times the simulator's layers; calls that the
 workload makes from its own code (filling the origin server, checking a
@@ -32,6 +32,14 @@ caller first. Each chain comes with its share of the samples (of those
 --within keeps), so a cost inside a shared function (a map lookup, a
 container's hash) can be split by the code that calls it.
 
+--heap preloads scripts/sprof_heap.c instead: it records every live
+block's size and allocating stack, and keeps the live bytes per stack as
+they stood at the process's live-heap peak. The same table (or, with
+--callers, the same chains) then shares out those peak bytes instead of
+samples, with each function's bytes in KiB: where peak_rss_mb goes. A
+stack starts at the code that called operator new (its own frames are
+dropped); blocks freed before the peak do not count.
+
 Standard library only; needs cmake, a C compiler and addr2line. It builds
 and runs perfbench with scripts/perf_pairs.py's helpers.
 """
@@ -49,19 +57,29 @@ from perf_pairs import bench_cmd, build, fail, run_quiet, workloads
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def build_sampled(checkout):
-    """Builds the frame-pointer perfbench and the sampler; returns both."""
+# The allocation entry points a heap stack starts in: operator new and
+# perfbench's counting helpers behind it.
+ALLOC_FRAMES = re.compile(r"^operator new|counted_(aligned_)?alloc")
+
+
+def build_sampled(checkout, heap):
+    """Builds the frame-pointer perfbench and the preloaded library (the
+    sampler, or with heap the heap profiler); returns both."""
     binary = build(os.path.abspath(checkout), subdir="sprof",
                    cmake_args=["-DCMAKE_CXX_FLAGS=-g -fno-omit-frame-pointer"],
                    selftest=False)
-    library = os.path.join(os.path.dirname(binary), "sprof.so")
-    run_quiet(["cc", "-O2", "-fPIC", "-shared", "-o", library,
-               os.path.join(HERE, "sprof.c")])
+    source = "sprof_heap.c" if heap else "sprof.c"
+    library = os.path.join(os.path.dirname(binary),
+                           source.replace(".c", ".so"))
+    run_quiet(["cc", "-O2", "-fPIC", "-shared", "-fno-omit-frame-pointer",
+               "-o", library, os.path.join(HERE, source)])
     return binary, library
 
 
 def record(binary, library, args):
-    """Runs perfbench under the sampler; returns (maps, samples)."""
+    """Runs perfbench under the preloaded library; returns (maps, samples,
+    weights): a sample's weight is 1, or with --heap its bytes at the
+    peak."""
     out = os.path.join(os.path.dirname(binary), "samples.txt")
     env = dict(os.environ, LD_PRELOAD=library, SPROF_OUT=out)
     run_quiet(bench_cmd(binary, args.workload, args.seed, args.seconds),
@@ -70,9 +88,13 @@ def record(binary, library, args):
         header = f.readline().split()
         lines = f.read().splitlines()
     print(f"sprof: {' '.join(header[1:])}", file=sys.stderr)
-    split = lines.index("samples")
-    samples = [[int(a, 16) for a in line.split()] for line in lines[split + 1:]]
-    return lines[1:split], samples
+    split = lines.index("stacks" if args.heap else "samples")
+    rows = [line.split() for line in lines[split + 1:]]
+    if args.heap:  # bytes, blocks, return addresses
+        return (lines[1:split], [[int(a, 16) for a in r[2:]] for r in rows],
+                [int(r[0]) for r in rows])
+    return (lines[1:split], [[int(a, 16) for a in r] for r in rows],
+            [1] * len(rows))
 
 
 def parse_maps(lines):
@@ -127,13 +149,14 @@ def symbolize(addresses, path):
     return names
 
 
-def stacks(maps_lines, samples):
+def stacks(maps_lines, samples, heap):
     """Each sample's stack of function names, innermost first."""
     maps = parse_maps(maps_lines)
     bases = load_bases(maps_lines)
-    # A return address points past its call; look up the call instead.
-    calls = [[a if depth == 0 else a - 1 for depth, a in enumerate(sample)]
-             for sample in samples]
+    # A return address points past its call; look up the call instead. A
+    # CPU sample starts with the interrupted instruction itself.
+    calls = [[a if depth == 0 and not heap else a - 1
+              for depth, a in enumerate(sample)] for sample in samples]
     wanted = collections.defaultdict(set)  # path -> file addresses
     located = {}  # address -> (path, file address), or None if unmapped
     for address in {a for call in calls for a in call}:
@@ -154,39 +177,57 @@ def stacks(maps_lines, samples):
         found = [n for n in names[path].get(rel, []) if n != "??"]
         return found or [f"[{os.path.basename(path)}]"]
 
-    return [[name for a in call for name in frames(a)] for call in calls]
+    named = [[name for a in call for name in frames(a)] for call in calls]
+    if heap:
+        for i, s in enumerate(named):
+            start = next((k for k, name in enumerate(s)
+                          if not ALLOC_FRAMES.search(name)), len(s))
+            named[i] = s[start:] or ["[allocator]"]
+    return named
 
 
-def within(all_stacks, func):
-    """The stacks with a frame matching func (all if None), and a label."""
-    kept = [s for s in all_stacks
+def within(all_stacks, weights, func, heap):
+    """The (stack, weight) pairs with a frame matching func (all if None),
+    and a label."""
+    kept = [(s, w) for s, w in zip(all_stacks, weights)
             if func is None or any(func in name for name in s)]
     if not kept:
         fail(f"no sample has a frame matching {func!r}")
     scope = f" within {func}" if func else ""
+    if heap:
+        kib = sum(w for _, w in kept) / 1024
+        return kept, (f"{kib:.0f} of {sum(weights) / 1024:.0f} KiB live at "
+                      f"the heap peak{scope}")
     return kept, f"{len(kept)} of {len(all_stacks)} samples{scope}"
 
 
-def report(kept, scope, top):
-    self_count = collections.Counter(s[0] for s in kept)
-    inclusive = collections.Counter(name for s in kept for name in set(s))
+def report(kept, scope, top, heap):
+    total = sum(w for _, w in kept)
+    self_weight = collections.Counter()
+    inclusive = collections.Counter()
+    for s, w in kept:
+        self_weight[s[0]] += w
+        for name in set(s):
+            inclusive[name] += w
     print(scope)
-    print(f"{'incl %':>7s} {'self %':>7s}  function")
-    for name, count in inclusive.most_common(top):
-        print(f"{100 * count / len(kept):7.1f} "
-              f"{100 * self_count[name] / len(kept):7.1f}  {name}")
+    print(f"{'incl %':>7s} {'self %':>7s}{' incl KiB' if heap else ''}"
+          "  function")
+    for name, weight in inclusive.most_common(top):
+        kib = f" {weight / 1024:8.0f}" if heap else ""
+        print(f"{100 * weight / total:7.1f} "
+              f"{100 * self_weight[name] / total:7.1f}{kib}  {name}")
 
 
 def caller_chains(kept, func, depth):
-    """Counts of the depth frames above each sample's innermost func run."""
+    """Weights of the depth frames above each sample's innermost func run."""
     chains = collections.Counter()
-    for s in kept:
+    for s, w in kept:
         i = next((k for k, name in enumerate(s) if func in name), None)
         if i is None:
             continue
         while i + 1 < len(s) and func in s[i + 1]:
             i += 1  # a run of matching frames is one call
-        chains[tuple(s[i + 1:i + 1 + depth]) or ("[no caller]",)] += 1
+        chains[tuple(s[i + 1:i + 1 + depth]) or ("[no caller]",)] += w
     return chains
 
 
@@ -194,12 +235,13 @@ def report_callers(kept, scope, func, depth, top):
     chains = caller_chains(kept, func, depth)
     if not chains:
         fail(f"no sample has a frame matching {func!r}")
-    total = sum(chains.values())
-    print(f"{scope}; {total} ({100 * total / len(kept):.1f}%) have {func}")
+    total = sum(w for _, w in kept)
+    matched = sum(chains.values())
+    print(f"{scope}; {matched} ({100 * matched / total:.1f}%) have {func}")
     print(f"{'share %':>7s}  callers of {func}, nearest first")
     ranked = sorted(chains.items(), key=lambda item: (-item[1], item[0]))
-    for chain, count in ranked[:top]:
-        print(f"{100 * count / len(kept):7.1f}  {chain[0]}")
+    for chain, weight in ranked[:top]:
+        print(f"{100 * weight / total:7.1f}  {chain[0]}")
         for name in chain[1:]:
             print(f"{'':7s}    <- {name}")
 
@@ -211,6 +253,7 @@ def main():
     parser.add_argument("--workload", required=True, choices=workloads())
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--heap", action="store_true")
     parser.add_argument("--within")
     parser.add_argument("--callers", metavar="FUNC")
     parser.add_argument("--depth", type=int, default=3)
@@ -218,11 +261,12 @@ def main():
     args = parser.parse_args()
     if args.seconds <= 0 or args.top <= 0 or args.depth <= 0:
         parser.error("--seconds, --depth and --top must be positive")
-    binary, library = build_sampled(args.checkout)
-    maps_lines, samples = record(binary, library, args)
-    kept, scope = within(stacks(maps_lines, samples), args.within)
+    binary, library = build_sampled(args.checkout, args.heap)
+    maps_lines, samples, weights = record(binary, library, args)
+    kept, scope = within(stacks(maps_lines, samples, args.heap), weights,
+                         args.within, args.heap)
     if args.callers is None:
-        report(kept, scope, args.top)
+        report(kept, scope, args.top, args.heap)
     else:
         report_callers(kept, scope, args.callers, args.depth, args.top)
 

@@ -152,15 +152,16 @@ void CacheService::populate_resolved(u32 request_id) {
   }
 }
 
-void CacheService::on_returned(packet::ActivePacket& pkt) {
-  const auto msg = KvMessage::parse(pkt.payload);
-  if (!msg || !pkt.arguments) return;
+void CacheService::on_returned(const packet::ArgumentHeader& args,
+                               std::span<const u8> payload) {
+  const auto msg = KvMessage::parse(payload);
+  if (!msg) return;
   switch (msg->type) {
     case KvMessage::Type::kGet: {
       // RTS'd query: cache hit; the value replaced args[0].
       ++stats_.hits;
       if (on_result) {
-        on_result(msg->request_id, msg->key, pkt.arguments->args[0], true);
+        on_result(msg->request_id, msg->key, args.args[0], true);
       }
       return;
     }

@@ -65,7 +65,8 @@ class CacheService : public client::Service {
   [[nodiscard]] alloc::AllocationRequest allocation_request() const override;
   void on_operational() override;
   void on_moved() override;
-  void on_returned(packet::ActivePacket& pkt) override;
+  void on_returned(const packet::ArgumentHeader& args,
+                   std::span<const u8> payload) override;
 
  private:
   void send_query(u64 key, u32 request_id);

@@ -150,9 +150,10 @@ void FrequentItemService::read_given_up(u32 id) {
   maybe_finish();
 }
 
-void FrequentItemService::on_returned(packet::ActivePacket& pkt) {
-  const auto msg = KvMessage::parse(pkt.payload);
-  if (!msg || !pkt.arguments || !extraction_) return;
+void FrequentItemService::on_returned(const packet::ArgumentHeader& args,
+                                      std::span<const u8> payload) {
+  const auto msg = KvMessage::parse(payload);
+  if (!msg || !extraction_) return;
   if (msg->type != KvMessage::Type::kMemSync) return;
   const u32 index = msg->request_id;
   auto& ex = *extraction_;
@@ -162,13 +163,13 @@ void FrequentItemService::on_returned(packet::ActivePacket& pkt) {
     // The tag's value says how the halves travelled: 2 = pair capsule
     // (values in args[1]/args[3]), 0/1 = split single reads.
     if (msg->value == 2) {
-      ex.key0[index] = pkt.arguments->args[1];
-      ex.key1[index] = pkt.arguments->args[3];
+      ex.key0[index] = args.args[1];
+      ex.key1[index] = args.args[3];
       ex.have_keys[index] = true;
     } else if (msg->value == 0) {
-      ex.key0[index] = pkt.arguments->args[1];
+      ex.key0[index] = args.args[1];
     } else {
-      ex.key1[index] = pkt.arguments->args[1];
+      ex.key1[index] = args.args[1];
       ex.have_keys[index] = true;  // simplification: halves arrive in order
     }
     if (ex.have_keys[index]) {
@@ -177,7 +178,7 @@ void FrequentItemService::on_returned(packet::ActivePacket& pkt) {
     }
   } else if (msg->key == kTagThreshold) {
     if (ex.have_threshold[index]) return;
-    ex.thresholds[index] = pkt.arguments->args[1];
+    ex.thresholds[index] = args.args[1];
     ex.have_threshold[index] = true;
     --ex.remaining;
     extract_retry_.ack(threshold_read_id(index));

@@ -45,7 +45,8 @@ class FrequentItemService : public client::Service {
   void on_operational() override {
     if (on_ready) on_ready();
   }
-  void on_returned(packet::ActivePacket& pkt) override;
+  void on_returned(const packet::ArgumentHeader& args,
+                   std::span<const u8> payload) override;
 
  private:
   struct Extraction {

@@ -121,8 +121,9 @@ void CheetahLbService::handle_cookie_reply(const KvMessage& reply) {
   if (on_flow_opened) on_flow_opened(reply.request_id, reply.value);
 }
 
-void CheetahLbService::on_returned(packet::ActivePacket& pkt) {
-  const auto msg = KvMessage::parse(pkt.payload);
+void CheetahLbService::on_returned(const packet::ArgumentHeader& /*args*/,
+                                   std::span<const u8> payload) {
+  const auto msg = KvMessage::parse(payload);
   if (!msg) return;
   if (msg->type == KvMessage::Type::kMemSync) {
     if (!outstanding_writes_.contains(msg->request_id)) return;

@@ -50,7 +50,8 @@ class CheetahLbService : public client::Service {
   void on_operational() override {
     if (on_ready) on_ready();
   }
-  void on_returned(packet::ActivePacket& pkt) override;
+  void on_returned(const packet::ArgumentHeader& args,
+                   std::span<const u8> payload) override;
 
  private:
   // Access indices within the select program's access list.

@@ -72,7 +72,6 @@ class ReliabilityTracker {
   [[nodiscard]] bool tracking(u32 id) const { return entries_.contains(id); }
   [[nodiscard]] std::size_t outstanding() const { return entries_.size(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   // Fires after the retry budget is exhausted (the entry is already

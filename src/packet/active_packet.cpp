@@ -4,12 +4,30 @@
 
 namespace artmt::packet {
 
-void InitialHeader::serialize(ByteWriter& out) const {
-  out.put_u16(fid);
-  out.put_u8(static_cast<u8>(type));
-  out.put_u8(flags);
-  out.put_u32(seq);
+namespace {
+
+template <typename Writer>
+void put_initial(Writer& out, const InitialHeader& header) {
+  out.put_u16(header.fid);
+  out.put_u8(static_cast<u8>(header.type));
+  out.put_u8(header.flags);
+  out.put_u32(header.seq);
   out.put_u16(0);  // reserved
+}
+
+template <typename Writer>
+void put_arguments(Writer& out, const ArgumentHeader& header) {
+  for (Word arg : header.args) out.put_u32(arg);
+}
+
+}  // namespace
+
+void InitialHeader::serialize(ByteWriter& out) const {
+  put_initial(out, *this);
+}
+
+void InitialHeader::serialize(SpanWriter& out) const {
+  put_initial(out, *this);
 }
 
 InitialHeader InitialHeader::parse(ByteReader& in) {
@@ -28,7 +46,11 @@ InitialHeader InitialHeader::parse(ByteReader& in) {
 }
 
 void ArgumentHeader::serialize(ByteWriter& out) const {
-  for (Word arg : args) out.put_u32(arg);
+  put_arguments(out, *this);
+}
+
+void ArgumentHeader::serialize(SpanWriter& out) const {
+  put_arguments(out, *this);
 }
 
 ArgumentHeader ArgumentHeader::parse(ByteReader& in) {
@@ -87,17 +109,11 @@ std::vector<u8> ActivePacket::serialize() const {
   initial.serialize(out);
   switch (initial.type) {
     case ActiveType::kProgram:
-      if (!arguments || (!program && !compiled)) {
+      if (!arguments || !program) {
         throw UsageError("ActivePacket: program packets need args + code");
       }
       arguments->serialize(out);
-      if (program) {
-        program->serialize(out);
-      } else {
-        out.put_bytes(compiled->wire_code());
-        out.put_u8(static_cast<u8>(active::Opcode::kEof));
-        out.put_u8(0);
-      }
+      program->serialize(out);
       break;
     case ActiveType::kAllocRequest:
       if (!arguments || !request) {
@@ -160,19 +176,6 @@ ActivePacket ActivePacket::make_program(Fid fid, const ArgumentHeader& args,
   if (program.preload_mbr) pkt.initial.flags |= kFlagPreloadMbr;
   pkt.arguments = args;
   pkt.program = program;
-  return pkt;
-}
-
-ActivePacket ActivePacket::make_program(
-    Fid fid, const ArgumentHeader& args,
-    std::shared_ptr<const active::CompiledProgram> compiled) {
-  ActivePacket pkt;
-  pkt.initial.fid = fid;
-  pkt.initial.type = ActiveType::kProgram;
-  if (compiled->preload_mar()) pkt.initial.flags |= kFlagPreloadMar;
-  if (compiled->preload_mbr()) pkt.initial.flags |= kFlagPreloadMbr;
-  pkt.arguments = args;
-  pkt.compiled = std::move(compiled);
   return pkt;
 }
 

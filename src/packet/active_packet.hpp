@@ -10,12 +10,10 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "active/compiled_program.hpp"
 #include "active/program.hpp"
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -63,6 +61,7 @@ struct InitialHeader {
   static constexpr std::size_t kWireSize = 10;
 
   void serialize(ByteWriter& out) const;
+  void serialize(SpanWriter& out) const;  // into a caller-sized window
   static InitialHeader parse(ByteReader& in);
 
   friend bool operator==(const InitialHeader&, const InitialHeader&) = default;
@@ -75,6 +74,7 @@ struct ArgumentHeader {
   static constexpr std::size_t kWireSize = 16;
 
   void serialize(ByteWriter& out) const;
+  void serialize(SpanWriter& out) const;  // into a caller-sized window
   static ArgumentHeader parse(ByteReader& in);
 
   friend bool operator==(const ArgumentHeader&, const ArgumentHeader&) =
@@ -142,26 +142,21 @@ struct AllocResponseHeader {
 
 // A fully parsed active packet. Exactly one of the optional sections is
 // present according to `initial.type` (program packets have arguments AND
-// code); `payload` is the opaque passive remainder (e.g. the TCP/IP bytes
-// the program does not inspect).
-//
-// Program packets carry their code in one of two forms: a decoded,
-// mutable `program` (what parse() yields) or a shared, immutable
-// `compiled` artifact (the client's send form, serialized as its pristine
-// wire code). When both are set, `program` wins for serialization.
+// a decoded, mutable `program`); `payload` is the opaque passive remainder
+// (e.g. the TCP/IP bytes the program does not inspect). The datapath reads
+// and writes program capsules in place (ProgramView, proto::encode_executed,
+// the client's send path); an ActivePacket is the materialized form for
+// control frames, tools and reference checks.
 struct ActivePacket {
   EthernetHeader ethernet;
   InitialHeader initial;
   std::optional<ArgumentHeader> arguments;
   std::optional<active::Program> program;
-  std::shared_ptr<const active::CompiledProgram> compiled;
   std::optional<AllocRequestHeader> request;
   std::optional<AllocResponseHeader> response;
   std::vector<u8> payload;
 
   // Serializes the whole frame (Ethernet + active headers + payload).
-  // Program packets serialize `program` when present, else the pristine
-  // `compiled` wire form.
   [[nodiscard]] std::vector<u8> serialize() const;
 
   // Parses a frame; requires ethertype == kEtherTypeActive.
@@ -170,9 +165,6 @@ struct ActivePacket {
   // Convenience constructors.
   static ActivePacket make_program(Fid fid, const ArgumentHeader& args,
                                    const active::Program& program);
-  static ActivePacket make_program(
-      Fid fid, const ArgumentHeader& args,
-      std::shared_ptr<const active::CompiledProgram> compiled);
   static ActivePacket make_control(Fid fid, ActiveType type);
 };
 

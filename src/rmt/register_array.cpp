@@ -14,13 +14,42 @@ u32 ceil_div(u32 n, u32 d) {
   return static_cast<u32>((u64{n} + d - 1) / d);
 }
 
+// The slot table of every unwritten array: all lines at the zero line.
+const u16 kZeroSlots[RegisterArray::kMaxWords / RegisterArray::kLineWords] =
+    {};
+
 }  // namespace
 
-RegisterArray::RegisterArray(u32 size)
-    : size_(size),
-      slots_(ceil_div(size, kLineWords), 0),
-      lines_(1),
-      stored_(ceil_div(size, kChunkWords), 0) {}
+RegisterArray::RegisterArray(u32 size) : size_(size) {
+  if (size > kMaxWords) {
+    throw UsageError("RegisterArray: " + std::to_string(size) +
+                     " words is above the " + std::to_string(kMaxWords) +
+                     "-word limit of u16 line slots");
+  }
+  repoint();
+}
+
+RegisterArray::RegisterArray(RegisterArray&& other) noexcept : size_(0) {
+  *this = std::move(other);
+}
+
+RegisterArray& RegisterArray::operator=(RegisterArray&& other) noexcept {
+  if (this == &other) return *this;
+  size_ = other.size_;
+  owned_slots_ = std::exchange(other.owned_slots_, {});
+  store_ = std::exchange(other.store_, {});
+  stored_ = std::exchange(other.stored_, {});
+  free_head_ = std::exchange(other.free_head_, 0);
+  repoint();
+  other.repoint();
+  return *this;
+}
+
+void RegisterArray::repoint() {
+  static constexpr Line kZeroLine{};
+  slots_ = owned_slots_.empty() ? kZeroSlots : owned_slots_.data();
+  lines_ = store_.empty() ? &kZeroLine : store_.data();
+}
 
 void RegisterArray::out_of_range(u32 index) const {
   throw UsageError("RegisterArray: index " + std::to_string(index) +
@@ -28,30 +57,36 @@ void RegisterArray::out_of_range(u32 index) const {
 }
 
 u32 RegisterArray::attach(u32 line) {
+  if (owned_slots_.empty()) {
+    owned_slots_.assign(ceil_div(size_, kLineWords), 0);
+    stored_.assign(ceil_div(size_, kChunkWords), 0);
+    store_.emplace_back();  // the zero line
+  }
   u32 slot = free_head_;
   if (slot != 0) {
-    free_head_ = lines_[slot].words[0];
-    lines_[slot] = Line{};
+    free_head_ = store_[slot].words[0];
+    store_[slot] = Line{};
   } else {
     // Double the store, but never past one slot per line plus the zero
     // line: a fully written array costs what the dense one did.
-    if (lines_.size() == lines_.capacity()) {
-      lines_.reserve(std::min<std::size_t>(2 * lines_.capacity(),
-                                           slots_.size() + 1));
+    if (store_.size() == store_.capacity()) {
+      store_.reserve(std::min<std::size_t>(2 * store_.capacity(),
+                                           owned_slots_.size() + 1));
     }
-    slot = static_cast<u32>(lines_.size());
-    lines_.emplace_back();
+    slot = static_cast<u32>(store_.size());
+    store_.emplace_back();
   }
-  slots_[line] = slot;
+  owned_slots_[line] = static_cast<u16>(slot);
   stored_[line / kLinesPerChunk] |= u16(1u << (line % kLinesPerChunk));
+  repoint();
   return slot;
 }
 
 void RegisterArray::release(u32 line) {
-  const u32 slot = slots_[line];
-  slots_[line] = 0;
+  const u32 slot = owned_slots_[line];
+  owned_slots_[line] = 0;
   stored_[line / kLinesPerChunk] &= u16(~(1u << (line % kLinesPerChunk)));
-  lines_[slot].words[0] = free_head_;
+  store_[slot].words[0] = free_head_;
   free_head_ = slot;
 }
 
@@ -90,16 +125,18 @@ void RegisterArray::fill(u32 start, u32 count, Word value) {
       u32 slot = slots_[line];
       if (slot == 0) slot = attach(line);
       const auto [lo, hi] = covered(line);
-      std::fill(lines_[slot].words.begin() + lo,
-                lines_[slot].words.begin() + hi, value);
+      std::fill(store_[slot].words.begin() + lo,
+                store_[slot].words.begin() + hi, value);
     }
     return;
   }
-  // Zero fill: lines without storage already read as zeros. A stored line
-  // the range covers whole gives its storage back; one it covers in part
-  // is zeroed there and keeps it (its other words may be non-zero). Words
-  // past size() are never written, so the range covers the final line
-  // whole once it reaches size().
+  // Zero fill: lines without storage already read as zeros (an unwritten
+  // array has no mask to walk). A stored line the range covers whole gives
+  // its storage back; one it covers in part is zeroed there and keeps it
+  // (its other words may be non-zero). Words past size() are never
+  // written, so the range covers the final line whole once it reaches
+  // size().
+  if (stored_.empty()) return;
   for (u32 chunk = start / kChunkWords; chunk <= (end - 1) / kChunkWords;
        ++chunk) {
     for (u32 bits = stored_[chunk]; bits != 0; bits &= bits - 1) {
@@ -111,7 +148,7 @@ void RegisterArray::fill(u32 start, u32 count, Word value) {
       if (lo == 0 && hi >= line_words) {
         release(line);
       } else {
-        Line& stored = lines_[slots_[line]];
+        Line& stored = store_[owned_slots_[line]];
         std::fill(stored.words.begin() + lo, stored.words.begin() + hi, 0);
       }
     }

@@ -8,13 +8,19 @@
 // its first write and reads as zeros until then. `slots_` maps each line to
 // its storage in `lines_`, whose slot 0 is a line of zeros that no mutator
 // writes, so a read is a bounds check and two loads, with no branch on
-// whether the line is stored and no allocation. A zero fill zeroes the
-// covered words of stored lines and releases each line it covers whole to a
-// free list, which first writes reuse before the store grows; it skips every
-// kChunkWords-word chunk with no stored line. So a stage holds what its
-// tenants wrote (a 94,208-word stage nobody writes costs a 23 KiB slot
-// table, not 368 KiB of zeros), and the controller's region clears cost what
-// tenants wrote, not the size of the regions that changed hands.
+// whether the line is stored and no allocation. An array nobody has written
+// owns nothing: both pointers aim at one shared, read-only table of zero
+// slots and its zero line, and a zero fill returns at once. The first write
+// gives the array its own table of u16 slots (so a stage holds at most
+// 65,535 lines), a store of lines and a per-chunk mask of stored lines. A
+// zero fill zeroes the covered words of stored lines and releases each line
+// it covers whole to a free list, which first writes reuse before the store
+// grows; it skips every kChunkWords-word chunk with no stored line. So a
+// stage holds what its tenants wrote (a 94,208-word stage nobody writes
+// costs no heap, where a dense one costs 368 KiB of zeros), and the
+// controller's region clears cost what tenants wrote, not the size of the
+// regions that changed hands. The type is move-only; a moved-from array
+// reads as zeros.
 #pragma once
 
 #include <algorithm>
@@ -27,9 +33,16 @@ namespace artmt::rmt {
 
 class RegisterArray {
  public:
+  static constexpr u32 kLineWords = 16;  // one 64-byte line
   static constexpr u32 kChunkWords = 256;
+  // Slots are u16 and slot 0 is the zero line.
+  static constexpr u32 kMaxWords = 65'535 * kLineWords;
 
+  // Throws UsageError when `size` is above kMaxWords.
   explicit RegisterArray(u32 size);
+
+  RegisterArray(RegisterArray&& other) noexcept;
+  RegisterArray& operator=(RegisterArray&& other) noexcept;
 
   // Plain read/write.
   [[nodiscard]] Word read(u32 index) const {
@@ -57,7 +70,6 @@ class RegisterArray {
   void fill(u32 start, u32 count, Word value);
 
  private:
-  static constexpr u32 kLineWords = 16;
   static constexpr u32 kLinesPerChunk = kChunkWords / kLineWords;
   static_assert(kLinesPerChunk == 16, "one u16 bit per line of a chunk");
 
@@ -75,14 +87,19 @@ class RegisterArray {
     check(index);
     u32 slot = slots_[index / kLineWords];
     if (slot == 0) [[unlikely]] slot = attach(index / kLineWords);
-    return lines_[slot].words[index % kLineWords];
+    return store_[slot].words[index % kLineWords];
   }
   u32 attach(u32 line);  // stores `line` (which has no storage); its slot
   void release(u32 line);
+  // Aims slots_ and lines_ at the owned table and store, or at the shared
+  // zeros when the array owns none.
+  void repoint();
 
   u32 size_;
-  std::vector<u32> slots_;   // per line; 0 = no storage, reads as zeros
-  std::vector<Line> lines_;  // [0] stays zero; others by first write
+  const u16* slots_ = nullptr;   // per line; 0 = no storage, reads as zeros
+  const Line* lines_ = nullptr;  // [0] is zeros; the others by first write
+  std::vector<u16> owned_slots_;  // empty until the first write
+  std::vector<Line> store_;       // lines_ once written
   std::vector<u16> stored_;  // per chunk: bit j set = line j has storage
   u32 free_head_ = 0;  // released slots, linked through their words[0]
 };

@@ -7,6 +7,7 @@
 #include "alloc_counter.hpp"
 #include "apps/programs.hpp"
 #include "controller/controller.hpp"
+#include "controller/switch_node.hpp"
 
 namespace artmt::controller {
 namespace {
@@ -266,6 +267,14 @@ TEST_F(ControllerTest, ReallocationCopiesNoRegisterWords) {
   const unsigned long long bytes = g_alloc_bytes - before;
 
   EXPECT_LT(bytes, 64u * 1024u);
+}
+
+// An idle default switch pays for no register memory: its 20 stages of
+// 94,208 words own no slot table or line store until a tenant writes them.
+TEST(SwitchNodeHeap, IdleDefaultSwitchRequestsUnder32KiB) {
+  const unsigned long long before = g_alloc_bytes;
+  const auto sw = std::make_shared<SwitchNode>("switch", SwitchNode::Config{});
+  EXPECT_LT(g_alloc_bytes - before, 32u << 10);
 }
 
 TEST_F(ControllerTest, ReleaseUnknownThrows) {
