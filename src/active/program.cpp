@@ -23,14 +23,23 @@ Instruction Instruction::from_bytes(u8 opcode_byte, u8 flag_byte) {
   return insn;
 }
 
-void Program::serialize(ByteWriter& out) const {
-  for (const auto& insn : code_) {
+namespace {
+
+template <typename Writer>
+void put_code(Writer& out, const std::vector<Instruction>& code) {
+  for (const auto& insn : code) {
     out.put_u8(static_cast<u8>(insn.op));
     out.put_u8(insn.flag_byte());
   }
   out.put_u8(static_cast<u8>(Opcode::kEof));
   out.put_u8(0);
 }
+
+}  // namespace
+
+void Program::serialize(ByteWriter& out) const { put_code(out, code_); }
+
+void Program::serialize(SpanWriter& out) const { put_code(out, code_); }
 
 Program Program::parse(ByteReader& in) {
   Program program;

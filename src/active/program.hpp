@@ -52,6 +52,7 @@ class Program {
 
   // Serializes instructions followed by an EOF marker.
   void serialize(ByteWriter& out) const;
+  void serialize(SpanWriter& out) const;  // into a caller-sized window
 
   // Parses up to and including the EOF marker; throws ParseError if EOF is
   // missing, an opcode byte is unknown or an argument operand is out of
