@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace artmt::alloc {
 
@@ -176,7 +175,7 @@ void Allocator::set_stage_bias(std::vector<u64> bias) {
 }
 
 bool Allocator::search_placement(const AllocationRequest& request, Mutant& best,
-                                 u64& considered, bool& pruned) {
+                                 u64& considered) {
   bool found = false;
   double best_score = std::numeric_limits<double>::infinity();
   // Integer bias totals (not doubles): the sum does not depend on the
@@ -188,7 +187,6 @@ bool Allocator::search_placement(const AllocationRequest& request, Mutant& best,
   // Global feasibility prune: if the bottleneck access cannot be placed on
   // *any* stage, no mutant is feasible -- reject without enumerating, and
   // report mutants_considered == 0.
-  pruned = false;
   u32 max_demand = 0;
   for (const auto& access : request.accesses) {
     max_demand = std::max(max_demand, access.demand_blocks);
@@ -198,7 +196,6 @@ bool Allocator::search_placement(const AllocationRequest& request, Mutant& best,
                             : stage.max_inelastic_fit()) >= max_demand;
   };
   if (max_demand > 0 && std::none_of(stages_.begin(), stages_.end(), admits)) {
-    pruned = true;
     if (m_search_pruned_ != nullptr) m_search_pruned_->inc();
     return false;
   }
@@ -261,9 +258,8 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
 
   // --- Phase 1: systematic search over the mutant space. ---
   Mutant best;
-  bool pruned = false;
   const bool found =
-      search_placement(request, best, outcome.mutants_considered, pruned);
+      search_placement(request, best, outcome.mutants_considered);
   outcome.search_ms =
       compute_model_.modeled
           ? static_cast<double>(outcome.mutants_considered) *
@@ -274,13 +270,6 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
   }
   if (!found) {
     if (m_failures_ != nullptr) m_failures_->inc();
-    if (auto* sink = telemetry::trace_sink()) {
-      sink->emit("alloc", "reject", telemetry::kNoFid,
-                 {{"accesses", request.accesses.size()},
-                  {"elastic", request.elastic},
-                  {"mutants_considered", outcome.mutants_considered},
-                  {"pruned", pruned}});
-    }
     return outcome;
   }
 
@@ -327,14 +316,6 @@ AllocationOutcome Allocator::allocate(const AllocationRequest& request) {
     m_resident_->set(static_cast<i64>(apps_.size()));
     m_assign_us_->record(static_cast<u64>(outcome.assign_ms * 1000.0));
   }
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("alloc", "allocate", telemetry::kNoFid,
-               {{"app", id},
-                {"blocks", blocks},
-                {"stages", outcome.regions.size()},
-                {"reallocated", outcome.reallocated.size()},
-                {"mutants_considered", outcome.mutants_considered}});
-  }
   return outcome;
 }
 
@@ -344,9 +325,6 @@ std::vector<AppId> Allocator::deallocate(AppId id) {
     // Graceful no-op: release retries and departure races are routine
     // under churn; the caller learns nothing was disturbed.
     if (m_dealloc_unknown_ != nullptr) m_dealloc_unknown_->inc();
-    if (auto* sink = telemetry::trace_sink()) {
-      sink->emit("alloc", "dealloc_unknown", telemetry::kNoFid, {{"app", id}});
-    }
     return {};
   }
   const u64 blocks = region_blocks(regions_of(id));
@@ -364,10 +342,6 @@ std::vector<AppId> Allocator::deallocate(AppId id) {
     m_blocks_freed_->inc(blocks);
     m_resident_->set(static_cast<i64>(apps_.size()));
   }
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("alloc", "deallocate", telemetry::kNoFid,
-               {{"app", id}, {"blocks", blocks}});
-  }
   return changed;
 }
 
@@ -383,10 +357,6 @@ std::vector<AppId> Allocator::demote_elastic(AppId id) {
   // resync its entries like any other moved app.
   auto changed = collect_changed(it->second.stage_demand, 0);
   if (m_demotions_ != nullptr) m_demotions_->inc();
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("alloc", "demote", telemetry::kNoFid,
-               {{"app", id}, {"disturbed", changed.size()}});
-  }
   return changed;
 }
 
@@ -401,10 +371,6 @@ std::vector<AppId> Allocator::promote_elastic(AppId id) {
   it->second.demoted = false;
   auto changed = collect_changed(it->second.stage_demand, 0);
   if (m_promotions_ != nullptr) m_promotions_->inc();
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("alloc", "promote", telemetry::kNoFid,
-               {{"app", id}, {"disturbed", changed.size()}});
-  }
   return changed;
 }
 
@@ -452,9 +418,7 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
   // 2) Re-run the admission search; the vacated placement keeps it
   // feasible, so the fallback to the old mutant is pure paranoia.
   Mutant best;
-  bool pruned = false;
-  if (!search_placement(record.request, best, out.mutants_considered,
-                        pruned)) {
+  if (!search_placement(record.request, best, out.mutants_considered)) {
     best = record.chosen;
   }
   out.search_ms = compute_model_.modeled
@@ -510,13 +474,6 @@ MoveOutcome Allocator::reallocate_app(AppId id) {
   if (out.moved && m_app_moves_ != nullptr) m_app_moves_->inc();
   if (m_assign_us_ != nullptr) {
     m_assign_us_->record(static_cast<u64>(out.assign_ms * 1000.0));
-  }
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("alloc", "reallocate_app", telemetry::kNoFid,
-               {{"app", id},
-                {"moved", out.moved},
-                {"disturbed", out.reallocated.size()},
-                {"mutants_considered", out.mutants_considered}});
   }
   return out;
 }

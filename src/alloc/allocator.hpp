@@ -154,8 +154,7 @@ class Allocator {
 
   // Mirrors admissions/failures, block movement, the resident-app gauge,
   // and search/assign durations into `metrics` under component "alloc"
-  // (nullptr detaches). Outcomes also emit trace events while a
-  // telemetry::TraceSink is installed.
+  // (nullptr detaches).
   void set_metrics(telemetry::MetricsRegistry* metrics);
 
   // Selects wall-clock vs modeled compute timing for future allocate()
@@ -192,15 +191,16 @@ class Allocator {
                                       const Mutant& candidate, double& score);
 
   // Phase-1 search shared by allocate() and reallocate_app(): global
-  // hopeless-prune (reported via `pruned` with considered == 0), then the
-  // mutant walk. With a least-constrained policy (extra_passes > 0) the
-  // walk runs through the per-(access, stage) StageFilter so the blown-up
-  // enumeration space is pruned by subtree instead of leaf-by-leaf. The
-  // default most-constrained policy walks unfiltered: its visit counts
-  // feed the modeled search time (ComputeModel::deterministic()), so
-  // filtering there would shift virtual admission latency.
+  // hopeless-prune (counted in alloc.search_pruned; considered == 0),
+  // then the mutant walk. With a least-constrained policy (extra_passes >
+  // 0) the walk runs through the per-(access, stage) StageFilter so the
+  // blown-up enumeration space is pruned by subtree instead of
+  // leaf-by-leaf. The default most-constrained policy walks unfiltered:
+  // its visit counts feed the modeled search time
+  // (ComputeModel::deterministic()), so filtering there would shift
+  // virtual admission latency.
   bool search_placement(const AllocationRequest& request, Mutant& best,
-                        u64& considered, bool& pruned);
+                        u64& considered);
 
   // Disturbance report: union of the touched stages' rebalance change
   // lists, sorted and deduplicated, excluding `exclude`.

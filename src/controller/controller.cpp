@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace artmt::controller {
 
@@ -251,18 +250,15 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
   result.compute_ms = result.outcome.search_ms + result.outcome.assign_ms;
   if (!result.outcome.success) {
     ++stats_.rejections;
-    if (auto* sink = telemetry::trace_sink()) {
-      sink->emit("controller", "rejection", telemetry::kNoFid,
-                 {{"cause", "no_feasible_placement"},
-                  {"mutants_considered", result.outcome.mutants_considered}});
-    }
+    result.denial = telemetry::DenyCause::kNoPlacement;
     return result;
   }
 
   // Denials past this point roll the placement back.
-  const auto deny = [&] {
+  const auto deny = [&](telemetry::DenyCause cause) {
     alloc_.deallocate(result.outcome.app);
     result.outcome.success = false;
+    result.denial = cause;
     ++stats_.rejections;
   };
   // TCAM admission control: protection costs one range entry per occupied
@@ -273,23 +269,15 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
   for (const auto& [stage, region] : result.outcome.regions) {
     const rmt::Stage& s = pipeline_->stage(stage);
     if (s.tcam_used() >= s.tcam_capacity()) {
-      deny();
+      deny(telemetry::DenyCause::kTcamHeadroom);
       ++stats_.tcam_rejections;
-      if (auto* sink = telemetry::trace_sink()) {
-        sink->emit("controller", "rejection", telemetry::kNoFid,
-                   {{"cause", "tcam_headroom"}, {"stage", stage}});
-      }
       return result;
     }
   }
   // A FID names one tenant: never reissue a resident one.
   const Fid fid = mint_fid();
   if (fid == 0) {
-    deny();
-    if (auto* sink = telemetry::trace_sink()) {
-      sink->emit("controller", "rejection", telemetry::kNoFid,
-                 {{"cause", "fid_range_full"}});
-    }
+    deny(telemetry::DenyCause::kFidRangeFull);
     return result;
   }
   ++stats_.admissions;
@@ -318,13 +306,6 @@ AdmissionResult Controller::admit(const alloc::AllocationRequest& request) {
     metrics_->provisioning_ns->record(
         static_cast<u64>(result.provisioning_time()));
   }
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("controller", "admission", fid,
-               {{"disturbed", result.disturbed.size()},
-                {"pending", !result.disturbed.empty()},
-                {"provisioning_ns", result.provisioning_time()}});
-  }
-
   begin(result, fid);
   return result;
 }
@@ -338,10 +319,6 @@ bool Controller::extraction_complete(Fid fid) {
 void Controller::timeout_pending() {
   if (!pending_) return;
   stats_.extraction_timeouts += pending_->awaiting.size();
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("controller", "extraction_timeout", pending_->new_fid,
-               {{"abandoned", pending_->awaiting.size()}});
-  }
   pending_->awaiting.clear();
 }
 
@@ -361,10 +338,6 @@ void Controller::apply_pending() {
 
 void Controller::finalize() {
   apply(pending_->new_fid, pending_->disturbed);
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("controller", "apply", pending_->new_fid,
-               {{"reactivated", pending_->disturbed.size()}});
-  }
   pending_.reset();
 }
 
@@ -403,10 +376,6 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
         const rmt::Stage& stage = pipeline_->stage(s);
         if (stage.tcam_used() >= stage.tcam_capacity()) {
           ++stats_.migration_tcam_skips;
-          if (auto* sink = telemetry::trace_sink()) {
-            sink->emit("controller", "migration_tcam_skip", request.fid,
-                       {{"stage", s}});
-          }
           return result;
         }
       }
@@ -427,11 +396,6 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
 
   if (changed.empty()) {
     ++stats_.migration_noops;
-    if (auto* sink = telemetry::trace_sink()) {
-      sink->emit("controller", "migration_noop", request.fid,
-                 {{"kind", remap_kind_name(request.kind)},
-                  {"applied", result.applied}});
-    }
     return result;
   }
 
@@ -453,12 +417,6 @@ MigrationResult Controller::migrate(const RemapRequest& request) {
   result.blocks_moved = charge(result, 0, 0, 0);
   stats_.blocks_migrated += result.blocks_moved;
   begin(result, 0);
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("controller", "migration", request.fid,
-               {{"kind", remap_kind_name(request.kind)},
-                {"disturbed", result.disturbed.size()},
-                {"blocks", result.blocks_moved}});
-  }
   return result;
 }
 
@@ -484,10 +442,6 @@ Reallocation Controller::release(Fid fid) {
   app_to_fid_.erase(app);
   mutants_.erase(fid);
   runtime_->reactivate(fid);  // forget any stale deactivation
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("controller", "release", fid,
-               {{"disturbed", result.disturbed.size()}});
-  }
   return result;
 }
 

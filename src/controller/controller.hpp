@@ -32,6 +32,7 @@
 #include "packet/active_packet.hpp"
 #include "rmt/pipeline.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/span.hpp"
 
 namespace artmt::controller {
 
@@ -65,6 +66,8 @@ struct Reallocation {
 struct AdmissionResult : Reallocation {
   bool admitted = false;
   Fid fid = 0;
+  // Why the admission was refused (read only when !admitted).
+  telemetry::DenyCause denial = telemetry::DenyCause::kNoPlacement;
   alloc::AllocationOutcome outcome;
 
   [[nodiscard]] SimTime provisioning_time() const {
@@ -199,9 +202,8 @@ class Controller {
 
   // Records the per-FID blocks_allocated breakdown and the admission
   // histograms into `metrics` under component "controller" and cascades
-  // to the owned allocator; nullptr detaches. Admissions, rejections,
-  // releases, timeouts, and layout applications also emit trace events
-  // while a telemetry::TraceSink is installed.
+  // to the owned allocator; nullptr detaches. The transaction's steps are
+  // SwitchNode's span phases (kTxn, kApply, kDeny).
   void set_metrics(telemetry::MetricsRegistry* metrics);
   // Adds the ControllerStats totals to `metrics` as "controller"
   // counters; call once per snapshot.

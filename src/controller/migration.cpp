@@ -9,18 +9,6 @@
 
 namespace artmt::controller {
 
-const char* remap_kind_name(RemapKind kind) {
-  switch (kind) {
-    case RemapKind::kDemote:
-      return "demote";
-    case RemapKind::kPromote:
-      return "promote";
-    case RemapKind::kReslide:
-      return "reslide";
-  }
-  return "unknown";
-}
-
 RemapQueue::RemapQueue(u32 max_depth) : max_depth_(max_depth) {
   if (max_depth == 0) throw UsageError("RemapQueue: zero depth");
 }

@@ -35,8 +35,6 @@ class Controller;
 
 enum class RemapKind : u8 { kDemote, kPromote, kReslide };
 
-const char* remap_kind_name(RemapKind kind);
-
 struct RemapRequest {
   Fid fid = 0;
   RemapKind kind = RemapKind::kReslide;

@@ -4,7 +4,6 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace.hpp"
 
 namespace artmt::controller {
 
@@ -131,6 +130,15 @@ void emit_span(telemetry::SpanPhase phase, SimTime ts, u64 span, u64 parent,
   });
 }
 
+// An event that belongs to no transmission (span 0), at the node's
+// current virtual time: a register wipe or a control-plane step.
+void emit_node_event(const netsim::Node& node, telemetry::SpanPhase phase,
+                     i32 fid, u64 a, u64 b) {
+  if (!telemetry::spans_active()) return;
+  emit_span(phase, node.network().simulator().now(), /*span=*/0,
+            /*parent=*/0, fid, node.attach_index(), a, b);
+}
+
 }  // namespace
 
 void SwitchNode::bind(packet::MacAddr mac, u32 port) {
@@ -149,20 +157,11 @@ u64 SwitchNode::wipe_registers() {
     wiped += memory.size();
   }
   metrics_->register_wipes->inc();
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("switch", "registers_wiped", telemetry::kNoFid,
-               {{"node", name()}, {"words", wiped}});
-  }
-  if (telemetry::spans_active()) {
-    // Record the wipe itself, then dump: the forensic tail should contain
-    // the brownout marker as its last event.
-    emit_span(telemetry::SpanPhase::kWipe, network().simulator().now(),
-              /*span=*/0, /*parent=*/0, telemetry::kNoFid, attach_index(),
-              /*a=*/wiped);
-    if (auto* recorder = telemetry::flight_recorder()) {
-      recorder->dump("brownout");
-    }
-  }
+  // Record the wipe itself, then dump: the forensic tail should contain
+  // the brownout marker as its last event.
+  emit_node_event(*this, telemetry::SpanPhase::kWipe, telemetry::kNoFid,
+                  /*a=*/wiped, /*b=*/0);
+  if (auto* recorder = telemetry::flight_recorder()) recorder->dump("brownout");
   return wiped;
 }
 
@@ -314,7 +313,7 @@ void SwitchNode::on_control_frame(netsim::Frame frame) {
       // Handshake packets must not queue behind other control ops.
       if (txn_ && !txn_->applying &&
           controller_.extraction_complete(pkt.initial.fid)) {
-        ready_to_apply();
+        ready_to_apply(telemetry::ApplyCause::kExtracted);
       }
       return;
     default:
@@ -332,13 +331,13 @@ void SwitchNode::handle_program(packet::ProgramView view,
       runtime_.execute(view, cursor, meta, now);
   if (telemetry::spans_active()) {
     // Before the verdict switch, so dropped capsules keep their execution
-    // record (the phase breakdown needs exec cost even for drops). The
-    // in-place parse has no span of its own: the capsule's kSend arrival
-    // and this kExec bound it.
+    // record (the phase breakdown needs exec cost even for drops) and
+    // their fault. The in-place parse has no span of its own: the
+    // capsule's kSend arrival and this kExec bound it.
     const u64 span = telemetry::current_span();
-    emit_span(telemetry::SpanPhase::kExec, now, span, /*parent=*/0,
-              view.initial.fid, attach_index(), result.passes,
-              static_cast<u64>(result.latency));
+    emit_span(telemetry::SpanPhase::kExec, now, span,
+              /*parent=*/static_cast<u64>(result.fault), view.initial.fid,
+              attach_index(), result.passes, static_cast<u64>(result.latency));
     for (u32 pass = 1; pass < result.passes; ++pass) {
       emit_span(telemetry::SpanPhase::kRecirc, now,
                 telemetry::recirc_span_id(span, pass), span, view.initial.fid,
@@ -404,11 +403,16 @@ void SwitchNode::process_next_control() {
 }
 
 void SwitchNode::run_admission(const ControlOp& op) {
+  const auto deny = [&](telemetry::DenyCause cause) {
+    emit_node_event(*this, telemetry::SpanPhase::kDeny, telemetry::kNoFid,
+                    op.pkt.initial.seq, static_cast<u64>(cause));
+  };
   alloc::AllocationRequest request;
   try {
     request = proto::decode_request(op.pkt);
   } catch (const ParseError&) {
     metrics_->control_rejects->inc();
+    deny(telemetry::DenyCause::kMalformed);
     finish_control();
     return;
   }
@@ -420,6 +424,7 @@ void SwitchNode::run_admission(const ControlOp& op) {
     // Structurally invalid request (e.g. crafted positions beyond the
     // program length): deny rather than wedge the control plane.
     metrics_->control_rejects->inc();
+    deny(telemetry::DenyCause::kMalformed);
     send_to_mac(op.requester, proto::encode_denial(op.pkt.initial.seq));
     finish_control();
     return;
@@ -447,6 +452,7 @@ void SwitchNode::run_admission(const ControlOp& op) {
           });
       return;
     }
+    deny(result.denial);
     send_to_mac(op.requester, proto::encode_denial(op.pkt.initial.seq),
                 compute_delay);
     network().simulator().schedule_after(compute_delay, [this] {
@@ -462,6 +468,8 @@ void SwitchNode::run_admission(const ControlOp& op) {
 
   // The regions are final once admitted, so the grant is built now.
   PendingTxn txn;
+  txn.fid = result.fid;
+  txn.cause = telemetry::TxnCause::kAdmit;
   txn.requester = op.requester;
   txn.reply = proto::encode_response(
       result.fid, controller_.response_for(result.fid),
@@ -476,6 +484,13 @@ void SwitchNode::start_txn(PendingTxn txn, SimTime compute_delay,
   txn.id = ++txn_counter_;
   txn.applying = !pending;
   txn_ = std::move(txn);
+  emit_node_event(*this, telemetry::SpanPhase::kTxn, txn_->fid, txn_->id,
+                  static_cast<u64>(txn_->cause));
+  for (const Fid fid : txn_->disturbed) {
+    if (fid == txn_->fid) continue;  // a migration's own target
+    emit_node_event(*this, telemetry::SpanPhase::kTxn, fid, txn_->id,
+                    static_cast<u64>(telemetry::TxnCause::kDisturb));
+  }
   netsim::Simulator& sim = network().simulator();
   if (!pending) {
     // The layout is already applied: answer after the modeled compute +
@@ -500,7 +515,7 @@ void SwitchNode::start_txn(PendingTxn txn, SimTime compute_delay,
       [this, txn_id] {
         if (!txn_ || txn_->id != txn_id || txn_->applying) return;
         controller_.timeout_pending();
-        ready_to_apply();
+        ready_to_apply(telemetry::ApplyCause::kTimeout);
       });
 }
 
@@ -584,6 +599,8 @@ bool SwitchNode::start_migration(const RemapRequest& request) {
   // A migration has no requester, so nothing answers it.
   control_busy_ = true;
   PendingTxn txn;
+  txn.fid = request.fid;
+  txn.cause = telemetry::TxnCause::kMigrate;
   txn.disturbed = result.disturbed;
   txn.apply_cost = result.apply_time();
   start_txn(std::move(txn), result.compute_time(), result.pending);
@@ -602,9 +619,10 @@ SwitchNode::MigrationEngineStats SwitchNode::migration_stats() const {
   return stats;
 }
 
-void SwitchNode::ready_to_apply() {
+void SwitchNode::ready_to_apply(telemetry::ApplyCause cause) {
   if (!txn_ || txn_->applying) return;
   txn_->applying = true;
+  txn_->applied_by = cause;
   network().simulator().schedule_after(txn_->apply_cost, [this] {
     controller_.apply_pending();
     finish_txn();
@@ -612,6 +630,8 @@ void SwitchNode::ready_to_apply() {
 }
 
 void SwitchNode::finish_txn() {
+  emit_node_event(*this, telemetry::SpanPhase::kApply, txn_->fid, txn_->id,
+                  static_cast<u64>(txn_->applied_by));
   if (txn_->reply) send_to_mac(txn_->requester, std::move(*txn_->reply));
   // Every moved app learns its new layout.
   for (const Fid fid : txn_->disturbed) {
@@ -644,6 +664,8 @@ void SwitchNode::run_release(const ControlOp& op) {
   // The controller has already applied the grown neighbours' layout: no
   // notice, and the ack goes out after the table updates and snapshots.
   PendingTxn txn;
+  txn.fid = fid;
+  txn.cause = telemetry::TxnCause::kRelease;
   txn.requester = op.requester;
   txn.reply = ActivePacket::make_control(fid, ActiveType::kDeallocAck);
   txn.disturbed = result.disturbed;

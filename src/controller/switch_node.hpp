@@ -20,6 +20,7 @@
 #include "rmt/pipeline.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/heatmap.hpp"
+#include "telemetry/span.hpp"
 
 namespace artmt::telemetry {
 class MetricsRegistry;
@@ -185,26 +186,32 @@ class SwitchNode : public netsim::Node {
   void process_next_control();
   void run_admission(const ControlOp& op);
   void run_release(const ControlOp& op);
-  // The transaction the control plane is running: the requester's reply
-  // (an AllocResponse, a kDeallocAck, or none for a migration), the apps
-  // it moves, and the modeled delay of applying their layout.
+  // The transaction the control plane is running: the FID it admits,
+  // migrates or releases, the requester's reply (an AllocResponse, a
+  // kDeallocAck, or none for a migration), the apps it moves, and the
+  // modeled delay of applying their layout.
   struct PendingTxn {
     u64 id = 0;
+    Fid fid = 0;
+    telemetry::TxnCause cause = telemetry::TxnCause::kAdmit;
     packet::MacAddr requester = 0;
     std::optional<packet::ActivePacket> reply;
     std::vector<Fid> disturbed;
     SimTime apply_cost = 0;
     bool applying = false;
+    telemetry::ApplyCause applied_by = telemetry::ApplyCause::kImmediate;
   };
   // Schedules one admission, migration or departure the controller has
-  // begun. Unless `pending`, the layout is already applied and
-  // finish_txn runs after compute_delay + apply_cost; otherwise the
-  // disturbed apps get kReallocNotice after compute_delay and the
-  // extraction timeout is armed.
+  // begun, and records a kTxn span event for its FID and each disturbed
+  // one. Unless `pending`, the layout is already applied and finish_txn
+  // runs after compute_delay + apply_cost; otherwise the disturbed apps
+  // get kReallocNotice after compute_delay and the extraction timeout is
+  // armed.
   void start_txn(PendingTxn txn, SimTime compute_delay, bool pending);
-  void ready_to_apply();  // handshake complete or timed out
-  // Sends the reply and every moved app its new layout, then frees the
-  // control plane.
+  // The handshake completed (kExtracted) or timed out (kTimeout).
+  void ready_to_apply(telemetry::ApplyCause cause);
+  // Records kApply, sends the reply and every moved app its new layout,
+  // then frees the control plane.
   void finish_txn();
   // Background engine: the periodic tick (armed lazily from the first
   // frame, once the node is attached), and the step that

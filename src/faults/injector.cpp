@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace artmt::faults {
 
@@ -39,16 +38,9 @@ FaultInjector::FaultInjector(FaultPlan plan, u32 shards)
 }
 
 void FaultInjector::count(const netsim::Node& from, const netsim::Node& to,
-                          FaultKind kind, SimTime now) {
+                          FaultKind kind) {
   ++by_kind_[static_cast<u32>(kind)];
   ++by_link_[from.name() + "->" + to.name()][static_cast<u32>(kind)];
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("faults", "injected", telemetry::kNoFid,
-               {{"kind", fault_kind_name(kind)},
-                {"src", from.name()},
-                {"dst", to.name()},
-                {"at_ns", static_cast<u64>(now)}});
-  }
 }
 
 netsim::TransmitHook::Verdict FaultInjector::on_transmit(
@@ -61,14 +53,14 @@ netsim::TransmitHook::Verdict FaultInjector::on_transmit(
   for (const Brownout& b : plan_.brownouts) {
     if (now < b.at || now >= b.up_at()) continue;
     if (b.node != from.name() && b.node != to.name()) continue;
-    count(from, to, FaultKind::kOutage, now);
+    count(from, to, FaultKind::kOutage);
     verdict.drop = true;
     return verdict;
   }
   for (const LinkFlap& flap : plan_.flaps) {
     if (now < flap.down_at || now >= flap.up_at) continue;
     if (!link_matches(flap.node_a, flap.node_b, from, to)) continue;
-    count(from, to, FaultKind::kLinkCut, now);
+    count(from, to, FaultKind::kLinkCut);
     verdict.drop = true;
     return verdict;
   }
@@ -87,7 +79,7 @@ netsim::TransmitHook::Verdict FaultInjector::on_transmit(
     if (!link_matches(rule.node_a, rule.node_b, from, to)) continue;
 
     if (rule.drop > 0.0 && rng.uniform_double() < rule.drop) {
-      count(from, to, FaultKind::kDrop, now);
+      count(from, to, FaultKind::kDrop);
       verdict.drop = true;
       return verdict;
     }
@@ -96,22 +88,22 @@ netsim::TransmitHook::Verdict FaultInjector::on_transmit(
       if (!frame.unique()) frame = pool.clone(frame);
       const auto offset = static_cast<std::size_t>(rng.uniform(frame.size()));
       frame.data()[offset] ^= static_cast<u8>(1u << rng.uniform(8));
-      count(from, to, FaultKind::kCorrupt, now);
+      count(from, to, FaultKind::kCorrupt);
     }
     if (rule.duplicate > 0.0 && rng.uniform_double() < rule.duplicate) {
       ++verdict.copies;
       verdict.dup_delay = std::max(verdict.dup_delay, rule.dup_delay);
-      count(from, to, FaultKind::kDuplicate, now);
+      count(from, to, FaultKind::kDuplicate);
     }
     if (rule.reorder > 0.0 && rng.uniform_double() < rule.reorder) {
       verdict.extra_delay += rule.reorder_hold;
-      count(from, to, FaultKind::kReorder, now);
+      count(from, to, FaultKind::kReorder);
     }
     if (rule.jitter > 0.0 && rng.uniform_double() < rule.jitter &&
         rule.jitter_max > 0) {
       verdict.extra_delay +=
           static_cast<SimTime>(rng.uniform(static_cast<u64>(rule.jitter_max)));
-      count(from, to, FaultKind::kJitter, now);
+      count(from, to, FaultKind::kJitter);
     }
   }
   return verdict;

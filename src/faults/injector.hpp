@@ -63,8 +63,7 @@ class FaultInjector final : public netsim::TransmitHook {
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
-  void count(const netsim::Node& from, const netsim::Node& to, FaultKind kind,
-             SimTime now);
+  void count(const netsim::Node& from, const netsim::Node& to, FaultKind kind);
 
   FaultPlan plan_;
   std::array<u64, kFaultKindCount> by_kind_{};

@@ -5,7 +5,6 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace.hpp"
 
 namespace artmt::netsim {
 
@@ -42,14 +41,6 @@ void Network::connect(Node& node_a, u32 port_a, Node& node_b, u32 port_b,
   plug(node_b, port_b, node_a, port_a);
 }
 
-void Network::count_drop(const Node& from, u32 port, std::size_t bytes) {
-  ++frames_dropped_;
-  if (auto* sink = telemetry::trace_sink()) {
-    sink->emit("netsim", "frame_dropped", telemetry::kNoFid,
-               {{"node", from.name()}, {"port", port}, {"bytes", bytes}});
-  }
-}
-
 void Network::dispatch(Node& to, u32 to_port, Node& from, u64 tx_seq,
                        SimTime send, SimTime arrival, Frame frame) {
   sim_->schedule_delivery(
@@ -68,7 +59,7 @@ void Network::dispatch(Node& to, u32 to_port, Node& from, u64 tx_seq,
 
 void Network::transmit(Node& from, u32 port, Frame frame) {
   if (port >= from.egress_.size() || from.egress_[port].peer == nullptr) {
-    count_drop(from, port, frame.size());  // unplugged port: frame is lost
+    ++frames_dropped_;  // unplugged port: the frame is lost
     return;
   }
   const Node::Egress out = from.egress_[port];

@@ -131,8 +131,7 @@ class Network {
   [[nodiscard]] u64 frames_dropped() const { return frames_dropped_; }
 
   // Adds the delivery/drop counts to `metrics` under component "netsim";
-  // call once per snapshot. Drops also emit a "frame_dropped" trace event
-  // while a telemetry::TraceSink is installed.
+  // call once per snapshot.
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
   // Installs (or with nullptr removes) the transmit hook. Install before
@@ -143,7 +142,6 @@ class Network {
   // Schedules one copy of a frame for delivery.
   void dispatch(Node& to, u32 to_port, Node& from, u64 tx_seq, SimTime send,
                 SimTime arrival, Frame frame);
-  void count_drop(const Node& from, u32 port, std::size_t bytes);
 
   Simulator* sim_ = nullptr;
   TransmitHook* hook_ = nullptr;

@@ -48,16 +48,13 @@ std::string FlightRecorder::dump(std::string_view reason) {
   if (!out) {
     throw UsageError("FlightRecorder: cannot write dump file " + path);
   }
-  // Header line, then one TraceSink-schema line per buffered event: the
-  // whole file parses with the same telemetry::parse_trace_line readers
-  // the span tools use.
-  {
-    TraceSink sink(out);
-    sink.emit("flight", reason, kNoFid,
-              {{"events", static_cast<u64>(held.size())},
-               {"recorded", head_},
-               {"capacity", static_cast<u64>(capacity_)}});
-  }
+  // Header line, then one span line per buffered event: the whole file
+  // parses with the same telemetry::parse_trace_line readers the span
+  // tools use.
+  write_trace_line(out, 0, "flight", reason, kNoFid,
+                   {{"events", static_cast<u64>(held.size())},
+                    {"recorded", head_},
+                    {"capacity", static_cast<u64>(capacity_)}});
   write_span_events(out, held);
   return path;
 }

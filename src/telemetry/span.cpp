@@ -12,8 +12,8 @@ namespace artmt::telemetry {
 namespace {
 
 constexpr const char* kPhaseNames[] = {
-    "send", "drop", "parse", "exec", "recirc",
-    "recv", "retry", "give_up", "wipe",
+    "send", "drop", "exec", "recirc", "recv", "retry",
+    "give_up", "wipe", "txn", "apply", "deny",
 };
 constexpr u16 kPhaseCount = sizeof(kPhaseNames) / sizeof(kPhaseNames[0]);
 
@@ -66,19 +66,13 @@ void SpanSink::dump(std::ostream& out) const {
 
 void write_span_events(std::ostream& out,
                        const std::vector<SpanEvent>& events) {
-  // Each line rides the TraceSink envelope, so span dumps and live traces
-  // share one schema (and one schema version).
-  TraceSink sink(out);
-  SimTime ts = 0;
-  sink.set_clock([&ts] { return ts; });
   for (const SpanEvent& e : events) {
-    ts = e.ts;
-    sink.emit("span", span_phase_name(e.phase), e.fid,
-              {{"span", e.span},
-               {"parent", e.parent},
-               {"node", e.node},
-               {"a", e.a},
-               {"b", e.b}});
+    write_trace_line(out, e.ts, "span", span_phase_name(e.phase), e.fid,
+                     {{"span", e.span},
+                      {"parent", e.parent},
+                      {"node", e.node},
+                      {"a", e.a},
+                      {"b", e.b}});
   }
 }
 

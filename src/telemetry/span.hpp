@@ -25,25 +25,50 @@ namespace artmt::telemetry {
 // Lifecycle phases. The payload fields `a`/`b` are phase-specific:
 //   kSend    a = scheduled arrival time, b = frame bytes
 //   kDrop    b = frame bytes (transmit-hook loss; the send never dispatched)
-//   kParse   (none; not emitted: the switch's in-place parse is bounded
-//             by kSend arrival + kExec. Reserved so older span dumps
-//             still decode.)
-//   kExec    a = pipeline passes, b = modeled switch latency (ns)
+//   kExec    a = pipeline passes, b = modeled switch latency (ns),
+//            parent = the capsule's runtime::Fault (0 = kNone; an
+//            execution has no causal parent of its own)
 //   kRecirc  a = 1-based extra pass index
 //   kRecv    (none; a client service claimed the delivered frame)
 //   kRetry   a = attempt number, b = the rto (ns) that expired
 //   kGiveUp  a = attempts consumed
 //   kWipe    a = register words wiped (brownout up-edge)
+// The switch's control plane records three more, on span 0 (they belong
+// to no transmission), each with a cause code in `b`:
+//   kTxn     a = transaction id, b = TxnCause: one event per FID the
+//            transaction admits, migrates, releases or disturbs
+//   kApply   a = transaction id, b = ApplyCause: the new layout is live
+//            and the replies go out; fid = the transaction's subject
+//   kDeny    a = the request's sequence number, b = DenyCause; no fid
+// A transaction id counts up from 1 per switch, so (node, a) names one.
 enum class SpanPhase : u16 {
   kSend = 0,
   kDrop = 1,
-  kParse = 2,
-  kExec = 3,
-  kRecirc = 4,
-  kRecv = 5,
-  kRetry = 6,
-  kGiveUp = 7,
-  kWipe = 8,
+  kExec = 2,
+  kRecirc = 3,
+  kRecv = 4,
+  kRetry = 5,
+  kGiveUp = 6,
+  kWipe = 7,
+  kTxn = 8,
+  kApply = 9,
+  kDeny = 10,
+};
+
+// kTxn causes: what the transaction does to the event's FID.
+enum class TxnCause : u8 { kAdmit, kMigrate, kRelease, kDisturb };
+// kApply causes: what let the layout apply.
+enum class ApplyCause : u8 {
+  kImmediate,  // nothing to extract (undisturbed admission, departure)
+  kExtracted,  // every disturbed client reported extraction complete
+  kTimeout,    // the extraction timeout fired first
+};
+// kDeny causes: why an admission was refused.
+enum class DenyCause : u8 {
+  kMalformed,     // the request did not decode or was structurally invalid
+  kNoPlacement,   // the allocator found no feasible mutant
+  kTcamHeadroom,  // a chosen stage had no range entry left
+  kFidRangeFull,  // every FID in the switch's range is resident
 };
 
 [[nodiscard]] const char* span_phase_name(SpanPhase phase);
@@ -106,26 +131,27 @@ class SpanSink {
 
   // Every recorded event, canonically sorted.
   [[nodiscard]] std::vector<SpanEvent> sorted_events() const;
-  // Canonical JSON-lines dump (one TraceSink-schema line per event).
+  // Canonical JSON-lines dump (one trace line per event).
   void dump(std::ostream& out) const;
 
  private:
   std::vector<SpanEvent> events_;
 };
 
-// Serializes events through the existing TraceSink schema: component
-// "span", event = phase name, the span/parent/node/a/b payload as fields.
-// Shared by SpanSink::dump and the flight recorder's JSON dumps.
+// Serializes events through write_trace_line: component "span", event =
+// phase name, the span/parent/node/a/b payload as fields. Shared by
+// SpanSink::dump, the flight recorder's JSON dumps and artmt_stats
+// --span-events.
 void write_span_events(std::ostream& out,
                        const std::vector<SpanEvent>& events);
 
 class FlightRecorder;  // flight_recorder.hpp
 
 // --- process-global emission state ---------------------------------------
-// Like the trace sink, span capture is process-global: set_span_sink /
-// set_flight_recorder attach consumers before the run; spans_active() is
-// the one-relaxed-load gate every emission site checks first, so with
-// neither attached the hot paths pay a load and a branch.
+// Span capture is process-global: set_span_sink / set_flight_recorder
+// attach consumers before the run; spans_active() is the one-relaxed-load
+// gate every emission site checks first, so with neither attached the hot
+// paths pay a load and a branch.
 //
 // The globals and causal context live in detail:: so the emission path
 // (span_emit and the accessors below) inlines into every call site -- at

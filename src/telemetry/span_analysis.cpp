@@ -13,39 +13,62 @@
 
 namespace artmt::telemetry {
 
+namespace {
+
+// The span event `rec` encodes; false (and *why) when its phase is
+// unknown or a payload number is missing, not a number, or too big for
+// its field.
+bool decode_span(const TraceRecord& rec, SpanEvent* event, std::string* why) {
+  if (!span_phase_from_name(rec.event, &event->phase)) {
+    *why = "unknown span phase '" + rec.event + "'";
+    return false;
+  }
+  const auto field = [&](const char* key, u64 max, u64* value) {
+    const std::optional<u64> parsed = rec.unum(key, max);
+    if (!parsed) {
+      *why = std::string("bad or missing \"") + key + "\"";
+      return false;
+    }
+    *value = *parsed;
+    return true;
+  };
+  constexpr u64 kAny = ~u64{0};
+  u64 node = 0;
+  if (!field("span", kAny, &event->span) ||
+      !field("parent", kAny, &event->parent) ||
+      !field("node", 0xFFFF, &node) || !field("a", kAny, &event->a) ||
+      !field("b", kAny, &event->b)) {
+    return false;
+  }
+  event->node = static_cast<u16>(node);
+  event->ts = rec.ts;
+  event->fid = rec.fid;
+  return true;
+}
+
+}  // namespace
+
 bool load_span_events(std::istream& in, std::vector<SpanEvent>* out,
                       std::string* error) {
   out->clear();
   std::string line;
-  std::string parse_error;
+  std::string why;
   u64 lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
     TraceRecord rec;
-    if (!parse_trace_line(line, &rec, &parse_error)) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": " + parse_error;
-      }
-      return false;
-    }
-    if (rec.component != "span") continue;  // e.g. flight-dump header
     SpanEvent event;
-    if (!span_phase_from_name(rec.event, &event.phase)) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(lineno) + ": unknown span phase '" +
-                 rec.event + "'";
-      }
-      return false;
+    const bool parsed = parse_trace_line(line, &rec, &why);
+    if (parsed && rec.component != "span") continue;  // e.g. flight header
+    if (parsed && decode_span(rec, &event, &why)) {
+      out->push_back(event);
+      continue;
     }
-    event.ts = rec.ts;
-    event.fid = rec.fid;
-    event.span = rec.unum("span");
-    event.parent = rec.unum("parent");
-    event.node = static_cast<u16>(rec.unum("node"));
-    event.a = rec.unum("a");
-    event.b = rec.unum("b");
-    out->push_back(event);
+    if (error != nullptr) {
+      *error = "line " + std::to_string(lineno) + ": " + why;
+    }
+    return false;
   }
   return true;
 }

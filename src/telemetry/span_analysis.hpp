@@ -40,6 +40,8 @@ struct SpanRequest {
   SimTime wire = 0;    // link transit on the final attempt's path
   SimTime exec = 0;    // modeled switch latency on the final attempt's path
   SimTime queue = 0;   // total - retry_wait - wire - exec, clamped at 0
+
+  friend bool operator==(const SpanRequest&, const SpanRequest&) = default;
 };
 
 // Rebuilds requests from a (canonically ordered or not) event list.

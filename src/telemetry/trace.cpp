@@ -1,8 +1,8 @@
 #include "telemetry/trace.hpp"
 
-#include <atomic>
-#include <cstdlib>
+#include <charconv>
 #include <ostream>
+#include <system_error>
 
 namespace artmt::telemetry {
 
@@ -38,56 +38,8 @@ void write_escaped(std::ostream& out, std::string_view s) {
   out << '"';
 }
 
-std::atomic<TraceSink*> g_sink{nullptr};
-
-}  // namespace
-
-void TraceSink::emit(std::string_view component, std::string_view event,
-                     i64 fid, std::initializer_list<Field> fields) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostream& out = *out_;
-  out << "{\"v\":" << kTraceSchemaVersion
-      << ",\"ts\":" << (clock_ ? clock_() : 0) << ",\"component\":";
-  write_escaped(out, component);
-  out << ",\"event\":";
-  write_escaped(out, event);
-  if (fid >= 0) out << ",\"fid\":" << fid;
-  for (const Field& f : fields) {
-    out << ',';
-    write_escaped(out, f.key_);
-    out << ':';
-    switch (f.kind_) {
-      case Field::Kind::kBool:
-        out << (f.b_ ? "true" : "false");
-        break;
-      case Field::Kind::kInt:
-        out << f.i_;
-        break;
-      case Field::Kind::kUint:
-        out << f.u_;
-        break;
-      case Field::Kind::kDouble:
-        out << f.d_;
-        break;
-      case Field::Kind::kString:
-        write_escaped(out, f.s_);
-        break;
-    }
-  }
-  out << "}\n";
-  ++emitted_;
-}
-
-void set_trace_sink(TraceSink* sink) {
-  g_sink.store(sink, std::memory_order_release);
-}
-
-TraceSink* trace_sink() { return g_sink.load(std::memory_order_acquire); }
-
-namespace {
-
-// A tiny cursor over one line of flat JSON -- exactly the subset emit()
-// produces (string keys, scalar values, no nesting).
+// A tiny cursor over one line of flat JSON -- exactly the subset
+// write_trace_line produces (string keys, scalar values, no nesting).
 struct Cursor {
   std::string_view s;
   std::size_t i = 0;
@@ -161,22 +113,55 @@ bool fail(std::string* error, const char* what) {
   return false;
 }
 
+// `text` as an integer of type T: every character consumed, no sign on
+// an unsigned type, no overflow.
+template <typename T>
+bool parse_int(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
+}
+
 }  // namespace
 
-bool TraceRecord::has(std::string_view key) const {
-  return fields.find(std::string(key)) != fields.end();
+void write_trace_line(std::ostream& out, SimTime ts,
+                      std::string_view component, std::string_view event,
+                      i64 fid, std::initializer_list<TraceField> fields) {
+  out << "{\"v\":" << kTraceSchemaVersion << ",\"ts\":" << ts
+      << ",\"component\":";
+  write_escaped(out, component);
+  out << ",\"event\":";
+  write_escaped(out, event);
+  if (fid >= 0) out << ",\"fid\":" << fid;
+  for (const TraceField& f : fields) {
+    out << ',';
+    write_escaped(out, f.key);
+    out << ':';
+    switch (f.kind) {
+      case TraceField::Kind::kBool:
+        out << (f.b ? "true" : "false");
+        break;
+      case TraceField::Kind::kInt:
+        out << f.i;
+        break;
+      case TraceField::Kind::kUint:
+        out << f.u;
+        break;
+      case TraceField::Kind::kString:
+        write_escaped(out, f.s);
+        break;
+    }
+  }
+  out << "}\n";
 }
 
-u64 TraceRecord::unum(std::string_view key) const {
+std::optional<u64> TraceRecord::unum(std::string_view key, u64 max) const {
   const auto it = fields.find(std::string(key));
-  if (it == fields.end()) return 0;
-  return std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-i64 TraceRecord::num(std::string_view key) const {
-  const auto it = fields.find(std::string(key));
-  if (it == fields.end()) return 0;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  u64 value = 0;
+  if (it == fields.end() || !parse_int(it->second, &value) || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string_view TraceRecord::str(std::string_view key) const {
@@ -197,6 +182,7 @@ bool parse_trace_line(std::string_view line, TraceRecord* out,
   std::string key;
   std::string value;
   bool first = true;
+  bool has_ts = false;
   while (!c.eat('}')) {
     if (!first && !c.eat(',')) return fail(error, "expected ','");
     first = false;
@@ -204,16 +190,16 @@ bool parse_trace_line(std::string_view line, TraceRecord* out,
     if (!c.eat(':')) return fail(error, "expected ':'");
     if (!parse_value(c, &value)) return fail(error, "expected value");
     if (key == "v") {
-      out->version =
-          static_cast<u32>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!parse_int(value, &out->version)) return fail(error, "bad \"v\"");
     } else if (key == "ts") {
-      out->ts = std::strtoll(value.c_str(), nullptr, 10);
+      if (!parse_int(value, &out->ts)) return fail(error, "bad \"ts\"");
+      has_ts = true;
     } else if (key == "component") {
       out->component = value;
     } else if (key == "event") {
       out->event = value;
     } else if (key == "fid") {
-      out->fid = static_cast<i32>(std::strtol(value.c_str(), nullptr, 10));
+      if (!parse_int(value, &out->fid)) return fail(error, "bad \"fid\"");
     } else {
       out->fields[key] = value;
     }
@@ -222,6 +208,7 @@ bool parse_trace_line(std::string_view line, TraceRecord* out,
   if (out->version != kTraceSchemaVersion) {
     return fail(error, "trace schema version mismatch");
   }
+  if (!has_ts) return fail(error, "missing \"ts\"");
   return true;
 }
 

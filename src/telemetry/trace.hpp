@@ -1,27 +1,25 @@
-// Structured trace export: one JSON object per line, stamped with the
-// simulated clock. The sink is the single schema authority -- the
-// runtime's per-stage TraceEvents, the controller's admission/release
-// events, the allocator's placement decisions, and netsim frame drops all
-// flow through emit(), so traces from the debugger (artmt_trace --json)
-// and the simulator are diffable line-by-line.
+// JSON-lines trace schema: one flat JSON object per line, stamped with a
+// virtual time. write_trace_line is the one writer -- span dumps
+// (write_span_events), the flight recorder's header line and the
+// debugger's artmt_trace --json all render through it -- and
+// parse_trace_line is the one reader, so every file the tools exchange
+// diffs and loads line by line.
 //
 // Envelope (stable field order):
-//   {"v":2,"ts":<ns>,"component":"...","event":"...","fid":N, <fields...>}
+//   {"v":3,"ts":<ns>,"component":"...","event":"...","fid":N, <fields...>}
 // `fid` is omitted for events not attached to a flow (pass kNoFid).
 //
-// `v` is kTraceSchemaVersion. Every producer -- the live sink here, the
-// debugger's artmt_trace --json writer, span dumps, flight-recorder dumps
-// -- stamps the same constant, and parse_trace_line() rejects lines from
-// another version, so the writer and the readers can never drift apart
-// silently again (they did once: artmt_trace --json predated the `ts`
-// field and nothing noticed until a consumer broke).
+// `v` is kTraceSchemaVersion. Every line stamps the same constant, and
+// parse_trace_line() rejects lines from another version, so the writer
+// and the readers can never drift apart silently again (they did once:
+// artmt_trace --json predated the `ts` field and nothing noticed until a
+// consumer broke).
 #pragma once
 
-#include <functional>
 #include <initializer_list>
 #include <iosfwd>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -31,80 +29,52 @@
 
 namespace artmt::telemetry {
 
-// Bump when the envelope's shape changes. v2 added the version stamp
-// itself (v1 lines carried no "v" field).
-inline constexpr u32 kTraceSchemaVersion = 2;
+// Bump when the envelope's shape or a field's meaning changes. v2 added
+// the version stamp itself (v1 lines carried no "v" field); v3 gave span
+// kExec's `parent` the capsule's fault code and added the control-plane
+// span phases.
+inline constexpr u32 kTraceSchemaVersion = 3;
 
-class TraceSink {
- public:
-  // A typed key/value pair rendered into the JSON line.
-  class Field {
-   public:
-    template <typename T,
-              typename = std::enable_if_t<std::is_integral_v<T> &&
-                                          !std::is_same_v<T, bool>>>
-    Field(std::string_view key, T v) : key_(key) {
-      if constexpr (std::is_signed_v<T>) {
-        kind_ = Kind::kInt;
-        i_ = static_cast<i64>(v);
-      } else {
-        kind_ = Kind::kUint;
-        u_ = static_cast<u64>(v);
-      }
-    }
-    Field(std::string_view key, bool v) : key_(key), kind_(Kind::kBool) {
-      b_ = v;
-    }
-    Field(std::string_view key, double v) : key_(key), kind_(Kind::kDouble) {
-      d_ = v;
-    }
-    Field(std::string_view key, std::string_view v)
-        : key_(key), kind_(Kind::kString), s_(v) {}
-    Field(std::string_view key, const char* v)
-        : Field(key, std::string_view(v)) {}
+// A typed key/value pair rendered into a trace line.
+struct TraceField {
+  enum class Kind { kBool, kInt, kUint, kString };
 
-   private:
-    friend class TraceSink;
-    enum class Kind { kBool, kInt, kUint, kDouble, kString };
+  template <typename T,
+            typename = std::enable_if_t<std::is_integral_v<T> &&
+                                        !std::is_same_v<T, bool>>>
+  TraceField(std::string_view k, T v) : key(k) {
+    if constexpr (std::is_signed_v<T>) {
+      kind = Kind::kInt;
+      i = static_cast<i64>(v);
+    } else {
+      kind = Kind::kUint;
+      u = static_cast<u64>(v);
+    }
+  }
+  TraceField(std::string_view k, bool v) : key(k), kind(Kind::kBool), b(v) {}
+  TraceField(std::string_view k, std::string_view v)
+      : key(k), kind(Kind::kString), s(v) {}
+  TraceField(std::string_view k, const char* v)
+      : TraceField(k, std::string_view(v)) {}
 
-    std::string_view key_;
-    Kind kind_;
-    union {
-      bool b_;
-      i64 i_;
-      u64 u_;
-      double d_;
-    };
-    std::string_view s_;
+  std::string_view key;
+  Kind kind;
+  union {
+    bool b;
+    i64 i;
+    u64 u;
   };
-
-  explicit TraceSink(std::ostream& out) : out_(&out) {}
-
-  // Timestamps come from this callback (the owner points it at the
-  // simulator's clock); unset -> ts 0.
-  void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
-
-  void emit(std::string_view component, std::string_view event, i64 fid,
-            std::initializer_list<Field> fields = {});
-
-  [[nodiscard]] u64 emitted() const { return emitted_; }
-
- private:
-  std::ostream* out_;
-  std::function<SimTime()> clock_;
-  std::mutex mu_;
-  u64 emitted_ = 0;
+  std::string_view s;
 };
 
-// Process-wide trace sink; components emit only while one is installed
-// (nullptr detaches -- the default, so tracing costs one load + branch on
-// the paths that offer it).
-void set_trace_sink(TraceSink* sink);
-TraceSink* trace_sink();
+// Writes one envelope line (newline-terminated) to `out`.
+void write_trace_line(std::ostream& out, SimTime ts,
+                      std::string_view component, std::string_view event,
+                      i64 fid, std::initializer_list<TraceField> fields = {});
 
-// One parsed trace line. Values are stored as the raw JSON token text
-// (strings unescaped); typed accessors convert on demand. A flat map is
-// all the envelope needs -- emit() never nests.
+// One parsed trace line. Payload values are stored as the raw JSON token
+// text (strings unescaped); a flat map is all the envelope needs -- the
+// writer never nests.
 struct TraceRecord {
   u32 version = 0;
   SimTime ts = 0;
@@ -113,17 +83,19 @@ struct TraceRecord {
   i32 fid = kNoFid;
   std::map<std::string, std::string> fields;
 
-  [[nodiscard]] bool has(std::string_view key) const;
-  // 0 when missing or non-numeric.
-  [[nodiscard]] u64 unum(std::string_view key) const;
-  [[nodiscard]] i64 num(std::string_view key) const;
+  // The value as an unsigned decimal integer no larger than `max`;
+  // nullopt when the field is missing, is not a number, or is too big.
+  [[nodiscard]] std::optional<u64> unum(std::string_view key,
+                                        u64 max = ~u64{0}) const;
   // "" when missing.
   [[nodiscard]] std::string_view str(std::string_view key) const;
 };
 
-// Parses one emit()-envelope line into `out`. Returns false (and sets
-// *error when non-null) on malformed JSON or a schema-version mismatch --
-// the round-trip contract every trace producer is tested against.
+// Parses one envelope line into `out`. Returns false (and sets *error
+// when non-null) on malformed JSON, a missing "ts", an envelope number
+// ("v", "ts", "fid") that is not an integer or does not fit its type, or
+// a schema-version mismatch -- the round-trip contract every trace
+// producer is tested against.
 bool parse_trace_line(std::string_view line, TraceRecord* out,
                       std::string* error = nullptr);
 

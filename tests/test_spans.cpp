@@ -7,18 +7,25 @@
 // sorts the buffer totally. The same holds for the per-switch heatmap
 // snapshot. The flight recorder must
 // wrap without allocating and dump the switch's final events on a
-// brownout up-edge.
+// brownout up-edge. The switch's control-plane steps share the same
+// stream, so a transaction and the capsules it faults land in one dump.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "active/assembler.hpp"
 #include "alloc/hotness.hpp"
+#include "apps/cache_service.hpp"
 #include "apps/programs.hpp"
+#include "apps/server_node.hpp"
+#include "client/client_node.hpp"
 #include "controller/switch_node.hpp"
 #include "faults/injector.hpp"
 #include "packet/active_packet.hpp"
@@ -190,6 +197,231 @@ TEST(SpanTrace, DumpRoundTripsThroughLoader) {
   const std::vector<telemetry::SpanRequest> requests =
       telemetry::reconstruct_requests(events);
   EXPECT_GT(requests.size(), 0u);
+
+  // kExec carries each capsule's fault: FID 2 has no table entry, FID 1
+  // owns every stage's memory.
+  std::map<i32, u64> execs;
+  for (const telemetry::SpanEvent& e : events) {
+    if (e.phase != telemetry::SpanPhase::kExec) continue;
+    ++execs[e.fid];
+    EXPECT_EQ(static_cast<runtime::Fault>(e.parent),
+              e.fid == 2 ? runtime::Fault::kNoAllocation
+                         : runtime::Fault::kNone)
+        << "fid " << e.fid;
+  }
+  EXPECT_GT(execs[1], 0u);
+  EXPECT_GT(execs[2], 0u);
+}
+
+TEST(SpanTrace, LoaderRejectsNumbersItWouldMisread) {
+  const std::string good =
+      "{\"v\":3,\"ts\":5,\"component\":\"span\",\"event\":\"send\","
+      "\"fid\":1,\"span\":2,\"parent\":0,\"node\":1,\"a\":9,\"b\":64}\n";
+  std::vector<telemetry::SpanEvent> events;
+  std::string error;
+  {
+    std::istringstream in(good);
+    ASSERT_TRUE(telemetry::load_span_events(in, &events, &error)) << error;
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].node, 1u);
+  }
+  const struct {
+    std::string from;
+    std::string to;
+  } bad[] = {
+      {"\"node\":1", "\"node\":70000"},     // above u16
+      {"\"span\":2", "\"span\":-1"},        // negative
+      {"\"fid\":1,\"span\":2",              // not numbers
+       "\"fid\":\"x\",\"span\":\"abc\""},
+      {"\"fid\":1", "\"fid\":99999999999"},  // above i32
+      {"\"a\":9,", ""},                      // missing
+      {"\"ts\":5", "\"ts\":5.5"},            // not an integer
+  };
+  for (const auto& [from, to] : bad) {
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    // The bad line comes second, so the error must name line 2.
+    std::istringstream in(good + line);
+    EXPECT_FALSE(telemetry::load_span_events(in, &events, &error)) << line;
+    EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << error;
+  }
+}
+
+// A departure under live traffic. Three elastic caches share the same
+// stages, laid out in arrival order; when the first leaves, the
+// controller re-lays the other two at once, with no notice, and the
+// middle one's region moves before its client learns the new layout, so
+// its queries in that window take the protection fault. The span dump
+// names the transaction and every capsule it faulted.
+TEST(SpanTrace, DepartureTransactionPrecedesTheFaultsItCauses) {
+  constexpr packet::MacAddr kSwitchMac = 0xaa;
+  telemetry::SpanSink sink;
+  telemetry::set_span_sink(&sink);
+  // Detaches the sink on every exit, a failed ASSERT's included.
+  struct Detach {
+    ~Detach() { telemetry::set_span_sink(nullptr); }
+  } detach;
+
+  netsim::Simulator sim;
+  Network net(sim);
+  controller::SwitchNode::Config cfg;
+  cfg.scheme = alloc::Scheme::kFirstFit;
+  cfg.costs.table_entry_update = 100 * kMicrosecond;
+  cfg.costs.snapshot_per_block = kMicrosecond;
+  cfg.costs.clear_per_block = kMicrosecond;
+  auto sw = std::make_shared<controller::SwitchNode>("sw", cfg);
+  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
+  auto client =
+      std::make_shared<client::ClientNode>("client", kClientMac, kSwitchMac);
+  net.attach(sw);
+  net.attach(server);
+  net.attach(client);
+  net.connect(*sw, 0, *server, 0);
+  net.connect(*sw, 1, *client, 0);
+  sw->bind(kServerMac, 0);
+  sw->bind(kClientMac, 1);
+  const auto run_for = [&sim](SimTime d) { sim.run_until(sim.now() + d); };
+
+  std::vector<std::shared_ptr<apps::CacheService>> caches;
+  for (int i = 0; i < 3; ++i) {
+    caches.push_back(std::make_shared<apps::CacheService>(
+        "cache" + std::to_string(i), kServerMac));
+    client->register_service(caches.back());
+    caches.back()->request_allocation();
+    run_for(2 * kSecond);
+    ASSERT_TRUE(caches.back()->operational());
+  }
+  // A request whose access lies past its program is denied as malformed.
+  packet::ActivePacket crafted;
+  crafted.initial.type = packet::ActiveType::kAllocRequest;
+  crafted.initial.seq = 9;
+  crafted.arguments = packet::ArgumentHeader{{3, 0, 1, 0}};
+  packet::AllocRequestHeader req;
+  req.slots[0] = {200, 1, 0x01};
+  crafted.request = req;
+  crafted.ethernet.src = kClientMac;
+  crafted.ethernet.dst = kSwitchMac;
+  net.transmit(*client, 0, crafted.serialize());
+  run_for(kSecond);
+
+  const Fid leaving = caches[0]->fid();
+  const Fid neighbour = caches[1]->fid();
+  std::map<Fid, std::map<u32, Interval>> regions_before;
+  for (const Fid fid : sw->controller().resident_fids()) {
+    regions_before[fid] = sw->controller().regions_of(fid);
+  }
+  // The neighbour queries every 10 us across the departure.
+  u64 key = 1;
+  std::function<void(u32)> query = [&](u32 left) {
+    if (left == 0) return;
+    caches[1]->get(key++);
+    sim.schedule_after(10 * kMicrosecond, [&query, left] { query(left - 1); });
+  };
+  query(2000);
+  run_for(5 * kMillisecond);
+  const runtime::RuntimeStats before = sw->runtime().stats();
+  caches[0]->release();
+  run_for(kSecond);
+  const runtime::RuntimeStats after = sw->runtime().stats();
+
+  std::set<Fid> disturbed;
+  for (const Fid fid : sw->controller().resident_fids()) {
+    if (sw->controller().regions_of(fid) != regions_before.at(fid)) {
+      disturbed.insert(fid);
+    }
+  }
+  ASSERT_TRUE(disturbed.contains(neighbour));
+
+  std::ostringstream dump;
+  sink.dump(dump);
+  std::istringstream in(dump.str());
+  std::vector<telemetry::SpanEvent> events;
+  std::string error;
+  ASSERT_TRUE(telemetry::load_span_events(in, &events, &error)) << error;
+
+  // The departure's transaction: its kTxn for the leaving FID names it.
+  const telemetry::SpanEvent* release = nullptr;
+  for (const telemetry::SpanEvent& e : events) {
+    if (e.phase == telemetry::SpanPhase::kTxn && e.fid == leaving &&
+        e.b == static_cast<u64>(telemetry::TxnCause::kRelease)) {
+      ASSERT_EQ(release, nullptr) << "one release per departure";
+      release = &e;
+    }
+  }
+  ASSERT_NE(release, nullptr);
+  std::map<i32, u64> txn_causes;
+  const telemetry::SpanEvent* apply = nullptr;
+  for (const telemetry::SpanEvent& e : events) {
+    if (e.node != release->node || e.a != release->a) continue;
+    if (e.phase == telemetry::SpanPhase::kTxn) {
+      EXPECT_EQ(e.ts, release->ts);
+      EXPECT_TRUE(txn_causes.emplace(e.fid, e.b).second) << "fid " << e.fid;
+    } else if (e.phase == telemetry::SpanPhase::kApply) {
+      EXPECT_EQ(apply, nullptr) << "one apply per transaction";
+      apply = &e;
+    }
+  }
+  std::map<i32, u64> expected_causes{
+      {leaving, static_cast<u64>(telemetry::TxnCause::kRelease)}};
+  for (const Fid fid : disturbed) {
+    expected_causes[fid] = static_cast<u64>(telemetry::TxnCause::kDisturb);
+  }
+  EXPECT_EQ(txn_causes, expected_causes);
+  ASSERT_NE(apply, nullptr);
+  EXPECT_GT(apply, release);  // canonical order: the apply comes after
+  EXPECT_EQ(apply->fid, leaving);
+  EXPECT_EQ(apply->b, static_cast<u64>(telemetry::ApplyCause::kImmediate));
+
+  // Every memory fault in the run is one of the neighbour's capsules
+  // inside the departure's window.
+  u64 faulted = 0;
+  for (const telemetry::SpanEvent& e : events) {
+    if (e.phase != telemetry::SpanPhase::kExec || e.fid != neighbour) continue;
+    const auto fault = static_cast<runtime::Fault>(e.parent);
+    if (fault != runtime::Fault::kProtectionViolation &&
+        fault != runtime::Fault::kNoAllocation) {
+      continue;
+    }
+    ++faulted;
+    EXPECT_GE(e.ts, release->ts);
+    EXPECT_LE(e.ts, apply->ts);
+  }
+  EXPECT_EQ(faulted,
+            (after.drops_protection + after.drops_no_allocation) -
+                (before.drops_protection + before.drops_no_allocation));
+  EXPECT_GT(faulted, 0u);  // today's departure applies before notifying
+
+  // The malformed request's denial.
+  u64 denials = 0;
+  for (const telemetry::SpanEvent& e : events) {
+    if (e.phase != telemetry::SpanPhase::kDeny) continue;
+    ++denials;
+    EXPECT_EQ(e.a, 9u);
+    EXPECT_EQ(e.b, static_cast<u64>(telemetry::DenyCause::kMalformed));
+  }
+  EXPECT_EQ(denials, 1u);
+
+  // Control phases ride span 0, so request reconstruction ignores them.
+  std::vector<telemetry::SpanEvent> capsules;
+  for (const telemetry::SpanEvent& e : events) {
+    if (e.phase != telemetry::SpanPhase::kTxn &&
+        e.phase != telemetry::SpanPhase::kApply &&
+        e.phase != telemetry::SpanPhase::kDeny) {
+      capsules.push_back(e);
+    }
+  }
+  ASSERT_LT(capsules.size(), events.size());
+  const std::vector<telemetry::SpanRequest> with =
+      telemetry::reconstruct_requests(events);
+  const std::vector<telemetry::SpanRequest> without =
+      telemetry::reconstruct_requests(capsules);
+  EXPECT_GT(with.size(), 0u);
+  EXPECT_EQ(with, without);
+  std::ostringstream table_with;
+  std::ostringstream table_without;
+  telemetry::print_span_breakdown(table_with, with);
+  telemetry::print_span_breakdown(table_without, without);
+  EXPECT_EQ(table_with.str(), table_without.str());
 }
 
 TEST(Heatmap, HotnessTableDecaysAndRanks) {

@@ -1,9 +1,11 @@
 // Tests for the telemetry layer: counter/gauge/histogram semantics, the
 // log-bucket boundaries and deterministic percentiles, registry label
 // handling, snapshot determinism, the per-FID counter family memo, the
-// global recording gate, and the TraceSink JSON-lines schema.
+// global recording gate, and the JSON-lines trace schema's writer and
+// reader.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -216,42 +218,32 @@ TEST_F(TelemetryTest, MergeAddBypassesTheRecordingGate) {
 
 TEST(TraceSinkTest, EmitsOneJsonObjectPerLine) {
   std::ostringstream out;
-  TraceSink sink(out);
-  SimTime now = 1500;
-  sink.set_clock([&now] { return now; });
-
-  sink.emit("alloc", "allocate", 3,
-            {{"app", 3u}, {"blocks", 12u}, {"elastic", true}});
-  now = 2500;
-  sink.emit("netsim", "frame_dropped", kNoFid,
-            {{"node", "switch"}, {"delta", -4}});
-  EXPECT_EQ(sink.emitted(), 2u);
+  write_trace_line(out, 1500, "alloc", "allocate", 3,
+                   {{"app", 3u}, {"blocks", 12u}, {"elastic", true}});
+  write_trace_line(out, 2500, "netsim", "frame_dropped", kNoFid,
+                   {{"node", "switch"}, {"delta", -4}});
 
   EXPECT_EQ(out.str(),
-            "{\"v\":2,\"ts\":1500,\"component\":\"alloc\","
+            "{\"v\":3,\"ts\":1500,\"component\":\"alloc\","
             "\"event\":\"allocate\","
             "\"fid\":3,\"app\":3,\"blocks\":12,\"elastic\":true}\n"
-            "{\"v\":2,\"ts\":2500,\"component\":\"netsim\","
+            "{\"v\":3,\"ts\":2500,\"component\":\"netsim\","
             "\"event\":\"frame_dropped\",\"node\":\"switch\",\"delta\":-4}\n");
 }
 
 TEST(TraceSinkTest, EscapesStringsAndDefaultsClockToZero) {
   std::ostringstream out;
-  TraceSink sink(out);
-  sink.emit("c", "ev", kNoFid, {{"msg", "a\"b\\c\nd"}});
+  write_trace_line(out, 0, "c", "ev", kNoFid, {{"msg", "a\"b\\c\nd"}});
   EXPECT_EQ(out.str(),
-            "{\"v\":2,\"ts\":0,\"component\":\"c\",\"event\":\"ev\","
+            "{\"v\":3,\"ts\":0,\"component\":\"c\",\"event\":\"ev\","
             "\"msg\":\"a\\\"b\\\\c\\nd\"}\n");
 }
 
 TEST(TraceSinkTest, ParseTraceLineRoundTrips) {
   std::ostringstream out;
-  TraceSink sink(out);
-  SimTime now = 1500;
-  sink.set_clock([&now] { return now; });
-  sink.emit("alloc", "allocate", 3,
-            {{"app", 3u}, {"blocks", 12u}, {"elastic", true},
-             {"msg", "a\"b\\c\nd"}, {"delta", -4}});
+  write_trace_line(out, 1500, "alloc", "allocate", 3,
+                   {{"app", 3u}, {"blocks", 12u}, {"elastic", true},
+                    {"msg", "a\"b\\c\nd"}, {"delta", -4}});
 
   TraceRecord rec;
   std::string error;
@@ -263,11 +255,13 @@ TEST(TraceSinkTest, ParseTraceLineRoundTrips) {
   EXPECT_EQ(rec.fid, 3);
   EXPECT_EQ(rec.unum("app"), 3u);
   EXPECT_EQ(rec.unum("blocks"), 12u);
+  EXPECT_EQ(rec.unum("blocks", 11), std::nullopt);  // above the bound
   EXPECT_EQ(rec.str("elastic"), "true");
+  EXPECT_EQ(rec.unum("elastic"), std::nullopt);  // not a number
   EXPECT_EQ(rec.str("msg"), "a\"b\\c\nd");  // escapes round-trip
-  EXPECT_EQ(rec.num("delta"), -4);
-  EXPECT_FALSE(rec.has("absent"));
-  EXPECT_EQ(rec.unum("absent"), 0u);
+  EXPECT_EQ(rec.str("delta"), "-4");
+  EXPECT_EQ(rec.unum("delta"), std::nullopt);  // negative
+  EXPECT_EQ(rec.unum("absent"), std::nullopt);
 }
 
 TEST(TraceSinkTest, ParseTraceLineRejectsDriftAndGarbage) {
@@ -278,22 +272,23 @@ TEST(TraceSinkTest, ParseTraceLineRejectsDriftAndGarbage) {
   EXPECT_FALSE(parse_trace_line(
       "{\"ts\":0,\"component\":\"c\",\"event\":\"e\"}", &rec, &error));
   EXPECT_EQ(error, "trace schema version mismatch");
+  // The previous version is refused too: v3 changed kExec's `parent`.
+  EXPECT_FALSE(parse_trace_line("{\"v\":2,\"ts\":0}", &rec, &error));
+  EXPECT_EQ(error, "trace schema version mismatch");
   EXPECT_FALSE(parse_trace_line("{\"v\":999,\"ts\":0}", &rec, &error));
   EXPECT_FALSE(parse_trace_line("not json", &rec, &error));
-  EXPECT_FALSE(parse_trace_line("{\"v\":2,\"ts\":}", &rec, &error));
-  EXPECT_FALSE(parse_trace_line("{\"v\":2} trailing", &rec, &error));
-}
-
-TEST(TraceSinkTest, GlobalSinkInstallsAndDetaches) {
-  ASSERT_EQ(trace_sink(), nullptr);
-  std::ostringstream out;
-  TraceSink sink(out);
-  set_trace_sink(&sink);
-  EXPECT_EQ(trace_sink(), &sink);
-  trace_sink()->emit("c", "ev", 1);
-  set_trace_sink(nullptr);
-  EXPECT_EQ(trace_sink(), nullptr);
-  EXPECT_EQ(sink.emitted(), 1u);
+  EXPECT_FALSE(parse_trace_line("{\"v\":3,\"ts\":}", &rec, &error));
+  EXPECT_FALSE(parse_trace_line("{\"v\":3} trailing", &rec, &error));
+  // Envelope numbers must be integers that fit their fields.
+  EXPECT_FALSE(parse_trace_line("{\"v\":3}", &rec, &error));
+  EXPECT_EQ(error, "missing \"ts\"");
+  EXPECT_FALSE(parse_trace_line("{\"v\":3,\"ts\":\"x\"}", &rec, &error));
+  EXPECT_FALSE(parse_trace_line("{\"v\":3,\"ts\":1.5}", &rec, &error));
+  EXPECT_FALSE(
+      parse_trace_line("{\"v\":3,\"ts\":0,\"fid\":\"x\"}", &rec, &error));
+  EXPECT_FALSE(parse_trace_line("{\"v\":3,\"ts\":0,\"fid\":99999999999}",
+                                &rec, &error));
+  EXPECT_EQ(error, "bad \"fid\"");
 }
 
 }  // namespace

@@ -28,7 +28,7 @@
 //
 // Usage:
 //   artmt_chaos [--topology single|leaf-spine] [--requests N] [--seed S]
-//               [--loss P] [--hot H] [--trace FILE]
+//               [--loss P] [--hot H] [--span-dump FILE]
 //               [--snapshot FILE] [--flight-dir DIR]
 //     --topology T    single (default): everything on one switch.
 //                     leaf-spine: the same services placed by the fabric's
@@ -40,8 +40,10 @@
 //     --seed S        fault-plan seed (default 1); workload seed is fixed
 //     --loss P        uniform loss probability (default 0.01)
 //     --hot H         cache hot-set size (default 50)
-//     --trace FILE    attach a trace sink to the second chaos run and
-//                     write every injected-fault/telemetry event there
+//     --span-dump FILE record causal spans during the second chaos run and
+//                     write its canonical sorted dump there (hook drops,
+//                     the brownout wipe, faulted capsules and the
+//                     control plane's steps included)
 //     --snapshot FILE write the last chaos run's metrics snapshot
 //                     (faults.* and reliability.* included) as JSON
 //     --flight-dir DIR arm the fault flight recorder: every run records
@@ -80,7 +82,6 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace.hpp"
 #include "workload/zipf.hpp"
 
 using namespace artmt;
@@ -166,14 +167,11 @@ faults::FaultPlan chaos_plan(const ChaosConfig& config, SimTime window_start,
 // Runs the scenario once; `plan` == nullptr runs fault-free.
 RunResult run_scenario(const faults::FaultPlan* plan,
                        const ChaosConfig& config,
-                       telemetry::TraceSink* sink) {
+                       telemetry::SpanSink* sink) {
   netsim::Simulator sim;
   netsim::Network net(sim);
   telemetry::MetricsRegistry registry;
-  if (sink != nullptr) {
-    sink->set_clock([&sim] { return sim.now(); });
-    telemetry::set_trace_sink(sink);
-  }
+  if (sink != nullptr) telemetry::set_span_sink(sink);
 
   // Timeline (see header): setup, then a workload window the fault plan
   // overlaps, then recovery.
@@ -452,7 +450,7 @@ RunResult run_scenario(const faults::FaultPlan* plan,
   registry.snapshot_json(os);
   out.snapshot = os.str();
 
-  if (sink != nullptr) telemetry::set_trace_sink(nullptr);
+  if (sink != nullptr) telemetry::set_span_sink(nullptr);
   return out;
 }
 
@@ -473,14 +471,14 @@ void print_injected(std::ostream& os, const RunResult& run) {
 
 int main(int argc, char** argv) {
   ChaosConfig config;
-  const char* trace_path = nullptr;
+  const char* span_dump_path = nullptr;
   const char* snapshot_path = nullptr;
   const char* flight_dir = nullptr;
   const auto usage = [] {
     std::fprintf(stderr,
                  "usage: artmt_chaos [--topology single|leaf-spine] "
                  "[--requests N] [--seed S] [--loss P] "
-                 "[--hot H] [--trace FILE] "
+                 "[--hot H] [--span-dump FILE] "
                  "[--snapshot FILE] [--flight-dir DIR]\n");
     return 2;
   };
@@ -512,8 +510,8 @@ int main(int argc, char** argv) {
       const std::optional<u32> value = cli::parse_u32(argv[++i]);
       if (!value) return usage();
       config.hot = *value;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--span-dump") == 0 && i + 1 < argc) {
+      span_dump_path = argv[++i];
     } else if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
       snapshot_path = argv[++i];
     } else if (std::strcmp(argv[i], "--flight-dir") == 0 && i + 1 < argc) {
@@ -542,15 +540,15 @@ int main(int argc, char** argv) {
     telemetry::set_flight_recorder(recorder.get());
   }
 
-  std::ofstream trace_file;
-  std::unique_ptr<telemetry::TraceSink> trace_sink;
-  if (trace_path != nullptr) {
-    trace_file.open(trace_path);
-    if (!trace_file) {
-      std::fprintf(stderr, "artmt_chaos: cannot open %s\n", trace_path);
+  std::ofstream span_file;
+  std::unique_ptr<telemetry::SpanSink> span_sink;
+  if (span_dump_path != nullptr) {
+    span_file.open(span_dump_path);
+    if (!span_file) {
+      std::fprintf(stderr, "artmt_chaos: cannot open %s\n", span_dump_path);
       return 1;
     }
-    trace_sink = std::make_unique<telemetry::TraceSink>(trace_file);
+    span_sink = std::make_unique<telemetry::SpanSink>();
   }
 
   const RunResult clean = run_scenario(nullptr, config, nullptr);
@@ -558,14 +556,14 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(clean.digest),
                clean.end_time / 1e9, clean.converged ? "" : " [NOT CONVERGED]");
 
-  // Two chaos runs with the same plan. The second carries the trace sink
+  // Two chaos runs with the same plan. The second carries the span sink
   // (if any): recording never perturbs the simulation.
   bool ok = clean.converged;
   std::vector<RunResult> runs;
   for (u32 i = 0; i < 2; ++i) {
     if (recorder) recorder->clear();
     RunResult run =
-        run_scenario(&plan, config, i == 1 ? trace_sink.get() : nullptr);
+        run_scenario(&plan, config, i == 1 ? span_sink.get() : nullptr);
     const bool match = run.converged && run.digest == clean.digest;
     if (!match && recorder) {
       const std::string dump = recorder->dump("digest_mismatch");
@@ -596,10 +594,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "determinism violation: the chaos runs disagree\n");
     ok = false;
   }
-  if (trace_sink != nullptr) {
-    std::fprintf(stderr, "wrote %llu trace events to %s\n",
-                 static_cast<unsigned long long>(trace_sink->emitted()),
-                 trace_path);
+  if (span_sink != nullptr) {
+    span_sink->dump(span_file);
+    std::fprintf(stderr, "wrote %llu span events to %s\n",
+                 static_cast<unsigned long long>(span_sink->recorded()),
+                 span_dump_path);
   }
 
   if (snapshot_path != nullptr) {

@@ -6,19 +6,16 @@
 // quantities without recompiling a single printf.
 //
 // Usage:
-//   artmt_stats [--requests N] [--trace FILE]
-//               [--loss P] [--fault-seed S] [--alloc]
+//   artmt_stats [--requests N] [--loss P] [--fault-seed S] [--alloc]
 //     --requests N   data-plane requests per service (default 2000)
-//     --trace FILE   also write TraceSink JSON-lines (simulated
-//                    timestamps) for every control-plane/netsim event
 //     --loss P       attach a FaultInjector with uniform loss P on every
 //                    link; faults.* counters land in the snapshot and
 //                    the reliability.* retransmit schedules absorb the
 //                    loss (artmt_chaos runs the full scripted matrix)
 //     --fault-seed S seed for the loss plan's substreams (default 1)
 //     --alloc        instead of the metrics snapshot, dump the switch
-//                    allocator's state after the scenario: scheme, search
-//                    mode, resident count, and per-stage utilization +
+//                    allocator's state after the scenario: scheme,
+//                    resident count, and per-stage utilization +
 //                    fragmentation (largest free run / total free blocks)
 //     --heatmap      instead of the snapshot, print the per-(stage, FID)
 //                    memory-access heatmap the runtime recorded (reads /
@@ -42,7 +39,9 @@
 //                    a validity check)
 //     --span-dump F  record causal spans during the scenario and write
 //                    the canonical sorted dump to F (byte-identical
-//                    across runs)
+//                    across runs): every capsule's lifecycle, with its
+//                    fault on kExec, and the control plane's steps
+//                    (txn, apply, deny)
 //     --fabric       no single-switch scenario: run the multi-switch
 //                    fabric story instead -- four cache tenants placed by
 //                    the federated global controller across a 4-leaf /
@@ -88,7 +87,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/span_analysis.hpp"
-#include "telemetry/trace.hpp"
 #include "workload/zipf.hpp"
 
 using namespace artmt;
@@ -452,13 +450,12 @@ int main(int argc, char** argv) {
   bool fabric_report = false;
   double loss = 0.0;
   u64 fault_seed = 1;
-  const char* trace_path = nullptr;
   const char* spans_path = nullptr;
   SpanMode span_mode = SpanMode::kBreakdown;
   const char* span_dump_path = nullptr;
   const auto usage = [] {
     std::fprintf(stderr,
-                 "usage: artmt_stats [--requests N] [--trace FILE] "
+                 "usage: artmt_stats [--requests N] "
                  "[--loss P] [--fault-seed S] [--alloc] "
                  "[--heatmap] [--migration] [--fabric] [--spans FILE] "
                  "[--span-requests FILE] [--span-events FILE] "
@@ -470,8 +467,6 @@ int main(int argc, char** argv) {
       const std::optional<u32> value = cli::parse_u32(argv[++i]);
       if (!value) return usage();
       requests = *value;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
       const std::optional<double> value = cli::parse_probability(argv[++i]);
       if (!value) return usage();
@@ -519,19 +514,6 @@ int main(int argc, char** argv) {
   if (span_dump_path != nullptr) {
     span_sink = std::make_unique<telemetry::SpanSink>();
     telemetry::set_span_sink(span_sink.get());
-  }
-
-  std::ofstream trace_file;
-  std::unique_ptr<telemetry::TraceSink> sink;
-  if (trace_path != nullptr) {
-    trace_file.open(trace_path);
-    if (!trace_file) {
-      std::fprintf(stderr, "artmt_stats: cannot open %s\n", trace_path);
-      return 1;
-    }
-    sink = std::make_unique<telemetry::TraceSink>(trace_file);
-    sink->set_clock([&sim] { return sim.now(); });
-    telemetry::set_trace_sink(sink.get());
   }
 
   controller::SwitchNode::Config cfg;
@@ -657,12 +639,6 @@ int main(int argc, char** argv) {
     monitor->extract_reliability().export_metrics(registry, monitor_fid);
     monitor->handshake_reliability().export_metrics(registry, monitor_fid);
     telemetry::snapshot_json(std::cout);
-  }
-
-  if (sink != nullptr) {
-    telemetry::set_trace_sink(nullptr);
-    std::fprintf(stderr, "wrote %llu trace events to %s\n",
-                 static_cast<unsigned long long>(sink->emitted()), trace_path);
   }
   return 0;
 }

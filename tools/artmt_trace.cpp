@@ -9,9 +9,9 @@
 //   artmt_trace [options] [file]      (reads stdin when no file given)
 //     --args a,b,c,d    argument-header words (decimal or 0x hex)
 //     --elastic         request an elastic allocation instead
-//     --json            emit telemetry::TraceSink JSON-lines on stdout
-//                       (same schema as the simulator's trace export, so
-//                       debugger and simulator traces diff line-by-line)
+//     --json            emit trace JSON-lines on stdout (the schema
+//                       span dumps use, so debugger and simulator output
+//                       diff line by line)
 //
 // Example:
 //   echo 'MAR_LOAD $0
@@ -163,23 +163,22 @@ int main(int argc, char** argv) {
     if (args.args[0] == 0) args.args[0] = synthesized.access_base[0];
   }
 
-  // JSON mode: the same schema (and the same emitter) as the simulator's
-  // structured trace export, one object per consumed stage.
-  telemetry::TraceSink sink(std::cout);
+  // JSON mode: the same schema (and the same writer) as span dumps, one
+  // object per consumed stage.
   if (json) {
-    runtime.set_trace([&sink, fid](const runtime::TraceEvent& event) {
-      sink.emit("runtime", "stage", fid,
-                {{"index", event.index},
-                 {"stage", event.logical_stage},
-                 {"pass", event.pass},
-                 {"op", active::mnemonic(event.op)},
-                 {"skipped", event.skipped},
-                 {"mar", event.phv.mar},
-                 {"mbr", event.phv.mbr},
-                 {"mbr2", event.phv.mbr2},
-                 {"complete", event.phv.complete},
-                 {"disabled", event.phv.disabled},
-                 {"rts", event.phv.rts}});
+    runtime.set_trace([fid](const runtime::TraceEvent& event) {
+      telemetry::write_trace_line(std::cout, 0, "runtime", "stage", fid,
+                                  {{"index", event.index},
+                                   {"stage", event.logical_stage},
+                                   {"pass", event.pass},
+                                   {"op", active::mnemonic(event.op)},
+                                   {"skipped", event.skipped},
+                                   {"mar", event.phv.mar},
+                                   {"mbr", event.phv.mbr},
+                                   {"mbr2", event.phv.mbr2},
+                                   {"complete", event.phv.complete},
+                                   {"disabled", event.phv.disabled},
+                                   {"rts", event.phv.rts}});
     });
   } else {
     std::printf("\n%-5s %-6s %-5s %-20s %-10s %-10s %-10s flags\n", "idx",
@@ -201,12 +200,13 @@ int main(int argc, char** argv) {
   const auto result = runtime.execute(capsule);
 
   if (json) {
-    sink.emit("runtime", "execute_done", fid,
-              {{"verdict", verdict_name(result.verdict)},
-               {"fault", fault_name(result.fault)},
-               {"passes", result.passes},
-               {"latency_ns", result.latency},
-               {"instructions", result.instructions_executed}});
+    telemetry::write_trace_line(
+        std::cout, 0, "runtime", "execute_done", fid,
+        {{"verdict", verdict_name(result.verdict)},
+         {"fault", fault_name(result.fault)},
+         {"passes", result.passes},
+         {"latency_ns", result.latency},
+         {"instructions", result.instructions_executed}});
     return result.verdict == runtime::Verdict::kDrop ? 1 : 0;
   }
 
