@@ -5,7 +5,8 @@
 # regression gate against the committed bench baselines, a chaos soak
 # (fault-injection digest-equality matrix), a migration soak, a fabric
 # soak (multi-switch failure drill + leaf-spine chaos), then an
-# ASan+UBSan job.
+# ASan+UBSan job. The release and sanitize jobs treat a compiler warning
+# as an error.
 #
 # Usage: scripts/ci.sh
 #   [release|perfbench-smoke|alloc-bench|telemetry-overhead|
@@ -18,7 +19,8 @@ job="${1:-all}"
 
 run_release() {
   echo "== release build + tests =="
-  cmake --preset default
+  # A new compiler warning fails the build (CMake >= 3.24).
+  cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build --preset default
   ctest --preset default
 }
@@ -167,7 +169,7 @@ run_fabric_soak() {
 
 run_sanitize() {
   echo "== ASan+UBSan build + tests =="
-  cmake --preset asan-ubsan
+  cmake --preset asan-ubsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build --preset asan-ubsan
   ctest --preset asan-ubsan
 }

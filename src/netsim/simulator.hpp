@@ -2,12 +2,18 @@
 // event queue. All testbed experiments (Figs. 8b, 9, 10) run on this engine
 // so results are deterministic and independent of host load.
 //
+// The queue is a radix heap on virtual time (Ahuja, Mehlhorn, Orlin and
+// Tarjan, JACM 1990). It relies on what a discrete-event simulator
+// guarantees: nothing is scheduled before now(), so the dispatched time
+// never decreases.
+//
 // Events store their captures inline (small-buffer optimization) instead of
 // through std::function, whose ~2-word inline budget heap-allocates every
 // frame-delivery closure (this + endpoint + FrameBuf). The steady-state
 // datapath schedules and runs events with zero heap traffic.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -122,9 +128,23 @@ class InlineAction {
   const VTable* vt_ = nullptr;
 };
 
-// The event queue is split in two: a binary min-heap of 40-byte ordering
-// keys and a slot array holding the actions. Sifting moves only keys; an
-// action stays in its slot until step() moves it out, once, to run it.
+// The event queue keeps 40-byte ordering keys and the actions in two
+// slot-indexed arrays side by side. Its radix heap links keys into
+// buckets; an action stays in its slot until step() moves it out, once,
+// to run it, and a warm queue allocates nothing.
+//
+// - The base `last_` is the `at` of the batch being dispatched: it is
+//   <= now(), and every pending `at` is >= last_.
+// - The batch holds the pending keys at exactly last_, in `Later` order;
+//   an event scheduled at last_ joins it at its `Later` position.
+// - Every other key sits in bucket b, the highest bit in which its `at`
+//   differs from last_: a singly linked list threaded through Key::next.
+//   Every key in bucket b is earlier than every key in bucket b + 1, so
+//   the lowest occupied bucket's minimum is the next `at`.
+// - When the batch runs out, step() takes the lowest occupied bucket,
+//   moves last_ to its minimum and re-links its keys: those at last_
+//   become the new batch, the rest fall into lower buckets. A key falls
+//   at most 63 times over its life.
 class Simulator {
  public:
   using Action = InlineAction;
@@ -157,7 +177,7 @@ class Simulator {
   bool step();
 
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] u64 events_dispatched() const { return events_dispatched_; }
   // Scheduled actions whose captures exceeded the inline buffer (each one
   // cost a heap allocation); the frame fast path should keep this at zero.
@@ -173,7 +193,11 @@ class Simulator {
   // runs before a frame that was already in flight toward t.
   static constexpr u32 kNoSrc = 0xffff'ffffu;
 
-  // Heap entry for one pending event; its action waits in actions_[slot].
+  // End of a slot list (a bucket or the free list).
+  static constexpr u32 kNil = 0xffff'ffffu;
+
+  // The ordering key of one pending event; its action waits in
+  // actions_[slot], where slot is the key's own index in keys_.
   struct Key {
     SimTime at;
     // Canonical tie-break chain below `at`. Plain events carry tie = the
@@ -184,7 +208,7 @@ class Simulator {
     u64 tx_seq;
     u64 seq;  // final tie-break: FIFO in scheduling order
     u32 src_index;
-    u32 slot;
+    u32 next;  // next slot in the key's bucket, or in the free list
   };
   static_assert(sizeof(Key) == 40 && std::is_trivially_copyable_v<Key>);
   struct Later {
@@ -199,19 +223,39 @@ class Simulator {
 
   void push_event(SimTime at, SimTime tie, u32 src_index, u64 tx_seq,
                   Action&& action);
+  // Files keys_[slot] (at > last_) at the head of its bucket.
+  void link(u32 slot);
+  // Inserts slot (at == last_) into the batch at its Later position.
+  void join_batch(u32 slot);
+  // Starts the next batch from the lowest occupied bucket; false if there
+  // is none.
+  bool refill();
+  [[nodiscard]] bool earlier(u32 a, u32 b) const {
+    return Later{}(keys_[b], keys_[a]);
+  }
 
   SimTime now_ = 0;
+  SimTime last_ = 0;  // the batch's `at`: <= now_ and <= every pending at
   u64 next_seq_ = 0;
   u64 actions_spilled_ = 0;
   u64 events_dispatched_ = 0;
-  // Min-heap of keys managed with std::push_heap/pop_heap (Later makes the
-  // earliest event the front element). Keys are trivially copyable, so a
-  // sift never touches an action.
-  std::vector<Key> queue_;
-  // Pending actions by slot; step() moves one out before running it, since
-  // the action may schedule events that grow (and so move) this array.
+  std::size_t pending_ = 0;
+  // Keys and pending actions by slot. step() moves an action out before
+  // running it, since the action may schedule events that grow (and so
+  // move) these arrays.
+  std::vector<Key> keys_;
   std::vector<Action> actions_;
-  std::vector<u32> free_slots_;  // LIFO free list of empty slots
+  u32 free_ = kNil;  // LIFO free list of empty slots, through Key::next
+  // Bucket b's first slot and minimum `at`, valid while bit b of
+  // occupied_ is set.
+  u64 occupied_ = 0;
+  std::array<u32, 64> head_{};
+  std::array<SimTime, 64> min_{};
+  // Slots of the pending keys at last_ from batch_[batch_next_] on, in
+  // Later order (the ones before it have run). Its capacity covers every
+  // slot, so it never grows while the queue is warm.
+  std::vector<u32> batch_;
+  std::size_t batch_next_ = 0;
 };
 
 }  // namespace artmt::netsim

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <string>
 #include <tuple>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
@@ -146,9 +148,10 @@ double moves_per_event(int events) {
   return static_cast<double>(moves) / events;
 }
 
-// Sifting reorders the heap, not the closures: a pending action costs a
+// The radix heap re-links keys, not closures: a pending action costs a
 // fixed handful of moves (into the queue, out to run, amortized slot-array
-// growth) whatever the queue depth, instead of one per heap level.
+// growth) whatever the queue depth or however often its key falls to a
+// lower bucket.
 TEST(Simulator, PendingActionsAreNotMovedBySifting) {
   const double shallow = moves_per_event(16);
   const double deep = moves_per_event(4096);
@@ -215,6 +218,120 @@ TEST(Simulator, DispatchOrderMatchesCanonicalKey) {
   EXPECT_EQ(h.nested_left, 0);
   EXPECT_EQ(h.dispatched, 1500u);
   EXPECT_TRUE(h.pending.empty());
+}
+
+// The same reference-set check with delays across forty powers of two, so
+// keys reach the radix heap's high buckets and fall through the low ones.
+// Delays are log-uniform from 0 to 2^40 ns, and each time is rounded up to
+// a grid that coarsens with the delay, so many events share an `at`.
+// Deliveries carry send times before now, actions schedule zero-delay
+// events, and run_until stops at random bounds; after each stop, events
+// land between the bound and the next pending `at`, both included.
+TEST(Simulator, DispatchOrderMatchesCanonicalKeyAcrossTimeScales) {
+  using CanonicalKey = std::tuple<SimTime, SimTime, u32, u64, u64>;
+  struct Harness {
+    Simulator sim;
+    Rng rng{0x7153'ca1e};
+    std::set<CanonicalKey> pending;
+    u64 next_seq = 0;
+    u64 dispatched = 0;
+    int nested_left = 2000;
+
+    SimTime delay() {
+      const u64 bits = rng.uniform(41);
+      return bits == 0 ? 0 : static_cast<SimTime>(rng.uniform(u64{1} << bits));
+    }
+
+    // now + delay(), rounded up to a multiple of 2^(k-3) for a delay of k
+    // bits: about eight distinct times per power of two.
+    SimTime later_time() {
+      const SimTime d = delay();
+      const int k = std::bit_width(static_cast<u64>(d));
+      const SimTime grain = SimTime{1} << std::max(0, k - 3);
+      return (sim.now() + d + grain - 1) / grain * grain;
+    }
+
+    void schedule(SimTime at) {
+      const SimTime now = sim.now();
+      const u64 kind = rng.uniform(3);  // schedule_at, _after, _delivery
+      CanonicalKey key{at, now, 0xffff'ffffu, 0, next_seq++};
+      if (kind == 2) {
+        std::get<1>(key) = std::max<SimTime>(0, now - delay());
+        std::get<2>(key) = static_cast<u32>(rng.uniform(3));
+        std::get<3>(key) = rng.uniform(4);
+      }
+      pending.insert(key);
+      const auto run = [this, key] { dispatch(key); };
+      if (kind == 0) {
+        sim.schedule_at(at, run);
+      } else if (kind == 1) {
+        sim.schedule_after(at - now, run);
+      } else {
+        sim.schedule_delivery(at, std::get<1>(key), std::get<2>(key),
+                              std::get<3>(key), run);
+      }
+    }
+
+    void dispatch(const CanonicalKey& key) {
+      ASSERT_FALSE(pending.empty());
+      EXPECT_EQ(*pending.begin(), key) << "dispatch " << dispatched;
+      EXPECT_EQ(sim.now(), std::get<0>(key));
+      pending.erase(key);
+      ++dispatched;
+      if (nested_left > 0 && rng.uniform(3) != 0) {
+        --nested_left;
+        schedule(rng.uniform(4) == 0 ? sim.now() : later_time());
+      }
+    }
+  };
+
+  Harness h;
+  for (int i = 0; i < 1000; ++i) h.schedule(h.later_time());
+  for (int stop = 0; stop < 300 && !h.pending.empty(); ++stop) {
+    const SimTime bound = h.later_time();
+    h.sim.run_until(bound);
+    EXPECT_EQ(h.sim.now(), bound);
+    EXPECT_EQ(h.sim.pending(), h.pending.size());
+    if (h.pending.empty()) break;
+    const SimTime next = std::get<0>(*h.pending.begin());
+    ASSERT_GT(next, bound);
+    for (int i = 0; i < 3; ++i) {
+      h.schedule(bound +
+                 static_cast<SimTime>(h.rng.uniform(
+                     static_cast<u64>(next - bound) + 1)));
+    }
+  }
+  h.sim.run();
+  EXPECT_EQ(h.nested_left, 0);
+  EXPECT_EQ(h.dispatched, h.next_seq);
+  EXPECT_TRUE(h.pending.empty());
+}
+
+// Once the queue has been as deep as it will get, scheduling and running
+// events allocates nothing, even as their times cross powers of two that
+// the warm-up never reached.
+TEST(Simulator, WarmQueueAllocatesNothing) {
+  Simulator sim;
+  constexpr int kDepth = 64;
+  for (int i = 0; i < kDepth; ++i) sim.schedule_at(i, [] {});
+  sim.run();
+
+  int ran = 0;
+  const auto before = g_alloc_count;
+  for (int p = 6; p <= 50; ++p) {
+    // 16 events at four instants 2^p ahead, each with a zero-delay
+    // follower: at most 32 pending.
+    const SimTime base = sim.now() + (SimTime{1} << p);
+    for (int i = 0; i < 16; ++i) {
+      sim.schedule_at(base + i % 4, [&sim, &ran] {
+        ++ran;
+        sim.schedule_after(0, [&ran] { ++ran; });
+      });
+    }
+    sim.run();
+  }
+  EXPECT_EQ(g_alloc_count - before, 0u);
+  EXPECT_EQ(ran, 45 * 32);
 }
 
 // An action that grows the queue far past its capacity from inside itself
@@ -393,6 +510,51 @@ TEST(Network, DoubleAttachThrows) {
   auto a = std::make_shared<Recorder>("a");
   net.attach(a);
   EXPECT_THROW(net.attach(a), UsageError);
+}
+
+// Frames that arrive at one instant reach the receiver in the canonical
+// order: by send time, then by the sender's attach index, whatever order
+// they were sent in. A plain event for the same instant goes first if it
+// was scheduled before the send instant, and after the frames if it was
+// scheduled at the send instant.
+TEST(Network, SameArrivalDeliversInCanonicalOrder) {
+  std::vector<std::string> log;
+  class PortLog : public Node {
+   public:
+    explicit PortLog(std::vector<std::string>* log) : Node("rx"), log_(log) {}
+    void on_frame(Frame, u32 port) override {
+      log_->push_back("rx" + std::to_string(port));
+    }
+
+   private:
+    std::vector<std::string>* log_;
+  };
+
+  Simulator sim;
+  Network net(sim);
+  std::vector<std::shared_ptr<Recorder>> senders;
+  for (int i = 0; i < 4; ++i) {
+    senders.push_back(std::make_shared<Recorder>("s" + std::to_string(i)));
+    net.attach(senders.back());
+  }
+  auto rx = std::make_shared<PortLog>(&log);
+  net.attach(rx);
+  LinkSpec spec;
+  spec.latency = 1000;
+  spec.gbps = 8.0;  // 1 byte per ns
+  for (u32 i = 0; i < 4; ++i) net.connect(*senders[i], 0, *rx, i, spec);
+
+  constexpr SimTime kSend = 100;
+  constexpr SimTime kArrival = kSend + 100 + 1000;  // 100-byte frames
+  sim.schedule_at(kArrival, [&log] { log.push_back("before"); });
+  sim.schedule_at(kSend, [&] {
+    sim.schedule_at(kArrival, [&log] { log.push_back("after"); });
+    for (int i = 3; i >= 0; --i) net.transmit(*senders[i], 0, Frame(100));
+  });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"before", "rx0", "rx1", "rx2",
+                                           "rx3", "after"}));
+  EXPECT_EQ(sim.now(), kArrival);
 }
 
 TEST(Network, CountsDeliveries) {

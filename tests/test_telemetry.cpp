@@ -84,7 +84,9 @@ TEST(HistogramBuckets, BoundariesArePowersOfTwo) {
   for (const u64 v : {0ull, 1ull, 2ull, 17ull, 1000ull, 123456789ull}) {
     const std::size_t b = Histogram::bucket_index(v);
     EXPECT_LE(v, Histogram::bucket_upper_bound(b));
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_upper_bound(b - 1));
+    if (b > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper_bound(b - 1));
+    }
   }
 }
 
