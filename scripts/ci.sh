@@ -136,8 +136,10 @@ run_migration_soak() {
   # recover within the 60-window (3 s) p99 bound, and any divergence
   # between the repeated runs fails the job.
   ARTMT_BENCH_QUICK=1 ./build/bench/bench_migration
-  # The e2e scenario with the engine on must produce the identical
-  # migration report on every run (the default config models compute).
+  # The e2e scenario with the engine on must print the identical snapshot
+  # on every run (the default config models compute): the engine's
+  # counters, the controller's migration totals, the allocator's
+  # per-stage layout and the hotness table.
   report1="$(./build/tools/artmt_stats --migration 2>/dev/null)"
   report2="$(./build/tools/artmt_stats --migration 2>/dev/null)"
   if [ "$report1" != "$report2" ]; then
@@ -159,6 +161,15 @@ run_fabric_soak() {
   # reliability-protected services, the victim serving again after
   # re-placement, and byte-identical digests across repeated runs.
   ARTMT_BENCH_QUICK=1 ./build/bench/bench_fabric
+  # The four-leaf failure drill must print the identical global-controller
+  # snapshot (placements, evacuations, unplaced, downtime histogram) on
+  # every run.
+  report1="$(./build/tools/artmt_stats --fabric 2>/dev/null)"
+  report2="$(./build/tools/artmt_stats --fabric 2>/dev/null)"
+  if [ "$report1" != "$report2" ]; then
+    echo "fabric-soak: repeated artmt_stats --fabric runs diverge" >&2
+    exit 1
+  fi
   # The e2e chaos scenario must also converge on the leaf-spine fabric:
   # the same application-state digest in every run with faults injected
   # identically, now with the brownout wiping one leaf of a two-leaf

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -483,6 +484,21 @@ double Allocator::utilization() const {
   for (const auto& stage : stages_) allocated += stage.allocated_blocks();
   return static_cast<double>(allocated) /
          (static_cast<double>(blocks_per_stage_) * stages_.size());
+}
+
+void Allocator::export_metrics(telemetry::MetricsRegistry& metrics) const {
+  for (u32 s = 0; s < stages_.size(); ++s) {
+    const StageState& stage = stages_[s];
+    const std::string prefix = "s" + std::to_string(s);
+    const auto add = [&](const char* name, u32 value) {
+      metrics.gauge("alloc", prefix + name).merge_add(value);
+    };
+    add("_free", stage.free_blocks());
+    add("_fungible", stage.fungible_blocks());
+    add("_largest_free_run", stage.largest_free_run());
+    add("_elastic", stage.elastic_member_count());
+    add("_inelastic", stage.inelastic_member_count());
+  }
 }
 
 std::map<u32, Interval> Allocator::regions_of(AppId id) const {

@@ -156,6 +156,10 @@ class Allocator {
   // and search/assign durations into `metrics` under component "alloc"
   // (nullptr detaches).
   void set_metrics(telemetry::MetricsRegistry* metrics);
+  // Adds each stage's layout to `metrics` as gauges: alloc.s<N>_free,
+  // _fungible, _largest_free_run, _elastic and _inelastic (member
+  // counts); call once per snapshot.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
   // Selects wall-clock vs modeled compute timing for future allocate()
   // calls (see ComputeModel).

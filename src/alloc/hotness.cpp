@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "telemetry/heatmap.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace artmt::alloc {
 
@@ -69,16 +70,6 @@ bool HotnessTable::is_cold(i32 fid) const {
   return it != rows_.end() && it->second.cold_streak >= kColdTicks;
 }
 
-std::vector<std::pair<i32, u64>> HotnessTable::ranked() const {
-  std::vector<std::pair<i32, u64>> out;
-  out.reserve(rows_.size());
-  for (const auto& [fid, r] : rows_) out.emplace_back(fid, r.total);
-  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  return out;
-}
-
 std::vector<u64> HotnessTable::stage_totals(u32 stages) const {
   std::vector<u64> totals(stages, 0);
   for (const auto& [fid, r] : rows_) {
@@ -92,6 +83,13 @@ u64 HotnessTable::total_score() const {
   u64 total = 0;
   for (const auto& [fid, r] : rows_) total += r.total;
   return total;
+}
+
+void HotnessTable::export_metrics(telemetry::MetricsRegistry& metrics) const {
+  for (const auto& [fid, r] : rows_) {
+    metrics.gauge("hotness", "score", fid).merge_add(static_cast<i64>(r.total));
+    metrics.gauge("hotness", "cold_streak", fid).merge_add(r.cold_streak);
+  }
 }
 
 }  // namespace artmt::alloc

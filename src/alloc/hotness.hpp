@@ -1,5 +1,5 @@
 // Decayed per-(FID, stage) access scores driving the background migration
-// engine, and the ranking `artmt_stats --heatmap` prints. The table keeps
+// engine (exported as hotness.* gauges in snapshots). The table keeps
 // the per-stage resolution the planner needs (a re-slide candidate is
 // judged by the activity in the stage being compacted) plus hysteretic
 // coldness detection: a FID is cold only after kColdTicks consecutive
@@ -15,12 +15,12 @@
 #pragma once
 
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace artmt::telemetry {
+class MetricsRegistry;
 class StageHeatmap;
 }  // namespace artmt::telemetry
 
@@ -41,7 +41,9 @@ class HotnessTable {
     observe(heatmap);
     decay();
   }
-  // The FID departed; drop its row (a reused FID starts fresh).
+  // The FID departed; drop its row and delta base. The heatmap must
+  // forget the FID too, or the next observe() absorbs its cumulative
+  // counts as new traffic.
   void forget(i32 fid);
 
   [[nodiscard]] u64 score(i32 fid) const;  // sum across stages
@@ -51,14 +53,16 @@ class HotnessTable {
   // strength of an empty table.
   [[nodiscard]] bool is_cold(i32 fid) const;
   [[nodiscard]] bool tracked(i32 fid) const { return rows_.contains(fid); }
-  // (fid, total score) hottest first; equal scores order by ascending fid.
-  [[nodiscard]] std::vector<std::pair<i32, u64>> ranked() const;
   // Aggregate per-stage pressure across every tracked FID: the
   // hotness-directed placement bias (a re-slide target prefers calmer
   // stages) and the fabric scoreboard's load signal.
   [[nodiscard]] std::vector<u64> stage_totals(u32 stages) const;
   // Sum of every tracked FID's score (whole-switch pressure).
   [[nodiscard]] u64 total_score() const;
+
+  // Adds every tracked FID's score and cold streak to `metrics` as
+  // hotness.score{fid=N} / hotness.cold_streak{fid=N} gauges.
+  void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
   struct Row {

@@ -125,7 +125,6 @@ void Service::handle_active(packet::ActivePacket& pkt) {
       if ((pkt.initial.flags & packet::kFlagAllocFailed) != 0) {
         state_ = State::kDenied;
         log(LogLevel::kWarn, "service ", name_, ": allocation denied");
-        on_denied();
         return;
       }
       const bool first = state_ == State::kNegotiating;
@@ -149,7 +148,6 @@ void Service::handle_active(packet::ActivePacket& pkt) {
       handshake_retry_.cancel(kHandshakeId);
       state_ = State::kReleased;
       log(LogLevel::kInfo, "service ", name_, ": released");
-      on_released();
       return;
     default:
       return;

@@ -94,7 +94,6 @@ class Service {
     return build_request(spec_);
   }
   virtual void on_operational() {}
-  virtual void on_denied() {}
   // The switch needs this service's memory: extract what matters, then
   // call extraction_done(). Default: yield immediately.
   virtual void on_realloc_notice() { extraction_done(); }
@@ -108,7 +107,6 @@ class Service {
     (void)args;
     (void)payload;
   }
-  virtual void on_released() {}
 
   // Reports extraction complete to the switch (ends kMemoryManagement).
   void extraction_done();

@@ -55,7 +55,12 @@ void Controller::export_metrics(telemetry::MetricsRegistry& metrics) const {
   add("extraction_timeouts", stats_.extraction_timeouts);
   add("migrations", stats_.migrations);
   add("migration_noops", stats_.migration_noops);
+  add("migration_demotions", stats_.migration_demotions);
+  add("migration_promotions", stats_.migration_promotions);
+  add("migration_reslides", stats_.migration_reslides);
+  add("migration_tcam_skips", stats_.migration_tcam_skips);
   add("blocks_migrated", stats_.blocks_migrated);
+  alloc_.export_metrics(metrics);
 }
 
 std::map<u32, Interval> Controller::regions_of(Fid fid) const {

@@ -206,7 +206,8 @@ class Controller {
   // SwitchNode's span phases (kTxn, kApply, kDeny).
   void set_metrics(telemetry::MetricsRegistry* metrics);
   // Adds the ControllerStats totals to `metrics` as "controller"
-  // counters; call once per snapshot.
+  // counters, and the allocator's per-stage layout as "alloc" gauges;
+  // call once per snapshot.
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:

@@ -88,8 +88,29 @@ void SwitchNode::export_metrics(telemetry::MetricsRegistry& metrics) const {
   runtime_.export_metrics(metrics);
   controller_.export_metrics(metrics);
   program_cache_.export_metrics(metrics);
-  metrics.counter("switch", "migration_ticks").merge_add(mig_ticks_);
-  metrics.counter("switch", "migration_deferred").merge_add(mig_deferred_);
+  heatmap_.export_metrics(metrics);
+  hotness_.export_metrics(metrics);
+  const MigrationEngineStats engine = migration_stats();
+  const auto add = [&metrics](const char* name, u64 value) {
+    metrics.counter("switch", name).merge_add(value);
+  };
+  add("migration_ticks", engine.ticks);
+  add("migration_deferred", engine.deferred);
+  add("migration_executed", engine.executed);
+  add("migration_noops", engine.noops);
+  add("migration_departed", engine.departed);
+  add("migration_cycles", engine.planner.cycles);
+  add("migration_demotions_planned", engine.planner.demotions_planned);
+  add("migration_promotions_planned", engine.planner.promotions_planned);
+  add("migration_reslides_planned", engine.planner.reslides_planned);
+  add("migration_cooldown_skips", engine.planner.cooldown_skips);
+  add("migration_enqueued", engine.queue.enqueued);
+  add("migration_popped", engine.queue.popped);
+  add("migration_congestion_drops", engine.queue.congestion_drops);
+  add("migration_duplicates", engine.queue.duplicates);
+  add("migration_purged", engine.queue.purged);
+  metrics.gauge("switch", "migration_queue_high_water")
+      .merge_add(engine.queue.high_water);
 }
 
 namespace {
@@ -654,12 +675,13 @@ void SwitchNode::run_release(const ControlOp& op) {
   const Reallocation result = controller_.release(fid);
   client_of_.erase(fid);
   runtime_.clear_recirc_budget(fid);
-  if (migration_enabled_) {
-    // The FID is gone: purge any queued remap and its hotness history so
-    // a recycled FID starts cold instead of inheriting scores.
-    remap_queue_.drop_fid(fid);
-    hotness_.forget(static_cast<i32>(fid));
-  }
+  // The FID is gone: drop its heatmap row (recorded whether or not the
+  // engine runs) and hotness history, and purge any queued remap, so a
+  // recycled FID starts cold instead of inheriting the departed tenant's
+  // traffic.
+  heatmap_.forget(static_cast<i32>(fid));
+  hotness_.forget(static_cast<i32>(fid));
+  remap_queue_.drop_fid(fid);
 
   // The controller has already applied the grown neighbours' layout: no
   // notice, and the ack goes out after the table updates and snapshots.

@@ -51,8 +51,8 @@ class SwitchNode : public netsim::Node {
     // histograms, allocator and node counters); the typed totals join at
     // export_metrics. nullptr = the node owns a private registry, so
     // per-node counts stay exact no matter how many switches share the
-    // process; tools and benches pass &telemetry::registry() to aggregate
-    // into the process-wide snapshot.
+    // process; tools and benches pass their own registry to aggregate
+    // every component into one snapshot.
     telemetry::MetricsRegistry* metrics = nullptr;
     // Background migration & defragmentation engine.
     // Every `interval` of virtual time the node folds the heatmap into
@@ -142,9 +142,11 @@ class SwitchNode : public netsim::Node {
   [[nodiscard]] telemetry::MetricsRegistry& metrics() const {
     return *metrics_registry_;
   }
-  // Adds the typed totals of the runtime, controller and program cache,
-  // plus the migration engine's tick counts, to `metrics`; call once per
-  // snapshot.
+  // Adds everything the node owns to `metrics`: the typed totals of the
+  // runtime, controller (with the allocator's per-stage layout) and
+  // program cache, the heatmap, the hotness table, and the migration
+  // engine's counters (switch.migration_*; zero while the engine is off).
+  // Call once per snapshot.
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
   // Per-(stage, FID) memory-access heatmap fed by the runtime's dispatch
   // path (recording gated by telemetry::enabled()).

@@ -161,6 +161,8 @@ void GlobalController::export_metrics(
   add("state_loss_services", state_loss_total_);
   add("switch_deaths", deaths_total_);
   add("revivals", revivals_total_);
+  metrics.gauge("fabric", "unplaced")
+      .merge_add(static_cast<i64>(unplaced_.size()));
 }
 
 GlobalController::SwitchState* GlobalController::pick_switch(

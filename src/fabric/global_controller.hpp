@@ -115,7 +115,9 @@ class GlobalController : public netsim::Node {
   [[nodiscard]] FabricReport report() const;
   // Adds the report totals (placements, evacuations, replaced,
   // state_loss_services, switch_deaths, revivals) to `metrics` as
-  // "fabric" counters; call once per snapshot.
+  // "fabric" counters, and the parked services as the fabric.unplaced
+  // gauge; call once per snapshot. Downtimes are the live
+  // fabric.downtime_ns histogram.
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:

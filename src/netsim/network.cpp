@@ -22,7 +22,6 @@ void Network::attach(std::shared_ptr<Node> node) {
   node->network_ = this;
   node->attach_index_ = static_cast<u32>(nodes_.size());
   nodes_.push_back(std::move(node));
-  nodes_.back()->on_attach();
 }
 
 void Network::connect(Node& node_a, u32 port_a, Node& node_b, u32 port_b,

@@ -38,9 +38,6 @@ class Node {
   // the buffer; dropping it recycles the slab into the network's pool.
   virtual void on_frame(Frame frame, u32 port) = 0;
 
-  // Called once when the node is attached, before any frames flow.
-  virtual void on_attach() {}
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Network& network() const {
     if (network_ == nullptr) throw UsageError("Node is not attached");

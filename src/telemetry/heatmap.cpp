@@ -27,14 +27,10 @@ const StageHeatmap::Cell* StageHeatmap::find(u32 stage, i32 fid) const {
   return &it->second[stage];
 }
 
-u64 StageHeatmap::total_accesses(i32 fid) const {
-  const auto it = rows_.find(fid);
-  if (it == rows_.end()) return 0;
-  u64 total = 0;
-  for (const Cell& cell : it->second) {
-    total += cell.reads + cell.writes + cell.collisions;
-  }
-  return total;
+void StageHeatmap::forget(i32 fid) {
+  rows_.erase(fid);
+  memo_fid_ = std::numeric_limits<i32>::min();
+  memo_row_ = nullptr;
 }
 
 void StageHeatmap::clear() {

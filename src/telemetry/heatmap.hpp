@@ -43,9 +43,10 @@ class StageHeatmap {
   [[nodiscard]] std::vector<i32> fids() const;
   // nullptr when the (stage, fid) cell has no recorded activity.
   [[nodiscard]] const Cell* find(u32 stage, i32 fid) const;
-  // Sum of reads + writes + collisions over every cell of `fid`.
-  [[nodiscard]] u64 total_accesses(i32 fid) const;
 
+  // The FID departed: drop its row, so a recycled FID starts with no
+  // history (and no stale memo points at the freed row).
+  void forget(i32 fid);
   void clear();
 
   // Exports every cell as heatmap.* counters:

@@ -182,11 +182,4 @@ void MetricsRegistry::snapshot_json(std::ostream& out) const {
   out << (first ? "}" : "\n  }") << "\n}\n";
 }
 
-MetricsRegistry& registry() {
-  static MetricsRegistry instance;
-  return instance;
-}
-
-void snapshot_json(std::ostream& out) { registry().snapshot_json(out); }
-
 }  // namespace artmt::telemetry

@@ -11,9 +11,9 @@
 // instrumented component, so a concurrent snapshot reader never sees a
 // torn value but the per-packet path pays no lock-prefixed RMW (the
 // bench's telemetry-overhead gate holds the whole layer to <=5% and zero
-// steady-state allocations). A process-wide default registry exists for
-// tools and benches; components can equally be wired to a private
-// instance (the tests do, so per-node counts stay exact).
+// steady-state allocations). Each tool, bench or test owns its registry
+// and wires components to it (or lets them keep a private one, so
+// per-node counts stay exact).
 //
 // Component totals are not registry handles: they are plain members of
 // each component's typed stats, folded in by its export_metrics (via
@@ -245,11 +245,5 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
 };
-
-// The process-wide default registry (tools, benches, examples).
-MetricsRegistry& registry();
-
-// Dumps the default registry (the `artmt_stats` exporter).
-void snapshot_json(std::ostream& out);
 
 }  // namespace artmt::telemetry

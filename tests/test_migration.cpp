@@ -8,6 +8,7 @@
 // a FaultPlan.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "telemetry/heatmap.hpp"
+#include "telemetry/metrics.hpp"
 #include "workload/zipf.hpp"
 
 namespace artmt {
@@ -106,8 +108,10 @@ TEST(Hotness, ForgetDropsTheRow) {
   table.forget(9);
   EXPECT_FALSE(table.tracked(9));
   EXPECT_EQ(table.score(9), 0u);
-  // A reused FID starts fresh: the old cumulative base is gone, so the
-  // full current counter is absorbed as new traffic.
+  // forget() drops the delta base too: a heatmap that still holds the
+  // FID's counts is absorbed whole on the next tick. SwitchNode therefore
+  // forgets the FID's heatmap row along with it
+  // (MigrationE2E.ReleasedFidLeavesNoHeat).
   table.tick(heatmap);
   EXPECT_EQ(table.score(9), 16u);
 }
@@ -128,21 +132,6 @@ TEST(Hotness, ObserveClampsAfterHeatmapClear) {
   for (int i = 0; i < 4; ++i) heatmap.record_read(0, 5);
   table.tick(heatmap);
   EXPECT_EQ(table.score(5), 4u);  // (4 + 4-new) >> 1: re-based cleanly
-}
-
-TEST(Hotness, RankedOrdersHottestFirstWithFidTiebreak) {
-  telemetry::StageHeatmap heatmap(2);
-  alloc::HotnessTable table;
-  for (int i = 0; i < 8; ++i) heatmap.record_read(0, 2);
-  for (int i = 0; i < 32; ++i) heatmap.record_read(0, 1);
-  for (int i = 0; i < 8; ++i) heatmap.record_read(1, 3);
-  table.tick(heatmap);
-
-  const auto ranked = table.ranked();
-  ASSERT_EQ(ranked.size(), 3u);
-  EXPECT_EQ(ranked[0].first, 1);  // 16
-  EXPECT_EQ(ranked[1].first, 2);  // 4, fid tiebreak vs 3
-  EXPECT_EQ(ranked[2].first, 3);
 }
 
 // --- remap queue -----------------------------------------------------------
@@ -565,8 +554,12 @@ struct MigScenarioOut {
 // Two cache tenants; tenant 1 idles mid-run (cold -> demoted) and then
 // resumes (hot -> promoted), both moves disturbing tenant 0, which
 // repopulates through the extraction datapath while its traffic keeps
-// flowing. Runs fault-free or under an optional fault plan.
-MigScenarioOut run_mig_scenario(const faults::FaultPlan* plan) {
+// flowing. Runs fault-free or under an optional fault plan. `inspect`
+// sees the switch and the registry once its snapshot is taken.
+using SnapshotInspector = std::function<void(
+    controller::SwitchNode&, const telemetry::MetricsRegistry&)>;
+MigScenarioOut run_mig_scenario(const faults::FaultPlan* plan,
+                                const SnapshotInspector& inspect = {}) {
   netsim::Simulator sim;
   netsim::Network net(sim);
   telemetry::MetricsRegistry registry;
@@ -707,6 +700,7 @@ MigScenarioOut run_mig_scenario(const faults::FaultPlan* plan) {
   std::ostringstream os;
   registry.snapshot_json(os);
   out.snapshot = os.str();
+  if (inspect) inspect(*sw, registry);
   return out;
 }
 
@@ -736,6 +730,143 @@ TEST(MigrationE2E, SurvivesFaultPlanByteIdentically) {
   EXPECT_EQ(two.reply_digest, one.reply_digest);
   EXPECT_EQ(two.snapshot, one.snapshot);
   EXPECT_EQ(two.completed_at, one.completed_at);
+}
+
+// SwitchNode::export_metrics publishes the engine, the controller's
+// migration kinds, the allocator's layout and the hotness table: each
+// snapshot value equals the typed source it was read from.
+TEST(MigrationE2E, SnapshotCarriesEachTypedSource) {
+  u32 checked_stages = 0;
+  u32 checked_fids = 0;
+  run_mig_scenario(nullptr, [&](controller::SwitchNode& sw,
+                                const telemetry::MetricsRegistry& reg) {
+    const auto engine = sw.migration_stats();
+    ASSERT_GE(engine.executed, 2u);
+    const auto counter = [&reg](const char* component, const char* name) {
+      return reg.counter_value(component, name);
+    };
+    EXPECT_EQ(counter("switch", "migration_ticks"), engine.ticks);
+    EXPECT_EQ(counter("switch", "migration_deferred"), engine.deferred);
+    EXPECT_EQ(counter("switch", "migration_executed"), engine.executed);
+    EXPECT_EQ(counter("switch", "migration_noops"), engine.noops);
+    EXPECT_EQ(counter("switch", "migration_departed"), engine.departed);
+    EXPECT_EQ(counter("switch", "migration_cycles"), engine.planner.cycles);
+    EXPECT_EQ(counter("switch", "migration_demotions_planned"),
+              engine.planner.demotions_planned);
+    EXPECT_EQ(counter("switch", "migration_promotions_planned"),
+              engine.planner.promotions_planned);
+    EXPECT_EQ(counter("switch", "migration_reslides_planned"),
+              engine.planner.reslides_planned);
+    EXPECT_EQ(counter("switch", "migration_cooldown_skips"),
+              engine.planner.cooldown_skips);
+    EXPECT_EQ(counter("switch", "migration_enqueued"), engine.queue.enqueued);
+    EXPECT_EQ(counter("switch", "migration_popped"), engine.queue.popped);
+    EXPECT_EQ(counter("switch", "migration_congestion_drops"),
+              engine.queue.congestion_drops);
+    EXPECT_EQ(counter("switch", "migration_duplicates"),
+              engine.queue.duplicates);
+    EXPECT_EQ(counter("switch", "migration_purged"), engine.queue.purged);
+    EXPECT_EQ(reg.gauge_value("switch", "migration_queue_high_water"),
+              engine.queue.high_water);
+
+    const controller::ControllerStats& ctrl = sw.controller().stats();
+    ASSERT_GE(ctrl.migration_demotions, 1u);
+    ASSERT_GE(ctrl.migration_promotions, 1u);
+    EXPECT_EQ(counter("controller", "migrations"), ctrl.migrations);
+    EXPECT_EQ(counter("controller", "migration_demotions"),
+              ctrl.migration_demotions);
+    EXPECT_EQ(counter("controller", "migration_promotions"),
+              ctrl.migration_promotions);
+    EXPECT_EQ(counter("controller", "migration_reslides"),
+              ctrl.migration_reslides);
+    EXPECT_EQ(counter("controller", "migration_noops"), ctrl.migration_noops);
+    EXPECT_EQ(counter("controller", "migration_tcam_skips"),
+              ctrl.migration_tcam_skips);
+    EXPECT_EQ(counter("controller", "blocks_migrated"), ctrl.blocks_migrated);
+
+    const alloc::Allocator& allocator = sw.controller().allocator();
+    for (u32 s = 0; s < allocator.geometry().logical_stages; ++s) {
+      const alloc::StageState& st = allocator.stage(s);
+      const std::string prefix = "s" + std::to_string(s);
+      const auto gauge = [&](const char* suffix) {
+        return reg.gauge_value("alloc", prefix + suffix);
+      };
+      EXPECT_EQ(gauge("_free"), st.free_blocks()) << prefix;
+      EXPECT_EQ(gauge("_fungible"), st.fungible_blocks()) << prefix;
+      EXPECT_EQ(gauge("_largest_free_run"), st.largest_free_run()) << prefix;
+      EXPECT_EQ(gauge("_elastic"), st.elastic_member_count()) << prefix;
+      EXPECT_EQ(gauge("_inelastic"), st.inelastic_member_count()) << prefix;
+      ++checked_stages;
+    }
+
+    for (const Fid fid : sw.controller().resident_fids()) {
+      const auto f = static_cast<i32>(fid);
+      ASSERT_TRUE(sw.hotness().tracked(f)) << "fid " << fid;
+      EXPECT_EQ(reg.gauge_value("hotness", "score", f),
+                static_cast<i64>(sw.hotness().score(f)));
+      EXPECT_EQ(reg.gauge_value("hotness", "cold_streak", f),
+                sw.hotness().cold_streak(f));
+      ++checked_fids;
+    }
+  });
+  EXPECT_EQ(checked_stages, rmt::PipelineConfig{}.logical_stages);
+  EXPECT_EQ(checked_fids, 2u);
+}
+
+// A departure takes the FID's heat with it: the heatmap row it recorded
+// and its hotness history go, so the next migration tick does not revive
+// the departed tenant's traffic as new (the re-slide placement bias and
+// the fabric scoreboard read these scores).
+TEST(MigrationE2E, ReleasedFidLeavesNoHeat) {
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  controller::SwitchNode::Config cfg;
+  cfg.migration.enabled = true;
+  cfg.migration.interval = 10 * kMillisecond;
+  auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
+  auto server = std::make_shared<apps::ServerNode>("server", kServerMac);
+  auto client = std::make_shared<client::ClientNode>("client", kClientMacBase,
+                                                     kSwitchMac);
+  net.attach(sw);
+  net.attach(server);
+  net.attach(client);
+  net.connect(*sw, 0, *server, 0);
+  net.connect(*sw, 1, *client, 0);
+  sw->bind(kServerMac, 0);
+  sw->bind(kClientMacBase, 1);
+
+  constexpr u32 kGets = 200;
+  for (u32 rank = 0; rank < kGets; ++rank) {
+    server->put(workload::ZipfGenerator::key_for_rank(rank), rank + 1);
+  }
+  auto cache = std::make_shared<apps::CacheService>("cache", kServerMac);
+  client->register_service(cache);
+  client->on_passive = [&cache](netsim::Frame& frame) {
+    const auto msg = apps::KvMessage::parse(std::span<const u8>(frame).subspan(
+        packet::EthernetHeader::kWireSize));
+    if (msg) cache->handle_server_reply(*msg);
+  };
+  std::function<void(u32)> get_next = [&](u32 remaining) {
+    if (remaining == 0) {
+      sim.schedule_after(100 * kMillisecond, [&cache] { cache->release(); });
+      return;
+    }
+    cache->get(workload::ZipfGenerator::key_for_rank(remaining - 1));
+    sim.schedule_after(100 * kMicrosecond,
+                       [&get_next, remaining] { get_next(remaining - 1); });
+  };
+  cache->on_ready = [&] { get_next(kGets); };
+  cache->request_allocation();
+  sim.run();
+
+  ASSERT_EQ(cache->state(), client::Service::State::kReleased);
+  const auto fid = static_cast<i32>(cache->fid());
+  EXPECT_GT(sw->migration_stats().ticks, 0u);
+  EXPECT_FALSE(sw->hotness().tracked(fid));
+  EXPECT_EQ(sw->hotness().total_score(), 0u);
+  for (u32 s = 0; s < sw->pipeline().stage_count(); ++s) {
+    EXPECT_EQ(sw->heatmap().find(s, fid), nullptr) << "stage " << s;
+  }
 }
 
 }  // namespace

@@ -1,31 +1,27 @@
 // artmt_stats -- run the end-to-end testbed scenario (an in-network cache
 // plus a heavy-hitter monitor sharing one switch) with every component
-// wired into the process-wide telemetry registry, then dump the metrics
-// snapshot as JSON: per-FID packet counters, admission/rejection totals,
-// cache hit ratios, latency histograms -- the paper's evaluation
-// quantities without recompiling a single printf.
+// wired into one telemetry registry, then dump its snapshot as JSON: per-FID
+// packet counters, admission/rejection totals, cache hit ratios, latency
+// histograms, the allocator's per-stage layout (alloc.s<N>_free,
+// _fungible, _largest_free_run, _elastic, _inelastic), the per-(stage, FID)
+// access heatmap (heatmap.s<N>_reads{fid=N}, ...), and the migration
+// engine's counters and hotness table -- the paper's evaluation quantities
+// in one schema.
 //
 // Usage:
-//   artmt_stats [--requests N] [--loss P] [--fault-seed S] [--alloc]
+//   artmt_stats [--requests N] [--loss P] [--fault-seed S] [--migration]
 //     --requests N   data-plane requests per service (default 2000)
 //     --loss P       attach a FaultInjector with uniform loss P on every
 //                    link; faults.* counters land in the snapshot and
 //                    the reliability.* retransmit schedules absorb the
 //                    loss (artmt_chaos runs the full scripted matrix)
 //     --fault-seed S seed for the loss plan's substreams (default 1)
-//     --alloc        instead of the metrics snapshot, dump the switch
-//                    allocator's state after the scenario: scheme,
-//                    resident count, and per-stage utilization +
-//                    fragmentation (largest free run / total free blocks)
-//     --heatmap      instead of the snapshot, print the per-(stage, FID)
-//                    memory-access heatmap the runtime recorded (reads /
-//                    writes / collisions per cell) plus the decaying
-//                    hotness ranking the migration engine consumes
 //     --migration    run with the background migration & defragmentation
-//                    engine enabled and dump its report instead of the
-//                    snapshot: tick/plan/execute counters, remap-queue
-//                    stats, the controller's per-kind migration totals,
-//                    and the live hotness table with cold streaks
+//                    engine enabled: its tick/plan/execute and remap-queue
+//                    counters (switch.migration_*), the controller's
+//                    per-kind migration totals and the hotness table
+//                    (hotness.score{fid=N}, hotness.cold_streak{fid=N})
+//                    then count in the snapshot
 //     --spans FILE   no scenario: load a span dump (--span-dump output
 //                    or a flight-recorder dump) and print the per-FID
 //                    p50/p90/p99 phase latency breakdown
@@ -47,9 +43,10 @@
 //                    the federated global controller across a 4-leaf /
 //                    2-spine fabric, leaf0 killed mid-run so the
 //                    failure-driven re-placement path executes -- and
-//                    dump the controller's FabricReport (placements,
-//                    evacuations, downtime percentiles, state loss) plus
-//                    the fabric.* metrics snapshot as JSON.
+//                    dump the global controller's snapshot (placements,
+//                    evacuations, state loss, fabric.unplaced, and the
+//                    fabric.downtime_ns histogram). Each tenant's owner
+//                    goes to stderr.
 //
 // A numeric flag whose value does not parse or does not fit (N above 32
 // bits, P outside [0, 1]) prints the usage line and exits 2. Every span
@@ -67,11 +64,9 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "alloc/hotness.hpp"
 #include "apps/cache_service.hpp"
 #include "apps/hh_service.hpp"
 #include "apps/server_node.hpp"
@@ -83,7 +78,6 @@
 #include "fabric/topology.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
-#include "telemetry/heatmap.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/span_analysis.hpp"
@@ -92,134 +86,6 @@
 using namespace artmt;
 
 namespace {
-
-// --alloc: the allocator's live state as JSON. Fragmentation per stage is
-// largest free run / total free blocks (1.0 = perfectly contiguous free
-// space; approaches 0 as holes shred it).
-void print_alloc_report(const alloc::Allocator& a) {
-  std::printf("{\n");
-  std::printf("  \"scheme\": \"%s\",\n", alloc::scheme_name(a.scheme()));
-  std::printf("  \"resident_apps\": %u,\n", a.resident_count());
-  std::printf("  \"utilization\": %.4f,\n", a.utilization());
-  std::printf("  \"stages\": [\n");
-  const u32 stages = a.geometry().logical_stages;
-  for (u32 s = 0; s < stages; ++s) {
-    const alloc::StageState& st = a.stage(s);
-    const u32 free = st.free_blocks();
-    const double frag =
-        free == 0 ? 1.0
-                  : static_cast<double>(st.largest_free_run()) /
-                        static_cast<double>(free);
-    std::printf(
-        "    {\"stage\": %u, \"capacity\": %u, \"allocated\": %u, "
-        "\"free\": %u, \"fungible\": %u, \"largest_free_run\": %u, "
-        "\"fragmentation\": %.4f, \"elastic_members\": %u, "
-        "\"inelastic_members\": %u}%s\n",
-        s, st.capacity(), st.allocated_blocks(), free, st.fungible_blocks(),
-        st.largest_free_run(), frag, st.elastic_member_count(),
-        st.inelastic_member_count(), s + 1 == stages ? "" : ",");
-  }
-  std::printf("  ]\n}\n");
-}
-
-// --heatmap: the per-(stage, FID) access table plus the hotness ranking.
-void print_heatmap_report(const telemetry::StageHeatmap& heatmap) {
-  std::printf("%-6s", "fid");
-  for (u32 s = 0; s < heatmap.stages(); ++s) std::printf("  s%-2u r/w/c       ", s);
-  std::printf("  total\n");
-  alloc::HotnessTable hotness;
-  hotness.observe(heatmap);
-  for (const i32 fid : heatmap.fids()) {
-    std::printf("%-6d", fid);
-    for (u32 s = 0; s < heatmap.stages(); ++s) {
-      const auto* cell = heatmap.find(s, fid);
-      if (cell == nullptr || (cell->reads | cell->writes | cell->collisions) == 0) {
-        std::printf("  %-15s", "-");
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu/%llu/%llu",
-                      static_cast<unsigned long long>(cell->reads),
-                      static_cast<unsigned long long>(cell->writes),
-                      static_cast<unsigned long long>(cell->collisions));
-        std::printf("  %-15s", buf);
-      }
-    }
-    std::printf("  %llu\n",
-                static_cast<unsigned long long>(heatmap.total_accesses(fid)));
-  }
-  std::printf("\nhotness (decaying access score, hottest first):\n");
-  for (const auto& [fid, score] : hotness.ranked()) {
-    std::printf("  fid %-5d score %llu\n", fid,
-                static_cast<unsigned long long>(score));
-  }
-}
-
-// --migration: the background engine's full observability surface.
-void print_migration_report(controller::SwitchNode& sw) {
-  const auto engine = sw.migration_stats();
-  const controller::ControllerStats& ctrl = sw.controller().stats();
-  std::printf("{\n");
-  std::printf(
-      "  \"engine\": {\"ticks\": %llu, \"deferred\": %llu, "
-      "\"executed\": %llu, \"noops\": %llu, \"departed\": %llu},\n",
-      static_cast<unsigned long long>(engine.ticks),
-      static_cast<unsigned long long>(engine.deferred),
-      static_cast<unsigned long long>(engine.executed),
-      static_cast<unsigned long long>(engine.noops),
-      static_cast<unsigned long long>(engine.departed));
-  std::printf(
-      "  \"planner\": {\"cycles\": %llu, \"demotions_planned\": %llu, "
-      "\"promotions_planned\": %llu, \"reslides_planned\": %llu, "
-      "\"cooldown_skips\": %llu},\n",
-      static_cast<unsigned long long>(engine.planner.cycles),
-      static_cast<unsigned long long>(engine.planner.demotions_planned),
-      static_cast<unsigned long long>(engine.planner.promotions_planned),
-      static_cast<unsigned long long>(engine.planner.reslides_planned),
-      static_cast<unsigned long long>(engine.planner.cooldown_skips));
-  std::printf(
-      "  \"queue\": {\"enqueued\": %llu, \"popped\": %llu, "
-      "\"congestion_drops\": %llu, \"duplicates\": %llu, \"purged\": %llu, "
-      "\"high_water\": %u},\n",
-      static_cast<unsigned long long>(engine.queue.enqueued),
-      static_cast<unsigned long long>(engine.queue.popped),
-      static_cast<unsigned long long>(engine.queue.congestion_drops),
-      static_cast<unsigned long long>(engine.queue.duplicates),
-      static_cast<unsigned long long>(engine.queue.purged),
-      engine.queue.high_water);
-  std::printf(
-      "  \"controller\": {\"migrations\": %llu, \"demotions\": %llu, "
-      "\"promotions\": %llu, \"reslides\": %llu, \"noops\": %llu, "
-      "\"tcam_skips\": %llu, \"blocks_migrated\": %llu},\n",
-      static_cast<unsigned long long>(ctrl.migrations),
-      static_cast<unsigned long long>(ctrl.migration_demotions),
-      static_cast<unsigned long long>(ctrl.migration_promotions),
-      static_cast<unsigned long long>(ctrl.migration_reslides),
-      static_cast<unsigned long long>(ctrl.migration_noops),
-      static_cast<unsigned long long>(ctrl.migration_tcam_skips),
-      static_cast<unsigned long long>(ctrl.blocks_migrated));
-  std::printf("  \"hotness\": [\n");
-  const alloc::HotnessTable& hotness = sw.hotness();
-  const auto ranked = hotness.ranked();
-  for (std::size_t i = 0; i < ranked.size(); ++i) {
-    const auto [fid, score] = ranked[i];
-    std::printf(
-        "    {\"fid\": %d, \"score\": %llu, \"cold_streak\": %llu, "
-        "\"cold\": %s}%s\n",
-        fid, static_cast<unsigned long long>(score),
-        static_cast<unsigned long long>(hotness.cold_streak(fid)),
-        hotness.is_cold(fid) ? "true" : "false",
-        i + 1 == ranked.size() ? "" : ",");
-  }
-  std::printf("  ]\n}\n");
-}
-
-double downtime_percentile_ms(std::vector<SimTime> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      p * static_cast<double>(samples.size() - 1) + 0.5);
-  return static_cast<double>(samples[idx]) / static_cast<double>(kMillisecond);
-}
 
 // --fabric: the multi-switch observability surface. Four cache tenants on
 // a 4-leaf / 2-spine fabric, placed by the federated global controller;
@@ -235,7 +101,7 @@ int run_fabric_report() {
   faults::FaultInjector injector(plan);
   net.set_transmit_hook(&injector);
 
-  telemetry::MetricsRegistry fabric_registry;
+  telemetry::MetricsRegistry registry;
   fabric::TopologyConfig tcfg;
   tcfg.leaves = 4;
   tcfg.spines = 2;
@@ -243,7 +109,7 @@ int run_fabric_report() {
   tcfg.switch_config.costs.snapshot_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.clear_per_block = 1 * kMicrosecond;
   tcfg.switch_config.costs.extraction_timeout = 50 * kMillisecond;
-  tcfg.controller.metrics = &fabric_registry;
+  tcfg.controller.metrics = &registry;
   fabric::Topology topo(net, tcfg);
 
   constexpr packet::MacAddr kFabServerMac = 0x5E00;
@@ -326,7 +192,6 @@ int run_fabric_report() {
   topo.start(sim, 1 * kMillisecond, kStop);
   sim.run_until(kStop + 500 * kMillisecond);
 
-  const fabric::FabricReport report = topo.controller().report();
   const auto leaf_of = [&](packet::MacAddr mac) -> std::string {
     for (u32 i = 0; i < topo.leaves(); ++i) {
       if (topo.leaf_mac(i) == mac) return "leaf" + std::to_string(i);
@@ -360,39 +225,8 @@ int run_fabric_report() {
                  t.cache->operational() ? "" : " [NOT OPERATIONAL]");
   }
 
-  std::printf("{\n");
-  std::printf(
-      "  \"topology\": {\"leaves\": %u, \"spines\": %u, \"tenants\": %u, "
-      "\"leaf_kill_at_ms\": 500},\n",
-      topo.leaves(), topo.spines(), n);
-  std::printf(
-      "  \"report\": {\"placements\": %llu, \"evacuations\": %llu, "
-      "\"replaced\": %llu, \"unplaced\": %llu, \"state_loss_services\": "
-      "%llu, \"switch_deaths\": %llu, \"revivals\": %llu, "
-      "\"downtime_p50_ms\": %.3f, \"downtime_p99_ms\": %.3f, "
-      "\"downtime_max_ms\": %.3f},\n",
-      static_cast<unsigned long long>(report.placements),
-      static_cast<unsigned long long>(report.evacuations),
-      static_cast<unsigned long long>(report.replaced),
-      static_cast<unsigned long long>(report.unplaced),
-      static_cast<unsigned long long>(report.state_loss_services),
-      static_cast<unsigned long long>(report.switch_deaths),
-      static_cast<unsigned long long>(report.revivals),
-      downtime_percentile_ms(report.downtimes, 0.50),
-      downtime_percentile_ms(report.downtimes, 0.99),
-      downtime_percentile_ms(report.downtimes, 1.0));
-  std::printf("  \"owners\": [");
-  for (u32 i = 0; i < n; ++i) {
-    const Fid fid = tenants[i]->cache->fid();
-    std::printf("%s{\"tenant\": %u, \"fid\": %u, \"owner\": \"%s\"}",
-                i == 0 ? "" : ", ", i, fid,
-                leaf_of(topo.controller().owner_of(fid)).c_str());
-  }
-  std::printf("],\n");
-  topo.controller().export_metrics(fabric_registry);
-  std::ostringstream metrics;
-  fabric_registry.snapshot_json(metrics);
-  std::printf("  \"metrics\": %s}\n", metrics.str().c_str());
+  topo.controller().export_metrics(registry);
+  registry.snapshot_json(std::cout);
   return 0;
 }
 
@@ -444,10 +278,8 @@ int analyze_spans(const char* path, SpanMode mode) {
 
 int main(int argc, char** argv) {
   u32 requests = 2000;
-  bool alloc_report = false;
-  bool heatmap_report = false;
-  bool migration_report = false;
-  bool fabric_report = false;
+  bool migration = false;
+  bool fabric = false;
   double loss = 0.0;
   u64 fault_seed = 1;
   const char* spans_path = nullptr;
@@ -456,8 +288,8 @@ int main(int argc, char** argv) {
   const auto usage = [] {
     std::fprintf(stderr,
                  "usage: artmt_stats [--requests N] "
-                 "[--loss P] [--fault-seed S] [--alloc] "
-                 "[--heatmap] [--migration] [--fabric] [--spans FILE] "
+                 "[--loss P] [--fault-seed S] [--migration] "
+                 "[--fabric] [--spans FILE] "
                  "[--span-requests FILE] [--span-events FILE] "
                  "[--span-dump FILE]\n");
     return 2;
@@ -475,14 +307,10 @@ int main(int argc, char** argv) {
       const std::optional<u64> value = cli::parse_u64(argv[++i]);
       if (!value) return usage();
       fault_seed = *value;
-    } else if (std::strcmp(argv[i], "--alloc") == 0) {
-      alloc_report = true;
-    } else if (std::strcmp(argv[i], "--heatmap") == 0) {
-      heatmap_report = true;
     } else if (std::strcmp(argv[i], "--migration") == 0) {
-      migration_report = true;
+      migration = true;
     } else if (std::strcmp(argv[i], "--fabric") == 0) {
-      fabric_report = true;
+      fabric = true;
     } else if (std::strcmp(argv[i], "--spans") == 0 && i + 1 < argc) {
       spans_path = argv[++i];
       span_mode = SpanMode::kBreakdown;
@@ -500,14 +328,13 @@ int main(int argc, char** argv) {
   }
 
   if (spans_path != nullptr) return analyze_spans(spans_path, span_mode);
-  if (fabric_report) return run_fabric_report();
+  if (fabric) return run_fabric_report();
 
+  // Everything records into one registry and the snapshot at the end is
+  // the union of every component's counters.
+  telemetry::MetricsRegistry registry;
   netsim::Simulator sim;
   netsim::Network net(sim);
-
-  // Everything records into the process-wide registry and the snapshot
-  // at the end is the union of every component's counters.
-  telemetry::MetricsRegistry& registry = telemetry::registry();
 
   // Span capture: the canonical sorted dump is byte-identical across runs.
   std::unique_ptr<telemetry::SpanSink> span_sink;
@@ -517,7 +344,7 @@ int main(int argc, char** argv) {
   }
 
   controller::SwitchNode::Config cfg;
-  if (migration_report) cfg.migration.enabled = true;
+  cfg.migration.enabled = migration;
   cfg.metrics = &registry;
   auto sw = std::make_shared<controller::SwitchNode>("switch", cfg);
   auto server = std::make_shared<apps::ServerNode>("server", 0xbb);
@@ -618,27 +445,18 @@ int main(int argc, char** argv) {
                  span_dump_path);
   }
 
-  if (alloc_report) {
-    print_alloc_report(sw->controller().allocator());
-  } else if (migration_report) {
-    print_migration_report(*sw);
-  } else if (heatmap_report) {
-    print_heatmap_report(sw->heatmap());
-  } else {
-    // Every component's typed totals join the live registry counters
-    // once, here.
-    sim.export_metrics(registry);
-    net.export_metrics(registry);
-    sw->export_metrics(registry);
-    if (injector) injector->export_metrics(registry);
-    sw->heatmap().export_metrics(registry);
-    const auto cache_fid = static_cast<i32>(cache->fid());
-    const auto monitor_fid = static_cast<i32>(monitor->fid());
-    cache->populate_reliability().export_metrics(registry, cache_fid);
-    cache->handshake_reliability().export_metrics(registry, cache_fid);
-    monitor->extract_reliability().export_metrics(registry, monitor_fid);
-    monitor->handshake_reliability().export_metrics(registry, monitor_fid);
-    telemetry::snapshot_json(std::cout);
-  }
+  // Every component's typed totals join the live registry counters once,
+  // here.
+  sim.export_metrics(registry);
+  net.export_metrics(registry);
+  sw->export_metrics(registry);
+  if (injector) injector->export_metrics(registry);
+  const auto cache_fid = static_cast<i32>(cache->fid());
+  const auto monitor_fid = static_cast<i32>(monitor->fid());
+  cache->populate_reliability().export_metrics(registry, cache_fid);
+  cache->handshake_reliability().export_metrics(registry, cache_fid);
+  monitor->extract_reliability().export_metrics(registry, monitor_fid);
+  monitor->handshake_reliability().export_metrics(registry, monitor_fid);
+  registry.snapshot_json(std::cout);
   return 0;
 }
